@@ -35,12 +35,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
 #include "obs/catalog.hpp"
@@ -89,40 +89,11 @@ Experiment build_case(const GridCase& c, double duration_sec, bool reference) {
   return b.build();
 }
 
-/// One flat record of everything metric-bearing in a result, used for the
-/// byte-identical comparisons (format_number round-trips doubles).
-Record result_record(const ExperimentResult& r) {
-  Record rec;
-  rec.set("avg_power_w", r.avg_power_w);
-  rec.set("adaptations", r.adaptations);
-  for (std::size_t i = 0; i < r.apps.size(); ++i) {
-    const AppRunResult& app = r.apps[i];
-    const std::string p = "app" + std::to_string(i) + "_";
-    rec.set(p + "label", app.label);
-    rec.set(p + "heartbeats", app.metrics.heartbeats);
-    rec.set(p + "norm_perf", app.metrics.norm_perf);
-    rec.set(p + "avg_rate_hps", app.metrics.avg_rate_hps);
-    rec.set(p + "perf_per_watt", app.metrics.perf_per_watt);
-    rec.set(p + "in_window", app.metrics.in_window_fraction);
-    rec.set(p + "energy_j", app.metrics.energy_j);
-    rec.set(p + "manager_cpu_pct", app.metrics.manager_cpu_pct);
-    rec.set(p + "trace_points", static_cast<std::int64_t>(app.trace.size()));
-  }
-  return rec;
-}
-
-std::string fingerprint(const std::vector<Record>& records) {
-  std::ostringstream out;
-  JsonlSink sink(out);
-  for (const Record& r : records) sink.write(r);
-  return out.str();
-}
-
 struct GridOutcome {
   GridCase c;
   double wall_ms = 0.0;
   double ticks = 0.0;
-  Record record;
+  std::string print;  ///< result_fingerprint of the run.
 };
 
 }  // namespace
@@ -188,12 +159,12 @@ int main(int argc, char** argv) {
     const ExperimentResult r =
         build_case(cases[i], grid_duration_sec, reference_grid).run();
     out.wall_ms = ms_since(start);
-    out.record = result_record(r);
+    out.print = result_fingerprint(r);
   }
   const double grid_serial_ms = ms_since(grid_start);
 
   // Parallel pass over the same grid: same records, any worker count.
-  std::vector<Record> parallel_records(cases.size());
+  std::vector<std::string> parallel_prints(cases.size());
   const auto par_start = Clock::now();
   {
     WorkStealingPool pool(jobs);
@@ -201,18 +172,17 @@ int main(int argc, char** argv) {
       pool.submit([&, i] {
         const ExperimentResult r =
             build_case(cases[i], grid_duration_sec, reference_grid).run();
-        parallel_records[i] = result_record(r);
+        parallel_prints[i] = result_fingerprint(r);
       });
     }
     pool.wait_idle();
   }
   const double grid_parallel_ms = ms_since(par_start);
 
-  std::vector<Record> serial_records;
-  serial_records.reserve(grid.size());
-  for (const GridOutcome& o : grid) serial_records.push_back(o.record);
-  const bool grid_identical =
-      fingerprint(serial_records) == fingerprint(parallel_records);
+  bool grid_identical = true;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid_identical = grid_identical && grid[i].print == parallel_prints[i];
+  }
 
   for (const GridOutcome& o : grid) {
     std::printf("grid %-11s %-10s apps=%d  %8.1f kticks/s\n",
@@ -245,7 +215,7 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     const ExperimentResult r = experiment.run();
     *wall_ms = ms_since(start);
-    return result_record(r);
+    return result_fingerprint(r);
   };
 
   for (const std::string& variant : VariantRegistry::instance().names()) {
@@ -256,13 +226,13 @@ int main(int argc, char** argv) {
     }
     std::vector<double> opt_ms;
     std::vector<double> ref_ms;
-    Record opt_record;
-    Record ref_record;
+    std::string opt_print;
+    std::string ref_print;
     for (int rep = 0; rep < reps; ++rep) {
       double w = 0.0;
-      opt_record = run_staggered(variant, false, &w);
+      opt_print = run_staggered(variant, false, &w);
       opt_ms.push_back(w);
-      ref_record = run_staggered(variant, true, &w);
+      ref_print = run_staggered(variant, true, &w);
       ref_ms.push_back(w);
     }
     // Min-of-reps: the least-interfered repetition is the standard
@@ -273,7 +243,7 @@ int main(int argc, char** argv) {
     row.variant = variant;
     row.opt_tps = speedup_ticks / (opt_ms.front() / 1000.0);
     row.ref_tps = speedup_ticks / (ref_ms.front() / 1000.0);
-    row.identical = fingerprint({opt_record}) == fingerprint({ref_record});
+    row.identical = opt_print == ref_print;
     speedups.push_back(row);
     std::printf("speedup %-10s opt %8.1f kticks/s  ref %8.1f kticks/s  "
                 "%.2fx  records %s\n",
@@ -316,21 +286,21 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     const ExperimentResult r = experiment.run();
     *wall_ms = ms_since(start);
-    return result_record(r);
+    return result_fingerprint(r);
   };
 
   std::vector<double> tel_off_ms;
   std::vector<double> tel_on_ms;
-  Record tel_off_record;
-  Record tel_on_record;
+  std::string tel_off_print;
+  std::string tel_on_print;
   for (int rep = 0; rep < tel_reps; ++rep) {
     double w = 0.0;
-    tel_off_record = run_telemetry(false, &w);
+    tel_off_print = run_telemetry(false, &w);
     tel_off_ms.push_back(w);
   }
   for (int rep = 0; rep < tel_reps; ++rep) {
     double w = 0.0;
-    tel_on_record = run_telemetry(true, &w);
+    tel_on_print = run_telemetry(true, &w);
     tel_on_ms.push_back(w);
   }
   std::sort(tel_off_ms.begin(), tel_off_ms.end());
@@ -339,8 +309,7 @@ int main(int argc, char** argv) {
   const double tel_on_tps = speedup_ticks / (tel_on_ms.front() / 1000.0);
   const double tel_overhead_pct =
       (tel_on_ms.front() / tel_off_ms.front() - 1.0) * 100.0;
-  const bool tel_identical =
-      fingerprint({tel_off_record}) == fingerprint({tel_on_record});
+  const bool tel_identical = tel_off_print == tel_on_print;
   const bool tel_within_budget = tel_overhead_pct <= telemetry_budget_pct;
 
   // Phase percentiles of the last enabled run (its session disabled the

@@ -25,9 +25,14 @@ ExperimentResult run_once(const ReproCase& repro, bool reference) {
 }  // namespace
 
 std::string result_fingerprint(const ExperimentResult& result) {
+  const auto state = [](const std::optional<SystemState>& s) {
+    return s ? s->to_string() : std::string();
+  };
   Record rec;
   rec.set("avg_power_w", result.avg_power_w);
   rec.set("adaptations", result.adaptations);
+  rec.set("static_state", state(result.static_state));
+  rec.set("final_state", state(result.final_state));
   for (std::size_t i = 0; i < result.apps.size(); ++i) {
     const AppRunResult& app = result.apps[i];
     const std::string p = "app" + std::to_string(i) + "_";
@@ -39,11 +44,23 @@ std::string result_fingerprint(const ExperimentResult& result) {
     rec.set(p + "heartbeats", app.metrics.heartbeats);
     rec.set(p + "norm_perf", app.metrics.norm_perf);
     rec.set(p + "avg_rate_hps", app.metrics.avg_rate_hps);
+    rec.set(p + "avg_power_w", app.metrics.avg_power_w);
     rec.set(p + "perf_per_watt", app.metrics.perf_per_watt);
     rec.set(p + "in_window", app.metrics.in_window_fraction);
     rec.set(p + "energy_j", app.metrics.energy_j);
+    rec.set(p + "energy_per_beat_j", app.metrics.energy_per_beat_j);
     rec.set(p + "manager_cpu_pct", app.metrics.manager_cpu_pct);
     rec.set(p + "trace_points", static_cast<std::int64_t>(app.trace.size()));
+    // Every trace point, fields in TracePoint order, doubles round-tripped.
+    std::string trace;
+    for (const TracePoint& t : app.trace) {
+      trace += std::to_string(t.hb_index) + ',' + format_number(t.hps) + ',' +
+               std::to_string(t.big_cores) + ',' +
+               std::to_string(t.little_cores) + ',' +
+               format_number(t.big_freq_ghz) + ',' +
+               format_number(t.little_freq_ghz) + ';';
+    }
+    rec.set(p + "trace", trace);
   }
   std::ostringstream out;
   JsonlSink sink(out);

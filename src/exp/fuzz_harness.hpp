@@ -29,7 +29,8 @@ struct FuzzCaseResult {
   std::string message;  ///< First failing oracle's diagnostic.
 };
 
-/// One flat record of everything metric-bearing in a result; two results
+/// One flat JSONL record of everything in a result — metrics, targets,
+/// spans, trace-point contents and the static/final states; two results
 /// are treated as identical iff their fingerprints match byte-for-byte
 /// (format_number round-trips doubles, so this is bit-identity).
 std::string result_fingerprint(const ExperimentResult& result);

@@ -6,57 +6,16 @@
 // raw doubles, not within a tolerance.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
 #include "obs/telemetry.hpp"
 
 namespace hars {
 namespace {
-
-/// Exact textual fingerprint of a result: %.17g round-trips doubles, so
-/// two fingerprints are equal iff every field is bit-identical.
-std::string fingerprint(const ExperimentResult& r) {
-  std::string out;
-  char buf[512];
-  const auto num = [&](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g|", v);
-    out += buf;
-  };
-  for (const AppRunResult& app : r.apps) {
-    out += app.label;
-    out += '|';
-    num(app.metrics.norm_perf);
-    num(app.metrics.avg_rate_hps);
-    num(app.metrics.avg_power_w);
-    num(app.metrics.perf_per_watt);
-    num(app.metrics.manager_cpu_pct);
-    num(static_cast<double>(app.metrics.heartbeats));
-    num(app.metrics.in_window_fraction);
-    num(app.metrics.energy_j);
-    num(app.metrics.energy_per_beat_j);
-    num(app.target.min);
-    num(app.target.max);
-    num(static_cast<double>(app.spawn_time_us));
-    num(static_cast<double>(app.depart_time_us));
-    for (const TracePoint& p : app.trace) {
-      num(static_cast<double>(p.hb_index));
-      num(p.hps);
-      num(static_cast<double>(p.big_cores));
-      num(static_cast<double>(p.little_cores));
-      num(p.big_freq_ghz);
-      num(p.little_freq_ghz);
-    }
-  }
-  num(r.avg_power_w);
-  num(static_cast<double>(r.adaptations));
-  if (r.static_state) out += r.static_state->to_string();
-  if (r.final_state) out += r.final_state->to_string();
-  return out;
-}
 
 /// Telemetry armed with every collection mechanism live but no file
 /// sinks — the point is the simulation, not the output.
@@ -84,9 +43,9 @@ TEST(TelemetryDeterminism, EveryVariantOnEveryPlatformIsBitIdentical) {
         if (telemetry) b.telemetry(armed());
         return b.build().run();
       };
-      const std::string off = fingerprint(make(false));
-      const std::string on = fingerprint(make(true));
-      const std::string off_again = fingerprint(make(false));
+      const std::string off = result_fingerprint(make(false));
+      const std::string on = result_fingerprint(make(true));
+      const std::string off_again = result_fingerprint(make(false));
       EXPECT_EQ(off, on) << variant << " on " << platform
                          << ": telemetry changed the simulation";
       EXPECT_EQ(off, off_again)
@@ -105,8 +64,8 @@ TEST(TelemetryDeterminism, StaggeredScenarioIsBitIdentical) {
     if (telemetry) b.telemetry(armed());
     return b.build().run();
   };
-  const std::string off = fingerprint(make(false));
-  const std::string on = fingerprint(make(true));
+  const std::string off = result_fingerprint(make(false));
+  const std::string on = result_fingerprint(make(true));
   EXPECT_EQ(off, on) << "telemetry changed the staggered scenario run";
 }
 
