@@ -3,15 +3,12 @@
 // The HAL put a virtual-dispatch boundary between the runtime managers
 // and the simulator; this bench makes that boundary's cost a tracked,
 // gated metric (BENCH_backend.json, merged by bench_report like the
-// other BENCH artifacts). Three measurements:
+// other BENCH artifacts). Two measurements:
 //
-//  1. Identity: the same HARS-E run constructed through the SimEngine&
-//     compatibility ctor and through an explicit SimBackend must be
-//     bit-identical (adaptations, heartbeats, final state, energy) and
-//     comparably fast — min-of-reps wall clock for both.
-//  2. Call census: a counting decorator over SimBackend tallies every
-//     HAL call the manager run actually issues.
-//  3. Dispatch micro: ns/call for a hot observe/actuate mix through the
+//  1. Call census: a counting decorator over SimBackend tallies every
+//     HAL call a HARS-E run actually issues; the same run without the
+//     decorator gives the min-of-reps wall clock.
+//  2. Dispatch micro: ns/call for a hot observe/actuate mix through the
 //     concrete SimBackend (devirtualized) and through Backend& (vtable);
 //     the delta times the call census, as a share of the run's wall
 //     clock, is the interface overhead — gated at --budget percent
@@ -31,6 +28,7 @@
 #include "backend/sim_backend.hpp"
 #include "core/power_profiler.hpp"
 #include "core/runtime_manager.hpp"
+#include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 #include "sweep/result_sink.hpp"
@@ -132,66 +130,34 @@ class CountingBackend final : public Backend {
   long long& calls_;
 };
 
-struct RunOutcome {
-  double wall_ms = 0.0;
-  std::int64_t adaptations = 0;
-  std::int64_t heartbeats = 0;
-  double rate = 0.0;
-  double energy_j = 0.0;
-  SystemState final_state;
-};
-
-enum class CtorPath { kEngineCompat, kExplicitBackend, kCounting };
-
-RunOutcome run_once(CtorPath path, double duration_sec,
-                    long long* calls = nullptr) {
-  SimEngine engine{Machine::exynos5422(), std::make_unique<GtsScheduler>()};
+/// Wall clock of one HARS-E run driven through a SimBackend; with
+/// `calls`, the backend is wrapped in the counting decorator and the
+/// number of HAL calls is stored there.
+double run_once(double duration_sec, long long* calls = nullptr) {
+  SimEngine engine{PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>()};
   DataParallelConfig cfg;
   cfg.threads = 8;
   cfg.speed = SpeedModel{3.0, 2.0};
   cfg.workload = {WorkloadShape::kStable, 4.0, 0.0, 0.0, 1};
   DataParallelApp app("bench", cfg);
   const AppId id = engine.add_app(&app);
-  const PerfTarget target = PerfTarget::around(2.0);
   const PowerCoeffTable coeffs =
       profile_power(engine.machine(), engine.power_model());
 
   SimBackend sim_backend(engine);
   long long local_calls = 0;
   CountingBackend counting(sim_backend, local_calls);
+  Backend& backend =
+      calls != nullptr ? static_cast<Backend&>(counting) : sim_backend;
 
-  std::unique_ptr<RuntimeManager> manager;
   const auto t0 = Clock::now();
-  switch (path) {
-    case CtorPath::kEngineCompat:
-      manager = std::make_unique<RuntimeManager>(engine, id, target, coeffs);
-      break;
-    case CtorPath::kExplicitBackend:
-      manager =
-          std::make_unique<RuntimeManager>(sim_backend, id, target, coeffs);
-      break;
-    case CtorPath::kCounting:
-      manager = std::make_unique<RuntimeManager>(counting, id, target, coeffs);
-      break;
-  }
-  engine.set_manager(manager.get());
+  RuntimeManager manager(backend, id, PerfTarget::around(2.0), coeffs);
+  engine.set_manager(&manager);
   engine.run_for(static_cast<TimeUs>(duration_sec * kUsPerSec));
-
-  RunOutcome out;
-  out.wall_ms = ms_since(t0);
-  out.adaptations = manager->adaptations();
-  out.heartbeats = app.heartbeats().count();
-  out.rate = app.heartbeats().rate();
-  out.energy_j = engine.sensor().total_energy_j();
-  out.final_state = manager->current_state();
+  const double wall_ms = ms_since(t0);
   if (calls != nullptr) *calls = local_calls;
-  return out;
-}
-
-bool identical(const RunOutcome& a, const RunOutcome& b) {
-  return a.adaptations == b.adaptations && a.heartbeats == b.heartbeats &&
-         a.rate == b.rate && a.energy_j == b.energy_j &&
-         a.final_state == b.final_state;
+  return wall_ms;
 }
 
 /// The micro mix: the observe/actuate calls a manager tick leans on.
@@ -241,32 +207,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- 1. Identity + wall clock, both ctor paths ----------------------
-  double compat_ms = 1e300;
-  double hal_ms = 1e300;
-  RunOutcome compat_out;
-  RunOutcome hal_out;
-  for (int r = 0; r < reps; ++r) {
-    const RunOutcome a = run_once(CtorPath::kEngineCompat, duration_sec);
-    const RunOutcome b = run_once(CtorPath::kExplicitBackend, duration_sec);
-    compat_ms = std::min(compat_ms, a.wall_ms);
-    hal_ms = std::min(hal_ms, b.wall_ms);
-    compat_out = a;
-    hal_out = b;
-  }
-  const bool runs_identical = identical(compat_out, hal_out);
-  std::printf("identity         compat %.1f ms, explicit backend %.1f ms, "
-              "records %s\n",
-              compat_ms, hal_ms, runs_identical ? "identical" : "DIVERGENT");
-
-  // ---- 2. Call census --------------------------------------------------
+  // ---- 1. Call census + run wall clock --------------------------------
   long long hal_calls = 0;
-  run_once(CtorPath::kCounting, duration_sec, &hal_calls);
-  std::printf("call census      %lld HAL calls over %.0f sim-seconds\n",
-              hal_calls, duration_sec);
+  run_once(duration_sec, &hal_calls);
+  double hal_ms = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    hal_ms = std::min(hal_ms, run_once(duration_sec));
+  }
+  std::printf("call census      %lld HAL calls over %.0f sim-seconds, "
+              "run %.1f ms\n",
+              hal_calls, duration_sec, hal_ms);
 
-  // ---- 3. Dispatch micro ----------------------------------------------
-  SimEngine engine{Machine::exynos5422(), std::make_unique<GtsScheduler>()};
+  // ---- 2. Dispatch micro ----------------------------------------------
+  SimEngine engine{PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>()};
   DataParallelConfig cfg;
   cfg.threads = 8;
   DataParallelApp app("micro", cfg);
@@ -303,10 +257,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"campaign\": \"backend_bench\",\n"
       << "  \"duration_sec\": " << format_number(duration_sec)
       << ",\n  \"reps\": " << reps
-      << ",\n  \"compat_wall_ms\": " << format_number(compat_ms)
       << ",\n  \"hal_wall_ms\": " << format_number(hal_ms)
-      << ",\n  \"records_identical\": "
-      << (runs_identical ? "true" : "false")
       << ",\n  \"hal_calls\": " << hal_calls
       << ",\n  \"direct_ns_per_call\": " << format_number(direct_ns)
       << ",\n  \"virtual_ns_per_call\": " << format_number(virtual_ns)
@@ -318,5 +269,5 @@ int main(int argc, char** argv) {
       << "\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
 
-  return (runs_identical && within_budget && out.good()) ? 0 : 1;
+  return (within_budget && out.good()) ? 0 : 1;
 }

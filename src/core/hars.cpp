@@ -38,18 +38,4 @@ RuntimeManagerConfig config_for_variant(HarsVariant variant) {
   return config;
 }
 
-std::unique_ptr<RuntimeManager> attach_hars(SimEngine& engine, AppId app,
-                                            PerfTarget target,
-                                            HarsVariant variant,
-                                            RuntimeManagerConfig* override_config) {
-  const PowerCoeffTable coeffs =
-      profile_power(engine.machine(), engine.power_model());
-  const RuntimeManagerConfig config =
-      override_config != nullptr ? *override_config : config_for_variant(variant);
-  auto manager = std::make_unique<RuntimeManager>(engine, app, target,
-                                                  coeffs, config);
-  engine.set_manager(manager.get());
-  return manager;
-}
-
 }  // namespace hars

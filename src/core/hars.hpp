@@ -1,6 +1,5 @@
-// Facade: the evaluated HARS variants (thesis §5.1.1) and a convenience
-// constructor that wires an application, the profiled power models and a
-// runtime manager onto a simulation engine.
+// The evaluated HARS variants (thesis §5.1.1) and the manager
+// configuration the paper uses for each.
 //
 //   HARS-I  - incremental search (m/n/d = 1 toward the needed direction),
 //             chunk-based scheduler;
@@ -8,11 +7,9 @@
 //   HARS-EI - exhaustive search with the interleaving scheduler.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string_view>
 
-#include "core/power_profiler.hpp"
 #include "core/runtime_manager.hpp"
 
 namespace hars {
@@ -26,13 +23,5 @@ std::optional<HarsVariant> parse_hars_variant(std::string_view name);
 
 /// The manager configuration the paper uses for each variant.
 RuntimeManagerConfig config_for_variant(HarsVariant variant);
-
-/// Profiles the engine's platform and attaches a RuntimeManager for `app`.
-/// The returned manager is installed as the engine's manager hook.
-std::unique_ptr<RuntimeManager> attach_hars(SimEngine& engine, AppId app,
-                                            PerfTarget target,
-                                            HarsVariant variant,
-                                            RuntimeManagerConfig* override_config
-                                            = nullptr);
 
 }  // namespace hars

@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "backend/sim_backend.hpp"
+#include "backend/backend.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/alloc_guard.hpp"
@@ -16,21 +16,7 @@ namespace hars {
 RuntimeManager::RuntimeManager(Backend& backend, AppId app, PerfTarget target,
                                PowerCoeffTable coeffs,
                                RuntimeManagerConfig config)
-    : RuntimeManager(nullptr, &backend, app, std::move(target),
-                     std::move(coeffs), std::move(config)) {}
-
-RuntimeManager::RuntimeManager(SimEngine& engine, AppId app, PerfTarget target,
-                               PowerCoeffTable coeffs,
-                               RuntimeManagerConfig config)
-    : RuntimeManager(std::make_unique<SimBackend>(engine), nullptr, app,
-                     std::move(target), std::move(coeffs), std::move(config)) {}
-
-RuntimeManager::RuntimeManager(std::unique_ptr<Backend> owned,
-                               Backend* backend, AppId app, PerfTarget target,
-                               PowerCoeffTable coeffs,
-                               RuntimeManagerConfig config)
-    : owned_backend_(std::move(owned)),
-      backend_(backend != nullptr ? *backend : *owned_backend_),
+    : backend_(backend),
       app_(app),
       perf_est_(backend_.topology(), config.r0),
       power_est_(std::move(coeffs)),

@@ -85,12 +85,6 @@ class RuntimeManager : public ManagerHook {
   RuntimeManager(Backend& backend, AppId app, PerfTarget target,
                  PowerCoeffTable coeffs, RuntimeManagerConfig config = {});
 
-  /// Compatibility overload: wraps `engine` in an owned SimBackend.
-  /// Behaviour is identical to pre-HAL construction (SimBackend forwards
-  /// 1:1 to the engine).
-  RuntimeManager(SimEngine& engine, AppId app, PerfTarget target,
-                 PowerCoeffTable coeffs, RuntimeManagerConfig config = {});
-
   TimeUs on_tick(TimeUs now) override;
 
   const SystemState& current_state() const { return state_; }
@@ -105,19 +99,11 @@ class RuntimeManager : public ManagerHook {
   void apply_state(const SystemState& state);
 
  private:
-  /// Delegation target of both public constructors: exactly one of
-  /// `owned` / `backend` is set. `owned_backend_` is declared before
-  /// `backend_` so the reference can bind to it during initialization.
-  RuntimeManager(std::unique_ptr<Backend> owned, Backend* backend, AppId app,
-                 PerfTarget target, PowerCoeffTable coeffs,
-                 RuntimeManagerConfig config);
-
   /// Core sets for a state: the first C_L little cores and first C_B big
   /// cores of the machine (single-application HARS owns the machine).
   CpuMask big_set(const SystemState& s) const;
   CpuMask little_set(const SystemState& s) const;
 
-  std::unique_ptr<Backend> owned_backend_;  ///< Only for the SimEngine ctor.
   Backend& backend_;
   AppId app_;
   PerfEstimator perf_est_;

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "backend/sim_backend.hpp"
+#include "backend/backend.hpp"
 
 namespace hars {
 
@@ -126,13 +126,6 @@ void apply_thread_schedule(Backend& backend, AppId app,
     if (mask.empty()) mask = fallback;
     backend.place(app, i, mask);
   }
-}
-
-void apply_thread_schedule(SimEngine& engine, AppId app, ThreadSchedulerKind kind,
-                           const ThreadAssignment& assignment, CpuMask big_set,
-                           CpuMask little_set) {
-  SimBackend backend(engine);
-  apply_thread_schedule(backend, app, kind, assignment, big_set, little_set);
 }
 
 }  // namespace hars

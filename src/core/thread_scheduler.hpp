@@ -53,11 +53,4 @@ void apply_thread_schedule(Backend& backend, AppId app,
                            const ThreadAssignment& assignment, CpuMask big_set,
                            CpuMask little_set);
 
-/// Legacy shim over the Backend form: wraps the engine in a transient
-/// SimBackend. Placement is identical (SimBackend::place forwards to
-/// SimEngine::set_thread_affinity).
-void apply_thread_schedule(SimEngine& engine, AppId app, ThreadSchedulerKind kind,
-                           const ThreadAssignment& assignment, CpuMask big_set,
-                           CpuMask little_set);
-
 }  // namespace hars

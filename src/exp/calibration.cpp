@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "exp/metrics.hpp"
-#include "hmp/platform_registry.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 #include "util/once_cache.hpp"
@@ -41,12 +40,6 @@ Calibration calibrate_benchmark(const PlatformSpec& platform,
     cal.high_target = cal.target_for_fraction(0.75);
     return cal;
   });
-}
-
-Calibration calibrate_benchmark(ParsecBenchmark bench, int threads,
-                                std::uint64_t seed, TimeUs duration) {
-  return calibrate_benchmark(PlatformRegistry::instance().get("exynos5422"),
-                             bench, threads, seed, duration);
 }
 
 }  // namespace hars

@@ -29,9 +29,4 @@ Calibration calibrate_benchmark(const PlatformSpec& platform,
                                 std::uint64_t seed = 1,
                                 TimeUs duration = 40 * kUsPerSec);
 
-/// Legacy form: the exynos5422 preset platform.
-Calibration calibrate_benchmark(ParsecBenchmark bench, int threads = 8,
-                                std::uint64_t seed = 1,
-                                TimeUs duration = 40 * kUsPerSec);
-
 }  // namespace hars

@@ -1,6 +1,7 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -95,345 +96,272 @@ std::vector<double> concurrent_baseline_rates(const ExperimentSpec& spec) {
   return cache.get_or_compute(key, [&] { return probe_baseline_rates(spec); });
 }
 
-/// Per-app targets: explicit ones win. Derived targets follow the
-/// protocol: steady-state measurement of a single PARSEC app derives
-/// from its standalone calibration (§5.1.1); a cold-start measurement —
-/// any multi-app run, or run_multi's legacy single-app form — derives
-/// from the concurrent baseline probe (§5.2.1).
-std::vector<PerfTarget> resolve_targets(const ExperimentSpec& spec) {
-  std::vector<PerfTarget> targets(spec.apps.size());
-  bool all_explicit = true;
-  for (const AppSpec& app : spec.apps) all_explicit &= app.target.has_value();
-
-  if (all_explicit) {
-    for (std::size_t i = 0; i < spec.apps.size(); ++i) {
-      targets[i] = *spec.apps[i].target;
-    }
-    return targets;
+/// The run's app slots, none spawned yet: the scenario's spawns, or one
+/// t = 0 slot per configured app seeded spec.seed + i. On a live backend
+/// the slots carry no factory: the backend runs a workload shaped like
+/// the app instead.
+std::vector<AppSlot> make_slots(const ExperimentSpec& spec, bool simulated) {
+  if (spec.scenario) return scenario_slots(spec, *spec.scenario);
+  std::vector<AppSlot> slots(spec.apps.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i].label = spec.apps[i].label;
+    if (simulated) slots[i].factory = spec.apps[i].factory;
+    slots[i].threads = spec.threads;
+    slots[i].seed = spec.seed + i;
   }
-  if (spec.protocol == RunProtocol::kSteadyState && spec.apps.size() == 1 &&
-      spec.apps.front().bench) {
-    const Calibration cal = calibrate_benchmark(
-        spec.platform, *spec.apps.front().bench, spec.threads, spec.seed);
-    targets[0] = cal.target_for_fraction(spec.target_fraction);
-    return targets;
-  }
-  const std::vector<double> rates = concurrent_baseline_rates(spec);
-  for (std::size_t i = 0; i < spec.apps.size(); ++i) {
-    if (spec.apps[i].target.has_value()) {
-      targets[i] = *spec.apps[i].target;
-      continue;
-    }
-    if (!(rates[i] > 0.0)) {
-      // A zero probe rate would derive a {0, 0} target whose zero average
-      // silently zeroes every normalized-perf score; fail loudly instead.
-      throw std::runtime_error(
-          "app \"" + spec.apps[i].label +
-          "\" emitted no heartbeats in the baseline probe; cannot derive a "
-          "positive performance target (set one explicitly or lengthen the "
-          "duration)");
-    }
-    targets[i] = PerfTarget::around(spec.target_fraction * rates[i]);
-  }
-  return targets;
+  return slots;
 }
 
-RunMetrics collect_metrics(const SimEngine& engine, const App& app,
-                           const PerfTarget& target, TimeUs t0, TimeUs t1,
-                           double avg_power_w) {
-  RunMetrics m;
-  const auto& history = app.heartbeats().history();
-  m.norm_perf = time_weighted_norm_perf(history, target, t0, t1);
-  m.avg_rate_hps = average_rate(history, t0, t1);
-  m.avg_power_w = avg_power_w;
-  m.perf_per_watt = m.avg_power_w > 0.0 ? m.norm_perf / m.avg_power_w : 0.0;
-  m.manager_cpu_pct = engine.manager_cpu_utilization_pct();
-  m.heartbeats = app.heartbeats().count();
-  m.in_window_fraction = time_in_window_fraction(history, target, t0, t1);
-  m.energy_j = engine.sensor().total_energy_j();
-  const double beats_in_span = m.avg_rate_hps * us_to_sec(t1 - t0);
-  m.energy_per_beat_j = beats_in_span > 0.0 ? m.energy_j / beats_in_span : 0.0;
-  return m;
-}
-
-/// The scenario pipeline: apps arrive and depart per the scenario's event
-/// list, dispatched at tick boundaries by a ScenarioRuntime installed as
-/// the engine's tick hook. Cold-start protocol throughout; each app's
-/// measurement span runs from its first heartbeat to its departure (or
-/// run end).
-ExperimentResult run_scenario(const ExperimentSpec& spec) {
-  const Scenario& scenario = *spec.scenario;
-  SimEngine engine = make_engine(spec);
-  ScenarioRuntime runtime(scenario, engine, spec,
-                          resolve_scenario_targets(spec, scenario));
-  runtime.spawn_initial();
-
-  const std::vector<AppId> initial_ids = runtime.initial_ids();
-  const std::vector<PerfTarget> initial_targets = runtime.initial_targets();
-  const VariantEntry* entry = VariantRegistry::instance().find(spec.variant);
-  SimBackend backend(engine);
-  const VariantSetup setup{backend, spec, initial_ids, initial_targets};
-  std::unique_ptr<VariantInstance> instance = entry->factory(setup);
-  if (instance == nullptr) {
-    throw std::runtime_error("variant \"" + spec.variant +
-                             "\" factory returned no instance");
+/// Every slot's target. Explicit ones win; the rest follow the run:
+///  * scenario spawns: per-spawn standalone calibration;
+///  * live backends: a probe slice at the boot state, max(duration / 5,
+///    1 s) long (the live analogue of the concurrent baseline probe);
+///  * steady-state measurement of a single PARSEC app: its standalone
+///    calibration (§5.1.1);
+///  * any other measurement: the concurrent baseline probe (§5.2.1).
+/// The t = 0 apps are already spawned (the live probe runs them).
+void resolve_targets(const ExperimentSpec& spec, Backend& backend,
+                     std::vector<AppSlot>& slots) {
+  if (spec.scenario) {
+    const std::vector<PerfTarget> targets =
+        resolve_scenario_targets(spec, *spec.scenario);
+    for (std::size_t i = 0; i < slots.size(); ++i) slots[i].target = targets[i];
+    return;
   }
-  if (instance->active()) engine.set_manager(instance.get());
-  runtime.attach_variant(instance.get());
-
-  if (spec.capture != nullptr) {
-    TraceMeta meta;
-    meta.scenario_dsl = scenario.to_dsl();
-    meta.platform = spec.platform.name;
-    meta.variant = spec.variant;
-    meta.seed = spec.seed;
-    meta.threads = spec.threads;
-    meta.duration_us = spec.duration;
-    meta.fraction = spec.target_fraction;
-    meta.sample_ticks = spec.capture->sample_every_ticks();
-    spec.capture->write_meta(meta);
-    runtime.attach_capture(spec.capture);
-  }
-  engine.set_tick_hook([&runtime](TimeUs t) { runtime.on_tick(t); });
-
-  if (spec.sample_period > 0 && spec.sampler) {
-    std::vector<App*> app_ptrs;
-    std::vector<AppId> ids;
-    const TimeUs end = engine.now() + spec.duration;
-    while (engine.now() < end) {
-      engine.run_for(std::min(spec.sample_period, end - engine.now()));
-      app_ptrs.clear();
-      ids.clear();
-      for (const ScenarioAppSlot& slot : runtime.slots()) {
-        if (!slot.alive) continue;
-        app_ptrs.push_back(slot.app.get());
-        ids.push_back(slot.id);
-      }
-      spec.sampler(RunView{engine, app_ptrs, ids, *instance, engine.now()});
-    }
-  } else {
-    engine.run_for(spec.duration);
-  }
-  runtime.finish(engine.now());
-
-  ExperimentResult result;
-  const TimeUs t1 = engine.now();
-  result.avg_power_w = engine.sensor().average_power_w(t1);
-  for (const ScenarioAppSlot& slot : runtime.slots()) {
-    if (!slot.spawned) continue;  // Arrival beyond the run's duration.
-    AppRunResult app_result;
-    app_result.label = slot.label;
-    app_result.target = slot.target;
-    app_result.spawn_time_us = slot.spawn_time;
-    app_result.depart_time_us = slot.depart_time;
-    const TimeUs span1 = slot.depart_time >= 0 ? slot.depart_time : t1;
-    const auto& history = slot.app->heartbeats().history();
-    const TimeUs span0 = history.empty() ? slot.spawn_time : history.front().time;
-    app_result.metrics = collect_metrics(engine, *slot.app, slot.target,
-                                         std::min(span0, span1), span1,
-                                         result.avg_power_w);
-    app_result.trace = instance->trace(slot.id);
-    result.apps.push_back(std::move(app_result));
-  }
-  result.static_state = instance->static_state();
-  result.final_state = instance->current_state();
-  result.adaptations = instance->adaptations();
-
-  if (spec.capture != nullptr) {
-    for (const AppRunResult& app : result.apps) {
-      Record r;
-      r.set("kind", "metrics");
-      r.set("app", app.label);
-      r.set("spawn_us", static_cast<std::int64_t>(app.spawn_time_us));
-      r.set("depart_us", static_cast<std::int64_t>(app.depart_time_us));
-      r.set("heartbeats", app.metrics.heartbeats);
-      r.set("norm_perf", app.metrics.norm_perf);
-      r.set("avg_rate_hps", app.metrics.avg_rate_hps);
-      r.set("avg_power_w", app.metrics.avg_power_w);
-      r.set("perf_per_watt", app.metrics.perf_per_watt);
-      r.set("in_window_fraction", app.metrics.in_window_fraction);
-      r.set("energy_j", app.metrics.energy_j);
-      r.set("manager_cpu_pct", app.metrics.manager_cpu_pct);
-      r.set("adaptations", result.adaptations);
-      spec.capture->write(r);
-    }
-  }
-  return result;
-}
-
-/// The live pipeline: resolve the named backend through the registry,
-/// start one synthetic spin workload per configured app, derive any
-/// missing targets from a boot-state probe slice, instantiate the variant
-/// against the Backend interface and let the backend's wall-clock tick
-/// loop drive it. Measurement is cold-start-style over the post-probe
-/// span; energy comes from the backend's meters (or its modeled
-/// fallback).
-ExperimentResult run_live(const ExperimentSpec& spec) {
-  BackendOptions options = spec.backend_options;
-  if (!options.platform) options.platform = spec.platform;
-  std::unique_ptr<Backend> backend =
-      BackendRegistry::instance().get_live(spec.backend, options);
-
-  std::vector<AppId> ids;
-  for (std::size_t i = 0; i < spec.apps.size(); ++i) {
-    WorkloadDesc desc;
-    desc.label = spec.apps[i].label;
-    desc.threads = spec.threads;
-    ids.push_back(backend->add_workload(desc));
-  }
-
-  // Targets: explicit ones win; the rest derive from a probe slice at the
-  // boot state (the live analogue of the concurrent baseline probe).
-  std::vector<PerfTarget> targets(spec.apps.size());
-  bool need_probe = false;
-  for (const AppSpec& app : spec.apps) need_probe |= !app.target.has_value();
-  if (need_probe) {
-    backend->run_for(std::max<TimeUs>(spec.duration / 5, kUsPerSec));
-  }
-  for (std::size_t i = 0; i < spec.apps.size(); ++i) {
+  std::vector<std::size_t> derived;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
     if (spec.apps[i].target) {
-      targets[i] = *spec.apps[i].target;
+      slots[i].target = *spec.apps[i].target;
     } else {
-      const double rate = backend->heartbeats(ids[i]).rate();
+      derived.push_back(i);
+    }
+  }
+  if (derived.empty()) return;
+
+  if (backend.sim_engine() == nullptr) {
+    backend.run_for(std::max<TimeUs>(spec.duration / 5, kUsPerSec));
+    for (std::size_t i : derived) {
+      const double rate = backend.heartbeats(slots[i].id).rate();
       if (!(rate > 0.0)) {
         throw std::runtime_error(
-            "workload \"" + spec.apps[i].label +
+            "workload \"" + slots[i].label +
             "\" emitted no heartbeats in the live probe on backend \"" +
             spec.backend +
             "\"; cannot derive a target (set one explicitly or lengthen "
             "the duration)");
       }
-      targets[i] = PerfTarget::around(spec.target_fraction * rate);
+      slots[i].target = PerfTarget::around(spec.target_fraction * rate);
     }
-    backend->heartbeats(ids[i]).set_target(targets[i]);
+    return;
+  }
+  if (spec.protocol == RunProtocol::kSteadyState && spec.apps.size() == 1 &&
+      spec.apps.front().bench) {
+    const Calibration cal = calibrate_benchmark(
+        spec.platform, *spec.apps.front().bench, spec.threads, spec.seed);
+    slots[0].target = cal.target_for_fraction(spec.target_fraction);
+    return;
+  }
+  const std::vector<double> rates = concurrent_baseline_rates(spec);
+  for (std::size_t i : derived) {
+    if (!(rates[i] > 0.0)) {
+      // A zero probe rate would derive a {0, 0} target whose zero average
+      // silently zeroes every normalized-perf score; fail loudly instead.
+      throw std::runtime_error(
+          "app \"" + slots[i].label +
+          "\" emitted no heartbeats in the baseline probe; cannot derive a "
+          "positive performance target (set one explicitly or lengthen the "
+          "duration)");
+    }
+    slots[i].target = PerfTarget::around(spec.target_fraction * rates[i]);
+  }
+}
+
+/// What the run measured as a whole; every app's metrics share it.
+struct RunMeasurement {
+  double energy_j = 0.0;         ///< Energy over the measured span.
+  double avg_power_w = 0.0;      ///< System power over the measured span.
+  double manager_cpu_pct = 0.0;  ///< Manager CPU share of one core.
+};
+
+RunMetrics collect_metrics(const HeartbeatMonitor& heartbeats,
+                           const PerfTarget& target, TimeUs t0, TimeUs t1,
+                           const RunMeasurement& run) {
+  RunMetrics m;
+  const auto& history = heartbeats.history();
+  m.norm_perf = time_weighted_norm_perf(history, target, t0, t1);
+  m.avg_rate_hps = average_rate(history, t0, t1);
+  m.avg_power_w = run.avg_power_w;
+  m.perf_per_watt = m.avg_power_w > 0.0 ? m.norm_perf / m.avg_power_w : 0.0;
+  m.manager_cpu_pct = run.manager_cpu_pct;
+  m.heartbeats = heartbeats.count();
+  m.in_window_fraction = time_in_window_fraction(history, target, t0, t1);
+  m.energy_j = run.energy_j;
+  const double beats_in_span = m.avg_rate_hps * us_to_sec(t1 - t0);
+  m.energy_per_beat_j = beats_in_span > 0.0 ? m.energy_j / beats_in_span : 0.0;
+  return m;
+}
+
+/// Hands the sampler the live apps, in slot order.
+void sample_run(const ExperimentSpec& spec, SimEngine& engine,
+                const std::vector<AppSlot>& slots, VariantInstance& instance) {
+  std::vector<App*> apps;
+  std::vector<AppId> ids;
+  for (const AppSlot& slot : slots) {
+    if (!slot.alive) continue;
+    apps.push_back(slot.app.get());
+    ids.push_back(slot.id);
+  }
+  spec.sampler(RunView{engine, apps, ids, instance, engine.now()});
+}
+
+/// Appends one "metrics" record per app to a scenario capture.
+void write_capture_metrics(TraceSink& sink, const ExperimentResult& result) {
+  for (const AppRunResult& app : result.apps) {
+    Record r;
+    r.set("kind", "metrics");
+    r.set("app", app.label);
+    r.set("spawn_us", static_cast<std::int64_t>(app.spawn_time_us));
+    r.set("depart_us", static_cast<std::int64_t>(app.depart_time_us));
+    r.set("heartbeats", app.metrics.heartbeats);
+    r.set("norm_perf", app.metrics.norm_perf);
+    r.set("avg_rate_hps", app.metrics.avg_rate_hps);
+    r.set("avg_power_w", app.metrics.avg_power_w);
+    r.set("perf_per_watt", app.metrics.perf_per_watt);
+    r.set("in_window_fraction", app.metrics.in_window_fraction);
+    r.set("energy_j", app.metrics.energy_j);
+    r.set("manager_cpu_pct", app.metrics.manager_cpu_pct);
+    r.set("adaptations", result.adaptations);
+    sink.write(r);
+  }
+}
+
+/// The run pipeline, on any backend: spawn the t = 0 slots, resolve
+/// targets, instantiate the variant, apply the protocol, run (sampling
+/// if asked), collect every app's metrics.
+ExperimentResult run_on(const ExperimentSpec& spec, Backend& backend) {
+  SimEngine* const engine = backend.sim_engine();  // Null on live backends.
+
+  std::vector<AppSlot> slots = make_slots(spec, engine != nullptr);
+  for (AppSlot& slot : slots) {
+    if (slot.spawn_event == nullptr || slot.spawn_event->time <= 0) {
+      spawn_app(slot, backend, 0);
+    }
+  }
+  resolve_targets(spec, backend, slots);
+  std::vector<AppId> ids;
+  std::vector<PerfTarget> targets;
+  for (const AppSlot& slot : slots) {
+    if (!slot.spawned) continue;
+    backend.heartbeats(slot.id).set_target(slot.target);
+    ids.push_back(slot.id);
+    targets.push_back(slot.target);
   }
 
+  // The registry entry exists: build() validated the variant name.
   const VariantEntry* entry = VariantRegistry::instance().find(spec.variant);
-  const VariantSetup setup{*backend, spec, ids, targets};
-  std::unique_ptr<VariantInstance> instance = entry->factory(setup);
+  std::unique_ptr<VariantInstance> instance =
+      entry->factory(VariantSetup{backend, spec, ids, targets});
   if (instance == nullptr) {
     throw std::runtime_error("variant \"" + spec.variant +
                              "\" factory returned no instance");
   }
-  if (instance->active()) backend->attach_manager(instance.get());
+  if (instance->active()) backend.attach_manager(instance.get());
 
-  const TimeUs t0 = backend->now();
-  const double energy0 = backend->energy_j();
-  backend->run_for(spec.duration);
-  const TimeUs t1 = backend->now();
-  const double energy_j = backend->energy_j() - energy0;
-  const double span_s = us_to_sec(t1 - t0);
+  // Scenario events after t = 0 and trace capture ride the engine's tick
+  // hook; a run with neither installs none.
+  std::optional<ScenarioRuntime> runtime;
+  if (spec.scenario) {
+    runtime.emplace(*spec.scenario, backend, slots);
+    runtime->attach_variant(instance.get());
+    if (spec.capture != nullptr) runtime->attach_capture(*spec.capture, spec);
+    if (runtime->needs_tick_hook()) {
+      engine->set_tick_hook([&runtime](TimeUs t) { runtime->on_tick(t); });
+    }
+  }
 
+  // Steady state: warm up until every app heartbeats (cap 60 s), then
+  // measure from a fresh sensor.
+  if (engine != nullptr && spec.protocol == RunProtocol::kSteadyState) {
+    const TimeUs warmup_cap = backend.now() + 60 * kUsPerSec;
+    const auto all_beating = [&] {
+      return std::all_of(slots.begin(), slots.end(), [&](const AppSlot& s) {
+        return slot_heartbeats(s, backend).count() > 0;
+      });
+    };
+    while (!all_beating() && backend.now() < warmup_cap) {
+      backend.run_for(100 * kUsPerMs);
+    }
+    engine->sensor().reset();
+  }
+
+  const TimeUs t0 = backend.now();
+  const double energy0 = backend.energy_j();
+  if (spec.sample_period > 0 && spec.sampler) {
+    const TimeUs end = t0 + spec.duration;
+    while (backend.now() < end) {
+      backend.run_for(std::min(spec.sample_period, end - backend.now()));
+      sample_run(spec, *engine, slots, *instance);
+    }
+  } else {
+    backend.run_for(spec.duration);
+  }
+  const TimeUs t1 = backend.now();
+  if (runtime) runtime->finish(t1);
+
+  RunMeasurement run;
+  run.energy_j = backend.energy_j() - energy0;
+  run.avg_power_w = t1 > t0 ? run.energy_j / us_to_sec(t1 - t0) : 0.0;
+  run.manager_cpu_pct = backend.manager_cpu_utilization_pct();
+
+  // Simulated cold starts measure each app from its first heartbeat (or
+  // spawn) to its departure (or run end); steady state and live runs
+  // measure every app over [t0, t1].
+  const bool from_first_beat =
+      engine != nullptr && spec.protocol == RunProtocol::kColdStart;
   ExperimentResult result;
-  result.avg_power_w = span_s > 0.0 ? energy_j / span_s : 0.0;
-  for (std::size_t i = 0; i < spec.apps.size(); ++i) {
-    AppRunResult app_result;
-    app_result.label = spec.apps[i].label;
-    app_result.target = targets[i];
-    const auto& history = backend->heartbeats(ids[i]).history();
-    RunMetrics& m = app_result.metrics;
-    m.norm_perf = time_weighted_norm_perf(history, targets[i], t0, t1);
-    m.avg_rate_hps = average_rate(history, t0, t1);
-    m.avg_power_w = result.avg_power_w;
-    m.perf_per_watt = m.avg_power_w > 0.0 ? m.norm_perf / m.avg_power_w : 0.0;
-    m.manager_cpu_pct = backend->manager_cpu_utilization_pct();
-    m.heartbeats = backend->heartbeats(ids[i]).count();
-    m.in_window_fraction =
-        time_in_window_fraction(history, targets[i], t0, t1);
-    m.energy_j = energy_j;
-    const double beats_in_span = m.avg_rate_hps * span_s;
-    m.energy_per_beat_j =
-        beats_in_span > 0.0 ? m.energy_j / beats_in_span : 0.0;
-    app_result.trace = instance->trace(ids[i]);
-    result.apps.push_back(std::move(app_result));
+  result.avg_power_w = run.avg_power_w;
+  for (const AppSlot& slot : slots) {
+    if (!slot.spawned) continue;  // Arrival beyond the run's duration.
+    const HeartbeatMonitor& heartbeats = slot_heartbeats(slot, backend);
+    const TimeUs span1 = slot.depart_time >= 0 ? slot.depart_time : t1;
+    TimeUs span0 = t0;
+    if (from_first_beat) {
+      const auto& history = heartbeats.history();
+      span0 = std::min(history.empty() ? slot.spawn_time : history.front().time,
+                       span1);
+    }
+    AppRunResult app;
+    app.label = slot.label;
+    app.target = slot.target;
+    app.spawn_time_us = slot.spawn_time;
+    app.depart_time_us = slot.depart_time;
+    app.metrics = collect_metrics(heartbeats, slot.target, span0, span1, run);
+    app.trace = instance->trace(slot.id);
+    result.apps.push_back(std::move(app));
   }
   result.static_state = instance->static_state();
   result.final_state = instance->current_state();
   result.adaptations = instance->adaptations();
+  if (spec.capture != nullptr) write_capture_metrics(*spec.capture, result);
   return result;
 }
 
 }  // namespace
 
 ExperimentResult Experiment::run() const {
-  const ExperimentSpec& spec = spec_;
-  // Scoped around the whole pipeline (including scenario runs): arms the
-  // registry when enabled, writes the configured sinks on exit. With
-  // telemetry disabled this is construction of an inert object.
-  obs::TelemetrySession telemetry(spec.telemetry);
-  if (spec.backend != "sim") return run_live(spec);
-  if (spec.scenario) return run_scenario(spec);
-  const std::vector<PerfTarget> targets = resolve_targets(spec);
-
-  SimEngine engine = make_engine(spec);
-  std::vector<std::unique_ptr<App>> apps;
-  std::vector<App*> app_ptrs;
-  std::vector<AppId> ids;
-  for (std::size_t i = 0; i < spec.apps.size(); ++i) {
-    apps.push_back(spec.apps[i].factory(spec.threads, spec.seed + i));
-    app_ptrs.push_back(apps.back().get());
-    ids.push_back(engine.add_app(apps.back().get()));
-    apps.back()->heartbeats().set_target(targets[i]);
+  // Scoped around the whole pipeline: arms the registry when enabled,
+  // writes the configured sinks on exit. With telemetry disabled this is
+  // construction of an inert object.
+  obs::TelemetrySession telemetry(spec_.telemetry);
+  if (spec_.backend == "sim") {
+    SimEngine engine = make_engine(spec_);
+    SimBackend backend(engine);
+    return run_on(spec_, backend);
   }
-
-  // The registry entry exists: build() validated the variant name.
-  const VariantEntry* entry = VariantRegistry::instance().find(spec.variant);
-  SimBackend backend(engine);
-  const VariantSetup setup{backend, spec, ids, targets};
-  std::unique_ptr<VariantInstance> instance = entry->factory(setup);
-  if (instance == nullptr) {
-    throw std::runtime_error("variant \"" + spec.variant +
-                             "\" factory returned no instance");
-  }
-  if (instance->active()) engine.set_manager(instance.get());
-
-  TimeUs t0 = 0;
-  if (spec.protocol == RunProtocol::kSteadyState) {
-    const TimeUs warmup_cap = engine.now() + 60 * kUsPerSec;
-    const auto all_beating = [&] {
-      return std::all_of(app_ptrs.begin(), app_ptrs.end(), [](const App* a) {
-        return a->heartbeats().count() > 0;
-      });
-    };
-    while (!all_beating() && engine.now() < warmup_cap) {
-      engine.run_for(100 * kUsPerMs);
-    }
-    t0 = engine.now();
-    engine.sensor().reset();
-  }
-
-  if (spec.sample_period > 0 && spec.sampler) {
-    const TimeUs end = engine.now() + spec.duration;
-    while (engine.now() < end) {
-      engine.run_for(std::min(spec.sample_period, end - engine.now()));
-      spec.sampler(RunView{engine, app_ptrs, ids, *instance, engine.now()});
-    }
-  } else {
-    engine.run_for(spec.duration);
-  }
-
-  ExperimentResult result;
-  const TimeUs t1 = engine.now();
-  result.avg_power_w = engine.sensor().average_power_w(
-      spec.protocol == RunProtocol::kSteadyState ? t1 - t0 : t1);
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    AppRunResult app_result;
-    app_result.label = spec.apps[i].label;
-    app_result.target = targets[i];
-    TimeUs span0 = t0;
-    if (spec.protocol == RunProtocol::kColdStart) {
-      const auto& history = apps[i]->heartbeats().history();
-      span0 = history.empty() ? 0 : history.front().time;
-    }
-    app_result.metrics = collect_metrics(engine, *apps[i], targets[i], span0,
-                                         t1, result.avg_power_w);
-    app_result.trace = instance->trace(ids[i]);
-    result.apps.push_back(std::move(app_result));
-  }
-  result.static_state = instance->static_state();
-  result.final_state = instance->current_state();
-  result.adaptations = instance->adaptations();
-  return result;
+  BackendOptions options = spec_.backend_options;
+  if (!options.platform) options.platform = spec_.platform;
+  return run_on(spec_,
+                *BackendRegistry::instance().get_live(spec_.backend, options));
 }
 
 ExperimentBuilder::ExperimentBuilder() = default;
@@ -455,14 +383,6 @@ ExperimentBuilder& ExperimentBuilder::platform(std::string_view name) {
     throw ExperimentConfigError(error.what());
   }
   return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::platform(Machine machine) {
-  // Validate at configure time so an unsupportable machine (e.g. a little
-  // cluster out-peaking a big one, which the perf-ranked pools cannot
-  // represent) fails here with the documented exception type instead of
-  // surfacing a PlatformConfigError from inside run().
-  return platform(PlatformSpec::from_machine(machine));
 }
 
 ExperimentBuilder& ExperimentBuilder::os_scheduler(GtsConfig config) {

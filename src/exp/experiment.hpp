@@ -1,12 +1,12 @@
 // The unified experiment API.
 //
-// One typed, composable surface replaces the old run_single / run_multi
-// fork: an ExperimentBuilder configures platform -> apps -> targets ->
-// runtime variant -> measurement protocol, validates the combination at
-// build() time, and Experiment::run() executes the common pipeline —
-// resolve targets, assemble the engine, instantiate the variant through
-// the VariantRegistry, warm up per protocol, simulate, and collect
-// per-app metrics and behaviour traces.
+// One typed, composable surface: an ExperimentBuilder configures
+// platform -> apps -> targets -> runtime variant -> measurement protocol,
+// validates the combination at build() time, and Experiment::run()
+// executes the one run pipeline on any backend — open the backend, fill
+// the app-slot table, resolve targets, instantiate the variant through
+// the VariantRegistry, apply the protocol, run, and collect per-app
+// metrics and behaviour traces.
 //
 //   ExperimentResult r = ExperimentBuilder()
 //                            .app(ParsecBenchmark::kSwaptions)
@@ -18,7 +18,7 @@
 //
 // Any number of apps is supported (the multi-application §5.2 protocol is
 // the same pipeline with per-app targets derived from a concurrent
-// baseline probe); custom App factories and custom machines slot in next
+// baseline probe); custom App factories and custom platforms slot in next
 // to the PARSEC presets.
 #pragma once
 
@@ -179,9 +179,6 @@ class ExperimentBuilder {
   /// A registered platform by name ("exynos5422", "sd855", ...); throws
   /// ExperimentConfigError listing the known names when unknown.
   ExperimentBuilder& platform(std::string_view name);
-  /// Legacy: a bare Machine, wrapped with the per-core-type default power
-  /// parameters.
-  ExperimentBuilder& platform(Machine machine);
   /// OS-scheduler substrate (default: stock GTS).
   ExperimentBuilder& os_scheduler(GtsConfig config);
   ExperimentBuilder& os_scheduler(

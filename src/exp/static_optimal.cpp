@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "backend/sim_backend.hpp"
 #include "core/perf_estimator.hpp"
 #include "core/power_estimator.hpp"
 #include "core/power_profiler.hpp"
@@ -80,7 +81,8 @@ double measure_pinned_max_rate(const PlatformSpec& platform,
   m.set_freq_level(m.fastest_cluster(), max_state.big_freq);
   m.set_freq_level(m.slowest_cluster(), max_state.little_freq);
   const ThreadAssignment a = perf_est.assignment(max_state, app->thread_count());
-  apply_thread_schedule(engine, id, ThreadSchedulerKind::kChunk, a,
+  SimBackend backend(engine);
+  apply_thread_schedule(backend, id, ThreadSchedulerKind::kChunk, a,
                         m.fastest_mask(), m.slowest_mask());
 
   const TimeUs warmup_cap = 60 * kUsPerSec;

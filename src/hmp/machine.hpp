@@ -72,14 +72,6 @@ class Machine {
   CpuMask fastest_mask() const { return cluster_mask(fastest_cluster()); }
   CpuMask slowest_mask() const { return cluster_mask(slowest_cluster()); }
 
-  /// Legacy two-cluster big.LITTLE names; shims over the capability API
-  /// (big = fastest cluster, little = slowest). Prefer
-  /// fastest_cluster()/slowest_cluster() in new code.
-  ClusterId little_cluster() const { return slowest_cluster(); }
-  ClusterId big_cluster() const { return fastest_cluster(); }
-  CpuMask big_mask() const { return fastest_mask(); }
-  CpuMask little_mask() const { return slowest_mask(); }
-
   // --- DVFS (per-cluster, as on the XU3) ---
   int num_freq_levels(ClusterId cluster) const;
   double freq_ghz_at_level(ClusterId cluster, int level) const;

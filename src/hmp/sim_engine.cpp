@@ -16,16 +16,15 @@
 namespace hars {
 
 PowerModel SimEngine::make_power_model(const Machine& machine,
-                                       const PlatformSpec* platform) {
-  if (platform == nullptr) return PowerModel(machine);
-  PowerModel model(machine, platform->cluster_power());
-  model.set_base_watts(platform->base_watts);
+                                       const PlatformSpec& platform) {
+  PowerModel model(machine, platform.cluster_power());
+  model.set_base_watts(platform.base_watts);
   return model;
 }
 
-SimEngine::SimEngine(Machine machine, const PlatformSpec* platform,
+SimEngine::SimEngine(const PlatformSpec& platform,
                      std::unique_ptr<Scheduler> scheduler, SimConfig config)
-    : machine_(std::move(machine)),
+    : machine_(platform.make_machine()),
       power_model_(make_power_model(machine_, platform)),
       sensor_(machine_, power_model_, config.sensor_period_us,
               config.sensor_noise, config.sensor_seed),
@@ -36,15 +35,6 @@ SimEngine::SimEngine(Machine machine, const PlatformSpec* platform,
   if (!scheduler_) throw std::invalid_argument("SimEngine requires a scheduler");
   if (config_.tick_us <= 0) throw std::invalid_argument("tick must be positive");
 }
-
-SimEngine::SimEngine(Machine machine, std::unique_ptr<Scheduler> scheduler,
-                     SimConfig config)
-    : SimEngine(std::move(machine), nullptr, std::move(scheduler), config) {}
-
-SimEngine::SimEngine(const PlatformSpec& platform,
-                     std::unique_ptr<Scheduler> scheduler, SimConfig config)
-    : SimEngine(platform.make_machine(), &platform, std::move(scheduler),
-                config) {}
 
 AppId SimEngine::add_app(App* app) {
   assert(app != nullptr);

@@ -80,13 +80,8 @@ struct PlatformSpec;  // hmp/platform_spec.hpp
 
 class SimEngine {
  public:
-  /// Legacy wiring: the power model falls back to the per-core-type
-  /// default parameters for the machine's clusters.
-  SimEngine(Machine machine, std::unique_ptr<Scheduler> scheduler,
-            SimConfig config = {});
-
-  /// Platform wiring: materializes the machine and applies the platform's
-  /// per-cluster power parameters and base draw.
+  /// Materializes the platform's machine and applies its per-cluster
+  /// power parameters and base draw.
   SimEngine(const PlatformSpec& platform, std::unique_ptr<Scheduler> scheduler,
             SimConfig config = {});
 
@@ -119,8 +114,8 @@ class SimEngine {
     tick_hook_ = std::move(hook);
   }
 
-  /// Installs a manager the caller keeps alive (legacy wiring; the
-  /// Experiment pipeline and the attach_hars shim use this).
+  /// Installs a manager the caller keeps alive (SimBackend::attach_manager
+  /// forwards here).
   void set_manager(ManagerHook* manager) {
     if (owned_manager_.get() != manager) owned_manager_.reset();
     manager_ = manager;
@@ -204,14 +199,8 @@ class SimEngine {
   void audit_now() const;
 
  private:
-  /// Shared delegate of both public constructors: builds the power model
-  /// once, from the platform's carried parameters when one is given,
-  /// from the per-core-type legacy defaults otherwise — no
-  /// construct-then-reassign.
-  SimEngine(Machine machine, const PlatformSpec* platform,
-            std::unique_ptr<Scheduler> scheduler, SimConfig config);
   static PowerModel make_power_model(const Machine& machine,
-                                     const PlatformSpec* platform);
+                                     const PlatformSpec& platform);
 
   void step();
   void step_reference();

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "backend/sim_backend.hpp"
+#include "backend/backend.hpp"
 #include "util/alloc_guard.hpp"
 
 namespace hars {
@@ -20,16 +20,7 @@ double cons_perf_score(const Machine& machine, const SystemState& s, double r0,
 }
 
 ConsIManager::ConsIManager(Backend& backend, ConsIConfig config)
-    : ConsIManager(nullptr, &backend, std::move(config)) {}
-
-ConsIManager::ConsIManager(SimEngine& engine, ConsIConfig config)
-    : ConsIManager(std::make_unique<SimBackend>(engine), nullptr,
-                   std::move(config)) {}
-
-ConsIManager::ConsIManager(std::unique_ptr<Backend> owned, Backend* backend,
-                           ConsIConfig config)
-    : owned_backend_(std::move(owned)),
-      backend_(backend != nullptr ? *backend : *owned_backend_),
+    : backend_(backend),
       config_(config) {
   build_state_list();
   // Start at the maximum state, like the baseline.

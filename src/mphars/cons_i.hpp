@@ -53,10 +53,6 @@ class ConsIManager : public ManagerHook {
   /// hotplug, heartbeats) — simulated and live backends interchange.
   explicit ConsIManager(Backend& backend, ConsIConfig config = {});
 
-  /// Compatibility overload: wraps `engine` in an owned SimBackend
-  /// (bit-identical to pre-HAL construction).
-  explicit ConsIManager(SimEngine& engine, ConsIConfig config = {});
-
   void register_app(AppId app, const ConsIAppConfig& app_config);
 
   /// Removes a departed app from the decision loop (its trace is kept for
@@ -84,18 +80,11 @@ class ConsIManager : public ManagerHook {
     std::vector<TracePoint> trace;
   };
 
-  /// Delegation target of both public constructors: exactly one of
-  /// `owned` / `backend` is set (owned_backend_ precedes backend_ so the
-  /// reference can bind to it).
-  ConsIManager(std::unique_ptr<Backend> owned, Backend* backend,
-               ConsIConfig config);
-
   void apply_state(const SystemState& s);
   void build_state_list();
   /// Index into states_ holding the current state.
   std::size_t current_index() const;
 
-  std::unique_ptr<Backend> owned_backend_;  ///< Only for the SimEngine ctor.
   Backend& backend_;
   ConsIConfig config_;
   std::vector<AppEntry> apps_;

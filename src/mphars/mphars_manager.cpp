@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "backend/sim_backend.hpp"
+#include "backend/backend.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/alloc_guard.hpp"
@@ -16,17 +16,7 @@ namespace hars {
 
 MpHarsManager::MpHarsManager(Backend& backend, PowerCoeffTable coeffs,
                              MpHarsConfig config)
-    : MpHarsManager(nullptr, &backend, std::move(coeffs), std::move(config)) {}
-
-MpHarsManager::MpHarsManager(SimEngine& engine, PowerCoeffTable coeffs,
-                             MpHarsConfig config)
-    : MpHarsManager(std::make_unique<SimBackend>(engine), nullptr,
-                    std::move(coeffs), std::move(config)) {}
-
-MpHarsManager::MpHarsManager(std::unique_ptr<Backend> owned, Backend* backend,
-                             PowerCoeffTable coeffs, MpHarsConfig config)
-    : owned_backend_(std::move(owned)),
-      backend_(backend != nullptr ? *backend : *owned_backend_),
+    : backend_(backend),
       registry_(backend_.topology().cluster_core_count(
                     backend_.topology().fastest_cluster()),
                 backend_.topology().cluster_core_count(

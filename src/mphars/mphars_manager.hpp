@@ -57,11 +57,6 @@ class MpHarsManager : public ManagerHook {
   MpHarsManager(Backend& backend, PowerCoeffTable coeffs,
                 MpHarsConfig config = {});
 
-  /// Compatibility overload: wraps `engine` in an owned SimBackend
-  /// (bit-identical to pre-HAL construction).
-  MpHarsManager(SimEngine& engine, PowerCoeffTable coeffs,
-                MpHarsConfig config = {});
-
   /// Registers an app; initial allocation is an even split of each cluster
   /// across registered apps (re-applied on every registration).
   void register_app(AppId app, const MpHarsAppConfig& app_config);
@@ -84,12 +79,6 @@ class MpHarsManager : public ManagerHook {
   std::int64_t adaptations() const { return adaptations_; }
 
  private:
-  /// Delegation target of both public constructors: exactly one of
-  /// `owned` / `backend` is set (owned_backend_ precedes backend_ so the
-  /// reference can bind to it).
-  MpHarsManager(std::unique_ptr<Backend> owned, Backend* backend,
-                PowerCoeffTable coeffs, MpHarsConfig config);
-
   TimeUs adapt_app(AppNode& node, TimeUs now);
   void apply_app_state(AppNode& node, const SystemState& next);
   SystemState current_state_of(const AppNode& node) const;
@@ -99,7 +88,6 @@ class MpHarsManager : public ManagerHook {
   bool cluster_shared(const AppNode& node, bool big_cluster) const;
   void record_trace(AppNode& node);
 
-  std::unique_ptr<Backend> owned_backend_;  ///< Only for the SimEngine ctor.
   Backend& backend_;
   AppRegistry registry_;
   PerfEstimator perf_est_;

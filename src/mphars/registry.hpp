@@ -47,12 +47,6 @@ class AppRegistry {
   const ClusterData& fastest_cluster() const { return big_; }
   const ClusterData& slowest_cluster() const { return little_; }
 
-  /// Legacy two-cluster names (shims).
-  ClusterData& big_cluster() { return big_; }
-  ClusterData& little_cluster() { return little_; }
-  const ClusterData& big_cluster() const { return big_; }
-  const ClusterData& little_cluster() const { return little_; }
-
  private:
   std::vector<std::unique_ptr<AppNode>> nodes_;
   IntrusiveList<AppNode> list_;

@@ -3,8 +3,28 @@
 #include <utility>
 
 #include "exp/calibration.hpp"
+#include "hmp/sim_engine.hpp"
 
 namespace hars {
+
+void spawn_app(AppSlot& slot, Backend& backend, TimeUs now) {
+  if (slot.factory) {
+    slot.app = slot.factory(slot.threads, slot.seed);
+    slot.id = backend.sim_engine()->add_app(slot.app.get());
+  } else {
+    WorkloadDesc desc;
+    desc.label = slot.label;
+    desc.threads = slot.threads;
+    slot.id = backend.add_workload(desc);
+  }
+  slot.spawn_time = now;
+  slot.spawned = true;
+  slot.alive = true;
+}
+
+HeartbeatMonitor& slot_heartbeats(const AppSlot& slot, Backend& backend) {
+  return slot.app ? slot.app->heartbeats() : backend.heartbeats(slot.id);
+}
 
 std::vector<PerfTarget> resolve_scenario_targets(const ExperimentSpec& spec,
                                                  const Scenario& scenario) {
@@ -27,47 +47,60 @@ std::vector<PerfTarget> resolve_scenario_targets(const ExperimentSpec& spec,
   return targets;
 }
 
-ScenarioRuntime::ScenarioRuntime(const Scenario& scenario, SimEngine& engine,
-                                 const ExperimentSpec& spec,
-                                 std::vector<PerfTarget> targets)
-    : scenario_(scenario), engine_(engine), backend_(engine), spec_(spec) {
-  const auto spawns = scenario_.spawns();
-  slots_.reserve(spawns.size());
+std::vector<AppSlot> scenario_slots(const ExperimentSpec& spec,
+                                    const Scenario& scenario) {
+  const auto spawns = scenario.spawns();
+  std::vector<AppSlot> slots(spawns.size());
   for (std::size_t i = 0; i < spawns.size(); ++i) {
-    ScenarioAppSlot slot;
+    AppSlot& slot = slots[i];
+    const ParsecBenchmark bench = *spawns[i]->spawn.bench;
     slot.label = spawns[i]->app;
-    slot.spawn_event = spawns[i];
-    slot.target = targets[i];
+    slot.factory = [bench](int threads, std::uint64_t seed) {
+      return make_parsec_app(bench, threads, seed);
+    };
     slot.threads = spawns[i]->spawn.threads > 0 ? spawns[i]->spawn.threads
-                                                : spec_.threads;
-    slots_.push_back(std::move(slot));
+                                                : spec.threads;
+    slot.seed = spec.seed + i;
+    slot.spawn_event = spawns[i];
   }
+  return slots;
 }
 
-void ScenarioRuntime::spawn_slot(std::size_t slot_index, TimeUs now) {
-  ScenarioAppSlot& slot = slots_[slot_index];
-  slot.app = make_parsec_app(*slot.spawn_event->spawn.bench, slot.threads,
-                             spec_.seed + slot_index);
-  slot.id = engine_.add_app(slot.app.get());
-  slot.app->heartbeats().set_target(slot.target);
-  slot.spawn_time = now;
-  slot.spawned = true;
-  slot.alive = true;
-  if (variant_ != nullptr) variant_->on_app_spawn(slot.id, slot.target);
-}
-
-void ScenarioRuntime::spawn_initial() {
-  // validate() guarantees every t = 0 event is a spawn.
-  std::size_t spawn_index = 0;
+ScenarioRuntime::ScenarioRuntime(const Scenario& scenario, Backend& backend,
+                                 std::vector<AppSlot>& slots)
+    : scenario_(scenario),
+      backend_(backend),
+      engine_(*backend.sim_engine()),
+      slots_(slots) {
+  // validate() guarantees every t = 0 event is a spawn; the pipeline has
+  // spawned those already.
   while (next_event_ < scenario_.events.size() &&
          scenario_.events[next_event_].time <= 0) {
-    spawn_slot(spawn_index++, 0);
     ++next_event_;
   }
 }
 
-ScenarioAppSlot& ScenarioRuntime::slot_of(const std::string& label) {
-  for (ScenarioAppSlot& slot : slots_) {
+void ScenarioRuntime::attach_capture(TraceSink& sink,
+                                     const ExperimentSpec& spec) {
+  TraceMeta meta;
+  meta.scenario_dsl = scenario_.to_dsl();
+  meta.platform = spec.platform.name;
+  meta.variant = spec.variant;
+  meta.seed = spec.seed;
+  meta.threads = spec.threads;
+  meta.duration_us = spec.duration;
+  meta.fraction = spec.target_fraction;
+  meta.sample_ticks = sink.sample_every_ticks();
+  sink.write_meta(meta);
+  capture_ = &sink;
+}
+
+bool ScenarioRuntime::needs_tick_hook() const {
+  return capture_ != nullptr || next_event_ < scenario_.events.size();
+}
+
+AppSlot& ScenarioRuntime::slot_of(const std::string& label) {
+  for (AppSlot& slot : slots_) {
     if (slot.label == label) return slot;
   }
   throw ScenarioError("runtime: unknown app \"" + label + "\"");
@@ -77,16 +110,17 @@ void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
   switch (event.kind) {
     case ScenarioEventKind::kSpawn: {
       // Slot index = position among spawns (validate() forbids dup ids).
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].spawn_event == &event) {
-          spawn_slot(i, now);
-          return;
-        }
+      for (AppSlot& slot : slots_) {
+        if (slot.spawn_event != &event) continue;
+        spawn_app(slot, backend_, now);
+        backend_.heartbeats(slot.id).set_target(slot.target);
+        if (variant_ != nullptr) variant_->on_app_spawn(slot.id, slot.target);
+        return;
       }
       throw ScenarioError("runtime: spawn event without slot");
     }
     case ScenarioEventKind::kKill: {
-      ScenarioAppSlot& slot = slot_of(event.app);
+      AppSlot& slot = slot_of(event.app);
       if (!slot.alive) return;
       if (variant_ != nullptr) variant_->on_app_kill(slot.id);
       engine_.remove_app(slot.id);
@@ -95,7 +129,7 @@ void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
       return;
     }
     case ScenarioEventKind::kSetTarget: {
-      ScenarioAppSlot& slot = slot_of(event.app);
+      AppSlot& slot = slot_of(event.app);
       if (!slot.alive) return;
       slot.target = event.target;
       slot.app->heartbeats().set_target(event.target);
@@ -103,18 +137,18 @@ void ScenarioRuntime::dispatch(const ScenarioEvent& event, TimeUs now) {
       return;
     }
     case ScenarioEventKind::kSetPhase: {
-      ScenarioAppSlot& slot = slot_of(event.app);
+      AppSlot& slot = slot_of(event.app);
       if (!slot.alive) return;
       slot.app->set_phase_scale(event.phase_scale);
       return;
     }
     case ScenarioEventKind::kOfflineCores: {
-      const Machine& m = engine_.machine();
+      const Machine& m = backend_.topology();
       backend_.set_online_mask(m.online_mask() & ~event.cores);
       return;
     }
     case ScenarioEventKind::kOnlineCores: {
-      const Machine& m = engine_.machine();
+      const Machine& m = backend_.topology();
       backend_.set_online_mask(m.online_mask() | event.cores);
       return;
     }
@@ -146,7 +180,7 @@ void ScenarioRuntime::finish(TimeUs now) {
 void ScenarioRuntime::sample(TimeUs now) {
   const Machine& m = engine_.machine();
   const CpuMask online = m.online_mask();
-  for (const ScenarioAppSlot& slot : slots_) {
+  for (const AppSlot& slot : slots_) {
     if (!slot.alive) continue;
     // The app's allocated cores: the union of its threads' affinities,
     // intersected with the online mask, split by the managed pools.
@@ -172,24 +206,6 @@ void ScenarioRuntime::sample(TimeUs now) {
     r.set("power_w", engine_.sensor().instantaneous_power_w());
     capture_->write(r);
   }
-}
-
-std::vector<AppId> ScenarioRuntime::initial_ids() const {
-  std::vector<AppId> ids;
-  for (const ScenarioAppSlot& slot : slots_) {
-    if (slot.spawned && slot.spawn_event->time <= 0) ids.push_back(slot.id);
-  }
-  return ids;
-}
-
-std::vector<PerfTarget> ScenarioRuntime::initial_targets() const {
-  std::vector<PerfTarget> targets;
-  for (const ScenarioAppSlot& slot : slots_) {
-    if (slot.spawned && slot.spawn_event->time <= 0) {
-      targets.push_back(slot.target);
-    }
-  }
-  return targets;
 }
 
 }  // namespace hars

@@ -1,42 +1,61 @@
-// ScenarioRuntime: binds a Scenario to one live run.
+// The experiment pipeline's app-slot table and its scenario driver.
 //
-// Installed as the SimEngine's tick hook by Experiment::run(), it owns
-// every scenario application (the engine is non-owning), dispatches due
-// events at each tick boundary — spawn (create app, add to engine, set
-// target, notify the variant), kill (notify the variant, reclaim the
-// app's threads), set_target / set_phase / hotplug — and, when a
-// TraceSink is attached, samples the per-app state on the configured
-// cadence. Dispatch order is event order; an event at time t is applied
-// at the first tick boundary with start >= t, so its effect is visible to
-// that whole tick.
+// Every application of a run lives in one AppSlot, whatever its origin:
+// a static app (spawned at t = 0), a scenario spawn (spawned when its
+// event comes due) or a live workload (registered with the backend).
+//
+// ScenarioRuntime drives the slots of a scenario run through the
+// pipeline's Backend. Installed as the SimEngine's tick hook by
+// Experiment::run(), it dispatches due events at each tick boundary —
+// spawn (create app, add to engine, set target, notify the variant),
+// kill (notify the variant, reclaim the app's threads), set_target /
+// set_phase / hotplug — and, when a TraceSink is attached, samples the
+// per-app state on the configured cadence. Dispatch order is event
+// order; an event at time t is applied at the first tick boundary with
+// start >= t, so its effect is visible to that whole tick.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "backend/sim_backend.hpp"
+#include "backend/backend.hpp"
 #include "exp/experiment.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace_sink.hpp"
 
 namespace hars {
 
-/// One spawn of the scenario and the application it materialized. Slots
-/// exist for every spawn (in scenario order, which defines the seed
-/// offset) — apps not yet arrived have id == -1.
-struct ScenarioAppSlot {
-  std::string label;               ///< Scenario app id.
+/// One application of a run and the app or workload it materialized.
+/// Simulated slots build their App through `factory`; live slots (no
+/// factory) register a workload with the backend instead.
+struct AppSlot {
+  std::string label;
+  AppFactory factory;              ///< Empty for live workloads.
+  int threads = 0;
+  std::uint64_t seed = 0;          ///< Spec seed + slot index.
+  /// The scenario spawn this slot stands for; null outside scenarios.
   const ScenarioEvent* spawn_event = nullptr;
   std::unique_ptr<App> app;        ///< Owned; outlives engine removal.
-  AppId id = -1;                   ///< Engine id once spawned.
+  AppId id = -1;                   ///< Backend id once spawned.
   PerfTarget target;               ///< Current target.
-  int threads = 0;                 ///< Resolved thread count.
   TimeUs spawn_time = 0;
   TimeUs depart_time = -1;         ///< -1: alive at run end.
   bool spawned = false;
   bool alive = false;
 };
+
+/// Puts the slot's app on the backend at `now`: a simulated app joins the
+/// engine, a live workload is registered. Does not install the target.
+void spawn_app(AppSlot& slot, Backend& backend, TimeUs now);
+
+/// The slot's heartbeat channel (departed simulated apps keep theirs).
+HeartbeatMonitor& slot_heartbeats(const AppSlot& slot, Backend& backend);
+
+/// One slot per scenario spawn, in scenario order (which defines the
+/// seed offset); targets come from resolve_scenario_targets.
+std::vector<AppSlot> scenario_slots(const ExperimentSpec& spec,
+                                    const Scenario& scenario);
 
 /// Per-spawn target resolution (spawn order): an explicit window wins;
 /// otherwise fraction (spawn's or the spec default) of the standalone
@@ -46,16 +65,21 @@ std::vector<PerfTarget> resolve_scenario_targets(const ExperimentSpec& spec,
 
 class ScenarioRuntime {
  public:
-  /// `targets` are resolve_scenario_targets() results (spawn order).
-  ScenarioRuntime(const Scenario& scenario, SimEngine& engine,
-                  const ExperimentSpec& spec, std::vector<PerfTarget> targets);
-
-  /// Spawns every t = 0 app. Call once, before creating the variant (the
-  /// factories expect the initial apps registered).
-  void spawn_initial();
+  /// `slots` are scenario_slots() with the t = 0 apps already spawned
+  /// (the variant factories expect the initial apps registered); the
+  /// runtime dispatches the events after t = 0. `backend` must be a
+  /// simulated one.
+  ScenarioRuntime(const Scenario& scenario, Backend& backend,
+                  std::vector<AppSlot>& slots);
 
   void attach_variant(VariantInstance* variant) { variant_ = variant; }
-  void attach_capture(TraceSink* sink) { capture_ = sink; }
+  /// Writes the capture's meta line (the run's re-run recipe) and samples
+  /// into `sink` from then on.
+  void attach_capture(TraceSink& sink, const ExperimentSpec& spec);
+
+  /// False when the run has no event after t = 0 and no capture: the
+  /// tick hook would never do anything.
+  bool needs_tick_hook() const;
 
   /// The SimEngine tick hook: dispatches due events, then samples.
   void on_tick(TimeUs now);
@@ -63,28 +87,17 @@ class ScenarioRuntime {
   /// Samples the final state at run end (always, regardless of cadence).
   void finish(TimeUs now);
 
-  /// Engine ids / targets of the t = 0 apps, in spawn order (the
-  /// VariantSetup the factories see).
-  std::vector<AppId> initial_ids() const;
-  std::vector<PerfTarget> initial_targets() const;
-
-  const std::vector<ScenarioAppSlot>& slots() const { return slots_; }
-
  private:
   void dispatch(const ScenarioEvent& event, TimeUs now);
-  void spawn_slot(std::size_t slot_index, TimeUs now);
-  ScenarioAppSlot& slot_of(const std::string& label);
+  AppSlot& slot_of(const std::string& label);
   void sample(TimeUs now);
 
   const Scenario& scenario_;
+  Backend& backend_;
   SimEngine& engine_;
-  /// Platform mutations (hotplug events) go through the HAL so the obs
-  /// counters see them; SimBackend forwards 1:1 to the engine.
-  SimBackend backend_;
-  const ExperimentSpec& spec_;
+  std::vector<AppSlot>& slots_;         ///< One per spawn, scenario order.
   VariantInstance* variant_ = nullptr;
   TraceSink* capture_ = nullptr;
-  std::vector<ScenarioAppSlot> slots_;  ///< One per spawn, scenario order.
   std::size_t next_event_ = 0;          ///< Cursor into scenario_.events.
   std::int64_t tick_index_ = 0;
 };

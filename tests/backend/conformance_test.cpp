@@ -32,7 +32,7 @@ Harness make_harness(const std::string& kind) {
     // conformance assertions are identical across backends.
     const Machine machine =
         PlatformSpec::from_sysfs(FakeSysfs::exynos5422()).make_machine();
-    h.engine = std::make_unique<SimEngine>(machine,
+    h.engine = std::make_unique<SimEngine>(PlatformSpec::from_machine(machine),
                                            std::make_unique<GtsScheduler>());
     h.backend = std::make_unique<SimBackend>(*h.engine);
   } else if (kind == "mock_linux") {

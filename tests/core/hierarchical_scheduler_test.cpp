@@ -4,7 +4,9 @@
 
 #include "apps/parsec.hpp"
 #include "apps/pipeline_app.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/thread_scheduler.hpp"
+#include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 
@@ -77,16 +79,18 @@ TEST(HierarchicalPlacement, LargestRemainderFavorsBiggerGroups) {
 }
 
 TEST(HierarchicalApply, UsesAppThreadGroups) {
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   auto app = make_parsec_app(ParsecBenchmark::kFerret);
   const AppId id = engine.add_app(app.get());
+  SimBackend backend(engine);
 
   ThreadAssignment a;
   a.tb = 4;
   a.tl = 4;
   const CpuMask big_set = CpuMask::range(4, 4);
   const CpuMask little_set = CpuMask::range(0, 4);
-  apply_thread_schedule(engine, id, ThreadSchedulerKind::kHierarchical, a,
+  apply_thread_schedule(backend, id, ThreadSchedulerKind::kHierarchical, a,
                         big_set, little_set);
   // Heavy stages (threads 2-3 and 4-5) each have one big + one little.
   const bool t2_big = engine.thread_affinity(id, 2) == big_set;

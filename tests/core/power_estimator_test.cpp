@@ -39,9 +39,9 @@ TEST_F(PowerEstimatorTest, BigAlphaDominatesLittle) {
 TEST_F(PowerEstimatorTest, EstimateMatchesGroundTruthClosely) {
   PowerEstimator est(table_);
   for (int level : {0, 4, 8}) {
-    machine_.set_freq_level(machine_.big_cluster(), level);
+    machine_.set_freq_level(machine_.fastest_cluster(), level);
     for (double busy : {1.0, 2.0, 3.5}) {
-      const double truth = model_.cluster_power(machine_.big_cluster(), busy);
+      const double truth = model_.cluster_power(machine_.fastest_cluster(), busy);
       const SystemState s{4, 0, level, 0};
       const double est_w = est.big_power(s, static_cast<int>(busy) == 0 ? 0 : 4,
                                          busy / 4.0);

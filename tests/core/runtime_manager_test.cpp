@@ -5,14 +5,19 @@
 #include <memory>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/hars.hpp"
+#include "core/power_profiler.hpp"
+#include "hmp/platform_spec.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
 namespace {
 
 struct Fixture {
-  SimEngine engine{Machine::exynos5422(), std::make_unique<GtsScheduler>()};
+  SimEngine engine{PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>()};
+  SimBackend backend{engine};
   std::unique_ptr<DataParallelApp> app;
   AppId id = -1;
 
@@ -24,28 +29,39 @@ struct Fixture {
     app = std::make_unique<DataParallelApp>("t", cfg);
     id = engine.add_app(app.get());
   }
+
+  /// Profiles the platform and installs a RuntimeManager for the app.
+  std::unique_ptr<RuntimeManager> attach(PerfTarget target,
+                                         RuntimeManagerConfig config) {
+    auto manager = std::make_unique<RuntimeManager>(
+        backend, id, target,
+        profile_power(engine.machine(), engine.power_model()), config);
+    backend.attach_manager(manager.get());
+    return manager;
+  }
+  std::unique_ptr<RuntimeManager> attach(PerfTarget target,
+                                         HarsVariant variant) {
+    return attach(target, config_for_variant(variant));
+  }
 };
 
 TEST(RuntimeManager, StartsAtMaxState) {
   Fixture f;
-  auto manager = attach_hars(f.engine, f.id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE);
+  auto manager = f.attach(PerfTarget::around(2.0), HarsVariant::kHarsE);
   EXPECT_EQ(manager->current_state(),
             StateSpace::from_machine(f.engine.machine()).max_state());
 }
 
 TEST(RuntimeManager, InstallsTargetOnMonitor) {
   Fixture f;
-  auto manager = attach_hars(f.engine, f.id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE);
+  auto manager = f.attach(PerfTarget::around(2.0), HarsVariant::kHarsE);
   EXPECT_NEAR(f.app->heartbeats().target().avg(), 2.0, 1e-9);
 }
 
 TEST(RuntimeManager, AdaptsDownWhenOverperforming) {
   Fixture f;
   // Max state gives ~9+ hb/s for work=4; target 2 hb/s -> must shed power.
-  auto manager = attach_hars(f.engine, f.id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE);
+  auto manager = f.attach(PerfTarget::around(2.0), HarsVariant::kHarsE);
   f.engine.run_for(60 * kUsPerSec);
   EXPECT_GT(manager->adaptations(), 0);
   const SystemState s = manager->current_state();
@@ -57,11 +73,9 @@ TEST(RuntimeManager, AdaptsDownWhenOverperforming) {
 
 TEST(RuntimeManager, HarsIAdaptsSlowerThanHarsE) {
   Fixture fi;
-  auto mi = attach_hars(fi.engine, fi.id, PerfTarget::around(2.0),
-                        HarsVariant::kHarsI);
+  auto mi = fi.attach(PerfTarget::around(2.0), HarsVariant::kHarsI);
   Fixture fe;
-  auto me = attach_hars(fe.engine, fe.id, PerfTarget::around(2.0),
-                        HarsVariant::kHarsE);
+  auto me = fe.attach(PerfTarget::around(2.0), HarsVariant::kHarsE);
   fi.engine.run_for(20 * kUsPerSec);
   fe.engine.run_for(20 * kUsPerSec);
   // HARS-I moves one knob per adaptation: after the same wall time its
@@ -75,8 +89,7 @@ TEST(RuntimeManager, HarsIAdaptsSlowerThanHarsE) {
 TEST(RuntimeManager, NoAdaptationInsideWindow) {
   Fixture f;
   RuntimeManagerConfig config = config_for_variant(HarsVariant::kHarsE);
-  auto manager = attach_hars(f.engine, f.id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE, &config);
+  auto manager = f.attach(PerfTarget::around(2.0), config);
   f.engine.run_for(90 * kUsPerSec);
   const std::int64_t settled = manager->adaptations();
   // Once in the window, further run should add few or no adaptations.
@@ -86,8 +99,7 @@ TEST(RuntimeManager, NoAdaptationInsideWindow) {
 
 TEST(RuntimeManager, TraceRecordsHeartbeats) {
   Fixture f;
-  auto manager = attach_hars(f.engine, f.id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsEI);
+  auto manager = f.attach(PerfTarget::around(2.0), HarsVariant::kHarsEI);
   f.engine.run_for(20 * kUsPerSec);
   ASSERT_FALSE(manager->trace().empty());
   const TracePoint& p = manager->trace().back();
@@ -100,8 +112,7 @@ TEST(RuntimeManager, TraceRecordsHeartbeats) {
 
 TEST(RuntimeManager, OverheadChargedToEngine) {
   Fixture f;
-  auto manager = attach_hars(f.engine, f.id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE);
+  auto manager = f.attach(PerfTarget::around(2.0), HarsVariant::kHarsE);
   f.engine.run_for(30 * kUsPerSec);
   EXPECT_GT(f.engine.manager_overhead_us(), 0);
   EXPECT_LT(f.engine.manager_cpu_utilization_pct(), 10.0);
@@ -112,12 +123,12 @@ TEST(RuntimeManager, ApplyStateSetsFrequenciesAndAffinity) {
   RuntimeManagerConfig config = config_for_variant(HarsVariant::kHarsE);
   const PowerCoeffTable coeffs =
       profile_power(f.engine.machine(), f.engine.power_model());
-  RuntimeManager manager(f.engine, f.id, PerfTarget::around(2.0), coeffs,
+  RuntimeManager manager(f.backend, f.id, PerfTarget::around(2.0), coeffs,
                          config);
   manager.apply_state(SystemState{2, 3, 1, 2});
   const Machine& m = f.engine.machine();
-  EXPECT_EQ(m.freq_level(m.big_cluster()), 1);
-  EXPECT_EQ(m.freq_level(m.little_cluster()), 2);
+  EXPECT_EQ(m.freq_level(m.fastest_cluster()), 1);
+  EXPECT_EQ(m.freq_level(m.slowest_cluster()), 2);
   // Affinities only cover the allocated cores (big 4-5, little 0-2).
   const CpuMask allowed = CpuMask::range(4, 2) | CpuMask::range(0, 3);
   for (int i = 0; i < f.app->thread_count(); ++i) {
@@ -145,7 +156,7 @@ TEST(RuntimeManager, RejectsNonPositiveTargetWindow) {
        {PerfTarget{-2.0, 1.0}, PerfTarget{0.0, 0.0}, PerfTarget{-3.0, -1.0}}) {
     Fixture f;
     EXPECT_THROW(
-        attach_hars(f.engine, f.id, target, HarsVariant::kHarsE),
+        f.attach(target, HarsVariant::kHarsE),
         std::invalid_argument)
         << "min=" << target.min << " max=" << target.max;
   }

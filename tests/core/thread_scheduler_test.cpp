@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/sim_backend.hpp"
+#include "hmp/platform_spec.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -68,19 +70,21 @@ TEST(ThreadSchedulerName, Names) {
 }
 
 TEST(ApplyThreadSchedule, SetsAffinityMasks) {
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   DataParallelConfig cfg;
   cfg.threads = 8;
   cfg.workload = {WorkloadShape::kStable, 8.0, 0.0, 0.0, 1};
   DataParallelApp app("t", cfg);
   const AppId id = engine.add_app(&app);
+  SimBackend backend(engine);
 
   ThreadAssignment a;
   a.tb = 5;
   a.tl = 3;
   const CpuMask big_set = CpuMask::range(4, 3);     // 3 big cores.
   const CpuMask little_set = CpuMask::range(0, 2);  // 2 little cores.
-  apply_thread_schedule(engine, id, ThreadSchedulerKind::kChunk, a, big_set,
+  apply_thread_schedule(backend, id, ThreadSchedulerKind::kChunk, a, big_set,
                         little_set);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(engine.thread_affinity(id, i), little_set) << i;
@@ -91,17 +95,19 @@ TEST(ApplyThreadSchedule, SetsAffinityMasks) {
 }
 
 TEST(ApplyThreadSchedule, EmptySideFallsBackToUnion) {
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   DataParallelConfig cfg;
   cfg.threads = 2;
   cfg.workload = {WorkloadShape::kStable, 2.0, 0.0, 0.0, 1};
   DataParallelApp app("t", cfg);
   const AppId id = engine.add_app(&app);
+  SimBackend backend(engine);
 
   ThreadAssignment a;
   a.tb = 0;
   a.tl = 2;
-  apply_thread_schedule(engine, id, ThreadSchedulerKind::kChunk, a,
+  apply_thread_schedule(backend, id, ThreadSchedulerKind::kChunk, a,
                         CpuMask::range(4, 2), CpuMask());
   // Little side empty -> both threads fall back to the union.
   EXPECT_EQ(engine.thread_affinity(id, 0), CpuMask::range(4, 2));

@@ -132,16 +132,17 @@ TEST(Experiment, CustomPlatformRuns) {
   big.freqs_ghz = {1.0, 1.5, 2.0};
   spec.clusters = {little, big};
 
-  const ExperimentResult r = ExperimentBuilder()
-                                 .platform(Machine(spec))
-                                 .app("stable", stable_app())
-                                 .target(PerfTarget::around(1.0))
-                                 .variant("HARS-E")
-                                 .assumed_ratio(2.0)
-                                 .threads(3)
-                                 .duration(30 * kUsPerSec)
-                                 .build()
-                                 .run();
+  const ExperimentResult r =
+      ExperimentBuilder()
+          .platform(PlatformSpec::from_machine(Machine(spec)))
+          .app("stable", stable_app())
+          .target(PerfTarget::around(1.0))
+          .variant("HARS-E")
+          .assumed_ratio(2.0)
+          .threads(3)
+          .duration(30 * kUsPerSec)
+          .build()
+          .run();
   EXPECT_GT(r.apps.front().metrics.heartbeats, 0);
 }
 

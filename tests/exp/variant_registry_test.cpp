@@ -37,8 +37,8 @@ TEST(VariantRegistry, FindUnknownReturnsNull) {
 }
 
 TEST(VariantRegistry, OldEnumNamesResolve) {
-  // Every name the old SingleVersion/MultiVersion enums produced must be a
-  // registry key, so string-based lookup covers the whole legacy surface.
+  // Every figure name of the paper's eight runtime versions must be a
+  // registry key, so string-based lookup covers the whole evaluation.
   VariantRegistry& registry = VariantRegistry::instance();
   for (const char* name :
        {"Baseline", "SO", "HARS-I", "HARS-E", "HARS-EI"}) {

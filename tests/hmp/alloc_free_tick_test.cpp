@@ -11,7 +11,10 @@
 #include <vector>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/hars.hpp"
+#include "core/power_profiler.hpp"
+#include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 #include "util/alloc_guard.hpp"
@@ -57,7 +60,8 @@ TEST(AllocFreeTick, BareEngineStepsWithoutViolations) {
     GTEST_SKIP() << "built without HARS_ALLOC_GUARD";
   }
   HandlerScope handler;
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   DataParallelApp app("steady", app_config(8));
   engine.add_app(&app);
   // Includes the cold first ticks: scratch growth is AllowScope'd, so
@@ -74,18 +78,22 @@ TEST(AllocFreeTick, ManagedEngineSearchSweepsStayAllocationFree) {
     GTEST_SKIP() << "built without HARS_ALLOC_GUARD";
   }
   HandlerScope handler;
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   DataParallelApp app("managed", app_config(8));
   const AppId id = engine.add_app(&app);
   // HARS-E runs the full m = n = 4, d = 7 exhaustive sweep (with the
   // memoized SearchScratch), which itself re-tightens via AllocGuard.
-  auto manager =
-      attach_hars(engine, id, PerfTarget{4.0, 6.0}, HarsVariant::kHarsE);
+  SimBackend backend(engine);
+  RuntimeManager manager(backend, id, PerfTarget{4.0, 6.0},
+                         profile_power(engine.machine(), engine.power_model()),
+                         config_for_variant(HarsVariant::kHarsE));
+  backend.attach_manager(&manager);
   engine.run_for(3 * kUsPerSec);
   EXPECT_TRUE(recorded().empty())
       << recorded().size() << " tick(s) reported hot-path allocations, "
       << "first in region \"" << recorded().front().what << "\"";
-  EXPECT_GT(manager->adaptations(), 0);
+  EXPECT_GT(manager.adaptations(), 0);
 }
 
 TEST(AllocFreeTick, TabuTrajectoryStaysAllocationFree) {
@@ -93,13 +101,17 @@ TEST(AllocFreeTick, TabuTrajectoryStaysAllocationFree) {
     GTEST_SKIP() << "built without HARS_ALLOC_GUARD";
   }
   HandlerScope handler;
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   DataParallelApp app("tabu", app_config(8));
   const AppId id = engine.add_app(&app);
   RuntimeManagerConfig cfg = config_for_variant(HarsVariant::kHarsE);
   cfg.policy = SearchPolicy::kTabu;
-  auto manager =
-      attach_hars(engine, id, PerfTarget{4.0, 6.0}, HarsVariant::kHarsE, &cfg);
+  SimBackend backend(engine);
+  RuntimeManager manager(backend, id, PerfTarget{4.0, 6.0},
+                         profile_power(engine.machine(), engine.power_model()),
+                         cfg);
+  backend.attach_manager(&manager);
   engine.run_for(3 * kUsPerSec);
   EXPECT_TRUE(recorded().empty())
       << recorded().size() << " tick(s) reported hot-path allocations, "
@@ -115,7 +127,8 @@ TEST(AllocFreeTick, ReferenceTickPathIsExemptFromTheContract) {
   HandlerScope handler;
   SimConfig config;
   config.reference_tick = true;
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>(),
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>(),
                    config);
   DataParallelApp app("reference", app_config(8));
   engine.add_app(&app);

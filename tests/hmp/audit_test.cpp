@@ -10,8 +10,11 @@
 #include <type_traits>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/hars.hpp"
+#include "core/power_profiler.hpp"
 #include "core/system_state.hpp"
+#include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 #include "util/audit.hpp"
@@ -33,7 +36,8 @@ TEST(Audit, DefaultEnabledReflectsBuildMacro) {
 #else
   EXPECT_FALSE(audit::default_enabled());
 #endif
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   EXPECT_EQ(engine.audit_enabled(), audit::default_enabled());
   engine.set_audit(true);
   EXPECT_TRUE(engine.audit_enabled());
@@ -55,12 +59,17 @@ TEST(Audit, AuditedManagedRunIsBitIdenticalToUnaudited) {
   // simulation exactly as an unaudited one does, down to every energy
   // bit and heartbeat.
   const auto run = [](bool audited) {
-    SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+    SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                     std::make_unique<GtsScheduler>());
     engine.set_audit(audited);
     auto app = std::make_unique<DataParallelApp>("twin", app_config(8));
     const AppId id = engine.add_app(app.get());
-    auto manager =
-        attach_hars(engine, id, PerfTarget{4.0, 6.0}, HarsVariant::kHarsE);
+    SimBackend backend(engine);
+    RuntimeManager manager(
+        backend, id, PerfTarget{4.0, 6.0},
+        profile_power(engine.machine(), engine.power_model()),
+        config_for_variant(HarsVariant::kHarsE));
+    backend.attach_manager(&manager);
     engine.run_for(2 * kUsPerSec);
     struct Out {
       double energy;
@@ -69,7 +78,7 @@ TEST(Audit, AuditedManagedRunIsBitIdenticalToUnaudited) {
       std::int64_t migrations;
     };
     return Out{engine.sensor().total_energy_j(), app->heartbeats().count(),
-               manager->adaptations(), engine.total_migrations()};
+               manager.adaptations(), engine.total_migrations()};
   };
   const auto off = run(false);
   const auto on = run(true);
@@ -80,7 +89,8 @@ TEST(Audit, AuditedManagedRunIsBitIdenticalToUnaudited) {
 }
 
 TEST(Audit, SurvivesSpawnKillAndHotplugChurn) {
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   engine.set_audit(true);
   DataParallelApp first("first", app_config(6));
   const AppId first_id = engine.add_app(&first);
@@ -110,7 +120,8 @@ TEST(Audit, ReferenceTickPathIsAuditedToo) {
   SimConfig config;
   config.reference_tick = true;
   config.audit = true;
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>(),
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>(),
                    config);
   DataParallelApp app("reference", app_config(8));
   engine.add_app(&app);

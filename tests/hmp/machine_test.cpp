@@ -16,39 +16,39 @@ TEST(Machine, Exynos5422Topology) {
   EXPECT_EQ(m.core_type(3), CoreType::kLittle);
   EXPECT_EQ(m.core_type(4), CoreType::kBig);
   EXPECT_EQ(m.core_type(7), CoreType::kBig);
-  EXPECT_EQ(m.little_mask(), CpuMask::range(0, 4));
-  EXPECT_EQ(m.big_mask(), CpuMask::range(4, 4));
+  EXPECT_EQ(m.slowest_mask(), CpuMask::range(0, 4));
+  EXPECT_EQ(m.fastest_mask(), CpuMask::range(4, 4));
 }
 
 TEST(Machine, Exynos5422FrequencyTables) {
   const Machine m = Machine::exynos5422();
-  EXPECT_EQ(m.num_freq_levels(m.little_cluster()), 6);  // 0.8 - 1.3 GHz
-  EXPECT_EQ(m.num_freq_levels(m.big_cluster()), 9);     // 0.8 - 1.6 GHz
-  EXPECT_NEAR(m.freq_ghz_at_level(m.little_cluster(), 0), 0.8, 1e-9);
-  EXPECT_NEAR(m.freq_ghz_at_level(m.little_cluster(), 5), 1.3, 1e-9);
-  EXPECT_NEAR(m.freq_ghz_at_level(m.big_cluster(), 8), 1.6, 1e-9);
+  EXPECT_EQ(m.num_freq_levels(m.slowest_cluster()), 6);  // 0.8 - 1.3 GHz
+  EXPECT_EQ(m.num_freq_levels(m.fastest_cluster()), 9);     // 0.8 - 1.6 GHz
+  EXPECT_NEAR(m.freq_ghz_at_level(m.slowest_cluster(), 0), 0.8, 1e-9);
+  EXPECT_NEAR(m.freq_ghz_at_level(m.slowest_cluster(), 5), 1.3, 1e-9);
+  EXPECT_NEAR(m.freq_ghz_at_level(m.fastest_cluster(), 8), 1.6, 1e-9);
 }
 
 TEST(Machine, BootsAtMaxFrequency) {
   const Machine m = Machine::exynos5422();
-  EXPECT_EQ(m.freq_level(m.big_cluster()), 8);
-  EXPECT_EQ(m.freq_level(m.little_cluster()), 5);
+  EXPECT_EQ(m.freq_level(m.fastest_cluster()), 8);
+  EXPECT_EQ(m.freq_level(m.slowest_cluster()), 5);
 }
 
 TEST(Machine, SetFreqLevelClamped) {
   Machine m = Machine::exynos5422();
-  m.set_freq_level(m.big_cluster(), 100);
-  EXPECT_EQ(m.freq_level(m.big_cluster()), 8);
-  m.set_freq_level(m.big_cluster(), -5);
-  EXPECT_EQ(m.freq_level(m.big_cluster()), 0);
+  m.set_freq_level(m.fastest_cluster(), 100);
+  EXPECT_EQ(m.freq_level(m.fastest_cluster()), 8);
+  m.set_freq_level(m.fastest_cluster(), -5);
+  EXPECT_EQ(m.freq_level(m.fastest_cluster()), 0);
 }
 
 TEST(Machine, SetFreqGhzSnapsToNearest) {
   Machine m = Machine::exynos5422();
-  m.set_freq_ghz(m.big_cluster(), 1.234);
-  EXPECT_NEAR(m.freq_ghz(m.big_cluster()), 1.2, 1e-9);
-  m.set_freq_ghz(m.little_cluster(), 99.0);
-  EXPECT_NEAR(m.freq_ghz(m.little_cluster()), 1.3, 1e-9);
+  m.set_freq_ghz(m.fastest_cluster(), 1.234);
+  EXPECT_NEAR(m.freq_ghz(m.fastest_cluster()), 1.2, 1e-9);
+  m.set_freq_ghz(m.slowest_cluster(), 99.0);
+  EXPECT_NEAR(m.freq_ghz(m.slowest_cluster()), 1.3, 1e-9);
 }
 
 TEST(Machine, SetFreqGhzExactMidpointPrefersLowerLevel) {
@@ -77,8 +77,8 @@ TEST(Machine, CapabilityApiOnExynos) {
   // big (cluster 1) has the higher peak speed: 3 * 1.6 > 2 * 1.3.
   EXPECT_EQ(m.fastest_cluster(), 1);
   EXPECT_EQ(m.slowest_cluster(), 0);
-  EXPECT_EQ(m.fastest_mask(), m.big_mask());
-  EXPECT_EQ(m.slowest_mask(), m.little_mask());
+  EXPECT_EQ(m.fastest_mask(), CpuMask::range(4, 4));
+  EXPECT_EQ(m.slowest_mask(), CpuMask::range(0, 4));
   EXPECT_NEAR(m.cluster_peak_speed(1), 4.8, 1e-9);
   EXPECT_NEAR(m.cluster_peak_speed(0), 2.6, 1e-9);
   const std::vector<ClusterId> order = m.clusters_by_perf();
@@ -92,14 +92,14 @@ TEST(Machine, CoreSpeedScalesWithIpcAndFreq) {
   // big: ipc 3 @ 1.6 GHz; little: ipc 2 @ 1.3 GHz.
   EXPECT_NEAR(m.core_speed(4), 4.8, 1e-9);
   EXPECT_NEAR(m.core_speed(0), 2.6, 1e-9);
-  m.set_freq_ghz(m.big_cluster(), 0.8);
+  m.set_freq_ghz(m.fastest_cluster(), 0.8);
   EXPECT_NEAR(m.core_speed(4), 2.4, 1e-9);
 }
 
 TEST(Machine, R0FromInstructionWidths) {
   Machine m = Machine::exynos5422();
-  m.set_freq_ghz(m.big_cluster(), 1.0);
-  m.set_freq_ghz(m.little_cluster(), 1.0);
+  m.set_freq_ghz(m.fastest_cluster(), 1.0);
+  m.set_freq_ghz(m.slowest_cluster(), 1.0);
   EXPECT_NEAR(m.core_speed(4) / m.core_speed(0), 1.5, 1e-9);
 }
 
@@ -118,8 +118,8 @@ TEST(Machine, OnlineMaskClampedToExistingCores) {
 
 TEST(Machine, ClusterOfEveryCore) {
   const Machine m = Machine::exynos5422();
-  for (CoreId c = 0; c < 4; ++c) EXPECT_EQ(m.cluster_of(c), m.little_cluster());
-  for (CoreId c = 4; c < 8; ++c) EXPECT_EQ(m.cluster_of(c), m.big_cluster());
+  for (CoreId c = 0; c < 4; ++c) EXPECT_EQ(m.cluster_of(c), m.slowest_cluster());
+  for (CoreId c = 4; c < 8; ++c) EXPECT_EQ(m.cluster_of(c), m.fastest_cluster());
 }
 
 TEST(Machine, InvalidSpecsThrow) {
@@ -156,8 +156,8 @@ TEST(Machine, CustomAsymmetricMachine) {
   spec.clusters = {little, big};
   const Machine m{spec};
   EXPECT_EQ(m.num_cores(), 8);
-  EXPECT_EQ(m.cluster_core_count(m.big_cluster()), 2);
-  EXPECT_EQ(m.big_mask(), CpuMask::range(6, 2));
+  EXPECT_EQ(m.cluster_core_count(m.fastest_cluster()), 2);
+  EXPECT_EQ(m.fastest_mask(), CpuMask::range(6, 2));
 }
 
 }  // namespace

@@ -96,9 +96,6 @@ TEST(PlatformSpec, MakeMachinePerfRanking) {
   EXPECT_EQ(order[0], 2);
   EXPECT_EQ(order[1], 1);
   EXPECT_EQ(order[2], 0);
-  // Legacy names are shims over the capability API.
-  EXPECT_EQ(m.big_cluster(), m.fastest_cluster());
-  EXPECT_EQ(m.little_cluster(), m.slowest_cluster());
   EXPECT_EQ(m.fastest_mask(), CpuMask::range(7, 1));
   EXPECT_EQ(m.slowest_mask(), CpuMask::range(0, 4));
 }

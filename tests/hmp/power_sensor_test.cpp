@@ -14,8 +14,8 @@ class PowerSensorTest : public testing::Test {
 TEST_F(PowerSensorTest, EnergyIntegratesExactly) {
   PowerSensor sensor(machine_, model_);
   const std::vector<double> busy(8, 1.0);
-  const double watts = model_.cluster_power(machine_.big_cluster(), 4.0) +
-                       model_.cluster_power(machine_.little_cluster(), 4.0);
+  const double watts = model_.cluster_power(machine_.fastest_cluster(), 4.0) +
+                       model_.cluster_power(machine_.slowest_cluster(), 4.0);
   TimeUs now = 0;
   for (int i = 0; i < 1000; ++i) {
     now += kUsPerMs;
@@ -54,8 +54,8 @@ TEST_F(PowerSensorTest, NoiselessSamplesMatchTruth) {
   }
   ASSERT_FALSE(sensor.samples().empty());
   const PowerSample& s = sensor.samples().front();
-  EXPECT_NEAR(s.cluster_watts[static_cast<std::size_t>(machine_.big_cluster())],
-              model_.cluster_power(machine_.big_cluster(), 1.0), 1e-9);
+  EXPECT_NEAR(s.cluster_watts[static_cast<std::size_t>(machine_.fastest_cluster())],
+              model_.cluster_power(machine_.fastest_cluster(), 1.0), 1e-9);
 }
 
 TEST_F(PowerSensorTest, NoisySamplesAreUnbiasedButJittered) {
@@ -66,11 +66,11 @@ TEST_F(PowerSensorTest, NoisySamplesAreUnbiasedButJittered) {
     now += kUsPerMs;
     sensor.tick(now, kUsPerMs, busy);
   }
-  const double truth = model_.cluster_power(machine_.big_cluster(), 4.0);
+  const double truth = model_.cluster_power(machine_.fastest_cluster(), 4.0);
   double sum = 0.0;
   bool any_jitter = false;
   for (const auto& s : sensor.samples()) {
-    const double v = s.cluster_watts[static_cast<std::size_t>(machine_.big_cluster())];
+    const double v = s.cluster_watts[static_cast<std::size_t>(machine_.fastest_cluster())];
     sum += v;
     if (std::abs(v - truth) > 1e-9) any_jitter = true;
   }

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "apps/data_parallel_app.hpp"
+#include "hmp/platform_spec.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -19,8 +20,9 @@ DataParallelConfig simple_config(int threads = 4, double work = 2.0) {
 }
 
 std::unique_ptr<SimEngine> make_engine() {
-  return std::make_unique<SimEngine>(Machine::exynos5422(),
-                                     std::make_unique<GtsScheduler>());
+  return std::make_unique<SimEngine>(
+      PlatformSpec::from_machine(Machine::exynos5422()),
+      std::make_unique<GtsScheduler>());
 }
 
 TEST(SimEngine, TimeAdvancesByTicks) {
@@ -86,7 +88,7 @@ TEST(SimEngine, FrequencyChangeSlowsApp) {
   const AppId id = engine->add_app(&app);
   engine->set_app_affinity(id, CpuMask::range(4, 4));
   Machine& m = engine->machine();
-  m.set_freq_ghz(m.big_cluster(), 0.8);
+  m.set_freq_ghz(m.fastest_cluster(), 0.8);
   engine->run_for(30 * kUsPerSec);
   const double rate = app.heartbeats().global_rate(engine->now());
   // big @0.8: 2.4 wu/s per thread -> ~4.8 hb/s.
@@ -161,7 +163,8 @@ TEST(SimEngine, PowerAccumulates) {
 }
 
 TEST(SimEngine, RequiresScheduler) {
-  EXPECT_THROW(SimEngine(Machine::exynos5422(), nullptr),
+  EXPECT_THROW(SimEngine(PlatformSpec::from_machine(Machine::exynos5422()),
+                         nullptr),
                std::invalid_argument);
 }
 

@@ -7,7 +7,9 @@
 
 #include "apps/data_parallel_app.hpp"
 #include "apps/parsec.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/hars.hpp"
+#include "core/power_profiler.hpp"
 #include "exp/experiment.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
@@ -101,18 +103,22 @@ TEST(Extensions, RatioLearningImprovesBlackscholes) {
 }
 
 TEST(Extensions, RatioLearnerConvergesInsideManager) {
-  // Exercises the legacy attach_hars facade (kept for direct engine
-  // embedding) together with the engine's non-owning manager slot.
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  // A manager embedded directly on an engine through the Backend ctor,
+  // installed in the engine's non-owning manager slot.
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   auto app = make_parsec_app(ParsecBenchmark::kBlackscholes);  // True r = 1.0.
   const AppId id = engine.add_app(app.get());
   RuntimeManagerConfig config = config_for_variant(HarsVariant::kHarsE);
   config.learn_ratio = true;
-  auto manager = attach_hars(engine, id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE, &config);
+  SimBackend backend(engine);
+  RuntimeManager manager(backend, id, PerfTarget::around(2.0),
+                         profile_power(engine.machine(), engine.power_model()),
+                         config);
+  backend.attach_manager(&manager);
   engine.run_for(120 * kUsPerSec);
   // Started from the 1.5 prior; should have moved toward 1.0.
-  EXPECT_LT(manager->current_r0(), 1.4);
+  EXPECT_LT(manager.current_r0(), 1.4);
 }
 
 TEST(Extensions, EnergyMetricsPopulated) {

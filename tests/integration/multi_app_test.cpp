@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "exp/experiment.hpp"
-#include "exp/runner.hpp"  // Legacy version-name surface (VersionNames test).
 
 namespace hars {
 namespace {
@@ -98,19 +97,6 @@ TEST(MultiApp, TargetsDerivedFromConcurrentBaseline) {
   const ExperimentResult r = quick_multi(benches, "Baseline");
   ASSERT_EQ(r.apps.size(), 2u);
   for (const AppRunResult& app : r.apps) EXPECT_GT(app.target.avg(), 0.0);
-}
-
-TEST(MultiApp, VersionNames) {
-  // The legacy enum surface still round-trips (the shims depend on it).
-  EXPECT_STREQ(multi_version_name(MultiVersion::kBaseline), "Baseline");
-  EXPECT_STREQ(multi_version_name(MultiVersion::kConsI), "CONS-I");
-  EXPECT_STREQ(multi_version_name(MultiVersion::kMpHarsI), "MP-HARS-I");
-  EXPECT_STREQ(multi_version_name(MultiVersion::kMpHarsE), "MP-HARS-E");
-  EXPECT_EQ(all_multi_versions().size(), 4u);
-  EXPECT_EQ(all_single_versions().size(), 5u);
-  EXPECT_EQ(parse_multi_version("MP-HARS-E"), MultiVersion::kMpHarsE);
-  EXPECT_EQ(parse_single_version("HARS-EI"), SingleVersion::kHarsEI);
-  EXPECT_EQ(parse_single_version("nope"), std::nullopt);
 }
 
 }  // namespace

@@ -47,10 +47,13 @@ void expect_bitwise_equal(const ExperimentResult& a,
 }
 
 TEST(PlatformGolden, RegistryPresetReproducesMachinePresetBitForBit) {
-  // The historical hard-wired path: a bare Machine wrapped with the
-  // legacy per-core-type power defaults.
+  // The historical hard-wired path: the Machine preset wrapped with the
+  // per-core-type power defaults.
   const ExperimentResult machine_path =
-      fig51_case().platform(Machine::exynos5422()).build().run();
+      fig51_case()
+          .platform(PlatformSpec::from_machine(Machine::exynos5422()))
+          .build()
+          .run();
   // The redesigned path: the registry preset by name.
   const ExperimentResult named_path =
       fig51_case().platform("exynos5422").build().run();

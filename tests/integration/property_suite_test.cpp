@@ -6,6 +6,7 @@
 
 #include "apps/data_parallel_app.hpp"
 #include "apps/parsec.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/hars.hpp"
 #include "core/power_profiler.hpp"
 #include "core/search.hpp"
@@ -143,8 +144,8 @@ class ChaosManager : public ManagerHook {
   TimeUs on_tick(TimeUs) override {
     if (rng_.next_double() > 0.10) return rng_.uniform_int(0, 50);
     Machine& m = engine_.machine();
-    m.set_freq_level(m.big_cluster(), rng_.uniform_int(-2, 10));
-    m.set_freq_level(m.little_cluster(), rng_.uniform_int(-2, 8));
+    m.set_freq_level(m.fastest_cluster(), rng_.uniform_int(-2, 10));
+    m.set_freq_level(m.slowest_cluster(), rng_.uniform_int(-2, 8));
     // Random affinity for every thread, sometimes empty (kernel fallback).
     for (int i = 0; i < engine_.app(app_).thread_count(); ++i) {
       CpuMask mask(rng_.next_u64() & 0xFFULL);
@@ -164,7 +165,8 @@ class ChaosManager : public ManagerHook {
 
 TEST(ChaosFuzz, EngineInvariantsHoldUnderRandomControl) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+    SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                     std::make_unique<GtsScheduler>());
     auto app = make_parsec_app(ParsecBenchmark::kBodytrack, 8, seed);
     const AppId id = engine.add_app(app.get());
     ChaosManager chaos(engine, id, seed);
@@ -202,7 +204,8 @@ TEST(ChaosFuzz, EngineInvariantsHoldUnderRandomControl) {
 // ---------------------------------------------------------------------------
 
 TEST(HeartbeatStall, ManagerHoldsStateAcrossStall) {
-  SimEngine engine(Machine::exynos5422(), std::make_unique<GtsScheduler>());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>());
   DataParallelConfig cfg;
   cfg.threads = 8;
   cfg.speed = SpeedModel{3.0, 2.0};
@@ -211,12 +214,15 @@ TEST(HeartbeatStall, ManagerHoldsStateAcrossStall) {
   cfg.workload = {WorkloadShape::kPhased, 4.0, 0.02, 0.9, 30};
   DataParallelApp app("stall", cfg);
   const AppId id = engine.add_app(&app);
-  auto manager = attach_hars(engine, id, PerfTarget::around(2.0),
-                             HarsVariant::kHarsE);
+  SimBackend backend(engine);
+  RuntimeManager manager(backend, id, PerfTarget::around(2.0),
+                         profile_power(engine.machine(), engine.power_model()),
+                         config_for_variant(HarsVariant::kHarsE));
+  backend.attach_manager(&manager);
   engine.run_for(120 * kUsPerSec);
   // No crash, state valid, and the app is still being serviced.
   const StateSpace space = StateSpace::from_machine(engine.machine());
-  EXPECT_TRUE(space.valid(manager->current_state()));
+  EXPECT_TRUE(space.valid(manager.current_state()));
   EXPECT_GT(app.heartbeats().count(), 50);
 }
 

@@ -5,9 +5,16 @@
 #include "exp/calibration.hpp"
 #include "exp/experiment.hpp"
 #include "exp/static_optimal.hpp"
+#include "hmp/platform_registry.hpp"
 
 namespace hars {
 namespace {
+
+const PlatformSpec& exynos5422() {
+  static const PlatformSpec platform =
+      PlatformRegistry::instance().get("exynos5422");
+  return platform;
+}
 
 ExperimentBuilder quick(ParsecBenchmark bench, const char* variant,
                         double fraction = 0.5) {
@@ -21,7 +28,7 @@ ExperimentBuilder quick(ParsecBenchmark bench, const char* variant,
 
 TEST(Calibration, MaxRatesAreReasonable) {
   for (ParsecBenchmark b : all_parsec_benchmarks()) {
-    const Calibration cal = calibrate_benchmark(b);
+    const Calibration cal = calibrate_benchmark(exynos5422(), b);
     EXPECT_GT(cal.max_rate_hps, 0.5) << parsec_name(b);
     EXPECT_LT(cal.max_rate_hps, 50.0) << parsec_name(b);
     EXPECT_NEAR(cal.default_target.avg(), 0.5 * cal.max_rate_hps, 1e-9);
@@ -30,8 +37,10 @@ TEST(Calibration, MaxRatesAreReasonable) {
 }
 
 TEST(Calibration, Memoized) {
-  const Calibration a = calibrate_benchmark(ParsecBenchmark::kSwaptions);
-  const Calibration b = calibrate_benchmark(ParsecBenchmark::kSwaptions);
+  const Calibration a =
+      calibrate_benchmark(exynos5422(), ParsecBenchmark::kSwaptions);
+  const Calibration b =
+      calibrate_benchmark(exynos5422(), ParsecBenchmark::kSwaptions);
   EXPECT_EQ(a.max_rate_hps, b.max_rate_hps);
 }
 
@@ -106,7 +115,8 @@ TEST(SingleApp, ManagerOverheadGrowsWithDistance) {
 }
 
 TEST(StaticOptimal, ChoosesTargetSatisfyingState) {
-  const Calibration cal = calibrate_benchmark(ParsecBenchmark::kSwaptions);
+  const Calibration cal =
+      calibrate_benchmark(exynos5422(), ParsecBenchmark::kSwaptions);
   const StaticOptimalResult so =
       find_static_optimal(ParsecBenchmark::kSwaptions, cal.default_target);
   EXPECT_TRUE(so.satisfies_target);
@@ -118,7 +128,8 @@ TEST(StaticOptimal, ChoosesTargetSatisfyingState) {
 }
 
 TEST(StaticOptimal, UsesFewerResourcesThanMax) {
-  const Calibration cal = calibrate_benchmark(ParsecBenchmark::kSwaptions);
+  const Calibration cal =
+      calibrate_benchmark(exynos5422(), ParsecBenchmark::kSwaptions);
   const StaticOptimalResult so =
       find_static_optimal(ParsecBenchmark::kSwaptions, cal.default_target);
   const SystemState max_state =

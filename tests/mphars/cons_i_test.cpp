@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/sim_backend.hpp"
+#include "hmp/platform_spec.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -20,7 +22,9 @@ TEST(ConsPerfScore, Formula) {
 }
 
 struct ConsFixture {
-  SimEngine engine{Machine::exynos5422(), std::make_unique<GtsScheduler>()};
+  SimEngine engine{PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>()};
+  SimBackend backend{engine};
   std::vector<std::unique_ptr<DataParallelApp>> apps;
   std::vector<AppId> ids;
 
@@ -37,7 +41,7 @@ struct ConsFixture {
 
 TEST(ConsIManager, StartsAtMaxState) {
   ConsFixture f;
-  ConsIManager cons(f.engine);
+  ConsIManager cons(f.backend);
   EXPECT_EQ(cons.global_state(),
             StateSpace::from_machine(f.engine.machine()).max_state());
   EXPECT_EQ(f.engine.machine().online_mask().count(), 8);
@@ -46,7 +50,7 @@ TEST(ConsIManager, StartsAtMaxState) {
 TEST(ConsIManager, IncreasesWhenUnderperforming) {
   ConsFixture f;
   f.add_app(4.0);
-  ConsIManager cons(f.engine);
+  ConsIManager cons(f.backend);
   cons.register_app(f.ids[0], ConsIAppConfig{PerfTarget::around(100.0), 5});
   f.engine.set_manager(&cons);
   f.engine.run_for(30 * kUsPerSec);
@@ -58,7 +62,7 @@ TEST(ConsIManager, IncreasesWhenUnderperforming) {
 TEST(ConsIManager, DecreasesWhenAllOverperform) {
   ConsFixture f;
   f.add_app(4.0);
-  ConsIManager cons(f.engine);
+  ConsIManager cons(f.backend);
   cons.register_app(f.ids[0], ConsIAppConfig{PerfTarget::around(2.0), 5});
   f.engine.set_manager(&cons);
   f.engine.run_for(90 * kUsPerSec);
@@ -78,7 +82,7 @@ TEST(ConsIManager, NoDecreaseWhileAnotherAppMerelyAchieves) {
   ConsFixture f;
   f.add_app(4.0);   // Will overperform its easy target.
   f.add_app(4.0);   // Target set exactly at its achieved rate.
-  ConsIManager cons(f.engine);
+  ConsIManager cons(f.backend);
   f.engine.set_manager(&cons);
   // First, find the shared-state rate with a dry run.
   f.engine.run_for(10 * kUsPerSec);
@@ -93,7 +97,7 @@ TEST(ConsIManager, NoDecreaseWhileAnotherAppMerelyAchieves) {
 TEST(ConsIManager, TraceRecorded) {
   ConsFixture f;
   f.add_app(4.0);
-  ConsIManager cons(f.engine);
+  ConsIManager cons(f.backend);
   cons.register_app(f.ids[0], ConsIAppConfig{PerfTarget::around(2.0), 5});
   f.engine.set_manager(&cons);
   f.engine.run_for(20 * kUsPerSec);
@@ -104,7 +108,7 @@ TEST(ConsIManager, TraceRecorded) {
 TEST(ConsIManager, HotplugReflectsGlobalState) {
   ConsFixture f;
   f.add_app(4.0);
-  ConsIManager cons(f.engine);
+  ConsIManager cons(f.backend);
   cons.register_app(f.ids[0], ConsIAppConfig{PerfTarget::around(1.0), 5});
   f.engine.set_manager(&cons);
   f.engine.run_for(120 * kUsPerSec);

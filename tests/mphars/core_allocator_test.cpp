@@ -18,24 +18,24 @@ TEST_F(CoreAllocatorTest, FirstAllocationTakesLowestFreeSlots) {
   AppNode& a = registry_.add(0);
   a.nprocs_b = 2;
   a.nprocs_l = 1;
-  const CpuMask mask = allocate_core_set(a, registry_.big_cluster(),
-                                         registry_.little_cluster(), kBigStart);
+  const CpuMask mask = allocate_core_set(a, registry_.fastest_cluster(),
+                                         registry_.slowest_cluster(), kBigStart);
   EXPECT_EQ(mask, CpuMask::single(0) | CpuMask::range(4, 2));
   EXPECT_EQ(a.used_big_count(), 2);
   EXPECT_EQ(a.used_little_count(), 1);
-  EXPECT_EQ(registry_.big_cluster().free_count(), 2);
-  EXPECT_EQ(registry_.little_cluster().free_count(), 3);
+  EXPECT_EQ(registry_.fastest_cluster().free_count(), 2);
+  EXPECT_EQ(registry_.slowest_cluster().free_count(), 3);
 }
 
 TEST_F(CoreAllocatorTest, SecondAppCannotTakeOwnedCores) {
   AppNode& a = registry_.add(0);
   a.nprocs_b = 2;
-  allocate_core_set(a, registry_.big_cluster(), registry_.little_cluster(),
+  allocate_core_set(a, registry_.fastest_cluster(), registry_.slowest_cluster(),
                     kBigStart);
   AppNode& b = registry_.add(1);
   b.nprocs_b = 2;
-  const CpuMask mask_b = allocate_core_set(b, registry_.big_cluster(),
-                                           registry_.little_cluster(), kBigStart);
+  const CpuMask mask_b = allocate_core_set(b, registry_.fastest_cluster(),
+                                           registry_.slowest_cluster(), kBigStart);
   // A owns big slots 0-1 (cpus 4-5); B must get slots 2-3 (cpus 6-7).
   EXPECT_EQ(mask_b, CpuMask::range(6, 2));
   EXPECT_EQ((owned_big_mask(a, kBigStart) & owned_big_mask(b, kBigStart)).count(), 0);
@@ -44,12 +44,12 @@ TEST_F(CoreAllocatorTest, SecondAppCannotTakeOwnedCores) {
 TEST_F(CoreAllocatorTest, GrowKeepsExistingCores) {
   AppNode& a = registry_.add(0);
   a.nprocs_b = 1;
-  allocate_core_set(a, registry_.big_cluster(), registry_.little_cluster(),
+  allocate_core_set(a, registry_.fastest_cluster(), registry_.slowest_cluster(),
                     kBigStart);
   EXPECT_TRUE(owned_big_mask(a, kBigStart).test(4));
   a.nprocs_b = 3;
-  const CpuMask mask = allocate_core_set(a, registry_.big_cluster(),
-                                         registry_.little_cluster(), kBigStart);
+  const CpuMask mask = allocate_core_set(a, registry_.fastest_cluster(),
+                                         registry_.slowest_cluster(), kBigStart);
   EXPECT_TRUE(mask.test(4));  // The old core is retained (no migration).
   EXPECT_EQ(mask.count(), 3);
 }
@@ -57,16 +57,16 @@ TEST_F(CoreAllocatorTest, GrowKeepsExistingCores) {
 TEST_F(CoreAllocatorTest, ShrinkReleasesToFreePool) {
   AppNode& a = registry_.add(0);
   a.nprocs_b = 4;
-  allocate_core_set(a, registry_.big_cluster(), registry_.little_cluster(),
+  allocate_core_set(a, registry_.fastest_cluster(), registry_.slowest_cluster(),
                     kBigStart);
-  EXPECT_EQ(registry_.big_cluster().free_count(), 0);
+  EXPECT_EQ(registry_.fastest_cluster().free_count(), 0);
   a.dec_big_core_cnt = 3;
   a.nprocs_b = 1;
-  const CpuMask mask = allocate_core_set(a, registry_.big_cluster(),
-                                         registry_.little_cluster(), kBigStart);
+  const CpuMask mask = allocate_core_set(a, registry_.fastest_cluster(),
+                                         registry_.slowest_cluster(), kBigStart);
   EXPECT_EQ(mask.count(), 1);
   EXPECT_EQ(a.used_big_count(), 1);
-  EXPECT_EQ(registry_.big_cluster().free_count(), 3);
+  EXPECT_EQ(registry_.fastest_cluster().free_count(), 3);
 }
 
 TEST_F(CoreAllocatorTest, PaperExampleFreeCoresOnly) {
@@ -74,15 +74,15 @@ TEST_F(CoreAllocatorTest, PaperExampleFreeCoresOnly) {
   // must receive bigcore2-3 — the free ones.
   AppNode& a = registry_.add(0);
   a.nprocs_b = 2;
-  allocate_core_set(a, registry_.big_cluster(), registry_.little_cluster(),
+  allocate_core_set(a, registry_.fastest_cluster(), registry_.slowest_cluster(),
                     kBigStart);
   AppNode& b = registry_.add(1);
   b.nprocs_l = 2;
-  allocate_core_set(b, registry_.big_cluster(), registry_.little_cluster(),
+  allocate_core_set(b, registry_.fastest_cluster(), registry_.slowest_cluster(),
                     kBigStart);
   b.nprocs_b = 2;
-  const CpuMask mask = allocate_core_set(b, registry_.big_cluster(),
-                                         registry_.little_cluster(), kBigStart);
+  const CpuMask mask = allocate_core_set(b, registry_.fastest_cluster(),
+                                         registry_.slowest_cluster(), kBigStart);
   EXPECT_TRUE(mask.test(6));
   EXPECT_TRUE(mask.test(7));
   EXPECT_FALSE(mask.test(4));
@@ -92,12 +92,12 @@ TEST_F(CoreAllocatorTest, PaperExampleFreeCoresOnly) {
 TEST_F(CoreAllocatorTest, ComesUpShortWhenPoolExhausted) {
   AppNode& a = registry_.add(0);
   a.nprocs_b = 3;
-  allocate_core_set(a, registry_.big_cluster(), registry_.little_cluster(),
+  allocate_core_set(a, registry_.fastest_cluster(), registry_.slowest_cluster(),
                     kBigStart);
   AppNode& b = registry_.add(1);
   b.nprocs_b = 3;  // Only 1 free remains.
-  const CpuMask mask = allocate_core_set(b, registry_.big_cluster(),
-                                         registry_.little_cluster(), kBigStart);
+  const CpuMask mask = allocate_core_set(b, registry_.fastest_cluster(),
+                                         registry_.slowest_cluster(), kBigStart);
   EXPECT_EQ(mask.count(), 1);
   EXPECT_EQ(b.used_big_count(), 1);
 }
@@ -112,15 +112,15 @@ TEST_F(CoreAllocatorTest, BookkeepingInvariantNoSlotBothFreeAndUsed) {
     for (auto [node, want] : {std::pair{&a, seq_a[step]}, {&b, seq_b[step]}}) {
       node->dec_big_core_cnt = std::max(0, node->used_big_count() - want);
       node->nprocs_b = want;
-      allocate_core_set(*node, registry_.big_cluster(),
-                        registry_.little_cluster(), kBigStart);
+      allocate_core_set(*node, registry_.fastest_cluster(),
+                        registry_.slowest_cluster(), kBigStart);
     }
     // Every slot: free XOR owned-by-exactly-one.
     for (int slot = 0; slot < 4; ++slot) {
       const int owners = (a.use_b_core[static_cast<std::size_t>(slot)] == kUse) +
                          (b.use_b_core[static_cast<std::size_t>(slot)] == kUse);
       const bool free_slot =
-          registry_.big_cluster().free_core[static_cast<std::size_t>(slot)] == kFree;
+          registry_.fastest_cluster().free_core[static_cast<std::size_t>(slot)] == kFree;
       EXPECT_EQ(owners + (free_slot ? 1 : 0), 1)
           << "step " << step << " slot " << slot;
     }
@@ -131,8 +131,8 @@ TEST_F(CoreAllocatorTest, ZeroRequestReturnsEmptyMask) {
   AppNode& a = registry_.add(0);
   a.nprocs_b = 0;
   a.nprocs_l = 0;
-  EXPECT_TRUE(allocate_core_set(a, registry_.big_cluster(),
-                                registry_.little_cluster(), kBigStart)
+  EXPECT_TRUE(allocate_core_set(a, registry_.fastest_cluster(),
+                                registry_.slowest_cluster(), kBigStart)
                   .empty());
 }
 

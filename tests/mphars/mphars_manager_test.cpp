@@ -5,14 +5,18 @@
 #include <memory>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/sim_backend.hpp"
 #include "core/power_profiler.hpp"
+#include "hmp/platform_spec.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
 namespace {
 
 struct MpFixture {
-  SimEngine engine{Machine::exynos5422(), std::make_unique<GtsScheduler>()};
+  SimEngine engine{PlatformSpec::from_machine(Machine::exynos5422()),
+                   std::make_unique<GtsScheduler>()};
+  SimBackend backend{engine};
   std::vector<std::unique_ptr<DataParallelApp>> apps;
   std::vector<AppId> ids;
   std::unique_ptr<MpHarsManager> manager;
@@ -31,7 +35,7 @@ struct MpFixture {
     MpHarsConfig config;
     config.policy = policy;
     manager = std::make_unique<MpHarsManager>(
-        engine, profile_power(engine.machine(), engine.power_model()), config);
+        backend, profile_power(engine.machine(), engine.power_model()), config);
     engine.set_manager(manager.get());
   }
 };
@@ -85,7 +89,7 @@ TEST(MpHarsManager, CoresStayDisjointThroughoutAdaptation) {
     EXPECT_EQ((owned_little_mask(*a) & owned_little_mask(*b)).count(), 0);
     // Free-count bookkeeping stays consistent.
     EXPECT_EQ(a->used_big_count() + b->used_big_count() +
-                  f.manager->registry().big_cluster().free_count(),
+                  f.manager->registry().fastest_cluster().free_count(),
               4);
   }
 }
@@ -180,8 +184,8 @@ TEST(MpHarsManager, ThreeAppsPartitionWithoutOverlap) {
       EXPECT_EQ((owned_little_mask(*a) & owned_little_mask(*b)).count(), 0);
     }
   }
-  EXPECT_EQ(used_big + f.manager->registry().big_cluster().free_count(), 4);
-  EXPECT_EQ(used_little + f.manager->registry().little_cluster().free_count(), 4);
+  EXPECT_EQ(used_big + f.manager->registry().fastest_cluster().free_count(), 4);
+  EXPECT_EQ(used_little + f.manager->registry().slowest_cluster().free_count(), 4);
 }
 
 TEST(MpHarsManager, LateRegistrationRebalancesShares) {
@@ -216,8 +220,8 @@ TEST(MpHarsManager, UnregisterFreesCoresForSurvivors) {
   EXPECT_FALSE(f.manager->unregister_app(f.ids[1]));  // Idempotent failure.
   f.engine.set_app_affinity(f.ids[1], CpuMask());     // Park its threads.
   const int free_after =
-      f.manager->registry().big_cluster().free_count() +
-      f.manager->registry().little_cluster().free_count();
+      f.manager->registry().fastest_cluster().free_count() +
+      f.manager->registry().slowest_cluster().free_count();
   const AppNode* a = f.manager->registry().find(f.ids[0]);
   EXPECT_EQ(free_after + a->used_big_count() + a->used_little_count(), 8);
 
@@ -232,12 +236,12 @@ TEST(AppRegistryRemove, ReturnsSlotsToFreePool) {
   AppNode& a = registry.add(0);
   a.nprocs_b = 3;
   a.nprocs_l = 2;
-  allocate_core_set(a, registry.big_cluster(), registry.little_cluster(), 4);
-  EXPECT_EQ(registry.big_cluster().free_count(), 1);
-  EXPECT_EQ(registry.little_cluster().free_count(), 2);
+  allocate_core_set(a, registry.fastest_cluster(), registry.slowest_cluster(), 4);
+  EXPECT_EQ(registry.fastest_cluster().free_count(), 1);
+  EXPECT_EQ(registry.slowest_cluster().free_count(), 2);
   ASSERT_TRUE(registry.remove(0));
-  EXPECT_EQ(registry.big_cluster().free_count(), 4);
-  EXPECT_EQ(registry.little_cluster().free_count(), 4);
+  EXPECT_EQ(registry.fastest_cluster().free_count(), 4);
+  EXPECT_EQ(registry.slowest_cluster().free_count(), 4);
   EXPECT_EQ(registry.find(0), nullptr);
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_FALSE(registry.remove(0));

@@ -10,9 +10,9 @@ namespace {
 TEST(AppRegistry, StartsEmptyWithAllCoresFree) {
   AppRegistry r(4, 4);
   EXPECT_EQ(r.size(), 0u);
-  EXPECT_EQ(r.big_cluster().free_count(), 4);
-  EXPECT_EQ(r.little_cluster().free_count(), 4);
-  EXPECT_EQ(r.big_cluster().frozen_flag, 0);
+  EXPECT_EQ(r.fastest_cluster().free_count(), 4);
+  EXPECT_EQ(r.slowest_cluster().free_count(), 4);
+  EXPECT_EQ(r.fastest_cluster().frozen_flag, 0);
 }
 
 TEST(AppRegistry, AddInitializesNode) {

@@ -19,7 +19,7 @@ namespace {
 std::unique_ptr<Scheduler> gts() { return std::make_unique<GtsScheduler>(); }
 
 TEST(SimEngineRemoveApp, ReclaimsThreadsAndKeepsOtherIdsStable) {
-  SimEngine engine(Machine::exynos5422(), gts());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()), gts());
   auto a = make_parsec_app(ParsecBenchmark::kSwaptions, 4, 1);
   auto b = make_parsec_app(ParsecBenchmark::kBodytrack, 8, 2);
   const AppId ia = engine.add_app(a.get());
@@ -45,7 +45,7 @@ TEST(SimEngineRemoveApp, ReclaimsThreadsAndKeepsOtherIdsStable) {
 }
 
 TEST(SimEngineRemoveApp, RemovedAppStopsConsumingCpu) {
-  SimEngine engine(Machine::exynos5422(), gts());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()), gts());
   auto a = make_parsec_app(ParsecBenchmark::kSwaptions, 8, 1);
   const AppId ia = engine.add_app(a.get());
   engine.run_for(100 * kUsPerMs);
@@ -63,7 +63,7 @@ TEST(SimEngineRemoveApp, RemovedAppStopsConsumingCpu) {
 /// affinities set through (app, local_tid) must read back through the
 /// same coordinates and land on threads owned by that app.
 TEST(SimEngineRemoveApp, SpawnAfterKillInterleavingKeepsIndexMapping) {
-  SimEngine engine(Machine::exynos5422(), gts());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()), gts());
   auto a = make_parsec_app(ParsecBenchmark::kSwaptions, 4, 1);
   auto b = make_parsec_app(ParsecBenchmark::kBodytrack, 8, 2);
   auto c = make_parsec_app(ParsecBenchmark::kFluidanimate, 2, 3);
@@ -125,7 +125,7 @@ TEST(SimEngineRemoveApp, SpawnAfterKillInterleavingKeepsIndexMapping) {
 }
 
 TEST(SimEngineTickHook, FiresAtEveryBoundaryWithStartTime) {
-  SimEngine engine(Machine::exynos5422(), gts());
+  SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()), gts());
   auto a = make_parsec_app(ParsecBenchmark::kSwaptions, 4, 1);
   engine.add_app(a.get());
   std::vector<TimeUs> boundaries;

@@ -63,7 +63,7 @@ TEST(GtsSpill, PullRespectsAffinity) {
   GtsScheduler gts(config);
   auto threads = hot_threads(machine, 8);
   // All threads pinned to the big cluster: idle littles must not steal.
-  for (SimThread& t : threads) t.affinity = machine.big_mask();
+  for (SimThread& t : threads) t.affinity = machine.fastest_mask();
   gts.assign(machine, threads);
   for (const SimThread& t : threads) {
     EXPECT_EQ(machine.core_type(t.core), CoreType::kBig);
