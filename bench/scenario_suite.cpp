@@ -25,6 +25,7 @@
 #include "scenario/scenario_registry.hpp"
 #include "scenario/trace_sink.hpp"
 #include "sweep/result_sink.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -146,8 +147,8 @@ int main(int argc, char** argv) {
       << "  \"runs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SuiteRow& row = rows[i];
-    out << "    {\"scenario\": \"" << json_escape(row.scenario)
-        << "\", \"variant\": \"" << json_escape(row.variant)
+    out << "    {\"scenario\": \"" << json::escape(row.scenario)
+        << "\", \"variant\": \"" << json::escape(row.variant)
         << "\", \"wall_ms\": " << format_number(row.wall_ms)
         << ", \"events\": " << row.events
         << ", \"mean_adapt_latency_s\": "

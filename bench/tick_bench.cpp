@@ -48,6 +48,7 @@
 #include "obs/telemetry.hpp"
 #include "sweep/result_sink.hpp"
 #include "sweep/work_stealing_pool.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -360,8 +361,8 @@ int main(int argc, char** argv) {
       << (grid_identical ? "true" : "false") << ",\n  \"grid\": [\n";
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const GridOutcome& o = grid[i];
-    out << "    {\"platform\": \"" << json_escape(o.c.platform)
-        << "\", \"variant\": \"" << json_escape(o.c.variant)
+    out << "    {\"platform\": \"" << json::escape(o.c.platform)
+        << "\", \"variant\": \"" << json::escape(o.c.variant)
         << "\", \"apps\": " << o.c.apps
         << ", \"wall_ms\": " << format_number(o.wall_ms)
         << ", \"ticks_per_sec\": "
@@ -376,7 +377,7 @@ int main(int argc, char** argv) {
     const SpeedupRow& row = speedups[i];
     all_identical = all_identical && row.identical;
     all_at_least_ref = all_at_least_ref && row.opt_tps >= row.ref_tps;
-    out << "      {\"variant\": \"" << json_escape(row.variant)
+    out << "      {\"variant\": \"" << json::escape(row.variant)
         << "\", \"opt_ticks_per_sec\": " << format_number(row.opt_tps)
         << ", \"ref_ticks_per_sec\": " << format_number(row.ref_tps)
         << ", \"speedup\": " << format_number(row.opt_tps / row.ref_tps)

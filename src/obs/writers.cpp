@@ -5,7 +5,8 @@
 #include <fstream>
 #include <ostream>
 
-#include "sweep/result_sink.hpp"  // format_number, json_escape
+#include "sweep/result_sink.hpp"  // format_number
+#include "util/json.hpp"
 
 namespace hars {
 namespace obs {
@@ -53,7 +54,7 @@ std::string prometheus_name(std::string_view name) {
 
 void write_metrics_jsonl(std::ostream& out, const MetricsSnapshot& snapshot) {
   for (const MetricValue& m : snapshot.metrics) {
-    out << "{\"name\":\"" << json_escape(m.name) << "\",\"kind\":\""
+    out << "{\"name\":\"" << json::escape(m.name) << "\",\"kind\":\""
         << kind_name(m.kind) << "\"";
     switch (m.kind) {
       case MetricKind::kCounter:
@@ -153,8 +154,8 @@ void write_chrome_trace(std::ostream& out,
     if (s.name == nullptr) continue;
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(s.name) << "\",\"cat\":\""
-        << json_escape(s.cat != nullptr ? s.cat : "") << "\",\"ph\":\"X\""
+    out << "{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
+        << json::escape(s.cat != nullptr ? s.cat : "") << "\",\"ph\":\"X\""
         << ",\"ts\":" << format_number(static_cast<double>(s.ts_ns) / 1000.0)
         << ",\"dur\":" << format_number(static_cast<double>(s.dur_ns) / 1000.0)
         << ",\"pid\":0,\"tid\":" << s.tid << "}";

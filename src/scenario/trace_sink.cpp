@@ -3,10 +3,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "exp/experiment.hpp"
 #include "hmp/platform_registry.hpp"
 #include "scenario/scenario.hpp"
+#include "util/json.hpp"
 
 namespace hars {
 
@@ -51,114 +53,40 @@ namespace {
   throw ScenarioError("trace meta: " + why);
 }
 
-/// Inverse of json_escape for the escapes it emits.
-std::string json_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (++i >= s.size()) bad_meta("dangling escape");
-    switch (s[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= s.size()) bad_meta("truncated \\u escape");
-        const std::string hex(s.substr(i + 1, 4));
-        out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-        i += 4;
-        break;
-      }
-      default: bad_meta("unknown escape");
-    }
-  }
-  return out;
-}
-
-/// Value of "key" in a flat one-line JSON object written by JsonlSink.
-/// Returns the *raw* value token (quotes stripped, still escaped for
-/// strings); `found` reports presence.
-std::string raw_value(const std::string& line, const std::string& key,
-                      bool* is_string, bool* found) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while (true) {
-    pos = line.find(needle, pos);
-    if (pos == std::string::npos) {
-      *found = false;
-      return {};
-    }
-    // Reject needle matches inside a value: the char before must be
-    // '{' or ',' (JsonlSink never emits spaces between cells).
-    if (pos > 0 && (line[pos - 1] == '{' || line[pos - 1] == ',')) break;
-    pos += needle.size();
-  }
-  *found = true;
-  std::size_t v = pos + needle.size();
-  if (v < line.size() && line[v] == '"') {
-    *is_string = true;
-    std::size_t end = v + 1;
-    while (end < line.size()) {
-      if (line[end] == '\\') {
-        end += 2;
-        continue;
-      }
-      if (line[end] == '"') break;
-      ++end;
-    }
-    if (end >= line.size()) bad_meta("unterminated string for " + key);
-    return line.substr(v + 1, end - v - 1);
-  }
-  *is_string = false;
-  std::size_t end = v;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(v, end - v);
-}
-
-std::string meta_string(const std::string& line, const std::string& key) {
-  bool is_string = false;
-  bool found = false;
-  const std::string raw = raw_value(line, key, &is_string, &found);
-  if (!found || !is_string) bad_meta("missing string field \"" + key + "\"");
-  return json_unescape(raw);
-}
-
-double meta_number(const std::string& line, const std::string& key) {
-  bool is_string = false;
-  bool found = false;
-  const std::string raw = raw_value(line, key, &is_string, &found);
-  if (!found || is_string) bad_meta("missing numeric field \"" + key + "\"");
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    bad_meta("malformed number for \"" + key + "\"");
-  }
-  return v;
-}
-
 }  // namespace
 
 TraceMeta parse_trace_meta(const std::string& meta_line) {
-  if (meta_line.empty() || meta_line.front() != '{') {
-    bad_meta("first line is not a JSON object");
+  json::Value line;
+  try {
+    line = json::parse(meta_line);
+  } catch (const std::runtime_error& error) {
+    bad_meta(error.what());
   }
-  if (meta_string(meta_line, "kind") != "meta") {
-    bad_meta("first line is not a meta record");
-  }
+  if (!line.is_object()) bad_meta("first line is not a JSON object");
+  const auto text = [&line](const std::string& key) -> const std::string& {
+    const json::Value* v = line.find(key);
+    if (v == nullptr || !v->is_string()) {
+      bad_meta("missing string field \"" + key + "\"");
+    }
+    return v->as_string();
+  };
+  const auto number = [&line](const std::string& key) {
+    const json::Value* v = line.find(key);
+    if (v == nullptr || !v->is_number()) {
+      bad_meta("missing numeric field \"" + key + "\"");
+    }
+    return v->as_number();
+  };
+  if (text("kind") != "meta") bad_meta("first line is not a meta record");
   TraceMeta meta;
-  meta.scenario_dsl = meta_string(meta_line, "scenario");
-  meta.platform = meta_string(meta_line, "platform");
-  meta.variant = meta_string(meta_line, "variant");
-  meta.seed = std::strtoull(meta_string(meta_line, "seed").c_str(), nullptr, 10);
-  meta.threads = static_cast<int>(meta_number(meta_line, "threads"));
-  meta.duration_us = static_cast<TimeUs>(meta_number(meta_line, "duration_us"));
-  meta.fraction = meta_number(meta_line, "fraction");
-  meta.sample_ticks = static_cast<int>(meta_number(meta_line, "sample_ticks"));
+  meta.scenario_dsl = text("scenario");
+  meta.platform = text("platform");
+  meta.variant = text("variant");
+  meta.seed = std::strtoull(text("seed").c_str(), nullptr, 10);
+  meta.threads = static_cast<int>(number("threads"));
+  meta.duration_us = static_cast<TimeUs>(number("duration_us"));
+  meta.fraction = number("fraction");
+  meta.sample_ticks = static_cast<int>(number("sample_ticks"));
   return meta;
 }
 

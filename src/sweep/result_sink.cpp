@@ -2,11 +2,11 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace hars {
 
@@ -150,13 +150,13 @@ void JsonlSink::write(const Record& record) {
     if (!first) line += ',';
     first = false;
     line += '"';
-    line += json_escape(cell.key);
+    line += json::escape(cell.key);
     line += "\":";
     if (cell.numeric) {
       line += std::isfinite(cell.number) ? cell.text : "null";
     } else {
       line += '"';
-      line += json_escape(cell.text);
+      line += json::escape(cell.text);
       line += '"';
     }
   }
@@ -165,28 +165,5 @@ void JsonlSink::write(const Record& record) {
 }
 
 void JsonlSink::flush() { out_->flush(); }
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace hars

@@ -128,8 +128,4 @@ class JsonlSink final : public ResultSink {
   std::ostream* out_ = nullptr;
 };
 
-/// Escapes a string for embedding in a JSON document (no surrounding
-/// quotes added).
-std::string json_escape(std::string_view s);
-
 }  // namespace hars
