@@ -439,6 +439,7 @@ AppId LinuxBackend::add_workload(const WorkloadDesc& desc) {
 
 void LinuxBackend::set_dvfs_level(ClusterId cluster, int level) {
   obs::counter_add(obs::catalog().backend_dvfs_writes);
+  const int previous = machine_.freq_level(cluster);
   machine_.set_freq_level(cluster, level);  // Clamps like cpufreq does.
   const int applied = machine_.freq_level(cluster);
   const long long khz = std::llround(
@@ -453,9 +454,13 @@ void LinuxBackend::set_dvfs_level(ClusterId cluster, int level) {
     }
     sysfs_->write(dir + "/scaling_setspeed", value);
   } else {
-    // No userspace governor: pin the policy bounds to the target.
-    sysfs_->write(dir + "/scaling_min_freq", value);
-    sysfs_->write(dir + "/scaling_max_freq", value);
+    // No userspace governor: pin the policy bounds to the target. cpufreq
+    // rejects min > max, so a rise moves max first and a fall min first.
+    const bool rising = applied > previous;
+    sysfs_->write(dir + (rising ? "/scaling_max_freq" : "/scaling_min_freq"),
+                  value);
+    sysfs_->write(dir + (rising ? "/scaling_min_freq" : "/scaling_max_freq"),
+                  value);
   }
 }
 

@@ -83,6 +83,25 @@ TEST(MockLinuxDvfs, MinMaxPairWhenSetspeedIsAbsent) {
   EXPECT_EQ(w[1].value, "800000");
 }
 
+// Raising the pinned pair must move max first: writing min above the
+// current max is a min > max policy, which cpufreq rejects.
+TEST(MockLinuxDvfs, MinMaxPairRaisesMaxBeforeMin) {
+  FakeSysfs fixture = FakeSysfs::exynos5422();
+  fixture.remove("sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed");
+  MockLinuxBackend b(std::move(fixture));
+  const ClusterId little = b.topology().slowest_cluster();
+  b.set_dvfs_level(little, 3);
+  b.fake_sysfs().clear_writes();
+
+  b.set_dvfs_level(little, 5);  // 1.2 GHz, above the pinned 0.8 GHz.
+  const auto& w = b.fake_sysfs().writes();
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(w[0].path, std::string(kLittleDir) + "/scaling_max_freq");
+  EXPECT_EQ(w[0].value, "1200000");
+  EXPECT_EQ(w[1].path, std::string(kLittleDir) + "/scaling_min_freq");
+  EXPECT_EQ(w[1].value, "1200000");
+}
+
 TEST(MockLinuxHotplug, CascadeWritesEachToggledCpuOnce) {
   MockLinuxBackend b;
   const Machine& m = b.topology();
