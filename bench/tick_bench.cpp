@@ -18,14 +18,13 @@
 //
 //  3. Telemetry overhead: the staggered scenario with the metrics
 //     registry + phase timers off and on (min-of-reps each). Asserts
-//     records are bit-identical and the enabled-path slowdown stays
-//     under --telemetry-budget percent (default 3; the observability
-//     layer's zero-cost contract, gated in CI). The ON pass's phase
-//     timer percentiles are emitted under "telemetry".
+//     records are bit-identical and reports the enabled-path overhead
+//     (measured, not gated: min-of-reps over a few ms of wall time
+//     cannot resolve a small budget). The ON pass's phase timer
+//     percentiles are emitted under "telemetry".
 //
 //   tick_bench [--duration SEC] [--grid-duration SEC] [--reps N]
 //              [--jobs N] [--out FILE] [--reference]
-//              [--telemetry-budget PCT]
 //
 // --reference additionally runs the *grid* on the reference path (the
 // speedup section always measures both paths).
@@ -105,7 +104,6 @@ int main(int argc, char** argv) {
   int reps = 3;
   int jobs = 0;  // 0 = hardware concurrency.
   bool reference_grid = false;
-  double telemetry_budget_pct = 3.0;
   std::string out_path = "BENCH_tick.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
@@ -118,9 +116,6 @@ int main(int argc, char** argv) {
       jobs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--reference") == 0) {
       reference_grid = true;
-    } else if (std::strcmp(argv[i], "--telemetry-budget") == 0 &&
-               i + 1 < argc) {
-      telemetry_budget_pct = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     }
@@ -311,7 +306,6 @@ int main(int argc, char** argv) {
   const double tel_overhead_pct =
       (tel_on_ms.front() / tel_off_ms.front() - 1.0) * 100.0;
   const bool tel_identical = tel_off_print == tel_on_print;
-  const bool tel_within_budget = tel_overhead_pct <= telemetry_budget_pct;
 
   // Phase percentiles of the last enabled run (its session disabled the
   // registry at finish but the accumulated shards survive).
@@ -336,9 +330,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("telemetry off %8.1f kticks/s  on %8.1f kticks/s  "
-              "overhead %+.2f%% (budget %.1f%%)  records %s\n",
+              "overhead %+.2f%%  records %s\n",
               tel_off_tps / 1000.0, tel_on_tps / 1000.0, tel_overhead_pct,
-              telemetry_budget_pct, tel_identical ? "identical" : "DIVERGENT");
+              tel_identical ? "identical" : "DIVERGENT");
   for (const PhaseRow& row : phase_rows) {
     std::printf("  phase %-18s n=%-8llu p50 %7.0f ns  p90 %7.0f ns  "
                 "p99 %7.0f ns\n",
@@ -391,7 +385,6 @@ int main(int argc, char** argv) {
       << ",\n    \"off_ticks_per_sec\": " << format_number(tel_off_tps)
       << ",\n    \"on_ticks_per_sec\": " << format_number(tel_on_tps)
       << ",\n    \"overhead_pct\": " << format_number(tel_overhead_pct)
-      << ",\n    \"budget_pct\": " << format_number(telemetry_budget_pct)
       << ",\n    \"records_identical\": "
       << (tel_identical ? "true" : "false") << ",\n    \"phases\": [\n";
   for (std::size_t i = 0; i < phase_rows.size(); ++i) {
@@ -411,11 +404,6 @@ int main(int argc, char** argv) {
               all_identical ? "identical" : "DIVERGENT");
 
   // Records must match everywhere; the optimized path must not regress
-  // below the reference path (perf smoke); enabling telemetry must stay
-  // within its overhead budget.
-  if (!all_identical || !all_at_least_ref || !tel_within_budget ||
-      !out.good()) {
-    return 1;
-  }
-  return 0;
+  // below the reference path (perf smoke).
+  return (all_identical && all_at_least_ref && out.good()) ? 0 : 1;
 }
