@@ -97,15 +97,13 @@ std::vector<double> concurrent_baseline_rates(const ExperimentSpec& spec) {
 }
 
 /// The run's app slots, none spawned yet: the scenario's spawns, or one
-/// t = 0 slot per configured app seeded spec.seed + i. On a live backend
-/// the slots carry no factory: the backend runs a workload shaped like
-/// the app instead.
-std::vector<AppSlot> make_slots(const ExperimentSpec& spec, bool simulated) {
+/// t = 0 slot per configured app seeded spec.seed + i.
+std::vector<AppSlot> make_slots(const ExperimentSpec& spec) {
   if (spec.scenario) return scenario_slots(spec, *spec.scenario);
   std::vector<AppSlot> slots(spec.apps.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
     slots[i].label = spec.apps[i].label;
-    if (simulated) slots[i].factory = spec.apps[i].factory;
+    slots[i].factory = spec.apps[i].factory;
     slots[i].threads = spec.threads;
     slots[i].seed = spec.seed + i;
   }
@@ -241,7 +239,7 @@ void write_capture_metrics(TraceSink& sink, const ExperimentResult& result) {
 ExperimentResult run_on(const ExperimentSpec& spec, Backend& backend) {
   SimEngine* const engine = backend.sim_engine();  // Null on live backends.
 
-  std::vector<AppSlot> slots = make_slots(spec, engine != nullptr);
+  std::vector<AppSlot> slots = make_slots(spec);
   for (AppSlot& slot : slots) {
     if (slot.spawn_event == nullptr || slot.spawn_event->time <= 0) {
       spawn_app(slot, backend, 0);

@@ -1,16 +1,14 @@
 #include "scenario/scenario_runtime.hpp"
 
-#include <utility>
-
 #include "exp/calibration.hpp"
 #include "hmp/sim_engine.hpp"
 
 namespace hars {
 
 void spawn_app(AppSlot& slot, Backend& backend, TimeUs now) {
-  if (slot.factory) {
+  if (SimEngine* engine = backend.sim_engine()) {
     slot.app = slot.factory(slot.threads, slot.seed);
-    slot.id = backend.sim_engine()->add_app(slot.app.get());
+    slot.id = engine->add_app(slot.app.get());
   } else {
     WorkloadDesc desc;
     desc.label = slot.label;

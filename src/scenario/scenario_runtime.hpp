@@ -27,11 +27,11 @@
 namespace hars {
 
 /// One application of a run and the app or workload it materialized.
-/// Simulated slots build their App through `factory`; live slots (no
-/// factory) register a workload with the backend instead.
+/// On the simulator the slot builds its App through `factory`; a live
+/// backend runs a workload shaped like the app instead.
 struct AppSlot {
   std::string label;
-  AppFactory factory;              ///< Empty for live workloads.
+  AppFactory factory;
   int threads = 0;
   std::uint64_t seed = 0;          ///< Spec seed + slot index.
   /// The scenario spawn this slot stands for; null outside scenarios.
