@@ -35,7 +35,8 @@ std::string digest(const std::string& print) {
     h *= 1099511628211ULL;
   }
   char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
   return buf;
 }
 
@@ -127,7 +128,8 @@ void expect_golden(const std::string& name, const std::string& print) {
 
 TEST(PipelineGolden, Fig51SingleAppGrid) {
   for (ParsecBenchmark bench : all_parsec_benchmarks()) {
-    for (const char* variant : {"Baseline", "SO", "HARS-I", "HARS-E", "HARS-EI"}) {
+    for (const char* variant :
+         {"Baseline", "SO", "HARS-I", "HARS-E", "HARS-EI"}) {
       const ExperimentResult r = ExperimentBuilder()
                                      .app(bench)
                                      .variant(variant)
@@ -145,7 +147,8 @@ TEST(PipelineGolden, Fig51SingleAppGrid) {
 TEST(PipelineGolden, Fig54MultiAppGrid) {
   const std::vector<std::vector<ParsecBenchmark>> cases = multiapp_cases();
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    for (const char* variant : {"Baseline", "CONS-I", "MP-HARS-I", "MP-HARS-E"}) {
+    for (const char* variant :
+         {"Baseline", "CONS-I", "MP-HARS-I", "MP-HARS-E"}) {
       const ExperimentResult r = ExperimentBuilder()
                                      .apps(cases[c])
                                      .variant(variant)

@@ -19,7 +19,8 @@ TEST_F(CoreAllocatorTest, FirstAllocationTakesLowestFreeSlots) {
   a.nprocs_b = 2;
   a.nprocs_l = 1;
   const CpuMask mask = allocate_core_set(a, registry_.fastest_cluster(),
-                                         registry_.slowest_cluster(), kBigStart);
+                                         registry_.slowest_cluster(),
+                                         kBigStart);
   EXPECT_EQ(mask, CpuMask::single(0) | CpuMask::range(4, 2));
   EXPECT_EQ(a.used_big_count(), 2);
   EXPECT_EQ(a.used_little_count(), 1);
@@ -35,7 +36,8 @@ TEST_F(CoreAllocatorTest, SecondAppCannotTakeOwnedCores) {
   AppNode& b = registry_.add(1);
   b.nprocs_b = 2;
   const CpuMask mask_b = allocate_core_set(b, registry_.fastest_cluster(),
-                                           registry_.slowest_cluster(), kBigStart);
+                                           registry_.slowest_cluster(),
+                                           kBigStart);
   // A owns big slots 0-1 (cpus 4-5); B must get slots 2-3 (cpus 6-7).
   EXPECT_EQ(mask_b, CpuMask::range(6, 2));
   EXPECT_EQ((owned_big_mask(a, kBigStart) & owned_big_mask(b, kBigStart)).count(), 0);
@@ -49,7 +51,8 @@ TEST_F(CoreAllocatorTest, GrowKeepsExistingCores) {
   EXPECT_TRUE(owned_big_mask(a, kBigStart).test(4));
   a.nprocs_b = 3;
   const CpuMask mask = allocate_core_set(a, registry_.fastest_cluster(),
-                                         registry_.slowest_cluster(), kBigStart);
+                                         registry_.slowest_cluster(),
+                                         kBigStart);
   EXPECT_TRUE(mask.test(4));  // The old core is retained (no migration).
   EXPECT_EQ(mask.count(), 3);
 }
@@ -63,7 +66,8 @@ TEST_F(CoreAllocatorTest, ShrinkReleasesToFreePool) {
   a.dec_big_core_cnt = 3;
   a.nprocs_b = 1;
   const CpuMask mask = allocate_core_set(a, registry_.fastest_cluster(),
-                                         registry_.slowest_cluster(), kBigStart);
+                                         registry_.slowest_cluster(),
+                                         kBigStart);
   EXPECT_EQ(mask.count(), 1);
   EXPECT_EQ(a.used_big_count(), 1);
   EXPECT_EQ(registry_.fastest_cluster().free_count(), 3);
@@ -82,7 +86,8 @@ TEST_F(CoreAllocatorTest, PaperExampleFreeCoresOnly) {
                     kBigStart);
   b.nprocs_b = 2;
   const CpuMask mask = allocate_core_set(b, registry_.fastest_cluster(),
-                                         registry_.slowest_cluster(), kBigStart);
+                                         registry_.slowest_cluster(),
+                                         kBigStart);
   EXPECT_TRUE(mask.test(6));
   EXPECT_TRUE(mask.test(7));
   EXPECT_FALSE(mask.test(4));
@@ -97,7 +102,8 @@ TEST_F(CoreAllocatorTest, ComesUpShortWhenPoolExhausted) {
   AppNode& b = registry_.add(1);
   b.nprocs_b = 3;  // Only 1 free remains.
   const CpuMask mask = allocate_core_set(b, registry_.fastest_cluster(),
-                                         registry_.slowest_cluster(), kBigStart);
+                                         registry_.slowest_cluster(),
+                                         kBigStart);
   EXPECT_EQ(mask.count(), 1);
   EXPECT_EQ(b.used_big_count(), 1);
 }
