@@ -14,7 +14,7 @@ namespace obs {
 
 namespace detail {
 
-thread_local ThreadShard* tls = nullptr;
+constinit thread_local ThreadShard* tls = nullptr;
 
 std::atomic<std::uint64_t> g_attach_epoch{kDetachedEpoch};
 

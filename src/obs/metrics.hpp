@@ -102,9 +102,11 @@ struct ThreadShard {
 };
 
 /// Shard of the calling thread; nullptr until ensure_thread_registered()
-/// attaches one (and again after it detaches). Constant-initialized, so
-/// reads are safe from any point including static init.
-extern thread_local ThreadShard* tls;
+/// attaches one (and again after it detaches). constinit on both the
+/// declaration and the definition lets every reader load the slot
+/// directly instead of through a TLS init wrapper, so reads are safe
+/// from any point including static init.
+extern constinit thread_local ThreadShard* tls;
 
 /// The layout epoch threads must be attached under, or kDetachedEpoch
 /// when the registry is disabled. Published by set_enabled()/register_*
