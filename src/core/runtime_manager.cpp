@@ -106,11 +106,15 @@ TimeUs RuntimeManager::on_tick(TimeUs now) {
 
   const bool overperforming = rate > target.avg();
   const int threads = backend_.thread_count(app_);
-  // One memoization epoch per adaptation: r0 may have moved (ratio
-  // learner) since the last search, so prior entries are stale.
+  // The memo's other inputs (machine, coefficients) are fixed for the
+  // manager's lifetime; only the ratio learner moves r0, and a moved r0
+  // makes every entry stale, so that alone opens a new epoch.
   SearchScratch* scratch = nullptr;
   if (!config_.reference_search) {
-    scratch_.begin_tick(space_);
+    if (perf_est_.r0() != memo_r0_) {
+      scratch_.begin_tick(space_);
+      memo_r0_ = perf_est_.r0();
+    }
     scratch = &scratch_;
   }
   SearchResult result;

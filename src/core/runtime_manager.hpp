@@ -13,6 +13,7 @@
 // measures as HARS's CPU utilization.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -112,7 +113,9 @@ class RuntimeManager : public ManagerHook {
   StateSpace space_;
 
   SystemState state_;
-  SearchScratch scratch_;  ///< Per-tick search memoization (search_scratch.hpp).
+  SearchScratch scratch_;  ///< Search memoization (search_scratch.hpp).
+  /// r0 the memo was filled under; NaN until the first search opens it.
+  double memo_r0_ = std::numeric_limits<double>::quiet_NaN();
   TimeUs next_poll_ = 0;
   std::int64_t last_seen_hb_ = -1;
   std::int64_t last_change_hb_ = -1;

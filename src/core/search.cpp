@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
@@ -81,18 +82,12 @@ HARS_HOT void consider(Best& ns, const PerfTarget& target, const SystemState& s,
   }
 }
 
-/// The m/n/d neighbourhood sweep with a pluggable per-candidate
-/// evaluator. `evaluate(s, perf, power, pp)` must produce the Algorithm 2
-/// scores for one state.
-template <typename EvalFn>
-HARS_HOT SearchResult neighbourhood_sweep(const SystemState& current,
-                                          const PerfTarget& target,
-                                          const SearchParams& params,
-                                          const StateSpace& space,
-                                          const CandidateFilter& filter,
-                                          EvalFn&& evaluate) {
-  Best ns;
-  SearchResult result;
+/// The reference walk: every state of the m/n box in ascending (i, j,
+/// k, l) order, kept when it is valid in `space` and within Manhattan
+/// distance d of `current`.
+template <typename VisitFn>
+void box_walk(const SystemState& current, const SearchParams& params,
+              const StateSpace& space, VisitFn&& visit) {
   for (int i = current.big_cores - params.m; i <= current.big_cores + params.n;
        ++i) {
     for (int j = current.little_cores - params.m;
@@ -104,18 +99,77 @@ HARS_HOT SearchResult neighbourhood_sweep(const SystemState& current,
           const SystemState cand{i, j, k, l};
           if (!space.valid(cand)) continue;
           if (manhattan_distance(cand, current) > params.d) continue;
-          if (cand == current) continue;  // getBetterState handles it below.
-          if (filter && !filter(cand)) continue;
-          double perf = 0.0;
-          double power = 0.0;
-          double pp = 0.0;
-          evaluate(cand, perf, power, pp);
-          ++result.candidates;
-          consider(ns, target, cand, perf, power, pp);
+          visit(cand);
         }
       }
     }
   }
+}
+
+/// Inclusive range of one dimension of the window walk.
+struct Span {
+  int lo;
+  int hi;
+};
+
+/// The m/n box around `cur`, clipped to the space bounds [min_v, max_v]
+/// and to the Manhattan `budget` the outer dimensions left over.
+constexpr Span clip(int cur, const SearchParams& params, int min_v, int max_v,
+                    int budget) {
+  return Span{std::max({cur - params.m, min_v, cur - budget}),
+              std::min({cur + params.n, max_v, cur + budget})};
+}
+
+/// Visits exactly the states box_walk visits, in the same order, without
+/// generating the rest of the box: each loop is clipped to the space and
+/// to the distance budget, so only the last rule of StateSpace::valid
+/// (at least one core) is left to test.
+template <typename VisitFn>
+HARS_HOT void window_walk(const SystemState& current,
+                          const SearchParams& params, const StateSpace& space,
+                          VisitFn&& visit) {
+  const Span si = clip(current.big_cores, params, space.min_big_cores,
+                       space.max_big_cores, params.d);
+  for (int i = si.lo; i <= si.hi; ++i) {
+    const int left_i = params.d - std::abs(i - current.big_cores);
+    const Span sj = clip(current.little_cores, params, space.min_little_cores,
+                         space.max_little_cores, left_i);
+    for (int j = sj.lo; j <= sj.hi; ++j) {
+      if (i + j < 1) continue;
+      const int left_j = left_i - std::abs(j - current.little_cores);
+      const Span sk = clip(current.big_freq, params, space.min_big_freq,
+                           space.num_big_freqs - 1, left_j);
+      for (int k = sk.lo; k <= sk.hi; ++k) {
+        const int left_k = left_j - std::abs(k - current.big_freq);
+        const Span sl = clip(current.little_freq, params, space.min_little_freq,
+                             space.num_little_freqs - 1, left_k);
+        for (int l = sl.lo; l <= sl.hi; ++l) visit(SystemState{i, j, k, l});
+      }
+    }
+  }
+}
+
+/// Algorithm 2 over the states `walk` visits, with a pluggable
+/// per-candidate evaluator. `walk(visit)` must call `visit` on each
+/// window state; `evaluate(s, perf, power, pp)` must produce the
+/// Algorithm 2 scores for one state.
+template <typename WalkFn, typename EvalFn>
+HARS_HOT SearchResult neighbourhood_sweep(const SystemState& current,
+                                          const PerfTarget& target,
+                                          const CandidateFilter& filter,
+                                          WalkFn&& walk, EvalFn&& evaluate) {
+  Best ns;
+  SearchResult result;
+  walk([&](const SystemState& cand) {
+    if (cand == current) return;  // getBetterState handles it below.
+    if (filter && !filter(cand)) return;
+    double perf = 0.0;
+    double power = 0.0;
+    double pp = 0.0;
+    evaluate(cand, perf, power, pp);
+    ++result.candidates;
+    consider(ns, target, cand, perf, power, pp);
+  });
 
   // getBetterState: the current state competes under the same criteria.
   {
@@ -143,7 +197,8 @@ SearchResult get_next_sys_state_reference(
     const PerfEstimator& perf_est, const PowerEstimator& power_est,
     int threads, const CandidateFilter& filter) {
   return neighbourhood_sweep(
-      current, target, params, space, filter,
+      current, target, filter,
+      [&](auto&& visit) { box_walk(current, params, space, visit); },
       [&](const SystemState& s, double& perf_out, double& power_out,
           double& pp_out) {
         perf_out = perf_est.estimate_rate(s, current, hb_rate, threads);
@@ -175,7 +230,8 @@ HARS_HOT SearchResult get_next_sys_state(
   const double ut_cur = scratch->unit_time(current, threads, perf_est);
   const bool cur_ok = std::isfinite(ut_cur) && ut_cur > 0.0;
   const SearchResult result = neighbourhood_sweep(
-      current, target, params, space, filter,
+      current, target, filter,
+      [&](auto&& visit) { window_walk(current, params, space, visit); },
       [&](const SystemState& s, double& perf_out, double& power_out,
           double& pp_out) {
         const double ut = scratch->unit_time(s, threads, perf_est);

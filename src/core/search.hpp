@@ -74,9 +74,10 @@ struct SearchResult {
 
 /// With a non-null `scratch` the estimator calls are memoized per
 /// (state, threads) within the scratch's current epoch
-/// (SearchScratch::begin_tick) and the enumeration performs no
-/// allocations; without one it falls back to the reference
-/// implementation. Both return bit-identical SearchResults.
+/// (SearchScratch::begin_tick), the enumeration walks only the states
+/// inside the Manhattan window and performs no allocations; without one
+/// it falls back to the reference implementation. Both return
+/// bit-identical SearchResults.
 SearchResult get_next_sys_state(double hb_rate, const SystemState& current,
                                 const PerfTarget& target,
                                 const SearchParams& params,
@@ -87,9 +88,9 @@ SearchResult get_next_sys_state(double hb_rate, const SystemState& current,
                                 SearchScratch* scratch = nullptr);
 
 /// The retained pre-memoization implementation (recomputes every
-/// estimate from scratch). Kept as the golden reference the optimized
-/// path is property-tested against, and as bench/tick_bench's
-/// `--reference` baseline.
+/// estimate from scratch and filters the whole m/n box). Kept as the
+/// golden reference the optimized path is property-tested against, and
+/// as bench/tick_bench's `--reference` baseline.
 SearchResult get_next_sys_state_reference(
     double hb_rate, const SystemState& current, const PerfTarget& target,
     const SearchParams& params, const StateSpace& space,

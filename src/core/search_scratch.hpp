@@ -3,17 +3,20 @@
 // The search functions (Algorithm 2's neighbourhood sweep and the tabu
 // trajectory) spend their time in two pure computations per candidate:
 // the performance estimator's unit completion time t_f(s, T) and the
-// power estimate P(s, T). Both depend only on (state, threads) plus
-// configuration that is constant within one manager tick (the machine's
-// frequency tables, the assumed ratio r0, the profiled coefficients) —
-// so within a tick every value can be computed once and reused, both
-// across candidates of one search call and across the per-app searches
-// MP-HARS runs in the same tick.
+// power estimate P(s, T). Both depend only on (state, threads) plus the
+// machine's frequency tables, the profiled coefficients and the assumed
+// ratio r0. The first two are fixed for a manager's lifetime and only the
+// ratio learner moves r0, so a value computed once stays valid across
+// candidates, across searches and across MP-HARS's per-app searches until
+// r0 changes. The managers therefore open a new epoch only then
+// (RuntimeManager) or once for their lifetime (MpHarsManager).
 //
 // The scratch holds dense generation-stamped tables over the state space
 // (one slot per valid SystemState); begin_tick() opens a new epoch by
 // bumping the generation, which invalidates every entry in O(1) without
-// deallocating. Steady-state lookups therefore never allocate.
+// deallocating. Entries are keyed by thread count as well, so an epoch
+// may serve searches for different thread counts. Steady-state lookups
+// never allocate.
 //
 // Bit-identity: a memoized value is the result of the exact expression
 // the unmemoized path evaluates, so searches through the scratch return
@@ -35,10 +38,10 @@ namespace hars {
 class SearchScratch {
  public:
   /// Opens a new memoization epoch sized for `space`: every previously
-  /// memoized value is invalidated (estimator configuration — r0, the
-  /// machine — may have changed between ticks), and the dense tables are
-  /// grown if the space outgrew them. Call once per manager tick, before
-  /// any search that passes this scratch.
+  /// memoized value is invalidated, and the dense tables are grown if the
+  /// space outgrew them. Call before the first search that passes this
+  /// scratch, and again whenever an estimator input (r0, the machine,
+  /// the coefficients) changes.
   void begin_tick(const StateSpace& space);
 
   /// Memoized PerfEstimator::unit_time(s, threads); `s` must be valid in

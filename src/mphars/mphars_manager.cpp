@@ -24,7 +24,11 @@ MpHarsManager::MpHarsManager(Backend& backend, PowerCoeffTable coeffs,
       perf_est_(backend_.topology(), config.r0),
       power_est_(std::move(coeffs)),
       config_(config),
-      machine_space_(StateSpace::from_machine(backend_.topology())) {}
+      machine_space_(StateSpace::from_machine(backend_.topology())) {
+  // Every input of the memo (machine, coefficients, the fixed r0) is
+  // constant for the manager's lifetime: one epoch serves every search.
+  if (!config_.reference_search) scratch_.begin_tick(machine_space_);
+}
 
 void MpHarsManager::register_app(AppId app, const MpHarsAppConfig& app_config) {
   if (!app_config.target.is_valid_window()) {
@@ -303,10 +307,6 @@ TimeUs MpHarsManager::on_tick(TimeUs now) {
   allocg::AllowScope allow("mphars-manager bookkeeping");
   next_poll_ = now + config_.poll_period_us;
   TimeUs cost = config_.poll_cost_us;
-
-  // One memoization epoch per manager tick: every adapt_app below shares
-  // the same estimator configuration, so their searches reuse estimates.
-  if (!config_.reference_search) scratch_.begin_tick(machine_space_);
 
   // Algorithm 3: iterate the application list.
   registry_.for_each([&](AppNode& node) {

@@ -94,9 +94,8 @@ class MpHarsManager : public ManagerHook {
   PowerEstimator power_est_;
   MpHarsConfig config_;
   StateSpace machine_space_;
-  /// Shared per-tick search memoization: one epoch per manager tick, so
-  /// the per-app searches of the same tick reuse each other's estimates
-  /// (estimator configuration is constant across a tick).
+  /// Search memoization shared by every app's searches: one epoch for
+  /// the manager's lifetime, opened by the constructor.
   SearchScratch scratch_;
   TimeUs next_poll_ = 0;
   std::int64_t adaptations_ = 0;

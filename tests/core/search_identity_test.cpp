@@ -50,7 +50,7 @@ void run_property_cases(const char* platform, int cases,
   const PerfEstimator perf(machine, 1.5);
   const PowerEstimator power(profile_power(machine, PowerModel{machine}));
   Rng rng(seed);
-  SearchScratch scratch;  // One scratch, one epoch per case (as managers do).
+  SearchScratch scratch;  // One scratch, a fresh epoch per case.
 
   for (int i = 0; i < cases; ++i) {
     const SystemState cur = random_valid_state(rng, space);
@@ -104,12 +104,95 @@ void run_property_cases(const char* platform, int cases,
   }
 }
 
+/// The corner of `space` numbered by the four bits of `corner` (low or
+/// high end per dimension), moved to one little core when it has none.
+SystemState corner_state(const StateSpace& space, int corner) {
+  SystemState s{
+      (corner & 1) != 0 ? space.max_big_cores : space.min_big_cores,
+      (corner & 2) != 0 ? space.max_little_cores : space.min_little_cores,
+      (corner & 4) != 0 ? space.num_big_freqs - 1 : space.min_big_freq,
+      (corner & 8) != 0 ? space.num_little_freqs - 1 : space.min_little_freq};
+  if (s.big_cores + s.little_cores < 1) s.little_cores = 1;
+  return s;
+}
+
+/// One scratch driven as the managers drive it: it lives across every
+/// case and opens a new epoch only when r0 changes, so entries filled
+/// under one thread count are looked up under others. Windows sit on
+/// every corner of the space, where the window walk clips the most, and
+/// every other round of corners uses a space with raised lower bounds
+/// (same upper bounds, so the memo layout is shared).
+void run_persistent_memo_cases(const char* platform, int cases,
+                               std::uint64_t seed) {
+  const Machine machine =
+      PlatformRegistry::instance().get(platform).make_machine();
+  const StateSpace full = StateSpace::from_machine(machine);
+  StateSpace raised = full;
+  raised.min_big_cores = 1;
+  raised.min_little_cores = 1;
+  raised.min_big_freq = 2;
+  raised.min_little_freq = 1;
+  PerfEstimator perf(machine, 1.5);
+  const PowerEstimator power(profile_power(machine, PowerModel{machine}));
+  Rng rng(seed);
+  SearchScratch scratch;
+  double memo_r0 = 0.0;
+  int epochs = 0;
+
+  for (int i = 0; i < cases; ++i) {
+    if (rng.next_double() < 0.05) perf.set_r0(rng.uniform(0.8, 3.0));
+    if (epochs == 0 || perf.r0() != memo_r0) {
+      scratch.begin_tick(full);
+      memo_r0 = perf.r0();
+      ++epochs;
+    }
+    const StateSpace& space = (i / 16) % 2 == 0 ? full : raised;
+    const SystemState cur = corner_state(space, i % 16);
+    const PerfTarget target = PerfTarget::around(rng.uniform(0.2, 6.0));
+    const double rate = rng.uniform(0.0, 8.0);
+    const int threads = rng.uniform_int(1, 16);
+    SearchParams params{rng.uniform_int(0, 9), rng.uniform_int(0, 9),
+                        rng.uniform_int(0, 14)};
+    if (i % 4 == 0) {
+      params = params_for_policy(SearchPolicy::kIncremental,
+                                 rng.next_double() < 0.5);
+    }
+    const SearchResult ref = get_next_sys_state_reference(
+        rate, cur, target, params, space, perf, power, threads);
+    const SearchResult opt = get_next_sys_state(
+        rate, cur, target, params, space, perf, power, threads, {}, &scratch);
+    expect_bit_identical(ref, opt, "window", i);
+    if (testing::Test::HasFailure()) return;
+
+    TabuParams tabu;
+    tabu.iterations = rng.uniform_int(1, 16);
+    tabu.tenure = rng.uniform_int(1, 10);
+    tabu.step = rng.uniform_int(1, 2);
+    const SearchResult tabu_ref = tabu_get_next_sys_state_reference(
+        rate, cur, target, tabu, space, perf, power, threads);
+    const SearchResult tabu_opt = tabu_get_next_sys_state(
+        rate, cur, target, tabu, space, perf, power, threads, {}, &scratch);
+    expect_bit_identical(tabu_ref, tabu_opt, "tabu", i);
+    if (testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(epochs, 1);  // r0 moved at least once mid-run.
+  EXPECT_LT(epochs, cases / 4);  // Most cases reused a warm memo.
+}
+
 TEST(SearchIdentityProperty, ExynosThousandRandomizedCases) {
   run_property_cases("exynos5422", 1000, 0xCAFE);
 }
 
 TEST(SearchIdentityProperty, Sd855ThousandRandomizedCases) {
   run_property_cases("sd855", 1000, 0xBEEF);
+}
+
+TEST(SearchIdentityProperty, ExynosPersistentMemoAcrossCases) {
+  run_persistent_memo_cases("exynos5422", 1000, 0xF00D);
+}
+
+TEST(SearchIdentityProperty, Sd855PersistentMemoAcrossCases) {
+  run_persistent_memo_cases("sd855", 1000, 0xD00D);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/hars.hpp"
 #include "core/power_profiler.hpp"
 #include "exp/experiment.hpp"
+#include "exp/fuzz_harness.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 
@@ -119,6 +120,25 @@ TEST(Extensions, RatioLearnerConvergesInsideManager) {
   engine.run_for(120 * kUsPerSec);
   // Started from the 1.5 prior; should have moved toward 1.0.
   EXPECT_LT(manager.current_r0(), 1.4);
+}
+
+TEST(Extensions, RatioLearningMatchesTheReferenceSearch) {
+  // The manager keeps its search memo across adaptations and reopens it
+  // only when the learner moves r0; a memo that outlived an r0 change
+  // would score candidates with the old ratio and steer differently
+  // from the reference search, which recomputes every estimate.
+  const auto run = [](bool reference) {
+    return result_fingerprint(ExperimentBuilder()
+                                  .platform("exynos5422")
+                                  .app(ParsecBenchmark::kFluidanimate)
+                                  .variant("HARS-E")
+                                  .learn_ratio()
+                                  .reference_impl(reference)
+                                  .duration(50 * kUsPerSec)
+                                  .build()
+                                  .run());
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 TEST(Extensions, EnergyMetricsPopulated) {
