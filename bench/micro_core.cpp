@@ -51,19 +51,22 @@ void BM_PowerEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_PowerEstimate);
 
-// The production search path: a manager-owned SearchScratch with one
-// memoization epoch per search, exactly as RuntimeManager drives it
-// (begin_tick is inside the timed loop — it is part of every real tick).
-void BM_SearchByDistance(benchmark::State& state) {
+// The production search path, as RuntimeManager drives it through its
+// own SearchScratch. The manager opens a new memoization epoch only when
+// its ratio learner moves r0, so a cold search (fresh epoch, every
+// estimate computed) is the exception and a warm one (every estimate a
+// memo hit) the common case.
+void search_by_distance(benchmark::State& state, bool warm) {
   const int d = static_cast<int>(state.range(0));
   const PerfEstimator perf(machine(), 1.5);
   const StateSpace space = StateSpace::from_machine(machine());
   const SystemState cur{2, 2, 4, 3};
   const PerfTarget target = PerfTarget::around(2.0);
   SearchScratch scratch;
+  scratch.begin_tick(space);
   int candidates = 0;
   for (auto _ : state) {
-    scratch.begin_tick(space);
+    if (!warm) scratch.begin_tick(space);
     const SearchResult r = get_next_sys_state(
         3.0, cur, target, SearchParams{4, 4, d}, space, perf,
         power_estimator(), 8, {}, &scratch);
@@ -72,7 +75,16 @@ void BM_SearchByDistance(benchmark::State& state) {
   }
   state.counters["candidates"] = candidates;
 }
+
+void BM_SearchByDistance(benchmark::State& state) {
+  search_by_distance(state, /*warm=*/false);
+}
 BENCHMARK(BM_SearchByDistance)->Arg(1)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
+
+void BM_SearchByDistanceWarm(benchmark::State& state) {
+  search_by_distance(state, /*warm=*/true);
+}
+BENCHMARK(BM_SearchByDistanceWarm)->Arg(1)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
 
 // The retained reference implementation, for the memoization-win
 // trajectory next to BM_SearchByDistance.
