@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Ablation: adaptation cadence\n");
 
   SweepSpec spec;
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
           {ParsecBenchmark::kSwaptions, ParsecBenchmark::kFluidanimate});
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

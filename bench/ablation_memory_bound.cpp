@@ -67,6 +67,7 @@ std::vector<Record> run_mem_case(const SweepCase& sweep_case) {
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Ablation: memory-bound workloads vs the linear-frequency model\n");
 
   SweepSpec spec;
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
       .case_runner(run_mem_case);
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

@@ -11,6 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Ablation: rate predictor (HARS-E, default target)\n");
 
   std::vector<AxisPoint> predictors;
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
       .axis("predictor", std::move(predictors));
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

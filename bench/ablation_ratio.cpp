@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Ablation: assumed r0 vs achieved efficiency (blackscholes)\n");
 
   std::vector<AxisPoint> configs;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
       .axis("r0", std::move(configs));
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Ablation: HARS-E thread scheduler (chunk / interleaved / hierarchical)\n");
 
   const std::vector<std::pair<std::string, ThreadSchedulerKind>> scheds{
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
       .axis("sched", std::move(sched_points));
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

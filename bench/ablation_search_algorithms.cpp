@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Ablation: search algorithm (default target)\n");
 
   const std::vector<SearchPolicy> policies{SearchPolicy::kIncremental,
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
       .axis("policy", std::move(policy_points));
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

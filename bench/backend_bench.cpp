@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -32,6 +31,7 @@
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
 #include "sweep/result_sink.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -190,21 +190,18 @@ int main(int argc, char** argv) {
   int reps = 3;
   double budget_pct = 2.0;
   std::string out_path = "BENCH_backend.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_sec = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      budget_pct = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: backend_bench [--duration SEC] [--reps N] "
-                   "[--budget PCT] [--out FILE]\n");
-      return 2;
-    }
+  flags::Parser cli("backend_bench");
+  cli.flag("--duration SEC", &duration_sec,
+           "simulated seconds per managed run (default 60)")
+      .flag("--reps N", &reps,
+            "timed repetitions; the minimum counts (default 3)")
+      .flag("--budget PCT", &budget_pct,
+            "HAL share of wall clock that fails the run (default 2)")
+      .flag("--out FILE", &out_path,
+            "perf record (default BENCH_backend.json)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
 
   // ---- 1. Call census + run wall clock --------------------------------

@@ -11,7 +11,6 @@
 //   cross_platform [--jobs N] [--duration SEC] [--platform NAME]...
 //                  [--out BENCH_platforms.json]
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "hmp/platform_registry.hpp"
 #include "sweep/sweep_cli.hpp"
 #include "sweep/sweep_engine.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -64,21 +64,17 @@ int main(int argc, char** argv) {
   double duration_sec = 20.0;
   int jobs = 0;  // 0 = hardware concurrency.
   std::vector<std::string> platforms;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_sec = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--platform") == 0 && i + 1 < argc) {
-      platforms.push_back(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: cross_platform [--jobs N] [--duration SEC] "
-                   "[--platform NAME]... [--out FILE]\n");
-      return 2;
-    }
+  flags::Parser cli("cross_platform");
+  cli.flag("--jobs N", &jobs, "parallel pass workers (default 0 = hardware)")
+      .flag("--duration SEC", &duration_sec,
+            "simulated seconds per case (default 20)")
+      .flag("--platform NAME", &platforms,
+            "platform to run; repeatable (default: all registered)")
+      .flag("--out FILE", &out_path,
+            "perf record (default BENCH_platforms.json)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
   if (platforms.empty()) platforms = PlatformRegistry::instance().names();
   for (const std::string& platform : platforms) {

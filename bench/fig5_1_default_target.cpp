@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Figure 5.1 reproduction: perf/watt, default target (50% +/- 5%)");
   std::puts("Values normalized to the Baseline version.\n");
 
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
       .variants(versions);
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

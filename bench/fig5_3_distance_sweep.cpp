@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Figure 5.3 reproduction: efficiency & overhead vs distance d");
   std::puts("HARS-EI, all six benchmarks, geometric mean; d in {1,3,5,7,9}.\n");
 
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
       .benchmarks(all_parsec_benchmarks());
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

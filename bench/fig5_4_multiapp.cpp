@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Figure 5.4 reproduction: multi-application perf/watt");
   std::puts("Values normalized to the Baseline version of the same app/case.\n");
 
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
       .variants(versions);
 
   TableSink sink;
-  SweepEngine engine(sweep_options_from_cli(argc, argv));
+  SweepEngine engine(options);
   engine.add_sink(sink);
   const SweepReport report = engine.run(spec);
   if (report_sweep_failures(std::cerr, report) > 0) return 1;

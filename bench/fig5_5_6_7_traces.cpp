@@ -67,6 +67,7 @@ void summarize(const std::string& label,
 
 int main(int argc, char** argv) {
   using namespace hars;
+  SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Figures 5.5-5.7 reproduction: behaviour of case 4 (BO+FL)\n");
   const std::vector<ParsecBenchmark> benches = multiapp_cases()[3];
 
@@ -80,7 +81,6 @@ int main(int argc, char** argv) {
       })
       .variants({"CONS-I", "MP-HARS-I", "MP-HARS-E"});
 
-  SweepOptions options = sweep_options_from_cli(argc, argv);
   options.keep_results = true;  // The figures need the full traces.
   SweepEngine engine(options);
   const SweepReport report = engine.run(spec);

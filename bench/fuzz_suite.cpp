@@ -15,8 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,6 +24,7 @@
 #include "scenario/repro.hpp"
 #include "scenario/shrink.hpp"
 #include "sweep/result_sink.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -47,20 +46,19 @@ int main(int argc, char** argv) {
   double duration_sec = 10.0;
   std::uint64_t seed = 1;
   std::string out_path = "BENCH_fuzz.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--generate") == 0 && i + 1 < argc) {
-      generate_count = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--oracle") == 0 && i + 1 < argc) {
-      oracle_count = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shrink") == 0 && i + 1 < argc) {
-      shrink_count = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_sec = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
+  flags::Parser cli("fuzz_suite");
+  cli.flag("--generate N", &generate_count,
+           "scenarios to generate for the throughput phase (default 2000)")
+      .flag("--oracle N", &oracle_count, "oracle runs to time (default 24)")
+      .flag("--shrink N", &shrink_count,
+            "seeded bug fixtures to shrink (default 5)")
+      .flag("--duration SEC", &duration_sec,
+            "simulated seconds per oracle run (default 10)")
+      .flag("--seed S", &seed, "campaign seed (default 1)")
+      .flag("--out FILE", &out_path, "perf record (default BENCH_fuzz.json)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
 
   const std::vector<std::string> profiles = ScenarioGenerator::profiles();

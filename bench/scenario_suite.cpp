@@ -15,7 +15,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -25,6 +24,7 @@
 #include "scenario/scenario_registry.hpp"
 #include "scenario/trace_sink.hpp"
 #include "sweep/result_sink.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -87,16 +87,19 @@ int main(int argc, char** argv) {
   double duration_sec = 60.0;
   int sample_ticks = 10;
   std::string out_path = "BENCH_scenarios.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      duration_sec = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--sample-ticks") == 0 && i + 1 < argc) {
-      sample_ticks = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      ++i;  // Accepted for CI symmetry; the suite times runs serially.
-    }
+  int jobs = 1;
+  flags::Parser cli("scenario_suite");
+  cli.flag("--duration SEC", &duration_sec,
+           "simulated seconds per scenario run (default 60)")
+      .flag("--sample-ticks N", &sample_ticks,
+            "trace capture cadence in engine ticks (default 10)")
+      .flag("--out FILE", &out_path,
+            "perf record (default BENCH_scenarios.json)")
+      .flag("--jobs N", &jobs,
+            "accepted for symmetry; the suite times runs serially");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
 
   const std::vector<std::string> variants{"HARS-E", "MP-HARS-E"};

@@ -42,6 +42,7 @@ std::vector<Record> run_assignment_case(const SweepCase& sweep_case) {
 
 int main(int argc, char** argv) {
   using namespace hars;
+  const SweepOptions options = sweep_options_from_cli(argc, argv);
   std::puts("Table 3.1 reproduction: thread assignment (r >= 1)");
   std::puts("Rows show (T_B, T_L, C_B,U, C_L,U) per regime for C_B=C_L=4.\n");
 
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
       .case_runner(run_assignment_case);
 
   TableSink threads_sink;
-  SweepEngine threads_engine(sweep_options_from_cli(argc, argv));
+  SweepEngine threads_engine(options);
   threads_engine.add_sink(threads_sink);
   const SweepReport threads_report = threads_engine.run(by_threads);
   if (report_sweep_failures(std::cerr, threads_report) > 0) return 1;
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
       .case_runner(run_assignment_case);
 
   TableSink ratio_sink;
-  SweepEngine ratio_engine(sweep_options_from_cli(argc, argv));
+  SweepEngine ratio_engine(options);
   ratio_engine.add_sink(ratio_sink);
   const SweepReport ratio_report = ratio_engine.run(by_ratio);
   if (report_sweep_failures(std::cerr, ratio_report) > 0) return 1;

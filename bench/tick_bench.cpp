@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -47,6 +46,7 @@
 #include "obs/telemetry.hpp"
 #include "sweep/result_sink.hpp"
 #include "sweep/work_stealing_pool.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 
@@ -105,21 +105,22 @@ int main(int argc, char** argv) {
   int jobs = 0;  // 0 = hardware concurrency.
   bool reference_grid = false;
   std::string out_path = "BENCH_tick.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      speedup_duration_sec = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--grid-duration") == 0 && i + 1 < argc) {
-      grid_duration_sec = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reference") == 0) {
-      reference_grid = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
+  flags::Parser cli("tick_bench");
+  cli.flag("--duration SEC", &speedup_duration_sec,
+           "simulated seconds per speedup case (default 40)")
+      .flag("--grid-duration SEC", &grid_duration_sec,
+            "simulated seconds per grid case (default 5)")
+      .flag("--reps N", &reps,
+            "timed repetitions; the minimum counts (default 3)")
+      .flag("--jobs N", &jobs, "grid pool workers (default 0 = hardware)")
+      .flag("--reference", &reference_grid,
+            "also time the grid on the reference implementation")
+      .flag("--out FILE", &out_path, "perf record (default BENCH_tick.json)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
+  reps = std::max(1, reps);
   if (jobs <= 0) {
     jobs = std::max(1u, std::thread::hardware_concurrency());
   }

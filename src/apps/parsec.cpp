@@ -31,6 +31,13 @@ const char* parsec_name(ParsecBenchmark bench) {
   return "unknown";
 }
 
+std::optional<ParsecBenchmark> parse_parsec_benchmark(std::string_view name) {
+  for (ParsecBenchmark bench : all_parsec_benchmarks()) {
+    if (name == parsec_code(bench) || name == parsec_name(bench)) return bench;
+  }
+  return std::nullopt;
+}
+
 std::vector<ParsecBenchmark> all_parsec_benchmarks() {
   return {ParsecBenchmark::kBlackscholes, ParsecBenchmark::kBodytrack,
           ParsecBenchmark::kFacesim,      ParsecBenchmark::kFerret,

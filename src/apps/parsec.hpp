@@ -17,7 +17,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -29,6 +31,10 @@ enum class ParsecBenchmark { kBlackscholes, kBodytrack, kFacesim, kFerret, kFlui
 /// Two-letter code used in the paper's figures (BL, BO, FA, FE, FL, SW).
 const char* parsec_code(ParsecBenchmark bench);
 const char* parsec_name(ParsecBenchmark bench);
+
+/// Inverse of parsec_code/parsec_name: accepts either spelling
+/// ("SW" or "swaptions"); nullopt for any other name.
+std::optional<ParsecBenchmark> parse_parsec_benchmark(std::string_view name);
 
 /// All six benchmarks in figure order.
 std::vector<ParsecBenchmark> all_parsec_benchmarks();

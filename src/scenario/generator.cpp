@@ -381,15 +381,9 @@ std::vector<ParsecBenchmark> parse_benches(const std::string& value) {
     const std::size_t plus = value.find('+', from);
     const std::string code = value.substr(
         from, plus == std::string::npos ? std::string::npos : plus - from);
-    bool found = false;
-    for (ParsecBenchmark b : all_parsec_benchmarks()) {
-      if (code == parsec_code(b) || code == parsec_name(b)) {
-        out.push_back(b);
-        found = true;
-        break;
-      }
-    }
-    if (!found) fail("unknown bench \"" + code + "\" in benches=");
+    const std::optional<ParsecBenchmark> bench = parse_parsec_benchmark(code);
+    if (!bench) fail("unknown bench \"" + code + "\" in benches=");
+    out.push_back(*bench);
     if (plus == std::string::npos) break;
     from = plus + 1;
   }

@@ -218,13 +218,6 @@ double parse_double(const std::string& value, const char* key, int line_no) {
   return v;
 }
 
-std::optional<ParsecBenchmark> parse_bench_code(const std::string& name) {
-  for (ParsecBenchmark b : all_parsec_benchmarks()) {
-    if (name == parsec_code(b) || name == parsec_name(b)) return b;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 Scenario Scenario::from_stream(std::istream& in) {
@@ -296,7 +289,7 @@ Scenario Scenario::from_stream(std::istream& in) {
       event.kind = ScenarioEventKind::kSpawn;
       event.app = field("app");
       const std::string& bench = field("bench");
-      event.spawn.bench = parse_bench_code(bench);
+      event.spawn.bench = parse_parsec_benchmark(bench);
       if (!event.spawn.bench) {
         fail("line " + std::to_string(line_no) + ": unknown bench \"" + bench +
              "\"");

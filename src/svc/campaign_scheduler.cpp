@@ -1,6 +1,7 @@
 #include "svc/campaign_scheduler.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
 #include "apps/parsec.hpp"
@@ -10,32 +11,21 @@
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
 #include "scenario/scenario_registry.hpp"
+#include "util/flags.hpp"
 
 namespace hars {
 namespace svc {
 
 namespace {
 
-bool parse_bench(const std::string& name, ParsecBenchmark* out) {
-  for (ParsecBenchmark b : all_parsec_benchmarks()) {
-    if (name == parsec_code(b) || name == parsec_name(b)) {
-      *out = b;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Resolves campaign name lists against the registries; empty return =
 /// ok. Shared by sweep and run expansion.
 std::string resolve_names(const CampaignRequest& campaign,
                           std::vector<ParsecBenchmark>* benches) {
   for (const std::string& name : campaign.benches) {
-    ParsecBenchmark bench;
-    if (!parse_bench(name, &bench)) {
-      return "unknown benchmark '" + name + "'";
-    }
-    benches->push_back(bench);
+    const std::optional<ParsecBenchmark> bench = parse_parsec_benchmark(name);
+    if (!bench) return "unknown benchmark '" + name + "'";
+    benches->push_back(*bench);
   }
   for (const std::string& name : campaign.variants) {
     if (VariantRegistry::instance().find(name) == nullptr) {
@@ -69,17 +59,54 @@ std::string resolve_names(const CampaignRequest& campaign,
 
 }  // namespace
 
-std::string expand_sweep_campaign(const CampaignRequest& campaign,
+void declare_campaign_flags(flags::Parser& cli, CampaignRequest* campaign) {
+  std::string versions;
+  for (const std::string& name : VariantRegistry::instance().names()) {
+    if (!versions.empty()) versions += '|';
+    versions += name;
+  }
+  cli.flag("--bench NAME", &campaign->benches,
+           "BL|BO|FA|FE|FL|SW or the full name (default SW);\n"
+           "repeat for a multi-app run or a bench axis")
+      .flag("--version NAME", &campaign->variants,
+            versions + "\n(default HARS-E); repeat for a sweep axis")
+      .flag("--platform NAME", &campaign->platforms,
+            "registered platform (default exynos5422);\n"
+            "repeat for a sweep axis")
+      .flag("--scenario NAME", &campaign->scenarios,
+            "registered scenario or gen:PROFILE[:k=v;...] name;\n"
+            "exclusive with --bench; repeat for a sweep axis")
+      .flag("--fraction F", &campaign->fractions,
+            "target as fraction of max achievable (default 0.5);\n"
+            "repeat for a sweep axis")
+      .flag("--distance D", &campaign->distances,
+            "HARS-EI search distance axis (sweep); repeatable")
+      .flag("--duration SEC", &campaign->duration_sec,
+            "measured run length in simulated seconds (default 120)")
+      .flag("--threads N", &campaign->threads,
+            "application threads (default 8)")
+      .flag("--seed N", &campaign->seed, "deterministic seed (default 1)")
+      .flag("--derive-seeds", &campaign->derive_seeds,
+            "per-case coordinate-derived RNG seeds (sweep)");
+}
+
+void apply_campaign_defaults(CampaignRequest* campaign) {
+  if (campaign->benches.empty() && campaign->scenarios.empty()) {
+    campaign->benches.push_back(parsec_code(ParsecBenchmark::kSwaptions));
+  }
+  if (campaign->variants.empty()) campaign->variants.push_back("HARS-E");
+  if (campaign->mode == "run" && campaign->fractions.empty()) {
+    campaign->fractions.push_back(0.50);
+  }
+}
+
+std::string expand_sweep_campaign(const CampaignRequest& request,
                                   SweepSpec* spec, std::size_t* cases) {
+  CampaignRequest campaign = request;
+  apply_campaign_defaults(&campaign);
   std::vector<ParsecBenchmark> benches;
   std::string error = resolve_names(campaign, &benches);
   if (!error.empty()) return error;
-
-  std::vector<std::string> versions = campaign.variants;
-  if (benches.empty() && campaign.scenarios.empty()) {
-    benches.push_back(ParsecBenchmark::kSwaptions);
-  }
-  if (versions.empty()) versions.push_back("HARS-E");
 
   const double duration_sec = campaign.duration_sec;
   const int threads = campaign.threads;
@@ -91,7 +118,7 @@ std::string expand_sweep_campaign(const CampaignRequest& campaign,
       .base_seed(seed);
   if (!benches.empty()) spec->benchmarks(benches);
   if (!campaign.scenarios.empty()) spec->scenarios(campaign.scenarios);
-  spec->variants(versions);
+  spec->variants(campaign.variants);
   if (!campaign.platforms.empty()) spec->platforms(campaign.platforms);
   if (!campaign.fractions.empty()) spec->target_fractions(campaign.fractions);
   if (!campaign.distances.empty()) spec->search_distances(campaign.distances);
@@ -106,8 +133,11 @@ std::string expand_sweep_campaign(const CampaignRequest& campaign,
   return {};
 }
 
-std::string build_run_experiment(const CampaignRequest& campaign,
+std::string build_run_experiment(const CampaignRequest& request,
                                  ExperimentBuilder* builder) {
+  CampaignRequest campaign = request;
+  campaign.mode = "run";
+  apply_campaign_defaults(&campaign);
   std::vector<ParsecBenchmark> benches;
   std::string error = resolve_names(campaign, &benches);
   if (!error.empty()) return error;
@@ -150,15 +180,10 @@ std::string build_run_experiment(const CampaignRequest& campaign,
   if (!campaign.scenarios.empty()) {
     builder->scenario(std::string_view(campaign.scenarios.front()));
   } else {
-    builder->apps(benches.empty()
-                      ? std::vector<ParsecBenchmark>{
-                            ParsecBenchmark::kSwaptions}
-                      : benches);
+    builder->apps(benches);
   }
-  builder->variant(campaign.variants.empty() ? "HARS-E"
-                                             : campaign.variants.front())
-      .target_fraction(campaign.fractions.empty() ? 0.50
-                                                  : campaign.fractions.front())
+  builder->variant(campaign.variants.front())
+      .target_fraction(campaign.fractions.front())
       .duration_sec(campaign.duration_sec)
       .threads(campaign.threads)
       .seed(campaign.seed);

@@ -1,10 +1,11 @@
 // CampaignScheduler: maps client campaigns onto one shared
 // WorkStealingPool and tracks them for status/cancel/drain.
 //
-// Expansion: a declarative CampaignRequest becomes the *same* SweepSpec
-// (sweep mode) or ExperimentBuilder (run mode) the hars_sim CLI builds
-// from the equivalent flags — axis order, base mutator, campaign name
-// and seeding all match, which is what makes daemon-streamed records
+// Expansion: a declarative CampaignRequest becomes a SweepSpec (sweep
+// mode) or an ExperimentBuilder (run mode). This is the one mapping from
+// campaign flags to experiments: hars_sim parses its flags into a
+// CampaignRequest and calls the same functions whether it runs locally
+// or submits to a daemon, which is what makes daemon-streamed records
 // byte-identical to a local run. Unknown benchmark / variant /
 // platform / scenario names are rejected up front with a message naming
 // the offender (mapped to kBadRequest by the connection layer).
@@ -31,18 +32,34 @@
 #include "sweep/work_stealing_pool.hpp"
 
 namespace hars {
+namespace flags {
+class Parser;
+}  // namespace flags
+
 namespace svc {
 
-/// Builds the sweep-mode SweepSpec for `campaign` (mirroring hars_sim's
-/// sweep mode, including its defaults: SW when no bench or scenario is
-/// named, HARS-E when no variant is). Returns an error message naming
-/// the first invalid field, or empty on success; `cases` receives the
-/// expanded case count.
+/// Declares the campaign flags hars_sim and hars_client share, bound to
+/// `campaign`: --bench, --version, --platform, --scenario, --fraction and
+/// --distance (repeatable), --duration, --threads, --seed and
+/// --derive-seeds.
+void declare_campaign_flags(flags::Parser& cli, CampaignRequest* campaign);
+
+/// Fills the campaign defaults into `campaign`: SW when no bench or
+/// scenario is named, HARS-E when no version is, and in run mode a 0.50
+/// target fraction when none is. The two builders below apply them to
+/// their own copy, so applying them first changes nothing.
+void apply_campaign_defaults(CampaignRequest* campaign);
+
+/// Builds the sweep-mode SweepSpec for `campaign`, the one mapping both
+/// local hars_sim sweeps and the daemon use. Returns an error message
+/// naming the first invalid field, or empty on success; `cases` receives
+/// the expanded case count.
 std::string expand_sweep_campaign(const CampaignRequest& campaign,
                                   SweepSpec* spec, std::size_t* cases);
 
-/// Builds the run-mode ExperimentBuilder for `campaign` (mirroring
-/// hars_sim's run mode). Returns an error message or empty.
+/// Builds the run-mode ExperimentBuilder for `campaign`, the one mapping
+/// both local hars_sim runs and the daemon use. Returns an error message
+/// or empty.
 std::string build_run_experiment(const CampaignRequest& campaign,
                                  ExperimentBuilder* builder);
 

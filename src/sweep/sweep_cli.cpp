@@ -1,27 +1,37 @@
 #include "sweep/sweep_cli.hpp"
 
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <ostream>
 #include <string>
 
+#include "util/flags.hpp"
+
 namespace hars {
 
-SweepOptions sweep_options_from_cli(int argc, char** argv) {
+void declare_jobs_flag(flags::Parser& cli, int* jobs) {
+  if (const char* env = std::getenv("HARS_JOBS")) *jobs = std::atoi(env);
+  cli.flag("--jobs N", jobs,
+           "sweep pool workers (default 1; 0 = hardware threads;\n"
+           "also read from HARS_JOBS)");
+}
+
+SweepOptions sweep_options_for_jobs(int jobs) {
   SweepOptions options;
-  if (const char* env = std::getenv("HARS_JOBS")) {
-    options.jobs = std::atoi(env);
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.jobs = std::atoi(argv[i + 1]);
-      ++i;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      options.jobs = std::atoi(argv[i] + 7);
-    }
-  }
-  if (options.jobs < 0) options.jobs = 1;
+  options.jobs = jobs < 0 ? 1 : jobs;
   return options;
+}
+
+SweepOptions sweep_options_from_cli(int argc, char** argv) {
+  int jobs = SweepOptions{}.jobs;
+  flags::Parser cli(std::filesystem::path(argv[0]).filename().string(),
+                    "[--jobs N]");
+  declare_jobs_flag(cli, &jobs);
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    std::exit(flags::exit_code(status));
+  }
+  return sweep_options_for_jobs(jobs);
 }
 
 void print_sweep_summary(std::ostream& out, const SweepReport& report) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "util/flags.hpp"
 
 namespace hars {
 namespace svc {
@@ -126,6 +129,55 @@ TEST(BuildRunExperiment, SingleValuedAxesOnly) {
   bad_scheduler.mode = "run";
   bad_scheduler.scheduler = "not_a_scheduler";
   EXPECT_FALSE(build_run_experiment(bad_scheduler, &builder).empty());
+}
+
+TEST(DeclareCampaignFlags, ParseStraightIntoTheRequest) {
+  CampaignRequest campaign;
+  flags::Parser cli("tool");
+  declare_campaign_flags(cli, &campaign);
+  const char* argv[] = {"tool",       "--bench",    "SW",
+                        "--bench=BO", "--version",  "HARS-E",
+                        "--platform", "sd855",      "--scenario=steady",
+                        "--fraction", "0.85",       "--fraction=0.95",
+                        "--distance", "3",          "--duration",
+                        "5",          "--threads",  "4",
+                        "--seed",     "0x10",       "--derive-seeds"};
+  ASSERT_EQ(cli.parse(static_cast<int>(std::size(argv)), argv),
+            flags::Status::kOk);
+  EXPECT_EQ(campaign.benches, (std::vector<std::string>{"SW", "BO"}));
+  EXPECT_EQ(campaign.variants, std::vector<std::string>{"HARS-E"});
+  EXPECT_EQ(campaign.platforms, std::vector<std::string>{"sd855"});
+  EXPECT_EQ(campaign.scenarios, std::vector<std::string>{"steady"});
+  EXPECT_EQ(campaign.fractions, (std::vector<double>{0.85, 0.95}));
+  EXPECT_EQ(campaign.distances, std::vector<int>{3});
+  EXPECT_EQ(campaign.duration_sec, 5.0);
+  EXPECT_EQ(campaign.threads, 4);
+  EXPECT_EQ(campaign.seed, 16u);
+  EXPECT_TRUE(campaign.derive_seeds);
+}
+
+TEST(ApplyCampaignDefaults, FillsOnlyWhatIsMissing) {
+  CampaignRequest sweep;
+  apply_campaign_defaults(&sweep);
+  EXPECT_EQ(sweep.benches, std::vector<std::string>{"SW"});
+  EXPECT_EQ(sweep.variants, std::vector<std::string>{"HARS-E"});
+  EXPECT_TRUE(sweep.fractions.empty());  // No fraction axis in a sweep.
+
+  CampaignRequest run;
+  run.mode = "run";
+  run.scenarios = {"steady"};
+  run.variants = {"HARS-I"};
+  apply_campaign_defaults(&run);
+  EXPECT_TRUE(run.benches.empty());  // The scenario defines the apps.
+  EXPECT_EQ(run.variants, std::vector<std::string>{"HARS-I"});
+  EXPECT_EQ(run.fractions, std::vector<double>{0.50});
+
+  // Applying them again, as the builders do on their copy, is a no-op.
+  CampaignRequest again = run;
+  apply_campaign_defaults(&again);
+  EXPECT_EQ(again.benches, run.benches);
+  EXPECT_EQ(again.variants, run.variants);
+  EXPECT_EQ(again.fractions, run.fractions);
 }
 
 TEST(CampaignSchedulerTest, RegisterCancelStatus) {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "util/flags.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -122,48 +123,42 @@ void print_table(std::ostream& out, const std::vector<Row>& rows) {
   }
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--dir DIR] [--out FILE] [BENCH_*.json ...]\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
+  std::vector<std::string> dirs;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dir") {
-      if (++i >= argc) return usage(argv[0]);
-      std::error_code ec;
-      for (const auto& entry : fs::directory_iterator(argv[i], ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("BENCH_", 0) == 0 && name.size() > 5 &&
-            name.substr(name.size() - 5) == ".json") {
-          files.push_back(entry.path().string());
-        }
+  hars::flags::Parser cli("bench_report",
+                          "[--dir DIR] [--out FILE] [BENCH_*.json ...]");
+  cli.positional("BENCH_*.json", &files, "perf records to summarize")
+      .flag("--dir DIR", &dirs,
+            "also read every BENCH_*.json in DIR; repeatable")
+      .flag("--out FILE", &out_path, "also write the table to FILE")
+      .help_alias("-h");
+  if (const hars::flags::Status status = cli.parse(argc, argv);
+      status != hars::flags::Status::kOk) {
+    return hars::flags::exit_code(status);
+  }
+  for (const std::string& dir : dirs) {
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("BENCH_", 0) == 0 && name.size() > 5 &&
+          name.substr(name.size() - 5) == ".json") {
+        files.push_back(entry.path().string());
       }
-      if (ec) {
-        std::fprintf(stderr, "bench_report: cannot read directory '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-    } else if (arg == "--out") {
-      if (++i >= argc) return usage(argv[0]);
-      out_path = argv[i];
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage(argv[0]);
-    } else {
-      files.push_back(arg);
+    }
+    if (ec) {
+      std::fprintf(stderr, "bench_report: cannot read directory '%s'\n",
+                   dir.c_str());
+      return 1;
     }
   }
-  if (files.empty()) return usage(argv[0]);
+  if (files.empty()) {
+    std::fputs("bench_report: no BENCH_*.json inputs (see --help)\n", stderr);
+    return 2;
+  }
   std::sort(files.begin(), files.end());
 
   std::vector<Row> rows;

@@ -44,6 +44,7 @@
 #include "scenario/scenario.hpp"
 #include "scenario/trace_sink.hpp"
 #include "svc/protocol.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -412,12 +413,16 @@ bool ends_with(const std::string& s, const char* suffix) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  fs::path root = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--root") == 0 && i + 1 < argc) {
-      root = argv[++i];
-    }
+  std::string root_dir = ".";
+  hars::flags::Parser cli("docs_check");
+  cli.flag("--root DIR", &root_dir,
+           "repository root holding README.md, docs/ and examples/\n"
+           "(default .)");
+  if (const hars::flags::Status status = cli.parse(argc, argv);
+      status != hars::flags::Status::kOk) {
+    return hars::flags::exit_code(status);
   }
+  const fs::path root = root_dir;
 
   // --- Links ---
   const fs::path readme = root / "README.md";

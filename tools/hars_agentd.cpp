@@ -18,7 +18,6 @@
 // without cpufreq.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,42 +28,11 @@
 #include "hmp/platform_registry.hpp"
 #include "hmp/platform_spec.hpp"
 #include "util/common.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace hars;
-
-void usage() {
-  std::string versions;
-  for (const std::string& name : VariantRegistry::instance().names()) {
-    if (!versions.empty()) versions += ", ";
-    versions += name;
-  }
-  std::printf(
-      "usage: hars_agentd [options]\n"
-      "Runs a HARS runtime version against a live backend.\n"
-      "  --backend NAME    live backend (default mock_linux); \"sim\" is\n"
-      "                    hars_sim's job; --list-backends to enumerate\n"
-      "  --list-backends   print the backend catalogue and exit\n"
-      "  --variant NAME    runtime version (default HARS-E): %s\n"
-      "  --bench NAME      workload shape; repeatable (default swaptions)\n"
-      "  --duration SEC    managed run length (default 30)\n"
-      "  --tick MS         manager epoch override (default: backend's)\n"
-      "  --fixture FILE    sysfs fixture for mock_linux (default: built-in\n"
-      "                    exynos5422 tree; see FILE_FORMATS.md)\n"
-      "  --sysfs-root DIR  sysfs root for linux (default /)\n"
-      "  --platform NAME   platform whose power parameters graft onto the\n"
-      "                    probed topology (default exynos5422)\n"
-      "  --target MIN:MAX  explicit heartbeat window for every workload\n"
-      "                    (default: derived from a probe slice)\n"
-      "  --target-fraction F  derived-target fraction (default 0.5)\n"
-      "  --threads N       threads per workload (default 4)\n"
-      "  --seed N          RNG seed (default 1)\n"
-      "  --audit           run the managers' debug result audits\n"
-      "  --dry-run         probe the platform read-only and exit\n"
-      "  --help            this text\n",
-      versions.c_str());
-}
 
 void list_backends() {
   std::printf("%-12s %s\n", "backend", "description");
@@ -80,16 +48,6 @@ bool parse_backend(const std::string& name) {
     std::fprintf(stderr, " %s", known.c_str());
   }
   std::fprintf(stderr, "\n");
-  return false;
-}
-
-bool parse_bench(const std::string& name, ParsecBenchmark* out) {
-  for (ParsecBenchmark b : all_parsec_benchmarks()) {
-    if (name == parsec_code(b) || name == parsec_name(b)) {
-      *out = b;
-      return true;
-    }
-  }
   return false;
 }
 
@@ -141,99 +99,100 @@ int dry_run_probe(const std::string& backend_name,
 int main(int argc, char** argv) {
   std::string backend_name = "mock_linux";
   std::string variant = "HARS-E";
-  std::vector<ParsecBenchmark> benches;
-  std::optional<PerfTarget> target;
+  std::vector<std::string> bench_names;
+  std::string platform = "exynos5422";
+  std::string target_text;
   BackendOptions options;
   double duration_sec = 30.0;
+  double tick_ms = 0.0;
   double fraction = 0.50;
   int threads = 4;
   std::uint64_t seed = 1;
+  bool list = false;
   bool dry_run = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--backend") {
-      backend_name = next();
-      if (!parse_backend(backend_name)) return 2;
-      if (backend_name == "sim") {
-        std::fprintf(stderr,
-                     "hars_agentd drives live platforms; use hars_sim for "
-                     "simulation\n");
-        return 2;
-      }
-    } else if (arg == "--list-backends") {
-      list_backends();
-      return 0;
-    } else if (arg == "--variant" || arg == "--version") {
-      variant = next();
-      if (VariantRegistry::instance().find(variant) == nullptr) {
-        std::fprintf(stderr, "unknown variant %s\n", variant.c_str());
-        usage();
-        return 2;
-      }
-    } else if (arg == "--bench") {
-      ParsecBenchmark bench;
-      if (!parse_bench(next(), &bench)) {
-        std::fprintf(stderr, "unknown benchmark\n");
-        return 2;
-      }
-      benches.push_back(bench);
-    } else if (arg == "--duration") {
-      duration_sec = std::atof(next());
-    } else if (arg == "--tick") {
-      options.tick_us = static_cast<TimeUs>(std::atof(next()) * 1000.0);
-    } else if (arg == "--fixture") {
-      options.fixture = next();
-    } else if (arg == "--sysfs-root") {
-      options.sysfs_root = next();
-    } else if (arg == "--platform") {
-      const std::string name = next();
-      if (PlatformRegistry::instance().find(name) == nullptr) {
-        std::fprintf(stderr, "unknown platform %s; known:", name.c_str());
-        for (const std::string& known : PlatformRegistry::instance().names()) {
-          std::fprintf(stderr, " %s", known.c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return 2;
-      }
-      options.platform = PlatformRegistry::instance().get(name);
-    } else if (arg == "--target") {
-      PerfTarget t;
-      if (!parse_target(next(), &t)) {
-        std::fprintf(stderr,
-                     "--target wants MIN:MAX with 0 <= MIN <= MAX, MAX > 0\n");
-        return 2;
-      }
-      target = t;
-    } else if (arg == "--target-fraction") {
-      fraction = std::atof(next());
-    } else if (arg == "--threads") {
-      threads = std::atoi(next());
-    } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--audit") {
-      options.audit = true;
-    } else if (arg == "--dry-run") {
-      dry_run = true;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage();
+  std::string versions;
+  for (const std::string& name : VariantRegistry::instance().names()) {
+    if (!versions.empty()) versions += ", ";
+    versions += name;
+  }
+  flags::Parser cli("hars_agentd");
+  cli.flag("--backend NAME", &backend_name,
+           "live backend (default mock_linux); \"sim\" is\n"
+           "hars_sim's job; --list-backends to enumerate")
+      .flag("--list-backends", &list, "print the backend catalogue and exit")
+      .flag("--variant NAME", &variant,
+            "runtime version (default HARS-E): " + versions)
+      .flag("--version NAME", &variant, "same as --variant")
+      .flag("--bench NAME", &bench_names,
+            "workload shape; repeatable (default swaptions)")
+      .flag("--duration SEC", &duration_sec, "managed run length (default 30)")
+      .flag("--tick MS", &tick_ms,
+            "manager epoch override (default: backend's)")
+      .flag("--fixture FILE", &options.fixture,
+            "sysfs fixture for mock_linux (default: built-in\n"
+            "exynos5422 tree; see FILE_FORMATS.md)")
+      .flag("--sysfs-root DIR", &options.sysfs_root,
+            "sysfs root for linux (default /)")
+      .flag("--platform NAME", &platform,
+            "platform whose power parameters graft onto the\n"
+            "probed topology (default exynos5422)")
+      .flag("--target MIN:MAX", &target_text,
+            "explicit heartbeat window for every workload\n"
+            "(default: derived from a probe slice)")
+      .flag("--target-fraction F", &fraction,
+            "derived-target fraction (default 0.5)")
+      .flag("--threads N", &threads, "threads per workload (default 4)")
+      .flag("--seed N", &seed, "RNG seed (default 1)")
+      .flag("--audit", &options.audit, "run the managers' debug result audits")
+      .flag("--dry-run", &dry_run, "probe the platform read-only and exit");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
+  }
+  if (list) {
+    list_backends();
+    return 0;
+  }
+  if (!parse_backend(backend_name)) return 2;
+  if (backend_name == "sim") {
+    std::fprintf(stderr,
+                 "hars_agentd drives live platforms; use hars_sim for "
+                 "simulation\n");
+    return 2;
+  }
+  if (VariantRegistry::instance().find(variant) == nullptr) {
+    std::fprintf(stderr, "unknown variant %s\n", variant.c_str());
+    return 2;
+  }
+  std::vector<ParsecBenchmark> benches;
+  for (const std::string& name : bench_names) {
+    const std::optional<ParsecBenchmark> bench = parse_parsec_benchmark(name);
+    if (!bench) {
+      std::fprintf(stderr, "unknown benchmark %s\n", name.c_str());
       return 2;
     }
+    benches.push_back(*bench);
   }
-
-  if (!options.platform) {
-    options.platform = PlatformRegistry::instance().get("exynos5422");
+  if (PlatformRegistry::instance().find(platform) == nullptr) {
+    std::fprintf(stderr, "unknown platform %s; known:", platform.c_str());
+    for (const std::string& known : PlatformRegistry::instance().names()) {
+      std::fprintf(stderr, " %s", known.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+  options.platform = PlatformRegistry::instance().get(platform);
+  options.tick_us = static_cast<TimeUs>(tick_ms * 1000.0);
+  std::optional<PerfTarget> target;
+  if (cli.given("--target")) {
+    PerfTarget t;
+    if (!parse_target(target_text, &t)) {
+      std::fprintf(stderr,
+                   "--target wants MIN:MAX with 0 <= MIN <= MAX, MAX > 0\n");
+      return 2;
+    }
+    target = t;
   }
 
   if (dry_run) {

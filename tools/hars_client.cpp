@@ -12,46 +12,20 @@
 // latency, streamed records/sec) for tools/bench_report.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "svc/campaign_scheduler.hpp"
 #include "svc/client.hpp"
 #include "sweep/result_sink.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace hars;
-
-void usage() {
-  std::printf(
-      "usage: hars_client [VERB] [options]\n"
-      "verbs: sweep (default) | ping | status | stats | metrics | drain |\n"
-      "       cancel ID\n"
-      "  --connect ADDR    daemon address (default tcp:127.0.0.1:7414)\n"
-      "sweep options (mirror hars_sim sweep):\n"
-      "  --bench NAME      repeatable benchmark axis (BL|BO|FA|FE|FL|SW)\n"
-      "  --version NAME    repeatable variant axis (default HARS-E)\n"
-      "  --platform NAME   repeatable platform axis\n"
-      "  --scenario NAME   repeatable scenario axis (exclusive with --bench)\n"
-      "  --fraction F      repeatable target-fraction axis\n"
-      "  --distance D      repeatable search-distance axis\n"
-      "  --duration SEC    measured span (default 120)\n"
-      "  --threads N       app threads (default 8)\n"
-      "  --seed N          campaign seed (default 1)\n"
-      "  --derive-seeds    coordinate-derived per-case seeds\n"
-      "  --start-case N    resume: skip cases below N (a drained summary's\n"
-      "                    emitted_through)\n"
-      "  --csv FILE        write streamed records as CSV\n"
-      "  --jsonl FILE      write streamed records as JSON lines\n"
-      "  --bench-json FILE write a BENCH_daemon.json perf record\n"
-      "metrics options:\n"
-      "  --out FILE        write the Prometheus text to FILE (default stdout)\n");
-}
 
 int run_sweep(svc::ServiceClient& client, const svc::CampaignRequest& campaign,
               const std::string& csv_path, const std::string& jsonl_path,
@@ -145,78 +119,40 @@ int run_sweep(svc::ServiceClient& client, const svc::CampaignRequest& campaign,
 
 int main(int argc, char** argv) {
   std::string verb = "sweep";
-  int first_option = 1;
-  if (argc > 1 && argv[1][0] != '-') {
-    verb = argv[1];
-    first_option = 2;
-  }
-
+  std::uint64_t cancel_target = 0;
   std::string connect = "tcp:127.0.0.1:7414";
   std::string csv_path;
   std::string jsonl_path;
   std::string bench_json_path;
   std::string metrics_out;
-  std::uint64_t cancel_target = 0;
   svc::CampaignRequest campaign;
 
-  if (verb == "cancel") {
-    if (first_option >= argc || argv[first_option][0] == '-') {
-      std::fprintf(stderr, "cancel needs a campaign id\n");
-      return 2;
-    }
-    cancel_target =
-        static_cast<std::uint64_t>(std::atoll(argv[first_option++]));
+  flags::Parser cli("hars_client", "[VERB] [ID] [options]");
+  cli.positional("VERB", &verb,
+                 "sweep (default) | ping | status | stats | metrics |\n"
+                 "drain | cancel")
+      .positional("ID", &cancel_target, "campaign id (cancel only)")
+      .flag("--connect ADDR", &connect,
+            "daemon address (default tcp:127.0.0.1:7414)");
+  svc::declare_campaign_flags(cli, &campaign);
+  cli.flag("--start-case N", &campaign.start_case,
+           "resume: skip cases below N (a drained summary's\n"
+           "emitted_through)")
+      .flag("--csv FILE", &csv_path, "write streamed records as CSV")
+      .flag("--jsonl FILE", &jsonl_path, "write streamed records as JSON lines")
+      .flag("--bench-json FILE", &bench_json_path,
+            "write a BENCH_daemon.json perf record")
+      .flag("--out FILE", &metrics_out,
+            "metrics: write the Prometheus text to FILE\n(default stdout)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
-
-  for (int i = first_option; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--connect") {
-      connect = next();
-    } else if (arg == "--bench") {
-      campaign.benches.push_back(next());
-    } else if (arg == "--version") {
-      campaign.variants.push_back(next());
-    } else if (arg == "--platform") {
-      campaign.platforms.push_back(next());
-    } else if (arg == "--scenario") {
-      campaign.scenarios.push_back(next());
-    } else if (arg == "--fraction") {
-      campaign.fractions.push_back(std::atof(next()));
-    } else if (arg == "--distance") {
-      campaign.distances.push_back(std::atoi(next()));
-    } else if (arg == "--duration") {
-      campaign.duration_sec = std::atof(next());
-    } else if (arg == "--threads") {
-      campaign.threads = std::atoi(next());
-    } else if (arg == "--seed") {
-      campaign.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--derive-seeds") {
-      campaign.derive_seeds = true;
-    } else if (arg == "--start-case") {
-      campaign.start_case = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--csv") {
-      csv_path = next();
-    } else if (arg == "--jsonl") {
-      jsonl_path = next();
-    } else if (arg == "--bench-json") {
-      bench_json_path = next();
-    } else if (arg == "--out") {
-      metrics_out = next();
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage();
-      return 2;
-    }
+  if ((verb == "cancel") != cli.given("ID")) {
+    std::fputs(verb == "cancel" ? "cancel needs a campaign id\n"
+                                : "only cancel takes a campaign id\n",
+               stderr);
+    return 2;
   }
 
   try {
@@ -291,7 +227,6 @@ int main(int argc, char** argv) {
       return ok ? 0 : 1;
     }
     std::fprintf(stderr, "unknown verb '%s'\n", verb.c_str());
-    usage();
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hars_client: %s\n", e.what());

@@ -23,8 +23,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -36,6 +34,7 @@
 #include "scenario/generator.hpp"
 #include "scenario/repro.hpp"
 #include "scenario/shrink.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -60,31 +59,6 @@ struct Options {
   std::string repro_dir;
   bool quiet = false;
 };
-
-void usage() {
-  std::cout
-      << "usage: hars_fuzz [options]\n"
-         "  --runs N           scenarios to generate (default 25)\n"
-         "  --seed S           campaign seed; all output is a pure\n"
-         "                     function of it (default 1)\n"
-         "  --profile NAME     generator profile (repeatable; default:\n"
-         "                     rotate through all profiles)\n"
-         "  --variant V        runtime variant (repeatable; default: all)\n"
-         "  --platform P       platform (repeatable; default exynos5422)\n"
-         "  --duration SEC     simulated seconds per run (default 20)\n"
-         "  --threads N        app threads (default: experiment default)\n"
-         "  --fraction F       target fraction (default 0.9)\n"
-         "  --corpus DIR       where repros go (default fuzz_corpus)\n"
-         "  --max-shrink N     shrink budget in oracle runs (default 400)\n"
-         "  --no-differential  skip the reference-identity oracle\n"
-         "  --inject-bug KIND  synthetic oracle self-test (phase_gt2,\n"
-         "                     kill_during_outage)\n"
-         "  --dump-scenarios DIR  write every generated scenario CSV\n"
-         "  --repro FILE       replay one corpus repro\n"
-         "  --repro-dir DIR    replay a corpus; outcomes must match\n"
-         "                     each file's # expect= line\n"
-         "  --quiet            summary only\n";
-}
 
 /// Per-run generator seed: decorrelated from the campaign seed counter
 /// so consecutive runs draw unrelated scenarios.
@@ -234,56 +208,45 @@ int run_campaign(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  const auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "hars_fuzz: " << argv[i] << " needs a value\n";
-      std::exit(1);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--runs") {
-      opt.runs = std::atoi(value(i).c_str());
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(i).c_str(), nullptr, 0);
-    } else if (arg == "--profile") {
-      opt.profiles.push_back(value(i));
-    } else if (arg == "--variant") {
-      opt.variants.push_back(value(i));
-    } else if (arg == "--platform") {
-      opt.platforms.push_back(value(i));
-    } else if (arg == "--duration") {
-      opt.duration_sec = std::atof(value(i).c_str());
-    } else if (arg == "--threads") {
-      opt.threads = std::atoi(value(i).c_str());
-    } else if (arg == "--fraction") {
-      opt.fraction = std::atof(value(i).c_str());
-    } else if (arg == "--corpus") {
-      opt.corpus = value(i);
-    } else if (arg == "--max-shrink") {
-      opt.max_shrink = std::atoi(value(i).c_str());
-    } else if (arg == "--no-differential") {
-      opt.differential = false;
-    } else if (arg == "--inject-bug") {
-      opt.inject = value(i);
-    } else if (arg == "--dump-scenarios") {
-      opt.dump_dir = value(i);
-    } else if (arg == "--repro") {
-      opt.repro_file = value(i);
-    } else if (arg == "--repro-dir") {
-      opt.repro_dir = value(i);
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "hars_fuzz: unknown option " << arg << "\n";
-      usage();
-      return 1;
-    }
+  bool no_differential = false;
+  flags::Parser cli("hars_fuzz");
+  cli.flag("--runs N", &opt.runs, "scenarios to generate (default 25)")
+      .flag("--seed S", &opt.seed,
+            "campaign seed; all output is a pure\nfunction of it (default 1)")
+      .flag("--profile NAME", &opt.profiles,
+            "generator profile (repeatable; default:\n"
+            "rotate through all profiles)")
+      .flag("--variant V", &opt.variants,
+            "runtime variant (repeatable; default: all)")
+      .flag("--platform P", &opt.platforms,
+            "platform (repeatable; default exynos5422)")
+      .flag("--duration SEC", &opt.duration_sec,
+            "simulated seconds per run (default 20)")
+      .flag("--threads N", &opt.threads,
+            "app threads (default: experiment default)")
+      .flag("--fraction F", &opt.fraction, "target fraction (default 0.9)")
+      .flag("--corpus DIR", &opt.corpus,
+            "where repros go (default fuzz_corpus)")
+      .flag("--max-shrink N", &opt.max_shrink,
+            "shrink budget in oracle runs (default 400)")
+      .flag("--no-differential", &no_differential,
+            "skip the reference-identity oracle")
+      .flag("--inject-bug KIND", &opt.inject,
+            "synthetic oracle self-test (phase_gt2,\nkill_during_outage)")
+      .flag("--dump-scenarios DIR", &opt.dump_dir,
+            "write every generated scenario CSV")
+      .flag("--repro FILE", &opt.repro_file, "replay one corpus repro")
+      .flag("--repro-dir DIR", &opt.repro_dir,
+            "replay a corpus; outcomes must match\n"
+            "each file's # expect= line")
+      .flag("--quiet", &opt.quiet, "summary only")
+      .help_alias("-h");
+  // Exit code 2 means "new failures found", so a usage error is 1.
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status, 1);
   }
+  opt.differential = !no_differential;
 
   try {
     if (!opt.repro_file.empty()) {

@@ -19,13 +19,16 @@
 // table and optionally to --csv / --jsonl sinks. --derive-seeds gives
 // every case a coordinate-derived RNG seed.
 //
-// With --remote ADDR, both modes submit the same declarative campaign
-// through a hars_simd daemon instead of executing in-process; the
-// streamed records and the printed run report are byte-identical to
-// local execution (the daemon runs the same expansion and engine code).
+// The flags parse straight into an svc::CampaignRequest, and both modes
+// build their experiments with the daemon's own mapping
+// (svc::build_run_experiment, svc::expand_sweep_campaign); only the
+// local-only settings (--backend, --capture, telemetry, --trace) are
+// layered on top. With --remote ADDR the same request is submitted to a
+// hars_simd daemon instead, so the streamed records and the printed run
+// report are byte-identical to local execution.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -35,89 +38,20 @@
 #include "backend/backend_registry.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
-#include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
 #include "obs/telemetry.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/trace_sink.hpp"
+#include "svc/campaign_scheduler.hpp"
 #include "svc/client.hpp"
 #include "sweep/sweep_cli.hpp"
 #include "sweep/sweep_engine.hpp"
 #include "util/csv.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace hars;
-
-void usage() {
-  std::string versions;
-  for (const std::string& name : VariantRegistry::instance().names()) {
-    if (!versions.empty()) versions += '|';
-    versions += name;
-  }
-  std::printf(
-      "usage: hars_sim [sweep] [options]\n"
-      "  --bench NAME      BL|BO|FA|FE|FL|SW (default SW); repeat for a\n"
-      "                    multi-application case (run mode) or a bench\n"
-      "                    axis (sweep mode)\n"
-      "  --version NAME    %s\n"
-      "                    (default HARS-E); repeatable in sweep mode\n"
-      "  --platform NAME   registered platform (default exynos5422);\n"
-      "                    repeatable in sweep mode; --list-platforms to\n"
-      "                    enumerate\n"
-      "  --list-platforms  print the platform catalogue and exit\n"
-      "  --backend NAME    execution backend (default sim); mock_linux and\n"
-      "                    linux run the managers against a (fake or real)\n"
-      "                    Linux platform; --list-backends to enumerate;\n"
-      "                    run mode only (sweeps are simulation campaigns)\n"
-      "  --list-backends   print the backend catalogue and exit\n"
-      "  --scenario NAME   registered scenario (timed arrivals/departures,\n"
-      "                    target/phase shifts, core failures); exclusive\n"
-      "                    with --bench; repeatable in sweep mode;\n"
-      "                    --list-scenarios to enumerate\n"
-      "  --list-scenarios  print the scenario catalogue and exit\n"
-      "  --gen-scenario P  generated scenario: a generator profile name\n"
-      "                    (poisson, rush, storm, hotplug, retarget,\n"
-      "                    churn, mixed) or a full gen:PROFILE:k=v;...\n"
-      "                    name; repeatable (sugar for --scenario gen:...)\n"
-      "  --gen-seed N      seed for --gen-scenario names that do not\n"
-      "                    carry an explicit seed= parameter\n"
-      "  --capture FILE    write the scenario trace as JSONL (run mode,\n"
-      "                    with --scenario; replayable bit-for-bit)\n"
-      "  --replay FILE     re-run a captured trace and verify it is\n"
-      "                    bit-identical; exits non-zero on divergence\n"
-      "  --sample-ticks N  trace capture cadence in engine ticks (default 10)\n"
-      "  --fraction F      target as fraction of max achievable (default 0.5);\n"
-      "                    repeatable in sweep mode\n"
-      "  --duration SEC    measured run length in simulated seconds (default 120)\n"
-      "  --threads N       application threads (default 8)\n"
-      "  --seed N          deterministic seed (default 1)\n"
-      "  --scheduler NAME  chunk|interleaved|hierarchical (HARS versions)\n"
-      "  --predictor NAME  last-value|kalman (HARS versions)\n"
-      "  --policy NAME     incremental|exhaustive|tabu (HARS versions)\n"
-      "  --learn-ratio     enable online big:little ratio learning\n"
-      "  --remote ADDR     submit through a hars_simd daemon (tcp:HOST:PORT\n"
-      "                    or unix:PATH) instead of running in-process;\n"
-      "                    records and report are byte-identical to a local\n"
-      "                    run (--capture/--replay/telemetry are local-only)\n"
-      "  --trace FILE      write the behaviour trace(s) as CSV (run mode)\n"
-      "  --metrics FILE    write telemetry metrics as JSON lines (run mode;\n"
-      "                    any telemetry flag arms the metrics registry)\n"
-      "  --metrics-csv FILE  write telemetry metrics as CSV (run mode)\n"
-      "  --prom FILE       write telemetry metrics in Prometheus text\n"
-      "                    format (run mode)\n"
-      "  --trace-spans FILE  write sampled tick-phase spans as Chrome\n"
-      "                    trace-event JSON (run mode; open in\n"
-      "                    chrome://tracing or Perfetto)\n"
-      "sweep mode only:\n"
-      "  --distance D      HARS-EI search distance axis; repeatable\n"
-      "  --jobs N          pool workers (default 1; 0 = hardware threads)\n"
-      "  --csv FILE        write result records as CSV\n"
-      "  --jsonl FILE      write result records as JSON lines\n"
-      "  --derive-seeds    per-case coordinate-derived RNG seeds\n"
-      "  --help            this text\n",
-      versions.c_str());
-}
 
 void list_platforms() {
   std::printf("%-14s %-8s %-6s %s\n", "platform", "clusters", "cores",
@@ -158,19 +92,6 @@ void list_scenarios() {
   }
 }
 
-bool parse_scenario(const std::string& name) {
-  try {
-    // get() resolves presets and synthesizes gen: names; a malformed
-    // gen: name surfaces the generator's diagnostic instead of the
-    // unknown-name listing.
-    ScenarioRegistry::instance().get(name);
-    return true;
-  } catch (const ScenarioError& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return false;
-  }
-}
-
 int run_replay(const std::string& path) {
   try {
     const ReplayOutcome outcome = replay_trace_file(path);
@@ -184,43 +105,11 @@ int run_replay(const std::string& path) {
   }
 }
 
-bool parse_platform(const std::string& name) {
-  if (PlatformRegistry::instance().find(name) != nullptr) return true;
-  std::fprintf(stderr, "unknown platform %s; known:", name.c_str());
-  for (const std::string& known : PlatformRegistry::instance().names()) {
-    std::fprintf(stderr, " %s", known.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  return false;
-}
-
 void list_backends() {
   std::printf("%-12s %s\n", "backend", "description");
   for (const BackendEntry& e : BackendRegistry::instance().entries()) {
     std::printf("%-12s %s\n", e.name.c_str(), e.description.c_str());
   }
-}
-
-// Up-front name validation, mirroring parse_platform: a malformed
-// --backend is rejected before any experiment is built.
-bool parse_backend(const std::string& name) {
-  if (BackendRegistry::instance().known(name)) return true;
-  std::fprintf(stderr, "unknown backend %s; known:", name.c_str());
-  for (const std::string& known : BackendRegistry::instance().names()) {
-    std::fprintf(stderr, " %s", known.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  return false;
-}
-
-bool parse_bench(const std::string& name, ParsecBenchmark* out) {
-  for (ParsecBenchmark b : all_parsec_benchmarks()) {
-    if (name == parsec_code(b) || name == parsec_name(b)) {
-      *out = b;
-      return true;
-    }
-  }
-  return false;
 }
 
 void write_trace(const std::string& path, const PerfTarget& target,
@@ -242,12 +131,11 @@ void write_trace(const std::string& path, const PerfTarget& target,
               trace.size());
 }
 
-// Writes one trace CSV per app, suffixing slot index + code/label when
-// the run had several apps (so repeated benchmarks get distinct files).
+// Writes one trace CSV per app, suffixing slot index + label (the bench
+// code, or the scenario's app label) when the run had several apps, so
+// repeated benchmarks get distinct files.
 void write_traces(const std::string& trace_path,
-                  const svc::RunResultPayload& payload,
-                  const std::vector<ParsecBenchmark>& benches,
-                  const std::string& scenario) {
+                  const svc::RunResultPayload& payload) {
   if (payload.apps.size() == 1) {
     const svc::RunAppPayload& app = payload.apps.front();
     write_trace(trace_path, app.target, app.trace);
@@ -258,8 +146,7 @@ void write_traces(const std::string& trace_path,
     std::string suffix = "_";
     suffix += std::to_string(i + 1);
     suffix += '_';
-    suffix += scenario.empty() ? parsec_code(benches[i])
-                               : payload.apps[i].label.c_str();
+    suffix += payload.apps[i].label;
     const std::size_t slash = path.find_last_of('/');
     const std::size_t dot = path.rfind('.');
     const bool dot_in_name = dot != std::string::npos &&
@@ -271,23 +158,23 @@ void write_traces(const std::string& trace_path,
 
 // The human-readable run report, printed from the wire payload struct so
 // the local path (via run_payload_of) and --remote produce identical
-// bytes.
+// bytes. `campaign` carries its defaults (svc::apply_campaign_defaults).
 void print_run_report(const svc::RunResultPayload& payload,
-                      const std::vector<ParsecBenchmark>& benches,
-                      const std::string& version, const std::string& platform,
-                      const std::string& scenario) {
-  std::printf("version          %s\n", version.c_str());
-  if (!platform.empty()) {
-    std::printf("platform         %s\n", platform.c_str());
+                      const svc::CampaignRequest& campaign) {
+  std::printf("version          %s\n", campaign.variants.front().c_str());
+  if (!campaign.platforms.empty()) {
+    std::printf("platform         %s\n", campaign.platforms.front().c_str());
   }
-  if (!scenario.empty()) {
-    std::printf("scenario         %s\n", scenario.c_str());
+  if (!campaign.scenarios.empty()) {
+    std::printf("scenario         %s\n", campaign.scenarios.front().c_str());
   }
-  for (std::size_t i = 0; i < payload.apps.size(); ++i) {
-    const svc::RunAppPayload& app = payload.apps[i];
-    if (scenario.empty()) {
-      std::printf("bench            %s (%s)\n", parsec_code(benches[i]),
-                  parsec_name(benches[i]));
+  for (const svc::RunAppPayload& app : payload.apps) {
+    if (campaign.scenarios.empty()) {
+      // A bench app's label is its PARSEC code.
+      const std::optional<ParsecBenchmark> bench =
+          parse_parsec_benchmark(app.label);
+      std::printf("bench            %s (%s)\n", app.label.c_str(),
+                  bench ? parsec_name(*bench) : "?");
     } else {
       std::string departed;
       if (app.depart_time_us >= 0) {
@@ -317,146 +204,52 @@ void print_run_report(const svc::RunResultPayload& payload,
   }
 }
 
-int run_sweep_mode(int argc, char** argv) {
-  std::vector<ParsecBenchmark> benches;
-  std::vector<std::string> versions;
-  std::vector<std::string> platforms;
-  std::vector<std::string> scenarios;
-  std::vector<std::string> gen_scenarios;
-  std::uint64_t gen_seed = 0;
-  bool have_gen_seed = false;
-  std::vector<double> fractions;
-  std::vector<int> distances;
-  double duration_sec = 120.0;
-  int threads = 8;
-  std::uint64_t seed = 1;
-  bool derive_seeds = false;
+/// Settings that never cross the wire: the daemon to submit to, the
+/// backend and pool a local run uses, and the files it writes besides
+/// the report.
+struct LocalOptions {
+  std::string remote;
+  std::string backend;
+  std::string capture_path;
+  int sample_ticks = 10;
+  std::string trace_path;
+  obs::TelemetryConfig telemetry;
+  int jobs = SweepOptions{}.jobs;
   std::string csv_path;
   std::string jsonl_path;
-  std::string remote;
+};
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--bench") {
-      ParsecBenchmark bench;
-      if (!parse_bench(next(), &bench)) {
-        std::fprintf(stderr, "unknown benchmark\n");
-        return 2;
-      }
-      benches.push_back(bench);
-    } else if (arg == "--version") {
-      const std::string version = next();
-      if (VariantRegistry::instance().find(version) == nullptr) {
-        std::fprintf(stderr, "unknown version %s\n", version.c_str());
-        return 2;
-      }
-      versions.push_back(version);
-    } else if (arg == "--platform") {
-      const std::string platform = next();
-      if (!parse_platform(platform)) return 2;
-      platforms.push_back(platform);
-    } else if (arg == "--list-platforms") {
-      list_platforms();
-      return 0;
-    } else if (arg == "--backend") {
-      const std::string backend = next();
-      if (!parse_backend(backend)) return 2;
-      if (backend != "sim") {
-        std::fprintf(stderr,
-                     "sweep mode is a simulation campaign; --backend %s is "
-                     "run-mode only\n",
-                     backend.c_str());
-        return 2;
-      }
-    } else if (arg == "--list-backends") {
-      list_backends();
-      return 0;
-    } else if (arg == "--scenario") {
-      const std::string name = next();
-      if (!parse_scenario(name)) return 2;
-      scenarios.push_back(name);
-    } else if (arg == "--gen-scenario") {
-      gen_scenarios.push_back(next());
-    } else if (arg == "--gen-seed") {
-      gen_seed = std::strtoull(next(), nullptr, 0);
-      have_gen_seed = true;
-    } else if (arg == "--list-scenarios") {
-      list_scenarios();
-      return 0;
-    } else if (arg == "--fraction") {
-      fractions.push_back(std::atof(next()));
-    } else if (arg == "--distance") {
-      distances.push_back(std::atoi(next()));
-    } else if (arg == "--duration") {
-      duration_sec = std::atof(next());
-    } else if (arg == "--threads") {
-      threads = std::atoi(next());
-    } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--derive-seeds") {
-      derive_seeds = true;
-    } else if (arg == "--csv") {
-      csv_path = next();
-    } else if (arg == "--jsonl") {
-      jsonl_path = next();
-    } else if (arg == "--remote") {
-      remote = next();
-    } else if (arg == "--jobs") {
-      next();  // Consumed again by sweep_options_from_cli.
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      // Parsed by sweep_options_from_cli.
-    } else {
-      std::fprintf(stderr, "unknown sweep option %s\n", arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-
-  for (std::string name : gen_scenarios) {
-    if (name.rfind("gen:", 0) != 0) name = "gen:" + name;
-    if (have_gen_seed && name.find("seed=") == std::string::npos) {
-      name += name.find(':', 4) == std::string::npos ? ":" : ";";
-      name += "seed=" + std::to_string(gen_seed);
-    }
-    if (!parse_scenario(name)) return 2;
-    scenarios.push_back(name);
-  }
-
-  if (!scenarios.empty() && !benches.empty()) {
+int run_sweep_mode(const svc::CampaignRequest& campaign,
+                   const LocalOptions& local) {
+  if (!local.backend.empty() && local.backend != "sim") {
     std::fprintf(stderr,
-                 "--scenario and --bench are exclusive (the scenario's spawn "
-                 "events define the apps)\n");
+                 "sweep mode is a simulation campaign; --backend %s is "
+                 "run-mode only\n",
+                 local.backend.c_str());
     return 2;
   }
-  if (benches.empty() && scenarios.empty()) {
-    benches.push_back(ParsecBenchmark::kSwaptions);
+  SweepSpec spec;
+  if (const std::string error =
+          svc::expand_sweep_campaign(campaign, &spec, nullptr);
+      !error.empty()) {
+    std::fprintf(stderr, "hars_sim: %s\n", error.c_str());
+    return 2;
   }
-  if (versions.empty()) versions.push_back("HARS-E");
 
   TableSink table_sink;
   std::unique_ptr<CsvSink> csv_sink;
   std::unique_ptr<JsonlSink> jsonl_sink;
-  if (!csv_path.empty()) {
-    csv_sink = std::make_unique<CsvSink>(csv_path);
+  if (!local.csv_path.empty()) {
+    csv_sink = std::make_unique<CsvSink>(local.csv_path);
     if (!csv_sink->ok()) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", local.csv_path.c_str());
       return 1;
     }
   }
-  if (!jsonl_path.empty()) {
-    jsonl_sink = std::make_unique<JsonlSink>(jsonl_path);
+  if (!local.jsonl_path.empty()) {
+    jsonl_sink = std::make_unique<JsonlSink>(local.jsonl_path);
     if (!jsonl_sink->ok()) {
-      std::fprintf(stderr, "cannot write %s\n", jsonl_path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", local.jsonl_path.c_str());
       return 1;
     }
   }
@@ -467,22 +260,9 @@ int run_sweep_mode(int argc, char** argv) {
   std::optional<svc::SummaryInfo> remote_summary;
   SweepReport report;
   std::size_t failures = 0;
-  if (!remote.empty()) {
-    svc::CampaignRequest campaign;
-    for (ParsecBenchmark bench : benches) {
-      campaign.benches.push_back(parsec_code(bench));
-    }
-    campaign.variants = versions;
-    campaign.platforms = platforms;
-    campaign.scenarios = scenarios;
-    campaign.fractions = fractions;
-    campaign.distances = distances;
-    campaign.duration_sec = duration_sec;
-    campaign.threads = threads;
-    campaign.seed = seed;
-    campaign.derive_seeds = derive_seeds;
+  if (!local.remote.empty()) {
     try {
-      svc::ServiceClient client(svc::Address::parse(remote));
+      svc::ServiceClient client(svc::Address::parse(local.remote));
       const svc::SubmitOutcome outcome =
           client.submit_sweep(campaign, [&](const Record& record) {
             table_sink.write(record);
@@ -497,28 +277,14 @@ int run_sweep_mode(int argc, char** argv) {
       }
       remote_summary = outcome.summary;
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "remote %s: %s\n", remote.c_str(), e.what());
+      std::fprintf(stderr, "remote %s: %s\n", local.remote.c_str(), e.what());
       return 1;
     }
     if (csv_sink) csv_sink->flush();
     if (jsonl_sink) jsonl_sink->flush();
     failures = remote_summary->failed;
   } else {
-    SweepSpec spec;
-    spec.name("hars_sim_sweep")
-        .base([duration_sec, threads, seed](ExperimentBuilder& b) {
-          b.duration_sec(duration_sec).threads(threads).seed(seed);
-        })
-        .base_seed(seed);
-    if (!benches.empty()) spec.benchmarks(benches);
-    if (!scenarios.empty()) spec.scenarios(scenarios);
-    spec.variants(versions);
-    if (!platforms.empty()) spec.platforms(platforms);
-    if (!fractions.empty()) spec.target_fractions(fractions);
-    if (!distances.empty()) spec.search_distances(distances);
-    if (derive_seeds) spec.seed_mode(SeedMode::kDerived);
-
-    SweepOptions options = sweep_options_from_cli(argc, argv);
+    SweepOptions options = sweep_options_for_jobs(local.jobs);
     options.keep_results = false;
     SweepEngine engine(options);
     engine.add_sink(table_sink);
@@ -531,15 +297,15 @@ int run_sweep_mode(int argc, char** argv) {
 
   ReportTable table("sweep results");
   std::vector<std::string> columns;
-  if (!benches.empty()) columns.push_back("bench");
-  if (!scenarios.empty()) {
+  if (!campaign.benches.empty()) columns.push_back("bench");
+  if (!campaign.scenarios.empty()) {
     columns.push_back("scenario");
     columns.push_back("app");
   }
   columns.push_back("variant");
-  if (!platforms.empty()) columns.push_back("platform");
-  if (!fractions.empty()) columns.push_back("fraction");
-  if (!distances.empty()) columns.push_back("distance");
+  if (!campaign.platforms.empty()) columns.push_back("platform");
+  if (!campaign.fractions.empty()) columns.push_back("fraction");
+  if (!campaign.distances.empty()) columns.push_back("distance");
   for (const char* metric : {"norm_perf", "avg_power_w", "perf_per_watt",
                              "in_window_fraction"}) {
     columns.push_back(metric);
@@ -558,9 +324,11 @@ int run_sweep_mode(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  if (!csv_path.empty()) std::printf("csv              %s\n", csv_path.c_str());
-  if (!jsonl_path.empty()) {
-    std::printf("jsonl            %s\n", jsonl_path.c_str());
+  if (!local.csv_path.empty()) {
+    std::printf("csv              %s\n", local.csv_path.c_str());
+  }
+  if (!local.jsonl_path.empty()) {
+    std::printf("jsonl            %s\n", local.jsonl_path.c_str());
   }
   if (remote_summary.has_value()) {
     // The daemon counted cases and wall time; jobs are a daemon-side
@@ -578,225 +346,50 @@ int run_sweep_mode(int argc, char** argv) {
   return failures > 0 ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
-    return run_sweep_mode(argc, argv);
-  }
-
-  std::vector<ParsecBenchmark> benches;
-  std::string version = "HARS-E";
-  std::string platform;
-  std::string backend_name;
-  std::string scenario;
-  std::string gen_scenario;
-  std::uint64_t gen_seed = 0;
-  bool have_gen_seed = false;
-  std::string capture_path;
-  std::string replay_path;
-  int sample_ticks = 10;
-  ExperimentBuilder builder;
-  double fraction = 0.50;
-  double duration_sec = 120.0;
-  int threads = 8;
-  std::uint64_t seed = 1;
-  std::string trace_path;
-  std::string remote;
-  // Tuning flags are validated at parse time but applied later: the
-  // local path feeds them to the builder, --remote ships the names.
-  std::string scheduler_name;
-  std::string predictor_name;
-  std::string policy_name;
-  bool learn_ratio = false;
-  obs::TelemetryConfig telemetry_cfg;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--bench") {
-      ParsecBenchmark bench;
-      if (!parse_bench(next(), &bench)) {
-        std::fprintf(stderr, "unknown benchmark\n");
-        return 2;
-      }
-      benches.push_back(bench);
-    } else if (arg == "--version") {
-      version = next();
-      if (VariantRegistry::instance().find(version) == nullptr) {
-        std::fprintf(stderr, "unknown version %s\n", version.c_str());
-        usage();
-        return 2;
-      }
-    } else if (arg == "--platform") {
-      platform = next();
-      if (!parse_platform(platform)) return 2;
-    } else if (arg == "--list-platforms") {
-      list_platforms();
-      return 0;
-    } else if (arg == "--backend") {
-      backend_name = next();
-      if (!parse_backend(backend_name)) return 2;
-    } else if (arg == "--list-backends") {
-      list_backends();
-      return 0;
-    } else if (arg == "--scenario") {
-      scenario = next();
-      if (!parse_scenario(scenario)) return 2;
-    } else if (arg == "--gen-scenario") {
-      gen_scenario = next();
-    } else if (arg == "--gen-seed") {
-      gen_seed = std::strtoull(next(), nullptr, 0);
-      have_gen_seed = true;
-    } else if (arg == "--list-scenarios") {
-      list_scenarios();
-      return 0;
-    } else if (arg == "--capture") {
-      capture_path = next();
-    } else if (arg == "--replay") {
-      replay_path = next();
-    } else if (arg == "--sample-ticks") {
-      sample_ticks = std::atoi(next());
-    } else if (arg == "--fraction") {
-      fraction = std::atof(next());
-    } else if (arg == "--duration") {
-      duration_sec = std::atof(next());
-    } else if (arg == "--threads") {
-      threads = std::atoi(next());
-    } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--scheduler") {
-      scheduler_name = next();
-      if (!parse_thread_scheduler(scheduler_name)) {
-        std::fprintf(stderr, "unknown scheduler\n");
-        return 2;
-      }
-    } else if (arg == "--predictor") {
-      predictor_name = next();
-      if (!parse_predictor_kind(predictor_name)) {
-        std::fprintf(stderr, "unknown predictor\n");
-        return 2;
-      }
-    } else if (arg == "--policy") {
-      policy_name = next();
-      if (!parse_search_policy(policy_name)) {
-        std::fprintf(stderr, "unknown policy\n");
-        return 2;
-      }
-    } else if (arg == "--learn-ratio") {
-      learn_ratio = true;
-    } else if (arg == "--remote") {
-      remote = next();
-    } else if (arg == "--jobs") {
-      next();  // Accepted for symmetry with sweep mode; one run is serial.
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      // Accepted for symmetry with sweep mode; one run is serial.
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--metrics") {
-      telemetry_cfg.metrics_jsonl = next();
-      telemetry_cfg.enabled = true;
-    } else if (arg == "--metrics-csv") {
-      telemetry_cfg.metrics_csv = next();
-      telemetry_cfg.enabled = true;
-    } else if (arg == "--prom") {
-      telemetry_cfg.prometheus = next();
-      telemetry_cfg.enabled = true;
-    } else if (arg == "--trace-spans") {
-      telemetry_cfg.trace_json = next();
-      telemetry_cfg.enabled = true;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-
-  if (!replay_path.empty()) return run_replay(replay_path);
-
-  if (!remote.empty()) {
-    if (!capture_path.empty()) {
+int run_run_mode(const svc::CampaignRequest& campaign,
+                 const LocalOptions& local) {
+  if (!local.remote.empty()) {
+    if (!local.capture_path.empty()) {
       std::fprintf(stderr,
                    "--capture is local-only (scenario traces do not cross "
                    "the wire); drop --remote to capture\n");
       return 2;
     }
-    if (telemetry_cfg.enabled) {
+    if (local.telemetry.enabled) {
       std::fprintf(stderr,
                    "telemetry flags are local-only; scrape the daemon's "
                    "metrics verb instead (hars_client metrics)\n");
       return 2;
     }
-    if (!backend_name.empty() && backend_name != "sim") {
+    if (!local.backend.empty() && local.backend != "sim") {
       std::fprintf(stderr,
                    "--backend %s is local-only (the daemon simulates); use "
                    "hars_agentd on the target machine instead\n",
-                   backend_name.c_str());
+                   local.backend.c_str());
       return 2;
     }
   }
-
-  if (!gen_scenario.empty()) {
-    if (!scenario.empty()) {
-      std::fprintf(stderr, "--scenario and --gen-scenario are exclusive\n");
-      return 2;
-    }
-    if (gen_scenario.rfind("gen:", 0) != 0) gen_scenario = "gen:" + gen_scenario;
-    if (have_gen_seed && gen_scenario.find("seed=") == std::string::npos) {
-      gen_scenario += gen_scenario.find(':', 4) == std::string::npos ? ":" : ";";
-      gen_scenario += "seed=" + std::to_string(gen_seed);
-    }
-    if (!parse_scenario(gen_scenario)) return 2;
-    scenario = gen_scenario;
-  }
-
-  if (!scenario.empty() && !benches.empty()) {
-    std::fprintf(stderr,
-                 "--scenario and --bench are exclusive (the scenario's spawn "
-                 "events define the apps)\n");
+  ExperimentBuilder builder;
+  if (const std::string error = svc::build_run_experiment(campaign, &builder);
+      !error.empty()) {
+    std::fprintf(stderr, "hars_sim: %s\n", error.c_str());
     return 2;
   }
-  if (scenario.empty() && !capture_path.empty()) {
+  if (campaign.scenarios.empty() && !local.capture_path.empty()) {
     std::fprintf(stderr, "--capture requires --scenario\n");
     return 2;
   }
-  if (benches.empty() && scenario.empty()) {
-    benches.push_back(ParsecBenchmark::kSwaptions);
-  }
+
   // Both branches produce the same payload struct, so the printed
   // report is byte-identical whether the experiment ran here or in a
   // hars_simd daemon.
   svc::RunResultPayload payload;
-  if (!remote.empty()) {
-    svc::CampaignRequest campaign;
-    campaign.mode = "run";
-    for (ParsecBenchmark bench : benches) {
-      campaign.benches.push_back(parsec_code(bench));
-    }
-    campaign.variants = {version};
-    if (!platform.empty()) campaign.platforms = {platform};
-    if (!scenario.empty()) campaign.scenarios = {scenario};
-    campaign.fractions = {fraction};
-    campaign.duration_sec = duration_sec;
-    campaign.threads = threads;
-    campaign.seed = seed;
-    campaign.scheduler = scheduler_name;
-    campaign.predictor = predictor_name;
-    campaign.policy = policy_name;
-    campaign.learn_ratio = learn_ratio;
-    campaign.want_trace = !trace_path.empty();
+  if (!local.remote.empty()) {
+    svc::CampaignRequest request = campaign;
+    request.want_trace = !local.trace_path.empty();
     try {
-      svc::ServiceClient client(svc::Address::parse(remote));
-      const svc::SubmitOutcome outcome = client.submit_run(campaign);
+      svc::ServiceClient client(svc::Address::parse(local.remote));
+      const svc::SubmitOutcome outcome = client.submit_run(request);
       if (!outcome.ok) {
         std::fprintf(stderr, "remote submit rejected (%s): %s\n",
                      svc::error_code_name(outcome.error->code),
@@ -805,66 +398,182 @@ int main(int argc, char** argv) {
       }
       payload = outcome.result;
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "remote %s: %s\n", remote.c_str(), e.what());
+      std::fprintf(stderr, "remote %s: %s\n", local.remote.c_str(), e.what());
       return 1;
     }
   } else {
-    if (!platform.empty()) builder.platform(std::string_view(platform));
-    if (!backend_name.empty()) builder.backend(backend_name);
-    TraceSink capture_sink(sample_ticks);
-    if (!scenario.empty()) {
-      builder.scenario(std::string_view(scenario));
-      if (!capture_path.empty()) builder.capture(capture_sink);
-    } else {
-      builder.apps(benches);
-    }
-    builder.variant(version)
-        .target_fraction(fraction)
-        .duration_sec(duration_sec)
-        .threads(threads)
-        .seed(seed);
-    if (!scheduler_name.empty()) {
-      builder.scheduler(*parse_thread_scheduler(scheduler_name));
-    }
-    if (!predictor_name.empty()) {
-      builder.predictor(*parse_predictor_kind(predictor_name));
-    }
-    if (!policy_name.empty()) builder.policy(*parse_search_policy(policy_name));
-    if (learn_ratio) builder.learn_ratio(true);
-    if (telemetry_cfg.enabled) builder.telemetry(telemetry_cfg);
-
+    TraceSink capture_sink(local.sample_ticks);
+    if (!local.capture_path.empty()) builder.capture(capture_sink);
+    if (local.telemetry.enabled) builder.telemetry(local.telemetry);
     ExperimentResult result;
     try {
+      if (!local.backend.empty()) builder.backend(local.backend);
       result = builder.build().run();
     } catch (const ExperimentConfigError& error) {
       std::fprintf(stderr, "invalid configuration: %s\n", error.what());
       return 2;
     }
 
-    if (!capture_path.empty()) {
-      if (!capture_sink.write_file(capture_path)) {
-        std::fprintf(stderr, "cannot write %s\n", capture_path.c_str());
+    if (!local.capture_path.empty()) {
+      if (!capture_sink.write_file(local.capture_path)) {
+        std::fprintf(stderr, "cannot write %s\n", local.capture_path.c_str());
         return 1;
       }
-      std::printf("capture          %s (%zu samples)\n", capture_path.c_str(),
-                  capture_sink.samples().size());
+      std::printf("capture          %s (%zu samples)\n",
+                  local.capture_path.c_str(), capture_sink.samples().size());
     }
-    payload = svc::run_payload_of(result, !trace_path.empty());
+    payload = svc::run_payload_of(result, !local.trace_path.empty());
   }
 
-  if (!telemetry_cfg.metrics_jsonl.empty()) {
-    std::printf("metrics          %s\n", telemetry_cfg.metrics_jsonl.c_str());
+  const obs::TelemetryConfig& telemetry = local.telemetry;
+  if (!telemetry.metrics_jsonl.empty()) {
+    std::printf("metrics          %s\n", telemetry.metrics_jsonl.c_str());
   }
-  if (!telemetry_cfg.metrics_csv.empty()) {
-    std::printf("metrics csv      %s\n", telemetry_cfg.metrics_csv.c_str());
+  if (!telemetry.metrics_csv.empty()) {
+    std::printf("metrics csv      %s\n", telemetry.metrics_csv.c_str());
   }
-  if (!telemetry_cfg.prometheus.empty()) {
-    std::printf("prometheus       %s\n", telemetry_cfg.prometheus.c_str());
+  if (!telemetry.prometheus.empty()) {
+    std::printf("prometheus       %s\n", telemetry.prometheus.c_str());
   }
-  if (!telemetry_cfg.trace_json.empty()) {
-    std::printf("trace spans      %s\n", telemetry_cfg.trace_json.c_str());
+  if (!telemetry.trace_json.empty()) {
+    std::printf("trace spans      %s\n", telemetry.trace_json.c_str());
   }
-  print_run_report(payload, benches, version, platform, scenario);
-  if (!trace_path.empty()) write_traces(trace_path, payload, benches, scenario);
+  print_run_report(payload, campaign);
+  if (!local.trace_path.empty()) write_traces(local.trace_path, payload);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string mode;
+  svc::CampaignRequest campaign;
+  LocalOptions local;
+  std::vector<std::string> gen_scenarios;
+  std::uint64_t gen_seed = 0;
+  std::string replay_path;
+  bool list_platforms_flag = false;
+  bool list_backends_flag = false;
+  bool list_scenarios_flag = false;
+
+  flags::Parser cli("hars_sim", "[sweep] [options]");
+  cli.positional("sweep", &mode,
+                 "run a cartesian campaign over the repeated flags");
+  svc::declare_campaign_flags(cli, &campaign);
+  cli.flag("--list-platforms", &list_platforms_flag,
+           "print the platform catalogue and exit")
+      .flag("--backend NAME", &local.backend,
+            "execution backend (default sim); mock_linux and\n"
+            "linux run the managers against a (fake or real)\n"
+            "Linux platform; run mode only")
+      .flag("--list-backends", &list_backends_flag,
+            "print the backend catalogue and exit")
+      .flag("--list-scenarios", &list_scenarios_flag,
+            "print the scenario catalogue and exit")
+      .flag("--gen-scenario P", &gen_scenarios,
+            "generated scenario: a generator profile name\n"
+            "(poisson, rush, storm, hotplug, retarget,\n"
+            "churn, mixed) or a full gen:PROFILE:k=v;...\n"
+            "name; repeatable (sugar for --scenario gen:...)")
+      .flag("--gen-seed N", &gen_seed,
+            "seed for --gen-scenario names that do not\n"
+            "carry an explicit seed= parameter")
+      .flag("--capture FILE", &local.capture_path,
+            "write the scenario trace as JSONL (run mode,\n"
+            "with --scenario; replayable bit-for-bit)")
+      .flag("--replay FILE", &replay_path,
+            "re-run a captured trace and verify it is\n"
+            "bit-identical; exits non-zero on divergence")
+      .flag("--sample-ticks N", &local.sample_ticks,
+            "trace capture cadence in engine ticks (default 10)")
+      .flag("--scheduler NAME", &campaign.scheduler,
+            "chunk|interleaved|hierarchical (HARS versions)")
+      .flag("--predictor NAME", &campaign.predictor,
+            "last-value|kalman (HARS versions)")
+      .flag("--policy NAME", &campaign.policy,
+            "incremental|exhaustive|tabu (HARS versions)")
+      .flag("--learn-ratio", &campaign.learn_ratio,
+            "enable online big:little ratio learning")
+      .flag("--remote ADDR", &local.remote,
+            "submit through a hars_simd daemon (tcp:HOST:PORT\n"
+            "or unix:PATH) instead of running in-process;\n"
+            "records and report are byte-identical to a local\n"
+            "run (--capture/--replay/telemetry are local-only)")
+      .flag("--trace FILE", &local.trace_path,
+            "write the behaviour trace(s) as CSV (run mode)")
+      .flag("--metrics FILE", &local.telemetry.metrics_jsonl,
+            "write telemetry metrics as JSON lines (run mode;\n"
+            "any telemetry flag arms the metrics registry)")
+      .flag("--metrics-csv FILE", &local.telemetry.metrics_csv,
+            "write telemetry metrics as CSV (run mode)")
+      .flag("--prom FILE", &local.telemetry.prometheus,
+            "write telemetry metrics in Prometheus text\n"
+            "format (run mode)")
+      .flag("--trace-spans FILE", &local.telemetry.trace_json,
+            "write sampled tick-phase spans as Chrome\n"
+            "trace-event JSON (run mode; open in\n"
+            "chrome://tracing or Perfetto)")
+      .flag("--csv FILE", &local.csv_path,
+            "write result records as CSV (sweep mode)")
+      .flag("--jsonl FILE", &local.jsonl_path,
+            "write result records as JSON lines (sweep mode)");
+  declare_jobs_flag(cli, &local.jobs);
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
+  }
+
+  if (list_platforms_flag) {
+    list_platforms();
+    return 0;
+  }
+  if (list_backends_flag) {
+    list_backends();
+    return 0;
+  }
+  if (list_scenarios_flag) {
+    list_scenarios();
+    return 0;
+  }
+
+  const bool sweep = mode == "sweep";
+  if (!sweep && !mode.empty()) {
+    std::fprintf(stderr, "hars_sim: '%s': unknown mode (expected sweep)\n",
+                 mode.c_str());
+    return 2;
+  }
+  const std::initializer_list<const char*> run_only = {
+      "--capture", "--replay",      "--sample-ticks", "--scheduler",
+      "--predictor", "--policy",    "--learn-ratio",  "--trace",
+      "--metrics", "--metrics-csv", "--prom",         "--trace-spans"};
+  const std::initializer_list<const char*> sweep_only = {"--csv", "--jsonl",
+                                                         "--derive-seeds"};
+  for (const char* name : sweep ? run_only : sweep_only) {
+    if (cli.given(name)) {
+      std::fprintf(stderr, "hars_sim: %s: %s mode only\n", name,
+                   sweep ? "run" : "sweep");
+      return 2;
+    }
+  }
+
+  if (!replay_path.empty()) return run_replay(replay_path);
+
+  // --gen-scenario is sugar for --scenario gen:...; --gen-seed fills in
+  // the seed of every name that does not carry one.
+  for (std::string name : gen_scenarios) {
+    if (name.rfind("gen:", 0) != 0) name = "gen:" + name;
+    if (cli.given("--gen-seed") && name.find("seed=") == std::string::npos) {
+      name += name.find(':', 4) == std::string::npos ? ":" : ";";
+      name += "seed=" + std::to_string(gen_seed);
+    }
+    campaign.scenarios.push_back(name);
+  }
+  local.telemetry.enabled = !local.telemetry.metrics_jsonl.empty() ||
+                            !local.telemetry.metrics_csv.empty() ||
+                            !local.telemetry.prometheus.empty() ||
+                            !local.telemetry.trace_json.empty();
+  campaign.mode = sweep ? "sweep" : "run";
+  svc::apply_campaign_defaults(&campaign);
+  return sweep ? run_sweep_mode(campaign, local)
+               : run_run_mode(campaign, local);
 }

@@ -18,14 +18,13 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "apps/parsec.hpp"
 #include "svc/daemon.hpp"
 #include "svc/service_cache.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -35,78 +34,49 @@ std::atomic<std::sig_atomic_t> g_drain{0};
 
 void on_signal(int) { g_drain.store(1, std::memory_order_relaxed); }
 
-void usage() {
-  std::printf(
-      "usage: hars_simd [options]\n"
-      "  --listen ADDR       tcp:HOST:PORT, HOST:PORT, :PORT, unix:PATH or a\n"
-      "                      bare socket path (default tcp:127.0.0.1:7414;\n"
-      "                      port 0 binds an ephemeral port)\n"
-      "  --jobs N            shared pool workers (default 0 = hardware)\n"
-      "  --max-clients N     concurrent client sessions (default 16)\n"
-      "  --max-campaigns N   concurrent campaigns per client (default 4)\n"
-      "  --max-queued-cases N  global queued-case budget (default 1048576)\n"
-      "  --drain-timeout SEC grace period after SIGTERM before remaining\n"
-      "                      connections are force-closed (default 30)\n"
-      "  --send-queue N      per-connection send queue bound, frames\n"
-      "                      (default 256)\n"
-      "  --prewarm           run default calibrations for every PARSEC\n"
-      "                      bench before accepting clients\n"
-      "  --addr-file FILE    write the bound address (scripts resolving an\n"
-      "                      ephemeral port)\n"
-      "  --help              this text\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   svc::DaemonConfig config;
-  config.listen = svc::Address::parse("tcp:127.0.0.1:7414");
   config.jobs = 0;
   config.drain_signal = &g_drain;
   bool prewarm = false;
+  std::string listen = "tcp:127.0.0.1:7414";
   std::string addr_file;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      usage();
-      return 0;
-    } else if (arg == "--listen") {
-      try {
-        config.listen = svc::Address::parse(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "bad --listen address: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--jobs") {
-      config.jobs = std::atoi(next());
-    } else if (arg == "--max-clients") {
-      config.limits.max_clients = std::atoi(next());
-    } else if (arg == "--max-campaigns") {
-      config.limits.max_campaigns_per_client = std::atoi(next());
-    } else if (arg == "--max-queued-cases") {
-      config.limits.max_queued_cases =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--drain-timeout") {
-      config.drain_timeout_sec = std::atof(next());
-    } else if (arg == "--send-queue") {
-      config.send_queue_frames = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--prewarm") {
-      prewarm = true;
-    } else if (arg == "--addr-file") {
-      addr_file = next();
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage();
-      return 2;
-    }
+  flags::Parser cli("hars_simd");
+  cli.flag("--listen ADDR", &listen,
+           "tcp:HOST:PORT, HOST:PORT, :PORT, unix:PATH or a\n"
+           "bare socket path (default tcp:127.0.0.1:7414;\n"
+           "port 0 binds an ephemeral port)")
+      .flag("--jobs N", &config.jobs,
+            "shared pool workers (default 0 = hardware)")
+      .flag("--max-clients N", &config.limits.max_clients,
+            "concurrent client sessions (default 16)")
+      .flag("--max-campaigns N", &config.limits.max_campaigns_per_client,
+            "concurrent campaigns per client (default 4)")
+      .flag("--max-queued-cases N", &config.limits.max_queued_cases,
+            "global queued-case budget (default 1048576)")
+      .flag("--drain-timeout SEC", &config.drain_timeout_sec,
+            "grace period after SIGTERM before remaining\n"
+            "connections are force-closed (default 30)")
+      .flag("--send-queue N", &config.send_queue_frames,
+            "per-connection send queue bound, frames\n(default 256)")
+      .flag("--prewarm", &prewarm,
+            "run default calibrations for every PARSEC\n"
+            "bench before accepting clients")
+      .flag("--addr-file FILE", &addr_file,
+            "write the bound address (scripts resolving an\n"
+            "ephemeral port)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
+  }
+  try {
+    config.listen = svc::Address::parse(listen);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad --listen address: %s\n", e.what());
+    return 2;
   }
 
   std::signal(SIGTERM, on_signal);

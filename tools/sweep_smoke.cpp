@@ -8,7 +8,6 @@
 //
 //   sweep_smoke [--jobs N] [--out BENCH_sweep.json]
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -17,6 +16,7 @@
 
 #include "sweep/sweep_cli.hpp"
 #include "sweep/sweep_engine.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -46,12 +46,12 @@ std::string records_fingerprint(const SweepReport& report) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_sweep.json";
   int jobs = 0;  // 0 = hardware concurrency.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    }
+  flags::Parser cli("sweep_smoke");
+  cli.flag("--jobs N", &jobs, "parallel pass workers (default 0 = hardware)")
+      .flag("--out FILE", &out_path, "perf record (default BENCH_sweep.json)");
+  if (const flags::Status status = cli.parse(argc, argv);
+      status != flags::Status::kOk) {
+    return flags::exit_code(status);
   }
 
   const SweepSpec spec = smoke_spec();
