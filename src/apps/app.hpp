@@ -40,6 +40,22 @@ struct SpeedModel {
   }
 };
 
+/// One thread's CPU grant on every tick of a quiet span (SimEngine): the
+/// share step() hands it and the core it runs on. A share of 0 means the
+/// thread does not execute (asleep, unplaced or no capacity left).
+struct QuietGrant {
+  TimeUs share_us = 0;
+  CoreType type = CoreType::kLittle;
+  double freq_ghz = 0.0;
+};
+
+/// What execute() does with a grant the thread does not finish: the work
+/// it retires and the CPU time it returns. work == 0 means no change.
+struct QuietLane {
+  WorkUnits work = 0.0;
+  TimeUs used_us = 0;
+};
+
 class App {
  public:
   App(std::string name, int thread_count, SpeedModel speed,
@@ -87,6 +103,33 @@ class App {
 
   /// Called after all threads executed; barrier/heartbeat logic lives here.
   virtual void end_tick(TimeUs now) = 0;
+
+  // --- Quiet spans (SimEngine::run_until) ---
+  // A quiet tick changes only arithmetic: every granted thread keeps
+  // work beyond its share, so no runnable flag flips and end_tick is a
+  // no-op. The engine plans the lanes once per span and then, per tick,
+  // asks every app to accept before it commits any.
+
+  /// Fills `lanes[i]` for each of the app's threads from `grants[i]`
+  /// with exactly the values execute() computes for a share the thread
+  /// does not finish. Returns false when the app does not take quiet
+  /// ticks (the default); the engine then steps every tick.
+  virtual bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const {
+    (void)grants;
+    (void)lanes;
+    return false;
+  }
+
+  /// True when applying `lanes` for one tick leaves every thread with a
+  /// lane work beyond it and makes end_tick a no-op.
+  virtual bool accepts_quiet_tick(const QuietLane* lanes) const {
+    (void)lanes;
+    return false;
+  }
+
+  /// Applies one accepted quiet tick: bit-identical to execute() on
+  /// every granted thread followed by end_tick().
+  virtual void commit_quiet_tick(const QuietLane* lanes) { (void)lanes; }
 
   /// True once the application has retired all its input (simulations
   /// normally end on time instead).

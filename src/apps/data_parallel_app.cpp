@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/hot_path.hpp"
+
 namespace hars {
 
 DataParallelApp::DataParallelApp(std::string name, const DataParallelConfig& config)
@@ -113,6 +115,47 @@ void DataParallelApp::end_tick(TimeUs now) {
   heartbeats().emit(now);
   ++iteration_;
   start_iteration();
+}
+
+bool DataParallelApp::plan_quiet(const QuietGrant* grants,
+                                 QuietLane* lanes) const {
+  for (int i = 0; i < thread_count(); ++i) {
+    const QuietGrant& grant = grants[i];
+    QuietLane& lane = lanes[i];
+    lane = QuietLane{};
+    if (grant.share_us <= 0) continue;
+    const double speed = thread_speed(grant.type, grant.freq_ghz);
+    if (speed <= 0.0) continue;  // execute() returns 0 and changes nothing.
+    lane.work = speed * us_to_sec(grant.share_us);
+    lane.used_us = static_cast<TimeUs>(lane.work / speed * kUsPerSec);
+  }
+  return true;
+}
+
+HARS_HOT bool DataParallelApp::accepts_quiet_tick(const QuietLane* lanes) const {
+  // Serial input phase: only thread 0 runs, and end_tick returns early
+  // while warm-up work is left.
+  if (warmup_remaining_ > 0.0) return warmup_remaining_ > lanes[0].work;
+  // No iteration open: nothing runs, and end_tick changes nothing once the
+  // iteration budget is spent.
+  if (!iteration_open_) return finished();
+  // The barrier must stay open (end_tick emits when it closes) and every
+  // granted thread must take execute()'s full-share branch (rem > can_do).
+  if (open_threads_ <= 0) return false;
+  for (std::size_t i = 0; i < remaining_.size(); ++i) {
+    if (lanes[i].work > 0.0 && !(remaining_[i] > lanes[i].work)) return false;
+  }
+  return true;
+}
+
+HARS_HOT void DataParallelApp::commit_quiet_tick(const QuietLane* lanes) {
+  if (warmup_remaining_ > 0.0) {
+    if (lanes[0].work > 0.0) warmup_remaining_ -= lanes[0].work;
+    return;
+  }
+  for (std::size_t i = 0; i < remaining_.size(); ++i) {
+    if (lanes[i].work > 0.0) remaining_[i] -= lanes[i].work;
+  }
 }
 
 bool DataParallelApp::finished() const {

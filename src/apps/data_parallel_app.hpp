@@ -41,6 +41,12 @@ class DataParallelApp final : public App {
   void end_tick(TimeUs now) override;
   bool finished() const override;
 
+  /// Quiet spans use execute()'s full-share expressions: can_do =
+  /// speed * us_to_sec(share) and used = can_do / speed * kUsPerSec.
+  bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const override;
+  bool accepts_quiet_tick(const QuietLane* lanes) const override;
+  void commit_quiet_tick(const QuietLane* lanes) override;
+
   std::int64_t iterations_completed() const { return iteration_; }
   bool in_warmup() const { return warmup_remaining_ > 0.0; }
 

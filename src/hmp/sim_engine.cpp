@@ -30,6 +30,7 @@ SimEngine::SimEngine(const PlatformSpec& platform,
               config.sensor_noise, config.sensor_seed),
       scheduler_(std::move(scheduler)),
       config_(config),
+      load_decay_(LoadTracker().decay_for(config.tick_us)),
       core_busy_us_(static_cast<std::size_t>(machine_.num_cores()), 0.0),
       tick_busy_(static_cast<std::size_t>(machine_.num_cores()), 0.0) {
   if (!scheduler_) throw std::invalid_argument("SimEngine requires a scheduler");
@@ -41,6 +42,7 @@ AppId SimEngine::add_app(App* app) {
   const AppId id = static_cast<AppId>(apps_.size());
   apps_.push_back(app);
   app_needs_begin_.push_back(app->needs_begin_tick() ? 1 : 0);
+  begin_tick_apps_ += app_needs_begin_.back();
   app_thread_base_.push_back(static_cast<int>(threads_.size()));
   for (int i = 0; i < app->thread_count(); ++i) {
     SimThread t;
@@ -72,6 +74,7 @@ void SimEngine::remove_app(AppId app_id) {
   }
   app_thread_base_[slot] = -1;
   apps_[slot] = nullptr;
+  begin_tick_apps_ -= app_needs_begin_[slot];
 }
 
 SimThread& SimEngine::thread_of(AppId app_id, int local_tid) {
@@ -86,7 +89,10 @@ const SimThread& SimEngine::thread_of(AppId app_id, int local_tid) const {
 }
 
 void SimEngine::set_thread_affinity(AppId app_id, int local_tid, CpuMask mask) {
-  thread_of(app_id, local_tid).affinity = mask;
+  CpuMask& affinity = thread_of(app_id, local_tid).affinity;
+  if (affinity.bits() == mask.bits()) return;
+  affinity = mask;
+  ++affinity_epoch_;
 }
 
 void SimEngine::set_app_affinity(AppId app_id, CpuMask mask) {
@@ -107,7 +113,10 @@ TimeUs SimEngine::thread_cpu_time_us(AppId app_id, int local_tid) const {
 }
 
 void SimEngine::run_until(TimeUs t) {
-  while (now_ < t) step();
+  while (now_ < t) {
+    step();
+    if (now_ < t) run_quiet_span(t);
+  }
 }
 
 HARS_HOT void SimEngine::prepare_scratch() {
@@ -212,13 +221,12 @@ HARS_HOT void SimEngine::step() {
 
   // Refresh runnability and load averages, one app block at a time: the
   // app answers for all of its (contiguous) threads with one virtual
-  // dispatch (App::refresh_runnable). Every SimThread's tracker is
-  // default-constructed by add_app, so the EWMA decay for this tick is one
-  // shared constant (asserted below) — computed once instead of one exp2
-  // per thread.
+  // dispatch (App::refresh_runnable). The EWMA decay is the engine-wide
+  // constant load_decay_ (every tracker has the default half-life,
+  // asserted below).
   if (!threads_.empty()) {
     obs::PhaseTimer obs_phase(obs::TickPhase::kRunnability, obs_tick);
-    const double decay = threads_.front().load.decay_for(tick);
+    const double decay = load_decay_;
     for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
       App* a = apps_[slot];
       if (a == nullptr) continue;
@@ -234,7 +242,7 @@ HARS_HOT void SimEngine::step() {
           app_thread_base_[slot])];
       for (std::size_t i = 0; i < n; ++i) {
         SimThread& t = block[i];
-        assert(t.load.half_life_us() == threads_.front().load.half_life_us());
+        assert(t.load.half_life_us() == LoadTracker().half_life_us());
         t.runnable = s.runnable[i];
         t.load.update_with_decay(t.runnable, decay);
       }
@@ -274,28 +282,7 @@ HARS_HOT void SimEngine::step() {
           static_cast<double>(mgr_use) / static_cast<double>(tick);
     }
 
-    // Count runnable threads per core, then hand out equal shares. The
-    // scheduler may already track the counts (GTS does); otherwise one pass
-    // over the thread table rebuilds them. The per-core share is computed
-    // once per core (bit-identical to the per-thread division of the
-    // reference path: same operands).
-    const std::vector<int>* counts = scheduler_->runnable_per_core();
-    if (counts == nullptr) {
-      std::fill(s.threads_on_core.begin(), s.threads_on_core.end(), 0);
-      for (const SimThread& t : threads_) {
-        if (t.runnable && t.core >= 0) {
-          ++s.threads_on_core[static_cast<std::size_t>(t.core)];
-        }
-      }
-      counts = &s.threads_on_core;
-    }
-    for (std::size_t c = 0; c < s.core_share.size(); ++c) {
-      const int sharers = (*counts)[c];
-      // sharers == 1 (one thread per core — the common case once a manager
-      // has spread the threads) skips the integer division; cap / 1 == cap.
-      s.core_share[c] = sharers <= 1 ? (sharers == 1 ? s.core_capacity[c] : 0)
-                                     : s.core_capacity[c] / sharers;
-    }
+    compute_core_shares(s.core_capacity, s.core_share);
     // The used -> busy-fraction division repeats heavily (most threads use
     // their whole share), so the last quotient is memoized; when computed,
     // it is the same division the reference path performs.
@@ -338,22 +325,11 @@ HARS_HOT void SimEngine::step() {
   }
 
   obs::PhaseTimer obs_sensor_phase(obs::TickPhase::kSensor, obs_tick);
-  // Busy-sum conservation audit, first half: recompute the per-cluster
-  // sums through an independent path (the machine's cluster masks, not
-  // the core -> cluster scratch map) before the integration pass below
-  // consumes and re-zeroes tick_busy_. Same ascending-core addition
-  // order, so the sums must be bit-identical.
-  std::array<double, 64> audit_cluster_busy;  // CpuMask caps cores at 64.
+  // The busy-sum audit needs the busy fractions the integration pass
+  // below consumes and re-zeroes.
+  std::array<double, 64> audit_busy;  // CpuMask caps cores at 64.
   if (config_.audit) {
-    audit_cluster_busy.fill(0.0);
-    for (ClusterId cl = 0; cl < machine_.num_clusters(); ++cl) {
-      double sum = 0.0;
-      const CpuMask mask = machine_.cluster_mask(cl);
-      for (CoreId c = mask.first(); c >= 0; c = mask.next(c)) {
-        sum += std::min(tick_busy_[static_cast<std::size_t>(c)], 1.0);
-      }
-      audit_cluster_busy[static_cast<std::size_t>(cl)] = sum;
-    }
+    std::copy(tick_busy_.begin(), tick_busy_.end(), audit_busy.begin());
   }
 
   // One pass clamps the busy fractions, integrates lifetime busy time and
@@ -369,20 +345,7 @@ HARS_HOT void SimEngine::step() {
     s.cluster_busy[static_cast<std::size_t>(s.core_cluster[i])] += b;
   }
   if (config_.audit) {
-    for (ClusterId cl = 0; cl < machine_.num_clusters(); ++cl) {
-      const auto i = static_cast<std::size_t>(cl);
-      if (s.cluster_busy[i] != audit_cluster_busy[i]) {
-        // The diagnostic allocates; the throw must not also trip the
-        // step's AllocGuard mid-unwind.
-        allocg::AllowScope allow("audit diagnostics");
-        throw AuditError(
-            "SimEngine::step: cluster " + std::to_string(cl) +
-            " busy-sum fed to the presummed sensor (" +
-            std::to_string(s.cluster_busy[i]) +
-            ") diverges from the mask-walk recomputation (" +
-            std::to_string(audit_cluster_busy[i]) + ")");
-      }
-    }
+    audit_cluster_busy(audit_busy.data(), s.cluster_busy, "SimEngine::step");
   }
   sensor_.tick_presummed(now_, tick, s.cluster_busy, s.cluster_freq,
                          s.cluster_online);
@@ -397,6 +360,258 @@ HARS_HOT void SimEngine::step() {
   // violations, which must stay at zero.
   obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
   obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
+}
+
+HARS_HOT void SimEngine::compute_core_shares(const std::vector<TimeUs>& capacity,
+                                             std::vector<TimeUs>& share) {
+  // Count runnable threads per core, then hand out equal shares. The
+  // scheduler may already track the counts (GTS does); otherwise one pass
+  // over the thread table rebuilds them. The per-core share is computed
+  // once per core (bit-identical to the per-thread division of the
+  // reference path: same operands).
+  TickScratch& s = scratch_;
+  const std::vector<int>* counts = scheduler_->runnable_per_core();
+  if (counts == nullptr) {
+    std::fill(s.threads_on_core.begin(), s.threads_on_core.end(), 0);
+    for (const SimThread& t : threads_) {
+      if (t.runnable && t.core >= 0) {
+        ++s.threads_on_core[static_cast<std::size_t>(t.core)];
+      }
+    }
+    counts = &s.threads_on_core;
+  }
+  for (std::size_t c = 0; c < share.size(); ++c) {
+    const int sharers = (*counts)[c];
+    // sharers == 1 (one thread per core — the common case once a manager
+    // has spread the threads) skips the integer division; cap / 1 == cap.
+    share[c] = sharers <= 1 ? (sharers == 1 ? capacity[c] : 0)
+                            : capacity[c] / sharers;
+  }
+}
+
+void SimEngine::audit_cluster_busy(const double* core_busy,
+                                   const std::vector<double>& cluster_busy,
+                                   const char* where) const {
+  for (ClusterId cl = 0; cl < machine_.num_clusters(); ++cl) {
+    double sum = 0.0;
+    const CpuMask mask = machine_.cluster_mask(cl);
+    for (CoreId c = mask.first(); c >= 0; c = mask.next(c)) {
+      sum += std::min(core_busy[static_cast<std::size_t>(c)], 1.0);
+    }
+    const double fed = cluster_busy[static_cast<std::size_t>(cl)];
+    if (fed != sum) {
+      // The diagnostic allocates; the throw must not also trip the
+      // caller's AllocGuard mid-unwind.
+      allocg::AllowScope allow("audit diagnostics");
+      throw AuditError(std::string(where) + ": cluster " + std::to_string(cl) +
+                       " busy-sum fed to the presummed sensor (" +
+                       std::to_string(fed) +
+                       ") diverges from the mask-walk recomputation (" +
+                       std::to_string(sum) + ")");
+    }
+  }
+}
+
+void SimEngine::size_quiet_scratch() {
+  const std::size_t threads = threads_.size();
+  const auto cores = static_cast<std::size_t>(machine_.num_cores());
+  const auto clusters = static_cast<std::size_t>(machine_.num_clusters());
+  // resize() is a no-op at the current size, so this allocates only when
+  // the thread table grew past every earlier span.
+  allocg::AllowScope allow("quiet-span scratch growth");
+  quiet_.grants.resize(threads);
+  quiet_.saved_load.resize(threads);
+  for (QuietVariant& v : quiet_.variants) {
+    v.mgr_use = -1;  // Placement and frequencies may differ from last span.
+    v.core_capacity.resize(cores);
+    v.core_share.resize(cores);
+    v.lanes.resize(threads);
+    v.core_busy_us.resize(cores);
+    v.cluster_busy.resize(clusters);
+  }
+}
+
+HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
+  const TimeUs tick = config_.tick_us;
+  const TickScratch& s = scratch_;
+  const auto mgr = static_cast<std::size_t>(config_.manager_core);
+  std::fill(v.core_capacity.begin(), v.core_capacity.end(), tick);
+  v.core_capacity[mgr] -= mgr_use;
+  compute_core_shares(v.core_capacity, v.core_share);
+
+  // Each thread's grant: what step()'s execute loop hands it.
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    const SimThread& t = threads_[i];
+    QuietGrant& grant = quiet_.grants[i];
+    grant = QuietGrant{};
+    if (!t.runnable || t.core < 0) continue;
+    const auto core = static_cast<std::size_t>(t.core);
+    if (v.core_share[core] <= 0) continue;
+    grant.share_us = v.core_share[core];
+    grant.type = s.core_type[core];
+    grant.freq_ghz = s.core_freq_ghz[core];
+  }
+  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
+    const App* a = apps_[slot];
+    if (a == nullptr) continue;
+    const auto base = static_cast<std::size_t>(app_thread_base_[slot]);
+    if (!a->plan_quiet(&quiet_.grants[base], &v.lanes[base])) {
+      v.mgr_use = -1;
+      return false;
+    }
+  }
+
+  // Busy fractions in step()'s addition order: the manager charge first,
+  // then each executed thread in thread-table order.
+  std::vector<double>& busy = v.core_busy_us;
+  std::fill(busy.begin(), busy.end(), 0.0);
+  if (mgr_use > 0) {
+    busy[mgr] += static_cast<double>(mgr_use) / static_cast<double>(tick);
+  }
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    if (quiet_.grants[i].share_us <= 0) continue;
+    busy[static_cast<std::size_t>(threads_[i].core)] +=
+        static_cast<double>(v.lanes[i].used_us) / static_cast<double>(tick);
+  }
+  std::fill(v.cluster_busy.begin(), v.cluster_busy.end(), 0.0);
+  for (std::size_t c = 0; c < busy.size(); ++c) {
+    v.cluster_busy[static_cast<std::size_t>(s.core_cluster[c])] +=
+        std::min(busy[c], 1.0);
+  }
+  if (config_.audit) {
+    audit_cluster_busy(busy.data(), v.cluster_busy,
+                       "SimEngine::plan_quiet_variant");
+  }
+  // From here on the array holds each core's lifetime busy-time
+  // increment, the product step() adds.
+  for (double& b : busy) b = std::min(b, 1.0) * static_cast<double>(tick);
+  v.mgr_use = mgr_use;
+  return true;
+}
+
+HARS_HOT bool SimEngine::apps_accept_quiet_tick(const QuietVariant& v) const {
+  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
+    const App* a = apps_[slot];
+    if (a == nullptr) continue;
+    const auto base = static_cast<std::size_t>(app_thread_base_[slot]);
+    if (!a->accepts_quiet_tick(&v.lanes[base])) return false;
+  }
+  return true;
+}
+
+HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
+  // Span entry: nothing may act on the tick but arithmetic. Cheapest
+  // checks first — a scenario hook, the reference path, an app that needs
+  // begin_tick or a scheduler that never elides assign() ends it here.
+  if (tick_hook_ || config_.reference_tick || begin_tick_apps_ > 0) return;
+  TickScratch& s = scratch_;
+  if (s.dvfs_epoch != machine_.dvfs_epoch() ||
+      s.online_bits != machine_.online_mask().bits()) {
+    return;
+  }
+  if (!scheduler_->placement_fixed_point(machine_, threads_)) return;
+  // The previous tick's end_tick may have opened an iteration: the flags
+  // the next step() would read must equal the table's.
+  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
+    const App* a = apps_[slot];
+    if (a == nullptr) continue;
+    a->refresh_runnable(s.runnable.get());
+    const SimThread* block =
+        &threads_[static_cast<std::size_t>(app_thread_base_[slot])];
+    for (int i = 0; i < a->thread_count(); ++i) {
+      if (block[i].runnable != s.runnable[static_cast<std::size_t>(i)]) return;
+    }
+  }
+
+  size_quiet_scratch();
+  // One allocation-free contract for the whole span, as step() has per
+  // tick; manager bookkeeping and sensor samples open their own scopes.
+  AllocGuard alloc_guard("SimEngine::run_quiet_span");
+  const TimeUs tick = config_.tick_us;
+  const QuietVariant* last = nullptr;
+  std::int64_t ticks = 0;
+  bool machine_moved = false;
+  while (now_ < until && !machine_moved) {
+    const TimeUs mgr_use = std::min(pending_manager_us_, tick);
+    QuietVariant& v = quiet_.variants[mgr_use > 0 ? 1 : 0];
+    if (v.mgr_use != mgr_use && !plan_quiet_variant(v, mgr_use)) break;
+    if (!apps_accept_quiet_tick(v)) break;
+    // Loads advance first, as in step(); a load-tier change ends the span
+    // before this tick, so the advance is rolled back.
+    SimThread* const threads = threads_.data();
+    LoadTracker* const saved = quiet_.saved_load.data();
+    const std::size_t n = threads_.size();
+    const double decay = load_decay_;
+    for (std::size_t i = 0; i < n; ++i) {
+      saved[i] = threads[i].load;
+      threads[i].load.update_with_decay(threads[i].runnable, decay);
+    }
+    if (!scheduler_->placement_holds_after_load_update(machine_, threads_)) {
+      for (std::size_t i = 0; i < n; ++i) threads[i].load = saved[i];
+      break;
+    }
+
+    // Commit: execute and end_tick, then the manager, integration and
+    // the sensor, in step()'s order.
+    pending_manager_us_ -= mgr_use;
+    now_ += tick;
+    for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
+      App* a = apps_[slot];
+      if (a == nullptr) continue;
+      a->commit_quiet_tick(
+          &v.lanes[static_cast<std::size_t>(app_thread_base_[slot])]);
+    }
+    const QuietLane* const lanes = v.lanes.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      threads[i].cpu_time_us += lanes[i].used_us;
+    }
+    if (manager_ != nullptr) {
+      const std::uint64_t affinity_epoch = affinity_epoch_;
+      const TimeUs cost = manager_->on_tick(now_);
+      if (cost > 0) {
+        pending_manager_us_ += cost;
+        manager_overhead_total_us_ += cost;
+      }
+      // A retune, hotplug or affinity change ends the span after this
+      // tick; the sensor integrates against the new machine state, as in
+      // step().
+      if (affinity_epoch_ != affinity_epoch ||
+          s.dvfs_epoch != machine_.dvfs_epoch() ||
+          s.online_bits != machine_.online_mask().bits()) {
+        refresh_machine_snapshot();
+        machine_moved = true;
+      }
+    }
+    for (std::size_t c = 0; c < core_busy_us_.size(); ++c) {
+      core_busy_us_[c] += v.core_busy_us[c];
+    }
+    sensor_.tick_presummed(now_, tick, v.cluster_busy, s.cluster_freq,
+                           s.cluster_online);
+    last = &v;
+    ++ticks;
+  }
+  if (ticks == 0) return;
+
+  // Leave the tick scratch as the span's last tick would have: audits
+  // and the next step() read it.
+  std::copy(last->core_capacity.begin(), last->core_capacity.end(),
+            s.core_capacity.begin());
+  std::copy(last->core_share.begin(), last->core_share.end(),
+            s.core_share.begin());
+  std::copy(last->cluster_busy.begin(), last->cluster_busy.end(),
+            s.cluster_busy.begin());
+  capacity_dirty_ = true;
+  scheduler_->note_elided_assigns(ticks);
+  const obs::Catalog& cat = obs::catalog();
+  quiet_ticks_ += ticks;
+  obs::counter_add(cat.ticks, static_cast<std::uint64_t>(ticks));
+  obs::counter_add(cat.quiet_ticks, static_cast<std::uint64_t>(ticks));
+  obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
+  obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
+  if (config_.audit) {
+    allocg::AllowScope allow("audit diagnostics");
+    audit_tick();
+  }
 }
 
 // The retained reference tick path: the pre-TickScratch implementation,

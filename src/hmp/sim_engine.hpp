@@ -14,6 +14,13 @@
 //      runtime overhead both consumes capacity and burns power,
 //   6. integrates power and advances the sensor.
 //
+// After each step(), run_until() runs the *quiet* ticks that follow in one
+// loop (run_quiet_span): ticks on which no thread finishes its share and
+// the scheduler's placement is a fixed point, so only arithmetic changes.
+// The loop repeats step()'s accumulations in step()'s order from values
+// planned once per span, so the simulation is bit-identical either way;
+// see docs/ARCHITECTURE.md, "The tick lifecycle".
+//
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
 // (machine().set_freq_level) and hotplug (machine().set_online_mask).
@@ -74,6 +81,25 @@ struct TickScratch {
   std::size_t runnable_capacity = 0;   ///< Allocated size of `runnable`.
   std::uint64_t dvfs_epoch = 0;        ///< Machine epoch the snapshot is for.
   std::uint64_t online_bits = ~0ULL;   ///< Online mask the snapshot is for.
+};
+
+/// One planned capacity variant of a quiet span: a full tick, or a tick
+/// whose manager core is charged `mgr_use` of manager overhead. Every
+/// value is computed once with step()'s own expressions.
+struct QuietVariant {
+  TimeUs mgr_use = -1;                 ///< Charge planned for; -1: unplanned.
+  std::vector<TimeUs> core_capacity;   ///< As TickScratch::core_capacity.
+  std::vector<TimeUs> core_share;      ///< As TickScratch::core_share.
+  std::vector<QuietLane> lanes;        ///< Per thread-table entry.
+  std::vector<double> core_busy_us;    ///< Clamped busy fraction * tick.
+  std::vector<double> cluster_busy;    ///< Per-cluster clamped busy sums.
+};
+
+/// Scratch of the quiet-span loop, sized at span entry.
+struct QuietScratch {
+  std::vector<QuietGrant> grants;      ///< Per thread, for plan_quiet.
+  std::vector<LoadTracker> saved_load; ///< Rollback of a declined tick.
+  QuietVariant variants[2];            ///< [0] full tick, [1] charged.
 };
 
 struct PlatformSpec;  // hmp/platform_spec.hpp
@@ -182,6 +208,9 @@ class SimEngine {
 
   std::int64_t total_migrations() const;
 
+  /// Ticks run in quiet spans so far (a subset of now() / tick_us()).
+  std::int64_t quiet_ticks() const { return quiet_ticks_; }
+
   const std::vector<SimThread>& threads() const { return threads_; }
 
   // --- HARS_AUDIT invariant audits ---
@@ -204,6 +233,30 @@ class SimEngine {
 
   void step();
   void step_reference();
+  /// Runs the quiet ticks that follow a step(), up to `until`; returns
+  /// at once when the span-entry checks fail. Never used on the
+  /// reference path.
+  void run_quiet_span(TimeUs until);
+  /// Sizes QuietScratch for the current thread table (outside the span's
+  /// AllocGuard).
+  void size_quiet_scratch();
+  /// Plans `variant` for a manager charge of `mgr_use`; false when an app
+  /// does not take quiet ticks.
+  bool plan_quiet_variant(QuietVariant& variant, TimeUs mgr_use);
+  /// True when every app accepts one quiet tick with `variant`'s lanes.
+  bool apps_accept_quiet_tick(const QuietVariant& variant) const;
+  /// Equal per-core shares of `capacity` among the runnable threads
+  /// placed on each core (step()'s expressions; the span planner's too).
+  void compute_core_shares(const std::vector<TimeUs>& capacity,
+                           std::vector<TimeUs>& share);
+  /// Busy-sum conservation audit: recomputes each cluster's sum of
+  /// min(core_busy, 1) through the machine's cluster masks (a path
+  /// independent of the core -> cluster scratch map, same ascending-core
+  /// order) and throws AuditError unless `cluster_busy` matches bit for
+  /// bit.
+  void audit_cluster_busy(const double* core_busy,
+                          const std::vector<double>& cluster_busy,
+                          const char* where) const;
   /// Post-assign check: every runnable placed thread sits on an online
   /// core inside its affinity set (or the online fallback). Runs
   /// immediately after scheduler assignment — NOT at end of step — since
@@ -233,6 +286,7 @@ class SimEngine {
   /// Per slot: App::needs_begin_tick(), cached at add_app so the tick
   /// path skips the no-op virtual dispatch.
   std::vector<char> app_needs_begin_;
+  int begin_tick_apps_ = 0;  ///< Alive apps with app_needs_begin_ set.
   std::vector<SimThread> threads_;
   /// threads_ index of the first thread of each app; -1 once removed.
   std::vector<int> app_thread_base_;
@@ -246,10 +300,20 @@ class SimEngine {
   TimeUs pending_manager_us_ = 0;  ///< Overhead not yet charged to a tick.
   TimeUs manager_overhead_total_us_ = 0;
 
+  /// Bumped by set_thread_affinity when a mask changes; a quiet span ends
+  /// after a tick whose manager moved it.
+  std::uint64_t affinity_epoch_ = 0;
+  /// Per-tick load EWMA factor. Every SimThread's tracker is
+  /// default-constructed by add_app and the tick length never changes,
+  /// so one exp2 serves the engine's life.
+  double load_decay_;
+
   TimeUs now_ = 0;
+  std::int64_t quiet_ticks_ = 0;
   std::vector<double> core_busy_us_;  ///< Lifetime busy time per core.
   std::vector<double> tick_busy_;     ///< Scratch: per-core busy fraction.
   TickScratch scratch_;               ///< Per-tick scratch (optimized path).
+  QuietScratch quiet_;                ///< Quiet-span scratch.
   /// True while TickScratch::core_capacity may hold a value other than a
   /// full tick (manager overhead was charged); forces a refill.
   bool capacity_dirty_ = true;

@@ -51,6 +51,9 @@ Catalog build_catalog() {
   Catalog c;
 
   c.ticks = reg.register_counter("engine.ticks", "Simulation ticks stepped");
+  c.quiet_ticks = reg.register_counter(
+      "engine.quiet_ticks",
+      "Ticks run in quiet spans (a subset of engine.ticks)");
   c.tick_allocs = reg.register_counter(
       "engine.tick_allocs",
       "Heap allocations observed inside guarded tick regions (AllowScopes "

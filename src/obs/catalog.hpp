@@ -39,6 +39,7 @@ const char* tick_phase_name(TickPhase phase);
 struct Catalog {
   // --- Engine / tick lifecycle ---
   CounterId ticks;                  ///< engine.ticks
+  CounterId quiet_ticks;            ///< engine.quiet_ticks
   CounterId tick_allocs;            ///< engine.tick_allocs
   CounterId tick_alloc_violations;  ///< engine.tick_alloc_violations
   HistId tick_phase_ns[static_cast<int>(TickPhase::kCount)];

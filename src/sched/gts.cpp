@@ -27,6 +27,47 @@ void GtsScheduler::prime_topology(const Machine& machine) {
   sig_valid_ = false;
 }
 
+// Stable-placement skip: the current placement is a fixed point and no
+// decision input changed, so a full run would reproduce it exactly.
+HARS_HOT bool GtsScheduler::placement_fixed_point(
+    const Machine& machine, const std::vector<SimThread>& threads) const {
+  if (config_.reference || config_.idle_pull || !sig_valid_ ||
+      !last_stable_ || cached_machine_ != &machine ||
+      machine.online_mask().bits() != prev_online_bits_ ||
+      threads.size() != prev_sig_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    const SimThread& t = threads[i];
+    const ThreadSig& sig = prev_sig_[i];
+    // An unplaced runnable thread (fresh spawn reusing this index)
+    // always needs a full run — it is not part of any fixed point —
+    // and so does any thread-identity change (kill + spawn can restore
+    // the same table size with every index reshuffled).
+    if (t.id != sig.id || t.runnable != sig.runnable ||
+        t.affinity.bits() != sig.affinity || tier_of(t) != sig.tier ||
+        (t.runnable && t.core < 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+HARS_HOT bool GtsScheduler::placement_holds_after_load_update(
+    const Machine& machine, const std::vector<SimThread>& threads) const {
+  (void)machine;
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    if (tier_of(threads[i]) != prev_sig_[i].tier) return false;
+  }
+  return true;
+}
+
+void GtsScheduler::note_elided_assigns(std::int64_t ticks) {
+  const auto n = static_cast<std::uint64_t>(ticks);
+  obs::counter_add(obs::catalog().gts_assign_calls, n);
+  obs::counter_add(obs::catalog().gts_assign_skips, n);
+}
+
 HARS_HOT void GtsScheduler::assign(const Machine& machine,
                                    std::vector<SimThread>& threads) {
   if (config_.reference) {
@@ -39,37 +80,10 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
   const CpuMask little = little_cache_;
   const CpuMask big = big_cache_;
 
-  // Stable-placement skip: the current placement is a fixed point and no
-  // decision input changed, so a full run would reproduce it exactly.
-  auto tier_of = [&](const SimThread& t) -> std::uint8_t {
-    const double load = t.load.value();
-    if (load >= config_.up_threshold) return 0;
-    if (load <= config_.down_threshold) return 1;
-    return 2;
-  };
-  if (!config_.idle_pull && sig_valid_ && last_stable_ &&
-      online.bits() == prev_online_bits_ &&
-      threads.size() == prev_sig_.size()) {
-    bool same = true;
-    for (std::size_t i = 0; i < threads.size(); ++i) {
-      const SimThread& t = threads[i];
-      const ThreadSig& sig = prev_sig_[i];
-      // An unplaced runnable thread (fresh spawn reusing this index)
-      // always needs a full run — it is not part of any fixed point —
-      // and so does any thread-identity change (kill + spawn can restore
-      // the same table size with every index reshuffled).
-      if (t.id != sig.id || t.runnable != sig.runnable ||
-          t.affinity.bits() != sig.affinity || tier_of(t) != sig.tier ||
-          (t.runnable && t.core < 0)) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      // core_load_ from the last full run still holds.
-      obs::counter_add(obs::catalog().gts_assign_skips);
-      return;
-    }
+  if (placement_fixed_point(machine, threads)) {
+    // core_load_ from the last full run still holds.
+    obs::counter_add(obs::catalog().gts_assign_skips);
+    return;
   }
 
   // Number of runnable threads currently packed on each core; reused

@@ -48,6 +48,20 @@ class GtsScheduler final : public Scheduler {
     return config_.reference ? nullptr : &core_load_;
   }
 
+  /// The stable-placement skip's predicate (see below); false in
+  /// reference or idle-pull mode, which never skip.
+  bool placement_fixed_point(const Machine& machine,
+                             const std::vector<SimThread>& threads) const override;
+
+  /// Only load tiers can have changed: compares them with the last full
+  /// run's.
+  bool placement_holds_after_load_update(
+      const Machine& machine,
+      const std::vector<SimThread>& threads) const override;
+
+  /// Counts each elided call as an assign() call that took the skip.
+  void note_elided_assigns(std::int64_t ticks) override;
+
   const char* name() const override { return "gts"; }
 
   const GtsConfig& config() const { return config_; }
@@ -57,6 +71,13 @@ class GtsScheduler final : public Scheduler {
                         std::vector<SimThread>& threads);
   /// Rebuilds the immutable-topology caches when first seeing `machine`.
   void prime_topology(const Machine& machine);
+  /// Load tier: 0 = up, 1 = down, 2 = between thresholds.
+  std::uint8_t tier_of(const SimThread& t) const {
+    const double load = t.load.value();
+    if (load >= config_.up_threshold) return 0;
+    if (load <= config_.down_threshold) return 1;
+    return 2;
+  }
 
   GtsConfig config_;
   std::vector<int> core_load_;  ///< Per-call scratch, pre-sized once.

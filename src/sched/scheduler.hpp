@@ -49,6 +49,31 @@ class Scheduler {
   /// table yields, so the engine can skip that pass.
   virtual const std::vector<int>* runnable_per_core() const { return nullptr; }
 
+  /// Quiet-span query (SimEngine::run_until): true when assign() on
+  /// `threads` as they stand would provably leave every placement and
+  /// runnable_per_core() unchanged — the last placement is a fixed point
+  /// for the current inputs. The engine then elides the call. The default
+  /// answers false, so such a scheduler sees assign() on every tick.
+  virtual bool placement_fixed_point(const Machine& machine,
+                                     const std::vector<SimThread>& threads) const {
+    (void)machine;
+    (void)threads;
+    return false;
+  }
+
+  /// Per-tick form of placement_fixed_point() for a caller that, since it
+  /// last answered true, changed nothing but load averages (a quiet
+  /// span): only what the loads feed is re-checked. The default re-asks
+  /// placement_fixed_point().
+  virtual bool placement_holds_after_load_update(
+      const Machine& machine, const std::vector<SimThread>& threads) const {
+    return placement_fixed_point(machine, threads);
+  }
+
+  /// Accounts (telemetry only) for `ticks` assign() calls the engine
+  /// elided because placement_fixed_point() held before each of them.
+  virtual void note_elided_assigns(std::int64_t ticks) { (void)ticks; }
+
   virtual const char* name() const = 0;
 };
 
