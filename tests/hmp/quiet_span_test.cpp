@@ -1,0 +1,427 @@
+// Quiet-span differential: every case runs twice, once on the reference
+// tick path (SimConfig::reference_tick / ExperimentBuilder::reference_impl,
+// which never takes a span) and once on the default path, and the two
+// must agree bit for bit — the result fingerprint, and the engine state
+// (time, per-core busy time, per-cluster energy, every thread's cpu time,
+// load, core and migrations, manager overhead and on_tick calls) at every
+// manager call and at the end. Each default run must also have taken
+// quiet spans, or the comparison would prove nothing.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "apps/data_parallel_app.hpp"
+#include "exp/experiment.hpp"
+#include "exp/fuzz_harness.hpp"
+#include "exp/variant_registry.hpp"
+#include "hmp/platform_registry.hpp"
+#include "hmp/platform_spec.hpp"
+#include "hmp/sim_engine.hpp"
+#include "sched/gts.hpp"
+
+namespace hars {
+namespace {
+
+/// Folds raw bytes into an FNV-1a hash.
+class Fnv {
+ public:
+  template <class T>
+  void add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char b : bytes) hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Everything a tick changes in the engine, exactly (doubles as hex
+/// floats), so a mismatch shows where the paths diverged.
+std::string engine_state(const SimEngine& engine) {
+  std::string out;
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "now=%lld overhead=%lld\n",
+                static_cast<long long>(engine.now()),
+                static_cast<long long>(engine.manager_overhead_us()));
+  out += buf;
+  for (CoreId c = 0; c < engine.machine().num_cores(); ++c) {
+    std::snprintf(buf, sizeof buf, "core%d busy=%a\n", c,
+                  engine.core_busy_fraction(c));
+    out += buf;
+  }
+  for (ClusterId cl = 0; cl < engine.machine().num_clusters(); ++cl) {
+    std::snprintf(buf, sizeof buf, "cluster%d energy=%a\n", cl,
+                  engine.sensor().cluster_energy_j(cl));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof buf, "energy=%a samples=%zu\n",
+                engine.sensor().total_energy_j(),
+                engine.sensor().samples().size());
+  out += buf;
+  for (const SimThread& t : engine.threads()) {
+    std::snprintf(buf, sizeof buf,
+                  "thread%lld cpu=%lld load=%a core=%d migrations=%lld\n",
+                  static_cast<long long>(t.id),
+                  static_cast<long long>(t.cpu_time_us), t.load.value(),
+                  t.core, static_cast<long long>(t.migrations));
+    out += buf;
+  }
+  return out;
+}
+
+/// Hashes the engine state at one manager call.
+std::uint64_t state_hash(const SimEngine& engine) {
+  Fnv h;
+  h.add(engine.now());
+  h.add(engine.manager_overhead_us());
+  for (CoreId c = 0; c < engine.machine().num_cores(); ++c) {
+    h.add(engine.core_busy_fraction(c));
+  }
+  for (ClusterId cl = 0; cl < engine.machine().num_clusters(); ++cl) {
+    h.add(engine.sensor().cluster_energy_j(cl));
+  }
+  for (const SimThread& t : engine.threads()) {
+    h.add(t.cpu_time_us);
+    h.add(t.load.value());
+    h.add(t.core);
+    h.add(t.migrations);
+  }
+  return h.value();
+}
+
+// --- Engine-level cases -----------------------------------------------
+
+/// A manager whose per-tick behaviour is a function of the engine and
+/// time; it counts its calls and folds the engine state at each into a
+/// running hash.
+class ScriptedManager final : public ManagerHook {
+ public:
+  using Script = std::function<TimeUs(SimEngine&, TimeUs)>;
+  ScriptedManager(SimEngine& engine, Script script)
+      : engine_(engine), script_(std::move(script)) {}
+
+  TimeUs on_tick(TimeUs now) override {
+    ++calls_;
+    trail_.add(state_hash(engine_));
+    return script_ ? script_(engine_, now) : 0;
+  }
+
+  std::int64_t calls() const { return calls_; }
+  std::uint64_t trail() const { return trail_.value(); }
+
+ private:
+  SimEngine& engine_;
+  Script script_;
+  std::int64_t calls_ = 0;
+  Fnv trail_;
+};
+
+DataParallelConfig app_config(int threads, double work, std::uint64_t seed,
+                              double imbalance = 0.1) {
+  DataParallelConfig cfg;
+  cfg.threads = threads;
+  cfg.speed = SpeedModel{3.0, 2.0};
+  cfg.workload = {WorkloadShape::kNoisy, work, 0.1, 0.0, 100};
+  cfg.imbalance = imbalance;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// One engine run: apps, a scripted manager and a slice schedule.
+struct EngineCase {
+  std::string platform = "exynos5422";
+  std::vector<DataParallelConfig> apps;
+  ScriptedManager::Script script;
+  std::vector<TimeUs> slices;  ///< run_for lengths, in order.
+};
+
+struct EngineRun {
+  std::string state;                    ///< Final engine state.
+  std::vector<std::string> slice_states;///< State after every slice.
+  std::vector<std::int64_t> heartbeats; ///< Per app.
+  std::uint64_t trail = 0;              ///< Hash of states at on_tick.
+  std::int64_t calls = 0;
+  std::int64_t quiet_ticks = 0;
+};
+
+EngineRun run_engine(const EngineCase& c, bool reference) {
+  SimConfig config;
+  config.reference_tick = reference;
+  const PlatformSpec* platform = PlatformRegistry::instance().find(c.platform);
+  EXPECT_NE(platform, nullptr) << c.platform;
+  SimEngine engine(*platform, std::make_unique<GtsScheduler>(), config);
+  std::vector<std::unique_ptr<DataParallelApp>> apps;
+  for (std::size_t i = 0; i < c.apps.size(); ++i) {
+    apps.push_back(std::make_unique<DataParallelApp>(
+        "app" + std::to_string(i), c.apps[i]));
+    engine.add_app(apps.back().get());
+  }
+  ScriptedManager manager(engine, c.script);
+  engine.set_manager(&manager);
+  EngineRun run;
+  for (TimeUs slice : c.slices) {
+    engine.run_for(slice);
+    run.slice_states.push_back(engine_state(engine));
+  }
+  run.state = engine_state(engine);
+  for (const auto& app : apps) run.heartbeats.push_back(app->heartbeats().count());
+  run.trail = manager.trail();
+  run.calls = manager.calls();
+  run.quiet_ticks = engine.quiet_ticks();
+  return run;
+}
+
+void expect_identical(const EngineCase& c) {
+  const EngineRun ref = run_engine(c, /*reference=*/true);
+  const EngineRun fast = run_engine(c, /*reference=*/false);
+  EXPECT_EQ(ref.quiet_ticks, 0) << "the reference path took a span";
+  EXPECT_GT(fast.quiet_ticks, 0) << "the default path took no span";
+  EXPECT_EQ(ref.calls, fast.calls);
+  EXPECT_EQ(ref.trail, fast.trail) << "state differs at some manager call";
+  EXPECT_EQ(ref.heartbeats, fast.heartbeats);
+  ASSERT_EQ(ref.slice_states.size(), fast.slice_states.size());
+  for (std::size_t i = 0; i < ref.slice_states.size(); ++i) {
+    EXPECT_EQ(ref.slice_states[i], fast.slice_states[i]) << "after slice " << i;
+  }
+  EXPECT_EQ(ref.state, fast.state);
+}
+
+TEST(QuietSpan, SingleAppMatchesReference) {
+  EngineCase c;
+  c.apps = {app_config(8, 4.0, 1)};
+  c.slices = {20 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, ThreadFinishingMidSpanEndsTheSpan) {
+  // Two apps with different iteration lengths: threads of the short app
+  // reach their barrier while the long app is mid-iteration, and the
+  // long app stops after a few iterations while the other keeps going.
+  EngineCase c;
+  DataParallelConfig longer = app_config(4, 6.0, 2, 0.3);
+  longer.max_iterations = 5;
+  c.apps = {app_config(4, 1.5, 3, 0.3), longer};
+  c.slices = {15 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, ManagerCostOfSeveralTicksStarvesTheManagerCore) {
+  // 2.5 ticks of overhead every 40 ticks: cpu0 has zero capacity for two
+  // ticks, then half a tick, with a thread pinned there.
+  EngineCase c;
+  c.apps = {app_config(4, 3.0, 4)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    if (now == engine.tick_us()) {
+      engine.set_thread_affinity(0, 0, CpuMask::single(0));
+    }
+    return now % (40 * engine.tick_us()) == 0 ? 2500 : 0;
+  };
+  c.slices = {10 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, SmallManagerCostEveryFewTicks) {
+  // The HARS poll pattern: a small charge every fifth tick alternates the
+  // full and charged capacity variants.
+  EngineCase c;
+  c.apps = {app_config(8, 4.0, 5)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    return now % (5 * engine.tick_us()) == 0 ? 60 : 0;
+  };
+  c.slices = {10 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, ManagerRetunesHotplugsAndPinsMidSpan) {
+  EngineCase c;
+  c.apps = {app_config(4, 3.0, 6), app_config(2, 1.0, 7)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    const std::int64_t tick = now / engine.tick_us();
+    Machine& m = engine.machine();
+    if (tick % 97 == 0) {
+      const ClusterId big = m.fastest_cluster();
+      m.set_freq_level(big, static_cast<int>((tick / 97) % m.num_freq_levels(big)));
+    }
+    if (tick % 151 == 0) {
+      // Toggle the last core offline and back.
+      const CpuMask last = CpuMask::single(m.num_cores() - 1);
+      m.set_online_mask(m.online_mask().test(m.num_cores() - 1)
+                            ? m.online_mask() & ~last
+                            : m.online_mask() | last);
+    }
+    if (tick % 211 == 0) {
+      const int shift = static_cast<int>((tick / 211) % 2);
+      engine.set_app_affinity(1, shift == 0 ? m.cluster_mask(m.fastest_cluster())
+                                            : m.all_mask());
+    }
+    return 0;
+  };
+  c.slices = {12 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, RunForSlicesEndInsideSpans) {
+  EngineCase c;
+  c.apps = {app_config(8, 4.0, 8)};
+  for (TimeUs slice : {7, 1, 13, 250, 3, 1000, 37, 2, 4096}) {
+    c.slices.push_back(slice * kUsPerMs);
+  }
+  expect_identical(c);
+}
+
+TEST(QuietSpan, SecondPlatformMatchesReference) {
+  EngineCase c;
+  c.platform = "sd855";
+  c.apps = {app_config(8, 5.0, 9), app_config(4, 2.0, 10)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    return now % (5 * engine.tick_us()) == 0 ? 60 : 0;
+  };
+  c.slices = {10 * kUsPerSec};
+  expect_identical(c);
+}
+
+// --- Experiment-level cases ---------------------------------------------
+
+/// Wraps a registered variant: forwards everything to it, and at every
+/// manager call folds the engine state into a hash. Always installed as
+/// the manager (so manager-less variants are observed too); its own
+/// on_tick adds no cost.
+struct ProbeLog {
+  Fnv trail;
+  std::int64_t calls = 0;
+  std::int64_t quiet_ticks = 0;
+};
+
+ProbeLog* g_probe_log = nullptr;
+
+class ProbeInstance final : public VariantInstance {
+ public:
+  ProbeInstance(std::unique_ptr<VariantInstance> real, SimEngine* engine)
+      : real_(std::move(real)), engine_(engine) {
+    inner_ = std::make_unique<Idle>();  // Makes active() true.
+  }
+
+  TimeUs on_tick(TimeUs now) override {
+    if (g_probe_log != nullptr && engine_ != nullptr) {
+      ++g_probe_log->calls;
+      g_probe_log->trail.add(state_hash(*engine_));
+      g_probe_log->quiet_ticks = engine_->quiet_ticks();
+    }
+    return real_->active() ? real_->on_tick(now) : 0;
+  }
+  void on_app_spawn(AppId app, const PerfTarget& target) override {
+    real_->on_app_spawn(app, target);
+  }
+  void on_app_kill(AppId app) override { real_->on_app_kill(app); }
+  void on_app_target(AppId app, const PerfTarget& target) override {
+    real_->on_app_target(app, target);
+  }
+  std::vector<TracePoint> trace(AppId app) const override {
+    return real_->trace(app);
+  }
+  std::optional<SystemState> current_state() const override {
+    return real_->current_state();
+  }
+  std::optional<SystemState> static_state() const override {
+    return real_->static_state();
+  }
+  std::int64_t adaptations() const override { return real_->adaptations(); }
+
+ private:
+  struct Idle final : ManagerHook {
+    TimeUs on_tick(TimeUs) override { return 0; }
+  };
+  std::unique_ptr<VariantInstance> real_;
+  SimEngine* engine_;
+};
+
+std::string probe_name(const std::string& variant) { return "probe:" + variant; }
+
+void register_probe(const std::string& variant) {
+  VariantRegistry& registry = VariantRegistry::instance();
+  if (registry.find(probe_name(variant)) != nullptr) return;
+  const VariantEntry* entry = registry.find(variant);
+  ASSERT_NE(entry, nullptr) << variant;
+  const VariantFactory real = entry->factory;
+  registry.register_variant(
+      probe_name(variant), entry->traits,
+      [real](const VariantSetup& setup) -> std::unique_ptr<VariantInstance> {
+        return std::make_unique<ProbeInstance>(real(setup),
+                                               setup.backend.sim_engine());
+      });
+}
+
+struct ExperimentRun {
+  std::string fingerprint;
+  ProbeLog log;
+};
+
+ExperimentRun run_experiment(const std::string& platform,
+                             const std::vector<ParsecBenchmark>& apps,
+                             const std::string& variant, bool reference,
+                             double seconds) {
+  register_probe(variant);
+  ExperimentRun run;
+  g_probe_log = &run.log;
+  const ExperimentResult result = ExperimentBuilder()
+                                      .platform(std::string_view(platform))
+                                      .apps(apps)
+                                      .variant(probe_name(variant))
+                                      .duration_sec(seconds)
+                                      .seed(11)
+                                      .reference_impl(reference)
+                                      .build()
+                                      .run();
+  g_probe_log = nullptr;
+  run.fingerprint = result_fingerprint(result);
+  return run;
+}
+
+class QuietSpanVariants
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+
+TEST_P(QuietSpanVariants, MatchReferenceAtEveryManagerCall) {
+  const std::string platform = std::get<0>(GetParam());
+  const std::string variant = std::get<1>(GetParam());
+  // The two-app pair includes blackscholes' serial warm-up phase; its
+  // baseline probe needs the Fig 5.4 duration to see heartbeats.
+  const bool multi = variant == "MP-HARS-E" || variant == "CONS-I";
+  const std::vector<ParsecBenchmark> apps =
+      multi ? std::vector<ParsecBenchmark>{ParsecBenchmark::kBodytrack,
+                                           ParsecBenchmark::kBlackscholes}
+            : std::vector<ParsecBenchmark>{ParsecBenchmark::kSwaptions};
+  const double seconds = multi ? 40 : 20;
+  const ExperimentRun ref = run_experiment(platform, apps, variant, true, seconds);
+  const ExperimentRun fast =
+      run_experiment(platform, apps, variant, false, seconds);
+  EXPECT_EQ(ref.fingerprint, fast.fingerprint);
+  EXPECT_EQ(ref.log.calls, fast.log.calls);
+  EXPECT_EQ(ref.log.trail.value(), fast.log.trail.value())
+      << "engine state differs at some manager call";
+  EXPECT_EQ(ref.log.quiet_ticks, 0);
+  EXPECT_GT(fast.log.quiet_ticks, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Platforms, QuietSpanVariants,
+    ::testing::Combine(::testing::Values("exynos5422", "sd855"),
+                       ::testing::Values("Baseline", "SO", "HARS-E",
+                                         "HARS-EI", "MP-HARS-E", "CONS-I")),
+    [](const auto& info) {
+      std::string name = std::string(std::get<0>(info.param)) + "_" +
+                         std::get<1>(info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
+
+}  // namespace
+}  // namespace hars

@@ -9,10 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "apps/parsec.hpp"
 #include "exp/experiment.hpp"
 #include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
+#include "hmp/platform_registry.hpp"
+#include "hmp/sim_engine.hpp"
 #include "obs/telemetry.hpp"
+#include "sched/gts.hpp"
 
 namespace hars {
 namespace {
@@ -67,6 +71,32 @@ TEST(TelemetryDeterminism, StaggeredScenarioIsBitIdentical) {
   const std::string off = result_fingerprint(make(false));
   const std::string on = result_fingerprint(make(true));
   EXPECT_EQ(off, on) << "telemetry changed the staggered scenario run";
+}
+
+TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
+  // Quiet spans run many ticks per loop and elide GTS assign(); the tick
+  // and assign counters must still advance once per simulated tick.
+  obs::TelemetrySession session(armed());
+  SimEngine engine(*PlatformRegistry::instance().find("exynos5422"),
+                   std::make_unique<GtsScheduler>());
+  const std::unique_ptr<App> app =
+      make_parsec_app(ParsecBenchmark::kSwaptions, 8, 1);
+  engine.add_app(app.get());
+  engine.run_for(20 * kUsPerSec);
+  session.finish();
+
+  const auto ticks = static_cast<std::uint64_t>(engine.now() / engine.tick_us());
+  ASSERT_GT(engine.quiet_ticks(), 0) << "the run took no quiet span";
+  const obs::MetricsSnapshot& snap = session.snapshot();
+  ASSERT_NE(snap.find("engine.ticks"), nullptr);
+  EXPECT_EQ(snap.find("engine.ticks")->counter, ticks);
+  EXPECT_EQ(snap.find("engine.quiet_ticks")->counter,
+            static_cast<std::uint64_t>(engine.quiet_ticks()));
+  EXPECT_EQ(snap.find("sched.gts.assign_calls")->counter, ticks);
+  EXPECT_LE(snap.find("sched.gts.assign_skips")->counter, ticks);
+  EXPECT_GE(snap.find("sched.gts.assign_skips")->counter,
+            static_cast<std::uint64_t>(engine.quiet_ticks()));
+  EXPECT_EQ(snap.find("engine.tick_alloc_violations")->counter, 0u);
 }
 
 }  // namespace

@@ -4,16 +4,27 @@
 // resume cursor, new submissions are rejected with a typed error, and
 // resume(start_case = emitted_through) concatenates to the full run
 // with no lost and no duplicated records.
+//
+// A drain must land mid-campaign however fast a case runs, so the
+// campaign's variants pass through a gate: while armed, every case but
+// the first waits at its start until the test has seen the drain take
+// effect. The first case's record triggers the drain; the cases already
+// waiting are in flight and finish, and the rest never start.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exp/variant_registry.hpp"
 #include "svc/campaign_scheduler.hpp"
 #include "svc/client.hpp"
 #include "svc/daemon.hpp"
@@ -24,14 +35,72 @@ namespace hars {
 namespace svc {
 namespace {
 
+/// Holds cases at their start. While armed, a case whose seed is not
+/// `pass_seed` waits until release(); disarmed, every case passes.
+/// Only one variant is gated, and the passing case is its first, so no
+/// case waits ahead of the first record in emission order.
+class CaseGate {
+ public:
+  void arm(std::uint64_t pass_seed) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = true;
+    pass_seed_ = pass_seed;
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      armed_ = false;
+    }
+    cv_.notify_all();
+  }
+  void enter(std::uint64_t seed) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (seed == pass_seed_) return;
+    cv_.wait(lock, [&] { return !armed_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  std::uint64_t pass_seed_ = 0;
+};
+
+CaseGate& gate() {
+  static CaseGate instance;
+  return instance;
+}
+
+/// Releases the gate on every exit path, so no pool worker stays parked
+/// when an assertion returns early.
+struct GateRelease {
+  ~GateRelease() { gate().release(); }
+};
+
+/// Registers "gated:<name>": the named variant behind the case gate.
+std::string gated(const std::string& name) {
+  const std::string gated_name = "gated:" + name;
+  VariantRegistry& registry = VariantRegistry::instance();
+  if (registry.find(gated_name) == nullptr) {
+    const VariantEntry* entry = registry.find(name);
+    const VariantFactory real = entry->factory;
+    registry.register_variant(gated_name, entry->traits,
+                              [real](const VariantSetup& setup) {
+                                gate().enter(setup.spec.seed);
+                                return real(setup);
+                              });
+  }
+  return gated_name;
+}
+
 CampaignRequest drain_campaign() {
   CampaignRequest campaign;
   campaign.benches = {"SW", "BO"};
-  campaign.variants = {"Baseline", "HARS-E"};
+  campaign.variants = {"Baseline", gated("HARS-E")};
   campaign.fractions = {0.80, 0.85, 0.90, 0.95};
   campaign.distances = {1, 2};
-  campaign.duration_sec = 120.0;  // 32 cases, tens of ms each: a drain
-  campaign.derive_seeds = true;   // always lands mid-campaign.
+  campaign.duration_sec = 120.0;  // 32 cases.
+  campaign.derive_seeds = true;   // Distinct seeds: the gate keys on them.
   return campaign;
 }
 
@@ -59,6 +128,53 @@ std::string run_local(const SweepSpec& spec, std::size_t start_case,
   return out.str();
 }
 
+/// Arms the gate so that the first gated case runs freely. (The
+/// Baseline cases fail validation at once — Baseline takes no search
+/// distance — and emit no records.)
+void arm_gate(const SweepSpec& spec) {
+  for (const SweepCase& c : spec.expand()) {
+    if (c.label("variant") == gated("HARS-E")) {
+      gate().arm(c.seed);
+      return;
+    }
+  }
+  FAIL() << "the campaign has no gated case";
+}
+
+/// Waits (bounded) until every campaign the daemon runs is draining.
+void await_draining(ServiceDaemon& daemon) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::vector<CampaignStatus> rows = daemon.scheduler().status();
+    bool draining = !rows.empty();
+    for (const CampaignStatus& row : rows) draining &= row.state == "draining";
+    if (draining) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "the daemon never started draining";
+}
+
+/// Runs serve() on its own thread and joins it on every exit path: a
+/// failed ASSERT returns early, and destroying a joinable std::thread
+/// would call std::terminate.
+class ServerThread {
+ public:
+  explicit ServerThread(ServiceDaemon& daemon)
+      : daemon_(daemon), thread_([&daemon] { daemon.serve(); }) {}
+  ~ServerThread() {
+    if (!thread_.joinable()) return;
+    daemon_.stop();
+    thread_.join();
+  }
+  /// Waits for serve() to return on its own.
+  void join() { thread_.join(); }
+
+ private:
+  ServiceDaemon& daemon_;
+  std::thread thread_;
+};
+
 /// Strips the header row (a resumed sink re-emits it).
 std::string body_of(const std::string& csv) {
   const std::size_t eol = csv.find('\n');
@@ -69,8 +185,8 @@ TEST(DrainContract, EngineDrainEmitsContiguousPrefixAndResumeCompletes) {
   const SweepSpec spec = spec_of(drain_campaign());
   const std::string full = run_local(spec, 0, nullptr, nullptr);
 
-  // Flip to kDrain as soon as the first record reaches the sink: some
-  // in-flight cases finish, the rest never run.
+  // Flip to kDrain as soon as the first record reaches the sink, then
+  // open the gate: the cases waiting at it finish, the rest never run.
   std::atomic<int> control{static_cast<int>(SweepControl::kRun)};
   class DrainOnFirstRecord final : public ResultSink {
    public:
@@ -78,6 +194,7 @@ TEST(DrainContract, EngineDrainEmitsContiguousPrefixAndResumeCompletes) {
         : control_(control) {}
     void write(const Record&) override {
       control_.store(static_cast<int>(SweepControl::kDrain));
+      gate().release();
     }
 
    private:
@@ -93,6 +210,8 @@ TEST(DrainContract, EngineDrainEmitsContiguousPrefixAndResumeCompletes) {
   SweepEngine engine(options);
   engine.add_sink(sink);
   engine.add_sink(trigger);
+  GateRelease release;
+  arm_gate(spec);
   const SweepReport drained = engine.run(spec);
 
   EXPECT_EQ(drained.status, "drained");
@@ -128,7 +247,7 @@ TEST(DrainContract, DaemonDrainVerbMidCampaign) {
   config.listen = Address::parse("tcp:127.0.0.1:0");
   config.jobs = 2;
   ServiceDaemon daemon(config);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   const CampaignRequest campaign = drain_campaign();
   const std::string full = run_local(spec_of(campaign), 0, nullptr, nullptr);
@@ -137,7 +256,10 @@ TEST(DrainContract, DaemonDrainVerbMidCampaign) {
   SummaryInfo summary;
   {
     // Client A submits; its record callback triggers a daemon-wide
-    // drain (via a second connection) as soon as the stream starts.
+    // drain (via a second connection) as soon as the stream starts, and
+    // opens the gate once the drain has reached the campaign.
+    GateRelease release;
+    arm_gate(spec_of(campaign));
     ServiceClient submitter(daemon.address());
     ServiceClient controller(daemon.address());
     CsvSink sink(out);
@@ -148,6 +270,8 @@ TEST(DrainContract, DaemonDrainVerbMidCampaign) {
           if (!drain_sent) {
             drain_sent = true;
             EXPECT_TRUE(controller.drain());
+            await_draining(daemon);
+            gate().release();
           }
         });
 
@@ -189,10 +313,12 @@ TEST(DrainContract, SignalFlagTriggersDrainAndServeReturns) {
   config.jobs = 2;
   config.drain_signal = &flag;
   ServiceDaemon daemon(config);
-  std::thread server([&] { daemon.serve(); });
+  ServerThread server(daemon);
 
   const CampaignRequest campaign = drain_campaign();
   {
+    GateRelease release;
+    arm_gate(spec_of(campaign));
     ServiceClient submitter(daemon.address());
     bool signalled = false;
     const SubmitOutcome outcome =
@@ -200,6 +326,8 @@ TEST(DrainContract, SignalFlagTriggersDrainAndServeReturns) {
           if (!signalled) {
             signalled = true;
             flag.store(1, std::memory_order_relaxed);  // "SIGTERM"
+            await_draining(daemon);
+            gate().release();
           }
         });
     ASSERT_TRUE(outcome.ok);
