@@ -224,7 +224,8 @@ class SimEngine {
   /// SimConfig::audit; throws AuditError on the first violation. The
   /// scenario runtime calls this after dispatching spawn/kill/hotplug
   /// events when audits are on; step() runs it (plus the placement,
-  /// snapshot-coherence and busy-sum checks) every tick.
+  /// snapshot-coherence and busy-sum checks) every tick, and a quiet span
+  /// at its end.
   void audit_now() const;
 
  private:
