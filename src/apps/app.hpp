@@ -120,8 +120,8 @@ class App {
     return false;
   }
 
-  /// True when applying `lanes` for one tick leaves every thread with a
-  /// lane work beyond it and makes end_tick a no-op.
+  /// True when, after one tick of `lanes`, every thread with a lane still
+  /// has work left and end_tick would be a no-op.
   virtual bool accepts_quiet_tick(const QuietLane* lanes) const {
     (void)lanes;
     return false;

@@ -19,7 +19,7 @@
 // the scheduler's placement is a fixed point, so only arithmetic changes.
 // The loop repeats step()'s accumulations in step()'s order from values
 // planned once per span, so the simulation is bit-identical either way;
-// see docs/ARCHITECTURE.md, "The tick lifecycle".
+// see docs/ARCHITECTURE.md, "Quiet spans".
 //
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
