@@ -93,13 +93,10 @@ class App {
   /// Called before scheduling each tick (source-stage item generation...).
   virtual void begin_tick(TimeUs /*now*/) {}
 
-  /// True when the app's begin_tick must run each tick. The engine
-  /// caches this per app slot and skips the virtual begin_tick dispatch
-  /// for apps that answer false. Defaults to true so a subclass that
-  /// overrides begin_tick but not this query merely loses the skipped
-  /// dispatch — never its begin_tick work; only apps whose begin_tick is
-  /// the base no-op should opt out.
-  virtual bool needs_begin_tick() const { return true; }
+  /// True when begin_tick would change nothing if it ran now. Asked at
+  /// quiet-span entry; defaults to false so a subclass that overrides
+  /// begin_tick but not this query merely gets no spans.
+  virtual bool begin_tick_idle() const { return false; }
 
   /// Called after all threads executed; barrier/heartbeat logic lives here.
   virtual void end_tick(TimeUs now) = 0;
@@ -113,7 +110,8 @@ class App {
   /// Fills `lanes[i]` for each of the app's threads from `grants[i]`
   /// with exactly the values execute() computes for a share the thread
   /// does not finish. Returns false when the app does not take quiet
-  /// ticks (the default); the engine then steps every tick.
+  /// ticks with these grants (the default: never); the engine then steps
+  /// the tick.
   virtual bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const {
     (void)grants;
     (void)lanes;

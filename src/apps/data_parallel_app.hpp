@@ -35,7 +35,7 @@ class DataParallelApp final : public App {
   bool runnable(int local_tid) const override;
   void refresh_runnable(bool* out) const override;
   /// begin_tick is the base no-op: iterations open in end_tick.
-  bool needs_begin_tick() const override { return false; }
+  bool begin_tick_idle() const override { return true; }
   TimeUs execute(int local_tid, TimeUs share_us, CoreType type,
                  double freq_ghz) override;
   void end_tick(TimeUs now) override;

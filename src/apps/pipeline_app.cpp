@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/alloc_guard.hpp"
+#include "util/hot_path.hpp"
 
 namespace hars {
 
@@ -68,6 +69,11 @@ void PipelineApp::begin_tick(TimeUs /*now*/) {
   }
 }
 
+bool PipelineApp::begin_tick_idle() const {
+  return in_flight_ >= config_.max_in_flight ||
+         (config_.max_items >= 0 && items_admitted_ >= config_.max_items);
+}
+
 bool PipelineApp::runnable(int local_tid) const {
   const Worker& w = workers_[static_cast<std::size_t>(local_tid)];
   if (w.has_item) return true;
@@ -104,6 +110,45 @@ TimeUs PipelineApp::execute(int local_tid, TimeUs share_us, CoreType type,
     }
   }
   return used;
+}
+
+bool PipelineApp::plan_quiet(const QuietGrant* grants,
+                             QuietLane* lanes) const {
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    const QuietGrant& grant = grants[i];
+    QuietLane& lane = lanes[i];
+    lane = QuietLane{};
+    // An idle worker only runs with a queued item, which ends the span.
+    if (!workers_[i].has_item || grant.share_us <= 0) continue;
+    const double speed = thread_speed(grant.type, grant.freq_ghz);
+    if (speed <= 0.0) continue;  // execute() returns 0 and changes nothing.
+    lane.work = speed * us_to_sec(grant.share_us);
+    lane.used_us = static_cast<TimeUs>(lane.work / speed * kUsPerSec);
+    // A truncated used time sends execute() round its loop again.
+    if (lane.used_us < grant.share_us) return false;
+  }
+  return true;
+}
+
+HARS_HOT bool PipelineApp::accepts_quiet_tick(const QuietLane* lanes) const {
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    const Worker& w = workers_[i];
+    if (w.has_item) {
+      // execute() hands the item off once remaining <= 1e-12.
+      if (lanes[i].work > 0.0 && !(w.remaining - lanes[i].work > 1e-12)) {
+        return false;
+      }
+    } else if (!queues_[static_cast<std::size_t>(w.stage)].empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+HARS_HOT void PipelineApp::commit_quiet_tick(const QuietLane* lanes) {
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (lanes[i].work > 0.0) workers_[i].remaining -= lanes[i].work;
+  }
 }
 
 void PipelineApp::end_tick(TimeUs now) {

@@ -40,8 +40,19 @@ class PipelineApp final : public App {
   TimeUs execute(int local_tid, TimeUs share_us, CoreType type,
                  double freq_ghz) override;
   void begin_tick(TimeUs now) override;
+  /// Admission is idle while the pipeline is full or the input is spent.
+  bool begin_tick_idle() const override;
   void end_tick(TimeUs now) override;
   bool finished() const override;
+
+  /// Quiet spans use execute()'s first pass over a held item: can_do =
+  /// speed * us_to_sec(share) and used = can_do / speed * kUsPerSec. A
+  /// quiet tick moves no item: every worker holding one keeps more than
+  /// its lane's work, and every idle worker's input queue is empty, so no
+  /// hand-off, RNG draw or heartbeat happens.
+  bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const override;
+  bool accepts_quiet_tick(const QuietLane* lanes) const override;
+  void commit_quiet_tick(const QuietLane* lanes) override;
 
   int num_stages() const { return static_cast<int>(config_.stages.size()); }
   int stage_of_thread(int local_tid) const;

@@ -266,15 +266,14 @@ ExperimentResult run_on(const ExperimentSpec& spec, Backend& backend) {
   if (instance->active()) backend.attach_manager(instance.get());
 
   // Scenario events after t = 0 and trace capture ride the engine's tick
-  // hook; a run with neither installs none.
+  // hook; quiet spans run up to its due time.
   std::optional<ScenarioRuntime> runtime;
   if (spec.scenario) {
     runtime.emplace(*spec.scenario, backend, slots);
     runtime->attach_variant(instance.get());
     if (spec.capture != nullptr) runtime->attach_capture(*spec.capture, spec);
-    if (runtime->needs_tick_hook()) {
-      engine->set_tick_hook([&runtime](TimeUs t) { runtime->on_tick(t); });
-    }
+    engine->set_tick_hook([&runtime](TimeUs t) { runtime->on_tick(t); },
+                          [&runtime] { return runtime->next_due(); });
   }
 
   // Steady state: warm up until every app heartbeats (cap 60 s), then

@@ -41,8 +41,6 @@ AppId SimEngine::add_app(App* app) {
   assert(app != nullptr);
   const AppId id = static_cast<AppId>(apps_.size());
   apps_.push_back(app);
-  app_needs_begin_.push_back(app->needs_begin_tick() ? 1 : 0);
-  begin_tick_apps_ += app_needs_begin_.back();
   app_thread_base_.push_back(static_cast<int>(threads_.size()));
   for (int i = 0; i < app->thread_count(); ++i) {
     SimThread t;
@@ -74,7 +72,6 @@ void SimEngine::remove_app(AppId app_id) {
   }
   app_thread_base_[slot] = -1;
   apps_[slot] = nullptr;
-  begin_tick_apps_ -= app_needs_begin_[slot];
 }
 
 SimThread& SimEngine::thread_of(AppId app_id, int local_tid) {
@@ -206,10 +203,8 @@ HARS_HOT void SimEngine::step() {
 
   {
     obs::PhaseTimer obs_phase(obs::TickPhase::kBeginTick, obs_tick);
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      if (apps_[i] != nullptr && app_needs_begin_[i] != 0) {
-        apps_[i]->begin_tick(now_);
-      }
+    for (App* a : apps_) {
+      if (a != nullptr) a->begin_tick(now_);
     }
   }
 
@@ -501,9 +496,15 @@ HARS_HOT bool SimEngine::apps_accept_quiet_tick(const QuietVariant& v) const {
 
 HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   // Span entry: nothing may act on the tick but arithmetic. Cheapest
-  // checks first — a scenario hook, the reference path, an app that needs
-  // begin_tick or a scheduler that never elides assign() ends it here.
-  if (tick_hook_ || config_.reference_tick || begin_tick_apps_ > 0) return;
+  // checks first — the reference path, a tick hook that is due (or cannot
+  // say when it is), an app whose begin_tick would admit work or a
+  // scheduler that never elides assign() ends it here.
+  if (config_.reference_tick) return;
+  if (tick_hook_) {
+    if (!tick_hook_due_) return;
+    until = std::min(until, tick_hook_due_());
+    if (now_ >= until) return;
+  }
   TickScratch& s = scratch_;
   if (s.dvfs_epoch != machine_.dvfs_epoch() ||
       s.online_bits != machine_.online_mask().bits()) {
@@ -511,10 +512,13 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   }
   if (!scheduler_->placement_fixed_point(machine_, threads_)) return;
   // The previous tick's end_tick may have opened an iteration: the flags
-  // the next step() would read must equal the table's.
+  // the next step() would read must equal the table's. Quiet ticks move
+  // no item and retire no work, so a begin_tick that is a no-op now stays
+  // one for the whole span.
   for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
     const App* a = apps_[slot];
     if (a == nullptr) continue;
+    if (!a->begin_tick_idle()) return;
     a->refresh_runnable(s.runnable.get());
     const SimThread* block =
         &threads_[static_cast<std::size_t>(app_thread_base_[slot])];
@@ -699,9 +703,9 @@ void SimEngine::step_reference() {
 
 void SimEngine::audit_now() const {
   const auto n_slots = apps_.size();
-  if (app_needs_begin_.size() != n_slots || app_thread_base_.size() != n_slots) {
-    throw AuditError("SimEngine::audit_now: per-app side tables out of sync "
-                     "with the app slot table");
+  if (app_thread_base_.size() != n_slots) {
+    throw AuditError("SimEngine::audit_now: per-app thread-base table out "
+                     "of sync with the app slot table");
   }
   std::size_t alive_threads = 0;
   for (std::size_t slot = 0; slot < n_slots; ++slot) {

@@ -15,8 +15,9 @@
 //   6. integrates power and advances the sensor.
 //
 // After each step(), run_until() runs the *quiet* ticks that follow in one
-// loop (run_quiet_span): ticks on which no thread finishes its share and
-// the scheduler's placement is a fixed point, so only arithmetic changes.
+// loop (run_quiet_span): ticks on which no thread finishes its share, no
+// app admits work, the tick hook is not due and the scheduler's placement
+// is a fixed point, so only arithmetic changes.
 // The loop repeats step()'s accumulations in step()'s order from values
 // planned once per span, so the simulation is bit-identical either way;
 // see docs/ARCHITECTURE.md, "Quiet spans".
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -132,12 +134,21 @@ class SimEngine {
            apps_[static_cast<std::size_t>(app_id)] != nullptr;
   }
 
-  /// Installs a callback invoked at every tick boundary with the tick's
-  /// start time (first call: t = 0), before applications generate work —
-  /// the dispatch point for scenario events: state changed by the hook is
-  /// visible to the whole tick. One hook; empty function clears it.
-  void set_tick_hook(std::function<void(TimeUs)> hook) {
+  /// next_due() answer of a hook that has nothing left to do.
+  static constexpr TimeUs kNeverDue = std::numeric_limits<TimeUs>::max();
+
+  /// Installs a callback invoked with the tick's start time on every
+  /// stepped tick, before applications generate work — the dispatch point
+  /// for scenario events: state changed by the hook is visible to the
+  /// whole tick. `next_due` returns the earliest tick start at which the
+  /// hook acts (kNeverDue: never); no quiet span runs a tick that starts
+  /// there or later, so the hook is called on every tick that matters. A
+  /// hook without `next_due` is called on every tick and gets no spans.
+  /// One hook; empty functions clear it.
+  void set_tick_hook(std::function<void(TimeUs)> hook,
+                     std::function<TimeUs()> next_due = {}) {
     tick_hook_ = std::move(hook);
+    tick_hook_due_ = std::move(next_due);
   }
 
   /// Installs a manager the caller keeps alive (SimBackend::attach_manager
@@ -234,9 +245,9 @@ class SimEngine {
 
   void step();
   void step_reference();
-  /// Runs the quiet ticks that follow a step(), up to `until`; returns
-  /// at once when the span-entry checks fail. Never used on the
-  /// reference path.
+  /// Runs the quiet ticks that follow a step(), up to `until` and the
+  /// tick hook's due time; returns at once when the span-entry checks
+  /// fail. Never used on the reference path.
   void run_quiet_span(TimeUs until);
   /// Sizes QuietScratch for the current thread table (outside the span's
   /// AllocGuard).
@@ -284,10 +295,6 @@ class SimEngine {
   SimConfig config_;
 
   std::vector<App*> apps_;  ///< Slot per AppId; null once removed.
-  /// Per slot: App::needs_begin_tick(), cached at add_app so the tick
-  /// path skips the no-op virtual dispatch.
-  std::vector<char> app_needs_begin_;
-  int begin_tick_apps_ = 0;  ///< Alive apps with app_needs_begin_ set.
   std::vector<SimThread> threads_;
   /// threads_ index of the first thread of each app; -1 once removed.
   std::vector<int> app_thread_base_;
@@ -295,6 +302,7 @@ class SimEngine {
   std::int64_t retired_migrations_ = 0;  ///< Migrations of removed apps.
 
   std::function<void(TimeUs)> tick_hook_;
+  std::function<TimeUs()> tick_hook_due_;  ///< Empty: the hook is always due.
 
   ManagerHook* manager_ = nullptr;
   std::unique_ptr<ManagerHook> owned_manager_;  ///< Set iff engine-owned.

@@ -1,5 +1,7 @@
 #include "scenario/scenario_runtime.hpp"
 
+#include <algorithm>
+
 #include "exp/calibration.hpp"
 #include "hmp/sim_engine.hpp"
 
@@ -91,10 +93,15 @@ void ScenarioRuntime::attach_capture(TraceSink& sink,
   meta.sample_ticks = sink.sample_every_ticks();
   sink.write_meta(meta);
   capture_ = &sink;
+  next_sample_ = engine_.now();  // The first hook call samples.
 }
 
-bool ScenarioRuntime::needs_tick_hook() const {
-  return capture_ != nullptr || next_event_ < scenario_.events.size();
+TimeUs ScenarioRuntime::next_due() const {
+  TimeUs due = next_event_ < scenario_.events.size()
+                   ? scenario_.events[next_event_].time
+                   : SimEngine::kNeverDue;
+  if (capture_ != nullptr) due = std::min(due, next_sample_);
+  return due;
 }
 
 AppSlot& ScenarioRuntime::slot_of(const std::string& label) {
@@ -164,11 +171,13 @@ void ScenarioRuntime::on_tick(TimeUs now) {
   // Spawn/kill/hotplug events mutate engine tables mid-run; re-check the
   // tick-boundary-safe conservation invariants right after dispatching.
   if (dispatched && engine_.audit_enabled()) engine_.audit_now();
-  if (capture_ != nullptr &&
-      tick_index_ % capture_->sample_every_ticks() == 0) {
+  // Quiet spans stop short of next_due(), so the hook is called at every
+  // sample's tick: one sample per sample_every_ticks() ticks, from the
+  // first call on.
+  if (capture_ != nullptr && now >= next_sample_) {
     sample(now);
+    next_sample_ = now + capture_->sample_every_ticks() * engine_.tick_us();
   }
-  ++tick_index_;
 }
 
 void ScenarioRuntime::finish(TimeUs now) {

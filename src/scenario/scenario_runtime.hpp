@@ -6,7 +6,8 @@
 //
 // ScenarioRuntime drives the slots of a scenario run through the
 // pipeline's Backend. Installed as the SimEngine's tick hook by
-// Experiment::run(), it dispatches due events at each tick boundary —
+// Experiment::run() (with next_due(), so quiet spans run up to the next
+// event or sample), it dispatches due events at each tick boundary —
 // spawn (create app, add to engine, set target, notify the variant),
 // kill (notify the variant, reclaim the app's threads), set_target /
 // set_phase / hotplug — and, when a TraceSink is attached, samples the
@@ -77,12 +78,12 @@ class ScenarioRuntime {
   /// into `sink` from then on.
   void attach_capture(TraceSink& sink, const ExperimentSpec& spec);
 
-  /// False when the run has no event after t = 0 and no capture: the
-  /// tick hook would never do anything.
-  bool needs_tick_hook() const;
-
   /// The SimEngine tick hook: dispatches due events, then samples.
   void on_tick(TimeUs now);
+
+  /// The hook's due time: the earlier of the next event's time and the
+  /// next capture sample; SimEngine::kNeverDue when neither is left.
+  TimeUs next_due() const;
 
   /// Samples the final state at run end (always, regardless of cadence).
   void finish(TimeUs now);
@@ -99,7 +100,7 @@ class ScenarioRuntime {
   VariantInstance* variant_ = nullptr;
   TraceSink* capture_ = nullptr;
   std::size_t next_event_ = 0;          ///< Cursor into scenario_.events.
-  std::int64_t tick_index_ = 0;
+  TimeUs next_sample_ = 0;              ///< Tick start of the next sample.
 };
 
 }  // namespace hars

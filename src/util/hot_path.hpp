@@ -23,10 +23,15 @@
 // declarations; the linter skips an annotation whose next token ends in
 // `;` before any `{`, but keeping the marker on the body keeps the
 // diagnostics adjacent to the code they police.
+//
+// Every hot function also starts on a 64-byte boundary, so an edit to one
+// function cannot shift the alignment of another's inner loops: adding a
+// single unused hot function used to move the steady-state tick rate by
+// about 5%.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)
-#define HARS_HOT [[gnu::hot]]
+#define HARS_HOT [[gnu::hot, gnu::aligned(64)]]
 #else
 #define HARS_HOT
 #endif

@@ -4,10 +4,14 @@
 // must agree bit for bit — the result fingerprint, and the engine state
 // (time, per-core busy time, per-cluster energy, every thread's cpu time,
 // load, core and migrations, manager overhead and on_tick calls) at every
-// manager call and at the end. Each default run must also have taken
-// quiet spans, or the comparison would prove nothing.
+// manager call and at the end, and any scenario capture byte for byte.
+// Each default run must also have taken quiet spans, or the comparison
+// would prove nothing (a capture sampled every tick is the one case that
+// must take none).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -16,12 +20,15 @@
 #include <vector>
 
 #include "apps/data_parallel_app.hpp"
+#include "apps/pipeline_app.hpp"
 #include "exp/experiment.hpp"
 #include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
 #include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
+#include "scenario/scenario_registry.hpp"
+#include "scenario/trace_sink.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -134,10 +141,25 @@ DataParallelConfig app_config(int threads, double work, std::uint64_t seed,
   return cfg;
 }
 
+/// A ferret-shaped pipeline: light serial endpoints around two parallel
+/// compute stages, with per-item work jitter (an RNG draw per hand-off).
+PipelineConfig pipeline_config(std::uint64_t seed, int max_in_flight = 32,
+                               std::int64_t max_items = -1) {
+  PipelineConfig cfg;
+  cfg.stages = {{1, 0.20}, {1, 0.60}, {2, 1.60}, {2, 1.60}, {1, 0.60}, {1, 0.20}};
+  cfg.speed = SpeedModel{3.0, 2.0};
+  cfg.max_in_flight = max_in_flight;
+  cfg.max_items = max_items;
+  cfg.work_noise = 0.05;
+  cfg.seed = seed;
+  return cfg;
+}
+
 /// One engine run: apps, a scripted manager and a slice schedule.
 struct EngineCase {
   std::string platform = "exynos5422";
   std::vector<DataParallelConfig> apps;
+  std::vector<PipelineConfig> pipelines;  ///< Added after `apps`.
   ScriptedManager::Script script;
   std::vector<TimeUs> slices;  ///< run_for lengths, in order.
 };
@@ -157,12 +179,16 @@ EngineRun run_engine(const EngineCase& c, bool reference) {
   const PlatformSpec* platform = PlatformRegistry::instance().find(c.platform);
   EXPECT_NE(platform, nullptr) << c.platform;
   SimEngine engine(*platform, std::make_unique<GtsScheduler>(), config);
-  std::vector<std::unique_ptr<DataParallelApp>> apps;
-  for (std::size_t i = 0; i < c.apps.size(); ++i) {
+  std::vector<std::unique_ptr<App>> apps;
+  for (const DataParallelConfig& cfg : c.apps) {
     apps.push_back(std::make_unique<DataParallelApp>(
-        "app" + std::to_string(i), c.apps[i]));
-    engine.add_app(apps.back().get());
+        "app" + std::to_string(apps.size()), cfg));
   }
+  for (const PipelineConfig& cfg : c.pipelines) {
+    apps.push_back(std::make_unique<PipelineApp>(
+        "pipe" + std::to_string(apps.size()), cfg));
+  }
+  for (const auto& app : apps) engine.add_app(app.get());
   ScriptedManager manager(engine, c.script);
   engine.set_manager(&manager);
   EngineRun run;
@@ -287,12 +313,58 @@ TEST(QuietSpan, SecondPlatformMatchesReference) {
   expect_identical(c);
 }
 
+TEST(QuietSpan, PipelineMatchesReference) {
+  EngineCase c;
+  c.pipelines = {pipeline_config(12)};
+  c.slices = {20 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, PipelineWithSpentInputMatchesReference) {
+  // A small pipeline that admits its whole input before it fills up:
+  // begin_tick is idle because the input is spent, not because the
+  // pipeline is full, and the app finishes mid-run.
+  EngineCase c;
+  c.pipelines = {pipeline_config(13, 64, 40)};
+  c.slices = {20 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, PipelineUnderStarvingManagerCharges) {
+  // Workers pinned to a manager core that loses two and a half ticks of
+  // capacity every 40: a worker left idle with a queued item on a starved
+  // tick must take it on the next tick that grants it a share.
+  EngineCase c;
+  c.pipelines = {pipeline_config(14)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    if (now == engine.tick_us()) {
+      for (int w : {1, 4, 6}) engine.set_thread_affinity(0, w, CpuMask::single(0));
+    }
+    return now % (40 * engine.tick_us()) == 0 ? 2500 : 0;
+  };
+  c.slices = {20 * kUsPerSec};
+  expect_identical(c);
+}
+
+TEST(QuietSpan, PipelineBesideDataParallelApp) {
+  EngineCase c;
+  c.platform = "sd855";
+  c.apps = {app_config(4, 3.0, 15)};
+  c.pipelines = {pipeline_config(16)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    return now % (5 * engine.tick_us()) == 0 ? 60 : 0;
+  };
+  c.slices = {15 * kUsPerSec};
+  expect_identical(c);
+}
+
 // --- Experiment-level cases ---------------------------------------------
 
 /// Wraps a registered variant: forwards everything to it, and at every
 /// manager call folds the engine state into a hash. Always installed as
 /// the manager (so manager-less variants are observed too); its own
-/// on_tick adds no cost.
+/// on_tick adds no cost. On destruction, at the end of the run, it
+/// records the run engine's quiet ticks.
 struct ProbeLog {
   Fnv trail;
   std::int64_t calls = 0;
@@ -308,11 +380,16 @@ class ProbeInstance final : public VariantInstance {
     inner_ = std::make_unique<Idle>();  // Makes active() true.
   }
 
+  ~ProbeInstance() override {
+    if (g_probe_log != nullptr && engine_ != nullptr) {
+      g_probe_log->quiet_ticks = engine_->quiet_ticks();
+    }
+  }
+
   TimeUs on_tick(TimeUs now) override {
     if (g_probe_log != nullptr && engine_ != nullptr) {
       ++g_probe_log->calls;
       g_probe_log->trail.add(state_hash(*engine_));
-      g_probe_log->quiet_ticks = engine_->quiet_ticks();
     }
     return real_->active() ? real_->on_tick(now) : 0;
   }
@@ -360,28 +437,73 @@ void register_probe(const std::string& variant) {
 
 struct ExperimentRun {
   std::string fingerprint;
+  std::string capture;  ///< TraceSink bytes; empty without a capture.
   ProbeLog log;
 };
 
-ExperimentRun run_experiment(const std::string& platform,
-                             const std::vector<ParsecBenchmark>& apps,
-                             const std::string& variant, bool reference,
-                             double seconds) {
+/// Runs the experiment `configure` sets up under the probe wrapper of
+/// `variant`, capturing every `sample_ticks` ticks when that is > 0.
+ExperimentRun run_probed(const std::string& variant, bool reference,
+                         const std::function<void(ExperimentBuilder&)>& configure,
+                         int sample_ticks = 0) {
   register_probe(variant);
   ExperimentRun run;
+  TraceSink sink(std::max(sample_ticks, 1));
+  ExperimentBuilder builder;
+  configure(builder);
+  builder.variant(probe_name(variant)).reference_impl(reference);
+  if (sample_ticks > 0) builder.capture(sink);
   g_probe_log = &run.log;
-  const ExperimentResult result = ExperimentBuilder()
-                                      .platform(std::string_view(platform))
-                                      .apps(apps)
-                                      .variant(probe_name(variant))
-                                      .duration_sec(seconds)
-                                      .seed(11)
-                                      .reference_impl(reference)
-                                      .build()
-                                      .run();
+  const ExperimentResult result = builder.build().run();
   g_probe_log = nullptr;
   run.fingerprint = result_fingerprint(result);
+  if (sample_ticks > 0) run.capture = sink.bytes();
   return run;
+}
+
+/// The first line where two texts differ; empty when they are equal.
+/// (EXPECT_EQ on multi-megabyte texts would diff them line by line.)
+std::string first_difference(const std::string& a, const std::string& b) {
+  if (a == b) return "";
+  std::size_t from = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin());
+  while (from > 0 && a[from - 1] != '\n') --from;
+  const auto line = [from](const std::string& s) {
+    return s.substr(from, s.find('\n', from) - from);
+  };
+  return "reference: " + line(a) + "\ndefault:   " + line(b);
+}
+
+/// The default path must match the reference bit for bit: fingerprint,
+/// capture bytes and the engine state at every manager call.
+void expect_matches_reference(const ExperimentRun& ref,
+                              const ExperimentRun& fast) {
+  EXPECT_EQ(first_difference(ref.fingerprint, fast.fingerprint), "");
+  EXPECT_EQ(first_difference(ref.capture, fast.capture), "");
+  EXPECT_EQ(ref.log.calls, fast.log.calls);
+  EXPECT_EQ(ref.log.trail.value(), fast.log.trail.value())
+      << "engine state differs at some manager call";
+  EXPECT_EQ(ref.log.quiet_ticks, 0);
+}
+
+/// Runs `configure`'s experiment on both paths and compares them; the
+/// default path must have taken spans.
+void expect_experiment_identical(
+    const std::string& variant,
+    const std::function<void(ExperimentBuilder&)>& configure,
+    int sample_ticks = 0) {
+  const ExperimentRun ref = run_probed(variant, true, configure, sample_ticks);
+  const ExperimentRun fast = run_probed(variant, false, configure, sample_ticks);
+  expect_matches_reference(ref, fast);
+  EXPECT_GT(fast.log.quiet_ticks, 0) << "the default path took no span";
+}
+
+/// Underscores for the characters gtest names do not allow.
+std::string test_name(std::string name) {
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name;
 }
 
 class QuietSpanVariants
@@ -398,15 +520,9 @@ TEST_P(QuietSpanVariants, MatchReferenceAtEveryManagerCall) {
                                            ParsecBenchmark::kBlackscholes}
             : std::vector<ParsecBenchmark>{ParsecBenchmark::kSwaptions};
   const double seconds = multi ? 40 : 20;
-  const ExperimentRun ref = run_experiment(platform, apps, variant, true, seconds);
-  const ExperimentRun fast =
-      run_experiment(platform, apps, variant, false, seconds);
-  EXPECT_EQ(ref.fingerprint, fast.fingerprint);
-  EXPECT_EQ(ref.log.calls, fast.log.calls);
-  EXPECT_EQ(ref.log.trail.value(), fast.log.trail.value())
-      << "engine state differs at some manager call";
-  EXPECT_EQ(ref.log.quiet_ticks, 0);
-  EXPECT_GT(fast.log.quiet_ticks, 0);
+  expect_experiment_identical(variant, [&](ExperimentBuilder& b) {
+    b.platform(std::string_view(platform)).apps(apps).duration_sec(seconds).seed(11);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -415,13 +531,111 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("Baseline", "SO", "HARS-E",
                                          "HARS-EI", "MP-HARS-E", "CONS-I")),
     [](const auto& info) {
-      std::string name = std::string(std::get<0>(info.param)) + "_" +
-                         std::get<1>(info.param);
-      for (char& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name;
+      return test_name(std::string(std::get<0>(info.param)) + "_" +
+                       std::get<1>(info.param));
     });
+
+// Ferret alone and beside swaptions: PipelineApp spans.
+class QuietSpanPipelines
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+
+TEST_P(QuietSpanPipelines, MatchReferenceAtEveryManagerCall) {
+  const std::string platform = std::get<0>(GetParam());
+  const std::string variant = std::get<1>(GetParam());
+  const bool multi = variant == "MP-HARS-E";
+  const std::vector<ParsecBenchmark> apps =
+      multi ? std::vector<ParsecBenchmark>{ParsecBenchmark::kFerret,
+                                           ParsecBenchmark::kSwaptions}
+            : std::vector<ParsecBenchmark>{ParsecBenchmark::kFerret};
+  expect_experiment_identical(variant, [&](ExperimentBuilder& b) {
+    b.platform(std::string_view(platform)).apps(apps).duration_sec(30).seed(13);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Platforms, QuietSpanPipelines,
+    ::testing::Combine(::testing::Values("exynos5422", "sd855"),
+                       ::testing::Values("Baseline", "HARS-E", "MP-HARS-E")),
+    [](const auto& info) {
+      return test_name(std::string(std::get<0>(info.param)) + "_" +
+                       std::get<1>(info.param));
+    });
+
+// Scenario runs: the tick hook caps spans at its due time — the next event
+// and, with a capture attached, the next sample.
+class QuietSpanScenarios
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(QuietSpanScenarios, MatchReferenceAtEveryManagerCall) {
+  const std::string scenario = std::get<0>(GetParam());
+  const int sample_ticks = std::get<1>(GetParam());
+  const auto configure = [&](ExperimentBuilder& b) {
+    b.scenario(std::string_view(scenario)).duration_sec(60).seed(5);
+  };
+  const ExperimentRun ref = run_probed("MP-HARS-E", true, configure, sample_ticks);
+  const ExperimentRun fast =
+      run_probed("MP-HARS-E", false, configure, sample_ticks);
+  expect_matches_reference(ref, fast);
+  if (sample_ticks == 1) {
+    // A sample on every tick leaves no tick to span.
+    EXPECT_EQ(fast.log.quiet_ticks, 0);
+  } else {
+    EXPECT_GT(fast.log.quiet_ticks, 0) << "the default path took no span";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, QuietSpanScenarios,
+    ::testing::Combine(
+        ::testing::ValuesIn(ScenarioRegistry::instance().names()),
+        ::testing::Values(0, 1, 2000)),
+    [](const auto& info) {
+      return test_name(std::get<0>(info.param)) + "_capture" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(QuietSpan, GeneratedChurnScenarioMatchesReference) {
+  // Every app departs, targets move: spawns, kills and retargets cap spans.
+  expect_experiment_identical("MP-HARS-E", [](ExperimentBuilder& b) {
+    b.platform(std::string_view("sd855"))
+        .scenario(std::string_view("gen:churn:depart=1;retarget=0.05"))
+        .duration_sec(60)
+        .seed(1);
+  });
+}
+
+TEST(QuietSpan, GeneratedChurnScenarioWithCaptureMatchesReference) {
+  expect_experiment_identical(
+      "MP-HARS-E",
+      [](ExperimentBuilder& b) {
+        b.scenario(std::string_view("gen:churn:depart=1;retarget=0.05"))
+            .duration_sec(40)
+            .seed(2);
+      },
+      /*sample_ticks=*/2000);
+}
+
+// Span shares, pinned as floors at the counts the runs take today: a
+// change that silently turns spans off (for pipeline apps, or under a
+// scenario hook) fails here. Counts, not timings, so noise cannot fail it.
+TEST(QuietSpanShares, FerretHarsE120s) {
+  const ExperimentRun run = run_probed("HARS-E", false, [](ExperimentBuilder& b) {
+    b.app(ParsecBenchmark::kFerret).duration_sec(120);
+  });
+  ASSERT_EQ(run.log.calls, 121200);  // 1.2 s warm-up, then 120 s.
+  EXPECT_GE(run.log.quiet_ticks, 114774);
+}
+
+TEST(QuietSpanShares, GeneratedChurnMpHarsE60sOnSd855) {
+  const ExperimentRun run =
+      run_probed("MP-HARS-E", false, [](ExperimentBuilder& b) {
+        b.platform(std::string_view("sd855"))
+            .scenario(std::string_view("gen:churn"))
+            .duration_sec(60);
+      });
+  ASSERT_EQ(run.log.calls, 60000);
+  EXPECT_GE(run.log.quiet_ticks, 57450);
+}
 
 }  // namespace
 }  // namespace hars
