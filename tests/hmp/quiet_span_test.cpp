@@ -507,7 +507,7 @@ std::string test_name(std::string name) {
 }
 
 class QuietSpanVariants
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(QuietSpanVariants, MatchReferenceAtEveryManagerCall) {
   const std::string platform = std::get<0>(GetParam());
@@ -531,13 +531,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("Baseline", "SO", "HARS-E",
                                          "HARS-EI", "MP-HARS-E", "CONS-I")),
     [](const auto& info) {
-      return test_name(std::string(std::get<0>(info.param)) + "_" +
-                       std::get<1>(info.param));
+      return test_name(std::get<0>(info.param) + "_" + std::get<1>(info.param));
     });
 
 // Ferret alone and beside swaptions: PipelineApp spans.
 class QuietSpanPipelines
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(QuietSpanPipelines, MatchReferenceAtEveryManagerCall) {
   const std::string platform = std::get<0>(GetParam());
@@ -557,8 +556,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("exynos5422", "sd855"),
                        ::testing::Values("Baseline", "HARS-E", "MP-HARS-E")),
     [](const auto& info) {
-      return test_name(std::string(std::get<0>(info.param)) + "_" +
-                       std::get<1>(info.param));
+      return test_name(std::get<0>(info.param) + "_" + std::get<1>(info.param));
     });
 
 // Scenario runs: the tick hook caps spans at its due time — the next event
