@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "obs/catalog.hpp"
@@ -31,34 +32,9 @@ std::string cpu_dir(int cpu) {
   return std::string(kCpuRoot) + "/cpu" + std::to_string(cpu);
 }
 
-struct CpuStat {
-  double busy = 0.0;
-  double total = 0.0;
-};
-
-/// Parses /proc/stat per-cpu lines (USER_HZ). Busy = total - idle -
-/// iowait, matching the usual userspace convention (top, mpstat).
-std::map<int, CpuStat> parse_proc_stat(const std::string& text) {
-  std::map<int, CpuStat> stats;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.compare(0, 3, "cpu") != 0 || line.size() < 4 ||
-        !std::isdigit(static_cast<unsigned char>(line[3]))) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string label;
-    fields >> label;
-    const int cpu = std::stoi(label.substr(3));
-    double v = 0.0, total = 0.0, idle_like = 0.0;
-    for (int i = 0; fields >> v; ++i) {
-      total += v;
-      if (i == 3 || i == 4) idle_like += v;  // idle, iowait
-    }
-    stats[cpu] = {total - idle_like, total};
-  }
-  return stats;
+/// Whitespace inside a proc/stat line (lines are split on '\n').
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
 }  // namespace
@@ -278,25 +254,12 @@ LinuxBackend::LinuxBackend(std::unique_ptr<SysfsIo> sysfs,
   }
   threads_->attach(&machine_, &core_to_cpu_);
   governor_set_.assign(static_cast<std::size_t>(machine_.num_clusters()), 0);
-  tick_busy_.assign(static_cast<std::size_t>(machine_.num_cores()), 0.0);
+  const auto n = static_cast<std::size_t>(machine_.num_cores());
+  tick_busy_.assign(n, 0.0);
+  core_stats_.assign(n, CoreStat{});
   probe_caps();
   probe_energy_meters();
   sync_mirror_from_sysfs();
-
-  const auto n = static_cast<std::size_t>(machine_.num_cores());
-  busy0_.assign(n, 0.0);
-  total0_.assign(n, 0.0);
-  if (const auto text = sysfs_->read("proc/stat")) {
-    const auto stats = parse_proc_stat(*text);
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto it = stats.find(core_to_cpu_[c]);
-      if (it == stats.end()) continue;
-      busy0_[c] = it->second.busy;
-      total0_[c] = it->second.total;
-    }
-  }
-  prev_busy_ = busy0_;
-  prev_total_ = total0_;
   last_sample_us_ = time_->now_us();
   next_tick_ = last_sample_us_ + config_.tick_us;
 }
@@ -315,6 +278,57 @@ CoreId LinuxBackend::core_of_cpu(int cpu) const {
   return -1;
 }
 
+int LinuxBackend::sample_proc_stat(bool baseline) {
+  const auto text = sysfs_->read("proc/stat");
+  if (!text) return 0;
+  int lines = 0;
+  const char* p = text->data();
+  const char* const end = p + text->size();
+  while (p != end) {
+    const char* const eol = std::find(p, end, '\n');
+    const char* q = p;
+    p = eol == end ? end : eol + 1;
+    // Per-cpu lines only: the aggregate "cpu " line has no digit.
+    if (eol - q < 4 || std::string_view(q, 3) != "cpu" ||
+        !std::isdigit(static_cast<unsigned char>(q[3]))) {
+      continue;
+    }
+    int cpu = 0;
+    const auto [label_end, label_ec] = std::from_chars(q + 3, eol, cpu);
+    if (label_ec != std::errc()) continue;
+    q = std::find_if(label_end, eol, is_blank);
+    // Busy = total - idle - iowait (fields 4 and 5), matching the usual
+    // userspace convention (top, mpstat); a short line sums what it has.
+    double total = 0.0, idle_like = 0.0;
+    for (int i = 0;; ++i) {
+      q = std::find_if_not(q, eol, is_blank);
+      double v = 0.0;
+      const auto [next, ec] = std::from_chars(q, eol, v);
+      if (ec != std::errc()) break;
+      total += v;
+      if (i == 3 || i == 4) idle_like += v;
+      q = next;
+    }
+    ++lines;
+    const CoreId core = core_of_cpu(cpu);
+    if (core < 0) continue;
+    const auto c = static_cast<std::size_t>(core);
+    CoreStat& stat = core_stats_[c];
+    const double busy = total - idle_like;
+    if (baseline) {
+      stat.busy0 = busy;
+      stat.total0 = total;
+    } else {
+      const double dt = total - stat.total;
+      tick_busy_[c] = dt > 0.0 ? std::clamp((busy - stat.busy) / dt, 0.0, 1.0)
+                               : 0.0;
+    }
+    stat.busy = busy;
+    stat.total = total;
+  }
+  return lines;
+}
+
 void LinuxBackend::probe_caps() {
   caps_.simulated = false;
   const std::string p = policy_dir(0);
@@ -328,8 +342,8 @@ void LinuxBackend::probe_caps() {
       break;
     }
   }
-  const auto stat = sysfs_->read("proc/stat");
-  caps_.core_stats = stat && !parse_proc_stat(*stat).empty();
+  // The probe's proc/stat sample doubles as the lifetime baseline.
+  caps_.core_stats = sample_proc_stat(/*baseline=*/true) > 0;
 }
 
 void LinuxBackend::probe_energy_meters() {
@@ -378,15 +392,10 @@ void LinuxBackend::sync_mirror_from_sysfs() {
 }
 
 double LinuxBackend::core_busy_fraction(CoreId core) const {
-  const auto c = static_cast<std::size_t>(core);
-  const auto text = sysfs_->read("proc/stat");
-  if (!text) return 0.0;
-  const auto stats = parse_proc_stat(*text);
-  const auto it = stats.find(core_to_cpu_[c]);
-  if (it == stats.end()) return 0.0;
-  const double dt = it->second.total - total0_[c];
+  const CoreStat& stat = core_stats_[static_cast<std::size_t>(core)];
+  const double dt = stat.total - stat.total0;
   if (dt <= 0.0) return 0.0;
-  return std::clamp((it->second.busy - busy0_[c]) / dt, 0.0, 1.0);
+  return std::clamp((stat.busy - stat.busy0) / dt, 0.0, 1.0);
 }
 
 void LinuxBackend::poll_energy_meters() const {
@@ -448,9 +457,11 @@ void LinuxBackend::set_dvfs_level(ClusterId cluster, int level) {
   const std::string dir = policy_dir(cluster);
   const std::string value = std::to_string(khz);
   if (sysfs_->exists(dir + "/scaling_setspeed")) {
-    if (governor_set_[static_cast<std::size_t>(cluster)] == 0) {
-      sysfs_->write(dir + "/scaling_governor", "userspace");
-      governor_set_[static_cast<std::size_t>(cluster)] = 1;
+    // Latch only an accepted write: a refused one is retried next time.
+    char& governor_set = governor_set_[static_cast<std::size_t>(cluster)];
+    if (governor_set == 0 &&
+        sysfs_->write(dir + "/scaling_governor", "userspace")) {
+      governor_set = 1;
     }
     sysfs_->write(dir + "/scaling_setspeed", value);
   } else {
@@ -500,19 +511,7 @@ void LinuxBackend::set_online_mask(CpuMask mask) {
 }
 
 void LinuxBackend::sample_counters(TimeUs now) {
-  const auto n = static_cast<std::size_t>(machine_.num_cores());
-  if (const auto text = sysfs_->read("proc/stat")) {
-    const auto stats = parse_proc_stat(*text);
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto it = stats.find(core_to_cpu_[c]);
-      if (it == stats.end()) continue;
-      const double db = it->second.busy - prev_busy_[c];
-      const double dt = it->second.total - prev_total_[c];
-      tick_busy_[c] = dt > 0.0 ? std::clamp(db / dt, 0.0, 1.0) : 0.0;
-      prev_busy_[c] = it->second.busy;
-      prev_total_[c] = it->second.total;
-    }
-  }
+  sample_proc_stat(/*baseline=*/false);
   if (meters_.empty()) {
     // No meter: integrate the platform-parameter model over the probed
     // busy fractions, so perf-per-watt metrics stay defined.
@@ -525,7 +524,11 @@ void LinuxBackend::sample_counters(TimeUs now) {
 }
 
 void LinuxBackend::tick(TimeUs now) {
-  const auto t0 = std::chrono::steady_clock::now();
+  // The backend.tick_ns clock pair runs only while telemetry is armed;
+  // the manager's pair always runs (manager_cpu_utilization_pct).
+  const bool timed = obs::enabled();
+  const auto t0 = timed ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point();
   threads_->advance_to(now);
   sample_counters(now);
   for (Workload& w : workloads_) {
@@ -544,13 +547,14 @@ void LinuxBackend::tick(TimeUs now) {
                        std::chrono::steady_clock::now() - m0)
                        .count();
   }
-  ++ticks_;
   obs::counter_add(obs::catalog().backend_ticks);
-  obs::hist_observe(obs::catalog().backend_tick_ns,
-                   static_cast<double>(
-                       std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count()));
+  if (timed) {
+    obs::hist_observe(obs::catalog().backend_tick_ns,
+                      static_cast<double>(
+                          std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count()));
+  }
 }
 
 void LinuxBackend::run_until(TimeUs t) {

@@ -138,6 +138,8 @@ class LinuxBackend : public Backend {
   BackendCaps caps() const override { return caps_; }
   const Machine& topology() const override { return machine_; }
 
+  /// Lifetime busy fraction as of the last tick: proc/stat is parsed
+  /// once per tick (sample_counters), not per call.
   double core_busy_fraction(CoreId core) const override;
   TimeUs elapsed_work_us(AppId app, int local_tid) const override {
     return threads_->cpu_time_us(app, local_tid);
@@ -181,6 +183,7 @@ class LinuxBackend : public Backend {
   /// One live tick, at time `now`: advance/sample counters, pump
   /// heartbeats, then invoke the manager. sample_counters() is the
   /// subclass seam (MockLinuxBackend models busy/energy there).
+  /// backend.tick_ns is observed only while telemetry is armed.
   void tick(TimeUs now);
   virtual void sample_counters(TimeUs now);
 
@@ -198,6 +201,12 @@ class LinuxBackend : public Backend {
   };
 
   std::string policy_dir(ClusterId cluster) const;
+  /// Parses proc/stat in one pass into core_stats_. Cpus the file does
+  /// not list (offline cpus drop out) keep their last values. With
+  /// `baseline` the sample also starts the lifetime window; otherwise
+  /// listed cores get their tick_busy_ from the delta. Returns the
+  /// number of per-cpu lines read (0 when the file is missing).
+  int sample_proc_stat(bool baseline);
   void probe_caps();
   void probe_energy_meters();
   void sync_mirror_from_sysfs();
@@ -219,7 +228,6 @@ class LinuxBackend : public Backend {
   std::vector<Workload> workloads_;
   ManagerHook* manager_ = nullptr;
   TimeUs next_tick_ = 0;
-  std::int64_t ticks_ = 0;
   std::int64_t manager_ns_ = 0;
 
   /// Userspace governor installed (once per cluster, lazily).
@@ -239,12 +247,16 @@ class LinuxBackend : public Backend {
   double modeled_energy_j_ = 0.0;
   TimeUs last_sample_us_ = 0;
 
-  /// proc/stat baselines (USER_HZ), per kernel cpu, from construction.
-  std::vector<double> busy0_, total0_;
+  /// proc/stat sums (USER_HZ) per dense core: the baseline from
+  /// construction and the last sample that listed the cpu.
+  struct CoreStat {
+    double busy0 = 0.0, total0 = 0.0;
+    double busy = 0.0, total = 0.0;
+  };
+  std::vector<CoreStat> core_stats_;
   /// Busy fraction over the last tick, per dense core (modeled fallback
   /// input; refreshed in sample_counters).
   std::vector<double> tick_busy_;
-  std::vector<double> prev_busy_, prev_total_;
 };
 
 }  // namespace hars

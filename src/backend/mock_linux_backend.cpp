@@ -1,22 +1,21 @@
 #include "backend/mock_linux_backend.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 
 namespace hars {
 
 // --- FakeThreadOps ----------------------------------------------------
 
-FakeThreadOps::ModeledThread& FakeThreadOps::thread_of(AppId app,
-                                                       int local_tid) {
-  return threads_.at(static_cast<std::size_t>(
-      app_base_.at(static_cast<std::size_t>(app)) + local_tid));
-}
-
-const FakeThreadOps::ModeledThread& FakeThreadOps::thread_of(
-    AppId app, int local_tid) const {
-  return const_cast<FakeThreadOps*>(this)->thread_of(app, local_tid);
+void FakeThreadOps::attach(const Machine* mirror,
+                           const std::vector<int>* core_to_cpu) {
+  ThreadOps::attach(mirror, core_to_cpu);
+  const auto n = static_cast<std::size_t>(mirror->num_cores());
+  core_busy_us_.assign(n, 0.0);
+  tick_busy_.assign(n, 0.0);
 }
 
 int FakeThreadOps::spawn(AppId app, const WorkloadDesc& desc) {
@@ -24,13 +23,14 @@ int FakeThreadOps::spawn(AppId app, const WorkloadDesc& desc) {
       std::max(app_base_.size(), static_cast<std::size_t>(app) + 1), -1);
   app_base_[static_cast<std::size_t>(app)] = static_cast<int>(threads_.size());
   for (int i = 0; i < desc.threads; ++i) {
-    ModeledThread mt;
-    mt.record.affinity = mirror_->all_mask();
-    mt.record.runnable = true;  // Spinning workload: always wants CPU.
-    mt.record.app = app;
-    mt.record.local_index = i;
-    mt.record.id = next_id_++;
-    threads_.push_back(std::move(mt));
+    SimThread t;
+    t.affinity = mirror_->all_mask();
+    t.runnable = true;  // Spinning workload: always wants CPU.
+    t.app = app;
+    t.local_index = i;
+    t.id = next_id_++;
+    threads_.push_back(t);
+    work_.push_back(0.0);
   }
   reschedule();
   return desc.threads;
@@ -47,35 +47,27 @@ void FakeThreadOps::set_affinity(AppId app, int local_tid,
       }
     }
   }
-  thread_of(app, local_tid).record.affinity = mask;
+  threads_.at(index_of(app, local_tid)).affinity = mask;
   // The kernel migrates an affine thread immediately; so does the model.
   reschedule();
 }
 
 int FakeThreadOps::current_cpu(AppId app, int local_tid) const {
-  const CoreId core = thread_of(app, local_tid).record.core;
+  const CoreId core = threads_.at(index_of(app, local_tid)).core;
   if (core < 0) return -1;
   return (*core_to_cpu_)[static_cast<std::size_t>(core)];
 }
 
 TimeUs FakeThreadOps::cpu_time_us(AppId app, int local_tid) const {
-  return thread_of(app, local_tid).record.cpu_time_us;
+  return threads_.at(index_of(app, local_tid)).cpu_time_us;
 }
 
 double FakeThreadOps::work_done(AppId app, int local_tid) const {
-  return thread_of(app, local_tid).work;
+  return work_.at(index_of(app, local_tid));
 }
 
 void FakeThreadOps::reschedule() {
-  if (threads_.empty()) return;
-  assign_scratch_.clear();
-  for (const ModeledThread& mt : threads_) {
-    assign_scratch_.push_back(mt.record);
-  }
-  gts_.assign(*mirror_, assign_scratch_);
-  for (std::size_t i = 0; i < threads_.size(); ++i) {
-    threads_[i].record = assign_scratch_[i];
-  }
+  if (!threads_.empty()) gts_.assign(*mirror_, threads_);
 }
 
 void FakeThreadOps::on_topology_change() { reschedule(); }
@@ -89,29 +81,27 @@ void FakeThreadOps::advance_to(TimeUs now) {
   const TimeUs dt = now - last_advance_;
   last_advance_ = now;
   if (dt <= 0 || mirror_ == nullptr) return;
-  const auto n = static_cast<std::size_t>(mirror_->num_cores());
-  core_busy_us_.resize(n, 0.0);
-  tick_busy_.assign(n, 0.0);
+  std::fill(tick_busy_.begin(), tick_busy_.end(), 0.0);
   if (threads_.empty()) return;
   reschedule();
-  std::vector<int> sharers(n, 0);
-  for (const ModeledThread& mt : threads_) {
-    if (mt.record.runnable && mt.record.core >= 0) {
-      ++sharers[static_cast<std::size_t>(mt.record.core)];
-    }
+  // GTS's runnable-per-core table is exactly the per-core sharer count.
+  const std::vector<int>& sharers = *gts_.runnable_per_core();
+  if (dt != decay_dt_) {
+    decay_ = threads_.front().load.decay_for(dt);
+    decay_dt_ = dt;
   }
-  const double decay = threads_.front().record.load.decay_for(dt);
-  for (ModeledThread& mt : threads_) {
-    const bool running = mt.record.runnable && mt.record.core >= 0;
-    mt.record.load.update_with_decay(running, decay);
+  const auto dt_us = static_cast<double>(dt);
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    SimThread& t = threads_[i];
+    const bool running = t.runnable && t.core >= 0;
+    t.load.update_with_decay(running, decay_);
     if (!running) continue;
-    const auto core = static_cast<std::size_t>(mt.record.core);
-    const double share_us = static_cast<double>(dt) / sharers[core];
-    mt.record.cpu_time_us += static_cast<TimeUs>(share_us);
-    mt.work += mirror_->core_speed(mt.record.core) * share_us * 1e-6;
+    const auto core = static_cast<std::size_t>(t.core);
+    const double share_us = dt_us / sharers[core];
+    t.cpu_time_us += static_cast<TimeUs>(share_us);
+    work_[i] += mirror_->core_speed(t.core) * share_us * 1e-6;
     core_busy_us_[core] += share_us;
-    tick_busy_[core] =
-        std::min(1.0, tick_busy_[core] + share_us / static_cast<double>(dt));
+    tick_busy_[core] = std::min(1.0, tick_busy_[core] + share_us / dt_us);
   }
 }
 
@@ -137,6 +127,17 @@ MockLinuxBackend::MockLinuxBackend(std::unique_ptr<FakeSysfs> sysfs,
   fake_sysfs_ = static_cast<FakeSysfs*>(&this->sysfs());
   fake_threads_ = static_cast<FakeThreadOps*>(&this->thread_ops());
   fake_time_ = static_cast<FakeTimeSource*>(&this->time());
+  // One meter models the board sensor: the first powercap domain with an
+  // energy_uj node.
+  for (const std::string& child : fake_sysfs_->list("sys/class/powercap")) {
+    const std::string dir = "sys/class/powercap/" + child;
+    if (!fake_sysfs_->exists(dir + "/energy_uj")) continue;
+    meter_path_ = dir + "/energy_uj";
+    if (const auto range = fake_sysfs_->read(dir + "/max_energy_range_uj")) {
+      meter_range_uj_ = std::atof(range->c_str());
+    }
+    break;
+  }
 }
 
 double MockLinuxBackend::core_busy_fraction(CoreId core) const {
@@ -155,22 +156,17 @@ void MockLinuxBackend::sample_counters(TimeUs now) {
   const TimeUs dt = now - last_energy_us_;
   last_energy_us_ = now;
   if (dt <= 0) return;
-  std::vector<double> busy = fake_threads_->tick_busy();
-  busy.resize(static_cast<std::size_t>(topology().num_cores()), 0.0);
-  const double watts = profiling_model().total_power(busy);
+  const double watts =
+      profiling_model().total_power(fake_threads_->tick_busy());
   energy_uj_ += watts * static_cast<double>(dt);  // 1 W*us = 1 uJ.
-  for (const std::string& child : fake_sysfs_->list("sys/class/powercap")) {
-    const std::string dir = "sys/class/powercap/" + child;
-    if (!fake_sysfs_->exists(dir + "/energy_uj")) continue;
-    double value = energy_uj_;
-    if (const auto range = fake_sysfs_->read(dir + "/max_energy_range_uj")) {
-      const double range_uj = std::atof(range->c_str());
-      if (range_uj > 0.0) value = std::fmod(value, range_uj);
-    }
-    fake_sysfs_->set(dir + "/energy_uj",
-                     std::to_string(static_cast<long long>(value)));
-    break;  // One meter models the board sensor.
-  }
+  if (meter_path_.empty()) return;
+  double value = energy_uj_;
+  if (meter_range_uj_ > 0.0) value = std::fmod(value, meter_range_uj_);
+  char text[24];
+  char* const end =
+      std::to_chars(text, text + sizeof(text), static_cast<long long>(value))
+          .ptr;
+  fake_sysfs_->set(meter_path_, std::string(text, end));
 }
 
 }  // namespace hars

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend/linux_backend.hpp"
@@ -40,10 +41,17 @@ struct AffinityCall {
 /// Models the kernel scheduler side: SimThread records placed by the GTS
 /// model over the mirror machine; execution shares split per core and
 /// accrue work at core_speed.
+///
+/// The tick is allocation-free once warm: GTS assigns `threads_` in
+/// place, the per-core sharer counts are GTS's own runnable-per-core
+/// table, the load decay is cached per advance length, and the per-core
+/// arrays are sized once in attach().
 class FakeThreadOps final : public ThreadOps {
  public:
   FakeThreadOps() = default;
 
+  void attach(const Machine* mirror,
+              const std::vector<int>* core_to_cpu) override;
   int spawn(AppId app, const WorkloadDesc& desc) override;
   void set_affinity(AppId app, int local_tid,
                     const std::vector<int>& cpus) override;
@@ -59,33 +67,36 @@ class FakeThreadOps final : public ThreadOps {
 
   /// Modeled lifetime busy time of one dense core (us).
   double core_busy_us(CoreId core) const;
-  /// Busy fraction per dense core over the last advance_to interval.
+  /// Busy fraction per dense core over the last advance_to interval; one
+  /// entry per mirror core.
   const std::vector<double>& tick_busy() const { return tick_busy_; }
 
  private:
-  struct ModeledThread {
-    SimThread record;   ///< What GTS places; work trackers ride along.
-    double work = 0.0;  ///< Cumulative work units.
-  };
-  ModeledThread& thread_of(AppId app, int local_tid);
-  const ModeledThread& thread_of(AppId app, int local_tid) const;
+  /// threads_ index of one app's thread.
+  std::size_t index_of(AppId app, int local_tid) const {
+    return static_cast<std::size_t>(
+        app_base_.at(static_cast<std::size_t>(app)) + local_tid);
+  }
   /// Re-places all threads through the GTS model (affinity change,
   /// hotplug, or the per-advance schedule).
   void reschedule();
 
   GtsScheduler gts_;
-  std::vector<ModeledThread> threads_;
+  /// Every spawned thread in spawn order: what GTS places, with the load
+  /// and cpu-time trackers riding along.
+  std::vector<SimThread> threads_;
+  std::vector<double> work_;   ///< Cumulative work units, per threads_ entry.
   std::vector<int> app_base_;  ///< threads_ index of each app's thread 0.
   std::vector<AffinityCall> calls_;
   std::vector<double> core_busy_us_;
   std::vector<double> tick_busy_;
   TimeUs last_advance_ = 0;
   ThreadId next_id_ = 0;
-  /// Scratch for assign(): SimThread records GTS mutates in place.
-  std::vector<SimThread> assign_scratch_;
+  TimeUs decay_dt_ = 0;  ///< Advance length decay_ was computed for.
+  double decay_ = 1.0;
 };
 
-class MockLinuxBackend final : public LinuxBackend {
+class MockLinuxBackend : public LinuxBackend {
  public:
   /// Runs over `fixture` (default: the exynos5422 tree). The fixture must
   /// describe at least one cpu.
@@ -108,7 +119,8 @@ class MockLinuxBackend final : public LinuxBackend {
  protected:
   /// Busy comes from the thread model, energy from the profiling model
   /// integrated over it — pushed into the fixture's powercap counter so
-  /// the read path (and its wrap handling) is the real one.
+  /// the read path (and its wrap handling) is the real one. The counter's
+  /// path and range are resolved once, at construction.
   void sample_counters(TimeUs now) override;
 
  private:
@@ -122,6 +134,10 @@ class MockLinuxBackend final : public LinuxBackend {
   FakeTimeSource* fake_time_;
   double energy_uj_ = 0.0;
   TimeUs last_energy_us_ = 0;
+  /// The modeled board sensor: the first powercap domain's energy_uj
+  /// (empty when the fixture has none) and its wrap range (0 = none).
+  std::string meter_path_;
+  double meter_range_uj_ = 0.0;
 };
 
 }  // namespace hars

@@ -48,6 +48,35 @@ TEST(MockLinuxDvfs, GovernorIsArmedOncePerCluster) {
   EXPECT_EQ(w[0].value, "1200000");
 }
 
+// A kernel without the userspace governor module refuses the governor
+// write: nothing latches, so the governor is armed once the node exists.
+TEST(MockLinuxDvfs, RefusedGovernorWriteDoesNotLatch) {
+  const std::string governor = std::string(kLittleDir) + "/scaling_governor";
+  FakeSysfs fixture = FakeSysfs::exynos5422();
+  fixture.remove(governor);
+  MockLinuxBackend b(std::move(fixture));
+  const ClusterId little = b.topology().slowest_cluster();
+  b.fake_sysfs().clear_writes();
+
+  b.set_dvfs_level(little, 3);
+  b.set_dvfs_level(little, 4);
+  const auto& w = b.fake_sysfs().writes();
+  ASSERT_EQ(w.size(), 2u);  // The setspeed writes only.
+  EXPECT_EQ(w[0].path, std::string(kLittleDir) + "/scaling_setspeed");
+  EXPECT_EQ(w[1].path, std::string(kLittleDir) + "/scaling_setspeed");
+
+  b.fake_sysfs().set(governor, "performance");
+  b.fake_sysfs().clear_writes();
+  b.set_dvfs_level(little, 5);
+  b.set_dvfs_level(little, 6);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w[0].path, governor);
+  EXPECT_EQ(w[0].value, "userspace");
+  EXPECT_EQ(w[1].value, "1200000");
+  EXPECT_EQ(w[2].path, std::string(kLittleDir) + "/scaling_setspeed");
+  EXPECT_EQ(w[2].value, "1400000");
+}
+
 TEST(MockLinuxDvfs, OutOfRangeLevelsClampToLadderEdges) {
   MockLinuxBackend b;
   const ClusterId big = b.topology().fastest_cluster();

@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "apps/data_parallel_app.hpp"
+#include "backend/backend_registry.hpp"
+#include "backend/mock_linux_backend.hpp"
 #include "exp/experiment.hpp"
 #include "exp/fuzz_harness.hpp"
 #include "scenario/repro.hpp"
@@ -111,6 +113,9 @@ const std::map<std::string, std::string>& goldens() {
       {"corpus/r0_MP-HARS-E_exynos5422.scenario.csv", "c8b002f042a3c51b"},
       {"corpus/r2_HARS-E_exynos5422.scenario.csv", "5079a22eeecba8d0"},
       {"live/mock_linux/HARS-E", "f1e27457d65c8c6c"},
+      {"live/mock_linux/MP-HARS-E/kernel_log", "0748e6bb9272c41c"},
+      {"live/mock_linux/HARS-EI/kernel_log", "2bdad78235a46338"},
+      {"live/mock_linux/CONS-I/kernel_log", "fb4fd041cf630c96"},
       {"custom/HARS-EI", "32146a77c8096635"},
       {"sampled/steady/HARS-E", "c6570f882514926a"},
       {"sampled/staggered/MP-HARS-E", "79cea7a420fc5b70"},
@@ -231,6 +236,81 @@ TEST(PipelineGolden, MockLinuxLiveRun) {
   // everything else about the mock run is deterministic.
   for (AppRunResult& app : r.apps) app.metrics.manager_cpu_pct = 0.0;
   expect_golden("live/mock_linux/HARS-E", result_fingerprint(r));
+}
+
+/// What the mock kernel saw over a live run, appended as the backend is
+/// torn down: every sysfs write, every affinity call, each workload's
+/// heartbeat count and the metered energy.
+std::string& kernel_log() {
+  static std::string log;
+  return log;
+}
+
+class LoggedMockLinux final : public MockLinuxBackend {
+ public:
+  explicit LoggedMockLinux(LinuxBackendConfig config)
+      : MockLinuxBackend(FakeSysfs::exynos5422(), std::move(config)) {}
+
+  ~LoggedMockLinux() override {
+    std::string& log = kernel_log();
+    for (const SysfsWrite& w : fake_sysfs().writes()) {
+      log += w.path + '=' + w.value + '\n';
+    }
+    for (const AffinityCall& call : fake_threads().affinity_calls()) {
+      log += std::to_string(call.app) + '/' + std::to_string(call.local_tid) +
+             ':';
+      for (const int cpu : call.cpus) log += std::to_string(cpu) + ',';
+      log += '\n';
+    }
+    for (AppId app = 0; app < num_apps(); ++app) {
+      log += "beats " + std::to_string(heartbeats(app).count()) + '\n';
+    }
+    log += "energy_j " + format_number(energy_j()) + '\n';
+  }
+};
+
+/// Runs `variant` over the exynos5422 fixture for 10 s (4 threads per
+/// workload) and returns the kernel log.
+std::string logged_mock_run(const std::string& variant,
+                            const std::vector<ParsecBenchmark>& benches) {
+  BackendRegistry::instance().register_backend(
+      {"mock_linux_logged", "mock_linux recording its kernel-side logs",
+       [](const BackendOptions& options) -> std::unique_ptr<Backend> {
+         LinuxBackendConfig config = MockLinuxBackend::mock_config();
+         config.platform = options.platform;
+         return std::make_unique<LoggedMockLinux>(std::move(config));
+       }},
+      /*replace=*/true);
+  kernel_log().clear();
+  ExperimentBuilder b;
+  b.backend("mock_linux_logged").variant(variant).duration_sec(10).threads(4);
+  for (const ParsecBenchmark bench : benches) b.app(bench);
+  b.build().run();
+  return kernel_log();
+}
+
+// The mock paths MockLinuxLiveRun does not reach: two workloads under one
+// multi-app manager, HARS-EI's interleaved per-thread placement, and
+// CONS-I, the variant that hotplugs.
+TEST(PipelineGolden, MockLinuxMultiAppKernelLog) {
+  const std::string log =
+      logged_mock_run("MP-HARS-E", {ParsecBenchmark::kSwaptions,
+                                    ParsecBenchmark::kBlackscholes});
+  EXPECT_NE(log.find("\n1/0:"), std::string::npos);  // Second app placed.
+  expect_golden("live/mock_linux/MP-HARS-E/kernel_log", log);
+}
+
+TEST(PipelineGolden, MockLinuxInterleavedKernelLog) {
+  const std::string log =
+      logged_mock_run("HARS-EI", {ParsecBenchmark::kSwaptions});
+  expect_golden("live/mock_linux/HARS-EI/kernel_log", log);
+}
+
+TEST(PipelineGolden, MockLinuxHotplugKernelLog) {
+  const std::string log =
+      logged_mock_run("CONS-I", {ParsecBenchmark::kSwaptions});
+  EXPECT_NE(log.find("/online=0"), std::string::npos);  // Cores offlined.
+  expect_golden("live/mock_linux/CONS-I/kernel_log", log);
 }
 
 AppFactory stable_app() {
