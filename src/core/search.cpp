@@ -242,6 +242,7 @@ HARS_HOT SearchResult get_next_sys_state(
         const double norm = normalized_perf(perf_out, target);
         pp_out = power_out > 0.0 ? norm / power_out : 0.0;
       });
+  scratch->flush_counters();
   obs::counter_add(obs::catalog().search_calls);
   if (result.moved) obs::counter_add(obs::catalog().search_moves);
   return result;

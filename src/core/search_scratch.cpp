@@ -5,7 +5,6 @@
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/alloc_guard.hpp"
-#include "util/hot_path.hpp"
 
 namespace hars {
 
@@ -38,35 +37,13 @@ void SearchScratch::begin_tick(const StateSpace& space) {
   }
 }
 
-HARS_HOT double SearchScratch::unit_time(const SystemState& s, int threads,
-                                         const PerfEstimator& perf) {
-  assert(gen_ != 0 && "begin_tick() must run before lookups");
-  Entry& entry = unit_time_[index_of(s)];
-  if (entry.gen != gen_ || entry.threads != threads) {
-    entry.value = perf.unit_time(s, threads);
-    entry.gen = gen_;
-    entry.threads = threads;
-    obs::counter_add(obs::catalog().memo_unit_time_misses);
-  } else {
-    obs::counter_add(obs::catalog().memo_unit_time_hits);
-  }
-  return entry.value;
-}
-
-HARS_HOT double SearchScratch::power(const SystemState& s, int threads,
-                                     const PerfEstimator& perf,
-                                     const PowerEstimator& power_est) {
-  assert(gen_ != 0 && "begin_tick() must run before lookups");
-  Entry& entry = power_[index_of(s)];
-  if (entry.gen != gen_ || entry.threads != threads) {
-    entry.value = power_est.estimate(s, threads, perf);
-    entry.gen = gen_;
-    entry.threads = threads;
-    obs::counter_add(obs::catalog().memo_power_misses);
-  } else {
-    obs::counter_add(obs::catalog().memo_power_hits);
-  }
-  return entry.value;
+void SearchScratch::flush_counters() {
+  const obs::Catalog& cat = obs::catalog();
+  obs::counter_add(cat.memo_unit_time_hits, tally_.unit_time_hits);
+  obs::counter_add(cat.memo_unit_time_misses, tally_.unit_time_misses);
+  obs::counter_add(cat.memo_power_hits, tally_.power_hits);
+  obs::counter_add(cat.memo_power_misses, tally_.power_misses);
+  tally_ = Tally{};
 }
 
 }  // namespace hars

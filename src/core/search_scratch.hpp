@@ -16,7 +16,9 @@
 // bumping the generation, which invalidates every entry in O(1) without
 // deallocating. Entries are keyed by thread count as well, so an epoch
 // may serve searches for different thread counts. Steady-state lookups
-// never allocate.
+// never allocate. Lookups are inline and only tally their hits and
+// misses; each search adds the tally to the search.memo.* counters once
+// (flush_counters), not once per candidate.
 //
 // Bit-identity: a memoized value is the result of the exact expression
 // the unmemoized path evaluates, so searches through the scratch return
@@ -26,6 +28,7 @@
 // cases for all three SearchPolicy values.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -47,11 +50,36 @@ class SearchScratch {
   /// Memoized PerfEstimator::unit_time(s, threads); `s` must be valid in
   /// the begin_tick space.
   double unit_time(const SystemState& s, int threads,
-                   const PerfEstimator& perf);
+                   const PerfEstimator& perf) {
+    assert(gen_ != 0 && "begin_tick() must run before lookups");
+    Entry& entry = unit_time_[index_of(s)];
+    if (entry.gen != gen_ || entry.threads != threads) {
+      entry = Entry{gen_, threads, perf.unit_time(s, threads)};
+      ++tally_.unit_time_misses;
+    } else {
+      ++tally_.unit_time_hits;
+    }
+    return entry.value;
+  }
 
   /// Memoized PowerEstimator::estimate(s, threads, perf).
   double power(const SystemState& s, int threads, const PerfEstimator& perf,
-               const PowerEstimator& power_est);
+               const PowerEstimator& power_est) {
+    assert(gen_ != 0 && "begin_tick() must run before lookups");
+    Entry& entry = power_[index_of(s)];
+    if (entry.gen != gen_ || entry.threads != threads) {
+      entry = Entry{gen_, threads, power_est.estimate(s, threads, perf)};
+      ++tally_.power_misses;
+    } else {
+      ++tally_.power_hits;
+    }
+    return entry.value;
+  }
+
+  /// Adds the hits and misses tallied since the last call to the
+  /// search.memo.* counters and resets the tally. The search functions
+  /// call it once per search.
+  void flush_counters();
 
   /// Reusable bounded-FIFO backing store for the tabu list (cleared by the
   /// caller; capacity persists across searches so pushes do not allocate
@@ -63,6 +91,14 @@ class SearchScratch {
     std::uint32_t gen = 0;  ///< Epoch stamp; 0 is never a live epoch.
     int threads = -1;       ///< Thread count the value was computed for.
     double value = 0.0;
+  };
+
+  /// Lookups since the last flush_counters().
+  struct Tally {
+    std::uint64_t unit_time_hits = 0;
+    std::uint64_t unit_time_misses = 0;
+    std::uint64_t power_hits = 0;
+    std::uint64_t power_misses = 0;
   };
 
   std::size_t index_of(const SystemState& s) const {
@@ -77,6 +113,7 @@ class SearchScratch {
   int stride_bf_ = 0;  ///< num_big_freqs.
   int stride_lf_ = 0;  ///< num_little_freqs.
   std::uint32_t gen_ = 0;
+  Tally tally_;
   std::vector<Entry> unit_time_;
   std::vector<Entry> power_;
   std::vector<SystemState> tabu_ring_;

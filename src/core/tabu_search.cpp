@@ -181,6 +181,7 @@ HARS_HOT SearchResult tabu_get_next_sys_state(
   // actually used versus the configured tenure.
   obs::hist_observe(obs::catalog().tabu_ring_occupancy,
                     static_cast<double>(tabu.size()));
+  scratch->flush_counters();
   obs::counter_add(obs::catalog().search_calls);
   if (out.moved) obs::counter_add(obs::catalog().search_moves);
   return out;

@@ -41,7 +41,7 @@ AppId SimEngine::add_app(App* app) {
   assert(app != nullptr);
   const AppId id = static_cast<AppId>(apps_.size());
   apps_.push_back(app);
-  app_thread_base_.push_back(static_cast<int>(threads_.size()));
+  live_.push_back(LiveApp{id, app, static_cast<int>(threads_.size())});
   for (int i = 0; i < app->thread_count(); ++i) {
     SimThread t;
     t.id = next_thread_id_++;
@@ -59,26 +59,31 @@ void SimEngine::remove_app(AppId app_id) {
     throw std::out_of_range("remove_app: unknown or already-removed app " +
                             std::to_string(app_id));
   }
-  const auto slot = static_cast<std::size_t>(app_id);
-  const int thread_count = apps_[slot]->thread_count();
-  std::erase_if(threads_, [&](const SimThread& t) {
-    if (t.app != app_id) return false;
-    retired_migrations_ += t.migrations;
-    return true;
-  });
+  const auto entry = live_entry(app_id);
+  const int thread_count = entry->app->thread_count();
+  const auto first = threads_.begin() + entry->thread_base;
+  const auto last = first + thread_count;
+  for (auto t = first; t != last; ++t) retired_migrations_ += t->migrations;
+  threads_.erase(first, last);
   // Later apps' thread ranges shift down by the erased block.
-  for (std::size_t j = slot + 1; j < app_thread_base_.size(); ++j) {
-    if (app_thread_base_[j] >= 0) app_thread_base_[j] -= thread_count;
+  for (auto later = entry + 1; later != live_.end(); ++later) {
+    later->thread_base -= thread_count;
   }
-  app_thread_base_[slot] = -1;
-  apps_[slot] = nullptr;
+  live_.erase(entry);
+  apps_[static_cast<std::size_t>(app_id)] = nullptr;
+}
+
+std::vector<SimEngine::LiveApp>::iterator SimEngine::live_entry(AppId app_id) {
+  assert(app_alive(app_id));
+  return std::lower_bound(
+      live_.begin(), live_.end(), app_id,
+      [](const LiveApp& live, AppId id) { return live.id < id; });
 }
 
 SimThread& SimEngine::thread_of(AppId app_id, int local_tid) {
-  assert(app_alive(app_id));
-  assert(local_tid >= 0 && local_tid < apps_[static_cast<std::size_t>(app_id)]->thread_count());
-  return threads_[static_cast<std::size_t>(
-      app_thread_base_[static_cast<std::size_t>(app_id)] + local_tid)];
+  assert(local_tid >= 0 && local_tid < app(app_id).thread_count());
+  return threads_[static_cast<std::size_t>(live_entry(app_id)->thread_base +
+                                           local_tid)];
 }
 
 const SimThread& SimEngine::thread_of(AppId app_id, int local_tid) const {
@@ -203,9 +208,7 @@ HARS_HOT void SimEngine::step() {
 
   {
     obs::PhaseTimer obs_phase(obs::TickPhase::kBeginTick, obs_tick);
-    for (App* a : apps_) {
-      if (a != nullptr) a->begin_tick(now_);
-    }
+    for (const LiveApp& live : live_) live.app->begin_tick(now_);
   }
 
   {
@@ -222,9 +225,8 @@ HARS_HOT void SimEngine::step() {
   if (!threads_.empty()) {
     obs::PhaseTimer obs_phase(obs::TickPhase::kRunnability, obs_tick);
     const double decay = load_decay_;
-    for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
-      App* a = apps_[slot];
-      if (a == nullptr) continue;
+    for (const LiveApp& live : live_) {
+      App* a = live.app;
       const auto n = static_cast<std::size_t>(a->thread_count());
       if (s.runnable_capacity < n) {
         // Grows only when an app with more threads than ever seen joins.
@@ -233,8 +235,7 @@ HARS_HOT void SimEngine::step() {
         s.runnable_capacity = n;
       }
       a->refresh_runnable(s.runnable.get());
-      SimThread* block = &threads_[static_cast<std::size_t>(
-          app_thread_base_[slot])];
+      SimThread* block = &threads_[static_cast<std::size_t>(live.thread_base)];
       for (std::size_t i = 0; i < n; ++i) {
         SimThread& t = block[i];
         assert(t.load.half_life_us() == LoadTracker().half_life_us());
@@ -301,9 +302,7 @@ HARS_HOT void SimEngine::step() {
 
   {
     obs::PhaseTimer obs_phase(obs::TickPhase::kEndTick, obs_tick);
-    for (App* a : apps_) {
-      if (a != nullptr) a->end_tick(now_);
-    }
+    for (const LiveApp& live : live_) live.app->end_tick(now_);
   }
 
   if (manager_ != nullptr) {
@@ -446,11 +445,9 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
     grant.type = s.core_type[core];
     grant.freq_ghz = s.core_freq_ghz[core];
   }
-  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
-    const App* a = apps_[slot];
-    if (a == nullptr) continue;
-    const auto base = static_cast<std::size_t>(app_thread_base_[slot]);
-    if (!a->plan_quiet(&quiet_.grants[base], &v.lanes[base])) {
+  for (const LiveApp& live : live_) {
+    const auto base = static_cast<std::size_t>(live.thread_base);
+    if (!live.app->plan_quiet(&quiet_.grants[base], &v.lanes[base])) {
       v.mgr_use = -1;
       return false;
     }
@@ -485,11 +482,9 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
 }
 
 HARS_HOT bool SimEngine::apps_accept_quiet_tick(const QuietVariant& v) const {
-  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
-    const App* a = apps_[slot];
-    if (a == nullptr) continue;
-    const auto base = static_cast<std::size_t>(app_thread_base_[slot]);
-    if (!a->accepts_quiet_tick(&v.lanes[base])) return false;
+  for (const LiveApp& live : live_) {
+    const auto base = static_cast<std::size_t>(live.thread_base);
+    if (!live.app->accepts_quiet_tick(&v.lanes[base])) return false;
   }
   return true;
 }
@@ -515,13 +510,12 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   // the next step() would read must equal the table's. Quiet ticks move
   // no item and retire no work, so a begin_tick that is a no-op now stays
   // one for the whole span.
-  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
-    const App* a = apps_[slot];
-    if (a == nullptr) continue;
+  for (const LiveApp& live : live_) {
+    const App* a = live.app;
     if (!a->begin_tick_idle()) return;
     a->refresh_runnable(s.runnable.get());
     const SimThread* block =
-        &threads_[static_cast<std::size_t>(app_thread_base_[slot])];
+        &threads_[static_cast<std::size_t>(live.thread_base)];
     for (int i = 0; i < a->thread_count(); ++i) {
       if (block[i].runnable != s.runnable[static_cast<std::size_t>(i)]) return;
     }
@@ -559,11 +553,9 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     // the sensor, in step()'s order.
     pending_manager_us_ -= mgr_use;
     now_ += tick;
-    for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
-      App* a = apps_[slot];
-      if (a == nullptr) continue;
-      a->commit_quiet_tick(
-          &v.lanes[static_cast<std::size_t>(app_thread_base_[slot])]);
+    for (const LiveApp& live : live_) {
+      live.app->commit_quiet_tick(
+          &v.lanes[static_cast<std::size_t>(live.thread_base)]);
     }
     const QuietLane* const lanes = v.lanes.data();
     for (std::size_t i = 0; i < n; ++i) {
@@ -702,31 +694,27 @@ void SimEngine::step_reference() {
 }
 
 void SimEngine::audit_now() const {
-  const auto n_slots = apps_.size();
-  if (app_thread_base_.size() != n_slots) {
-    throw AuditError("SimEngine::audit_now: per-app thread-base table out "
-                     "of sync with the app slot table");
-  }
+  // live_ must list exactly the non-null slots, in slot order.
+  std::size_t next = 0;
   std::size_t alive_threads = 0;
-  for (std::size_t slot = 0; slot < n_slots; ++slot) {
+  for (std::size_t slot = 0; slot < apps_.size(); ++slot) {
     const App* a = apps_[slot];
-    const int base = app_thread_base_[slot];
-    if (a == nullptr) {
-      if (base != -1) {
-        throw AuditError("SimEngine::audit_now: removed app slot " +
-                         std::to_string(slot) +
-                         " still claims thread base " + std::to_string(base));
-      }
-      continue;
+    if (a == nullptr) continue;
+    if (next >= live_.size() || live_[next].id != static_cast<AppId>(slot) ||
+        live_[next].app != a) {
+      throw AuditError("SimEngine::audit_now: live-app table out of sync "
+                       "with alive app slot " + std::to_string(slot));
     }
+    const int base = live_[next++].thread_base;
     const int count = a->thread_count();
-    if (base < 0 ||
-        static_cast<std::size_t>(base) + static_cast<std::size_t>(count) >
-            threads_.size()) {
+    // The alive apps' blocks tile the thread table in AppId order.
+    if (static_cast<std::size_t>(base) != alive_threads ||
+        alive_threads + static_cast<std::size_t>(count) > threads_.size()) {
       throw AuditError("SimEngine::audit_now: app " + std::to_string(slot) +
                        " thread block [" + std::to_string(base) + ", " +
                        std::to_string(base + count) +
-                       ") falls outside the thread table of size " +
+                       ") does not follow the previous app's block inside "
+                       "the thread table of size " +
                        std::to_string(threads_.size()));
     }
     for (int i = 0; i < count; ++i) {
@@ -742,6 +730,11 @@ void SimEngine::audit_now() const {
       }
     }
     alive_threads += static_cast<std::size_t>(count);
+  }
+  if (next != live_.size()) {
+    throw AuditError("SimEngine::audit_now: live-app table holds " +
+                     std::to_string(live_.size()) + " apps but only " +
+                     std::to_string(next) + " slots are alive");
   }
   if (alive_threads != threads_.size()) {
     throw AuditError("SimEngine::audit_now: alive apps account for " +

@@ -27,6 +27,7 @@
 // (machine().set_freq_level) and hotplug (machine().set_online_mask).
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -128,7 +129,7 @@ class SimEngine {
   /// an unknown or already-removed id.
   void remove_app(AppId app_id);
 
-  /// False once `app_id` has been remove_app()ed.
+  /// False once `app_id` has been remove_app()ed; app() asserts it holds.
   bool app_alive(AppId app_id) const {
     return app_id >= 0 && app_id < num_apps() &&
            apps_[static_cast<std::size_t>(app_id)] != nullptr;
@@ -183,8 +184,13 @@ class SimEngine {
   /// Number of app slots ever registered (removed apps keep their slot).
   int num_apps() const { return static_cast<int>(apps_.size()); }
   /// The app in slot `id`; the id must be alive (app_alive).
-  App& app(AppId id) { return *apps_[static_cast<std::size_t>(id)]; }
-  const App& app(AppId id) const { return *apps_[static_cast<std::size_t>(id)]; }
+  App& app(AppId id) {
+    assert(app_alive(id));
+    return *apps_[static_cast<std::size_t>(id)];
+  }
+  const App& app(AppId id) const {
+    return const_cast<SimEngine*>(this)->app(id);
+  }
 
   TimeUs now() const { return now_; }
   TimeUs tick_us() const { return config_.tick_us; }
@@ -288,6 +294,11 @@ class SimEngine {
   SimThread& thread_of(AppId app_id, int local_tid);
   const SimThread& thread_of(AppId app_id, int local_tid) const;
 
+  /// An alive app and the threads_ index of its first thread.
+  struct LiveApp { AppId id; App* app; int thread_base; };
+  /// The live_ entry of alive app `app_id` (binary search by id).
+  std::vector<LiveApp>::iterator live_entry(AppId app_id);
+
   Machine machine_;
   PowerModel power_model_;
   PowerSensor sensor_;
@@ -296,8 +307,7 @@ class SimEngine {
 
   std::vector<App*> apps_;  ///< Slot per AppId; null once removed.
   std::vector<SimThread> threads_;
-  /// threads_ index of the first thread of each app; -1 once removed.
-  std::vector<int> app_thread_base_;
+  std::vector<LiveApp> live_;  ///< Alive apps by AppId: what ticks walk.
   ThreadId next_thread_id_ = 0;  ///< Ids stay unique across removals.
   std::int64_t retired_migrations_ = 0;  ///< Migrations of removed apps.
 

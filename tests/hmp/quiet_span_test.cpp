@@ -16,6 +16,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,8 @@ PipelineConfig pipeline_config(std::uint64_t seed, int max_in_flight = 32,
   return cfg;
 }
 
+using AppPool = std::vector<std::unique_ptr<App>>;
+
 /// One engine run: apps, a scripted manager and a slice schedule.
 struct EngineCase {
   std::string platform = "exynos5422";
@@ -162,6 +165,10 @@ struct EngineCase {
   std::vector<PipelineConfig> pipelines;  ///< Added after `apps`.
   ScriptedManager::Script script;
   std::vector<TimeUs> slices;  ///< run_for lengths, in order.
+  /// Runs after slice `i` (i = 0, 1, ...): may remove_app, or add_app an
+  /// app it appends to `pool`, which keeps every app alive to the end.
+  std::function<void(SimEngine& engine, AppPool& pool, std::size_t i)>
+      between_slices;
 };
 
 struct EngineRun {
@@ -179,7 +186,7 @@ EngineRun run_engine(const EngineCase& c, bool reference) {
   const PlatformSpec* platform = PlatformRegistry::instance().find(c.platform);
   EXPECT_NE(platform, nullptr) << c.platform;
   SimEngine engine(*platform, std::make_unique<GtsScheduler>(), config);
-  std::vector<std::unique_ptr<App>> apps;
+  AppPool apps;
   for (const DataParallelConfig& cfg : c.apps) {
     apps.push_back(std::make_unique<DataParallelApp>(
         "app" + std::to_string(apps.size()), cfg));
@@ -192,9 +199,10 @@ EngineRun run_engine(const EngineCase& c, bool reference) {
   ScriptedManager manager(engine, c.script);
   engine.set_manager(&manager);
   EngineRun run;
-  for (TimeUs slice : c.slices) {
-    engine.run_for(slice);
+  for (std::size_t i = 0; i < c.slices.size(); ++i) {
+    engine.run_for(c.slices[i]);
     run.slice_states.push_back(engine_state(engine));
+    if (c.between_slices) c.between_slices(engine, apps, i);
   }
   run.state = engine_state(engine);
   for (const auto& app : apps) run.heartbeats.push_back(app->heartbeats().count());
@@ -356,6 +364,107 @@ TEST(QuietSpan, PipelineBesideDataParallelApp) {
   };
   c.slices = {15 * kUsPerSec};
   expect_identical(c);
+}
+
+// --- Apps joining and leaving ------------------------------------------
+
+/// Every thread-table entry is what the per-thread accessors of its own
+/// (alive) app return, and every alive app owns exactly its thread count
+/// of entries: AppId -> thread block resolution survives removals of
+/// earlier slots.
+void expect_thread_lookup_consistent(const SimEngine& engine) {
+  std::vector<int> owned(static_cast<std::size_t>(engine.num_apps()), 0);
+  for (const SimThread& t : engine.threads()) {
+    ASSERT_TRUE(engine.app_alive(t.app)) << "thread " << t.id;
+    EXPECT_EQ(engine.thread_core(t.app, t.local_index), t.core);
+    EXPECT_EQ(engine.thread_cpu_time_us(t.app, t.local_index), t.cpu_time_us);
+    EXPECT_EQ(engine.thread_affinity(t.app, t.local_index).bits(),
+              t.affinity.bits());
+    ++owned[static_cast<std::size_t>(t.app)];
+  }
+  for (AppId id = 0; id < engine.num_apps(); ++id) {
+    const int expected = engine.app_alive(id) ? engine.app(id).thread_count() : 0;
+    EXPECT_EQ(owned[static_cast<std::size_t>(id)], expected) << "app " << id;
+  }
+}
+
+/// Five apps of different widths; after the first slice the two in the
+/// middle of the slot range leave, after the second two more arrive, and
+/// after the third the first app and a newcomer leave while another
+/// arrives. The manager charges a small cost every fifth tick and
+/// re-pins the highest alive app every 300 ticks, so affinities of apps
+/// that sit after removed slots are written mid-run.
+EngineCase add_remove_case(const std::string& platform) {
+  EngineCase c;
+  c.platform = platform;
+  c.apps = {app_config(4, 3.0, 21), app_config(2, 1.0, 22),
+            app_config(3, 2.0, 23), app_config(1, 0.5, 24),
+            app_config(2, 1.5, 25)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    const std::int64_t tick = now / engine.tick_us();
+    if (tick % 300 == 0) {
+      AppId last = engine.num_apps() - 1;
+      while (!engine.app_alive(last)) --last;
+      const Machine& m = engine.machine();
+      engine.set_app_affinity(last, (tick / 300) % 2 == 0
+                                        ? m.cluster_mask(m.fastest_cluster())
+                                        : m.all_mask());
+    }
+    return tick % 5 == 0 ? 60 : 0;
+  };
+  c.slices = {3 * kUsPerSec, 3 * kUsPerSec, 3 * kUsPerSec, 3 * kUsPerSec};
+  c.between_slices = [](SimEngine& engine, AppPool& pool, std::size_t i) {
+    auto arrive = [&](int threads, double work, std::uint64_t seed) {
+      pool.push_back(std::make_unique<DataParallelApp>(
+          "late" + std::to_string(pool.size()),
+          app_config(threads, work, seed)));
+      engine.add_app(pool.back().get());
+    };
+    if (i == 0) {
+      engine.remove_app(1);
+      engine.remove_app(3);
+    } else if (i == 1) {
+      arrive(3, 2.5, 26);  // AppId 5.
+      arrive(2, 1.0, 27);  // AppId 6.
+    } else if (i == 2) {
+      engine.remove_app(0);
+      engine.remove_app(5);
+      arrive(4, 2.0, 28);  // AppId 7.
+    }
+    EXPECT_FALSE(engine.app_alive(1));
+    EXPECT_FALSE(engine.app_alive(3));
+    EXPECT_TRUE(engine.app_alive(2));
+    EXPECT_TRUE(engine.app_alive(4));
+    EXPECT_NO_THROW(engine.audit_now());
+    expect_thread_lookup_consistent(engine);
+  };
+  return c;
+}
+
+TEST(QuietSpan, AppsRemovedMidSlotRangeThenAddedMatchReference) {
+  expect_identical(add_remove_case("exynos5422"));
+}
+
+TEST(QuietSpan, AppsRemovedMidSlotRangeThenAddedMatchReferenceOnSd855) {
+  expect_identical(add_remove_case("sd855"));
+}
+
+// app() requires a live id: debug builds assert, release builds leave it
+// the precondition documented at app_alive().
+TEST(QuietSpanDeathTest, AppOfRemovedIdAsserts) {
+  SimEngine engine(*PlatformRegistry::instance().find("exynos5422"),
+                   std::make_unique<GtsScheduler>());
+  DataParallelApp first("first", app_config(2, 1.0, 29));
+  DataParallelApp second("second", app_config(2, 1.0, 30));
+  engine.add_app(&first);
+  engine.add_app(&second);
+  engine.remove_app(0);
+  EXPECT_FALSE(engine.app_alive(0));
+  EXPECT_EQ(&engine.app(1), &second);
+  EXPECT_THROW(engine.remove_app(0), std::out_of_range);
+#ifndef NDEBUG
+  EXPECT_DEATH(engine.app(0), "app_alive");
+#endif
 }
 
 // --- Experiment-level cases ---------------------------------------------
