@@ -4,7 +4,7 @@
 // and multi-app runtime (HARS-E, MP-HARS-E) with trace capture on, and
 // reports per (scenario, variant):
 //   * wall-clock of the simulated run (the scenario engine's overhead
-//     trajectory, tracked by CI like BENCH_sweep.json), and
+//     trajectory, tracked by CI like BENCH_tick.json), and
 //   * the adaptation-latency metric: for every mid-run event, the
 //     simulated time from the event until every live app's windowed
 //     heartbeat rate is back inside its target window ("target

@@ -73,7 +73,8 @@ struct RuntimeManagerConfig {
 
   /// Runs the retained reference search implementations instead of the
   /// memoized SearchScratch path. Decisions are bit-identical either way;
-  /// the flag is the baseline of bench/tick_bench's speedup trajectory.
+  /// the flag is the oracle of the QuietSpan* differential tests and
+  /// hars_fuzz.
   bool reference_search = false;
 };
 

@@ -89,8 +89,9 @@ SearchResult get_next_sys_state(double hb_rate, const SystemState& current,
 
 /// The retained pre-memoization implementation (recomputes every
 /// estimate from scratch and filters the whole m/n box). Kept as the
-/// golden reference the optimized path is property-tested against, and
-/// as bench/tick_bench's `--reference` baseline.
+/// golden reference the optimized path is property-tested against
+/// (search_identity_test) and, through reference_search, the oracle of
+/// the QuietSpan* differential tests and hars_fuzz.
 SearchResult get_next_sys_state_reference(
     double hb_rate, const SystemState& current, const PerfTarget& target,
     const SearchParams& params, const StateSpace& space,

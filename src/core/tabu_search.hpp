@@ -43,8 +43,8 @@ SearchResult tabu_get_next_sys_state(double hb_rate, const SystemState& current,
                                      SearchScratch* scratch = nullptr);
 
 /// The retained pre-memoization implementation (std::deque tabu list,
-/// every estimate recomputed); the golden reference for the property
-/// tests and bench/tick_bench's `--reference` baseline.
+/// every estimate recomputed); the golden reference for
+/// search_identity_test's property tests.
 SearchResult tabu_get_next_sys_state_reference(
     double hb_rate, const SystemState& current, const PerfTarget& target,
     const TabuParams& params, const StateSpace& space,

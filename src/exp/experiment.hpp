@@ -103,8 +103,8 @@ struct ExperimentSpec {
   /// Runs the retained reference implementations of the per-tick hot
   /// paths (engine tick, GTS placement, search) instead of the optimized
   /// scratch/memoized ones. Results are bit-identical either way; the
-  /// flag exists so bench/tick_bench can measure the optimized paths
-  /// against their baseline on the same build.
+  /// flag is the differential oracle of the QuietSpan* tests and
+  /// hars_fuzz (exp/fuzz_harness).
   bool reference_impl = false;
   /// Per-run override of the engine's debug invariant audits
   /// (SimConfig::audit). Unset = the build default (HARS_AUDIT); fuzzing

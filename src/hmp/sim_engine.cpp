@@ -611,8 +611,9 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
 }
 
 // The retained reference tick path: the pre-TickScratch implementation,
-// kept verbatim so bench/tick_bench can measure the optimized path
-// against it and assert the two produce bit-identical records.
+// kept verbatim as the differential oracle. The QuietSpan*, audit and
+// alloc-free tick tests and hars_fuzz assert that step() and run_until's
+// quiet spans produce bit-identical records against it.
 void SimEngine::step_reference() {
   if (tick_hook_) tick_hook_(now_);
 

@@ -53,9 +53,9 @@ struct SimConfig {
   double sensor_noise = 0.01;
   /// Runs the retained, unoptimized tick path (per-tick vector
   /// allocations, per-thread machine queries) instead of the TickScratch
-  /// path. Both produce bit-identical simulations; the reference path
-  /// exists as the baseline for bench/tick_bench's speedup trajectory and
-  /// as an always-available cross-check.
+  /// path. Both produce bit-identical simulations; the reference path is
+  /// the differential oracle of the QuietSpan*, audit and alloc-free tick
+  /// tests and of hars_fuzz.
   bool reference_tick = false;
   /// Per-tick invariant audits (audit_tick/audit_now): thread-table
   /// conservation across spawn/kill, snapshot coherence with the live

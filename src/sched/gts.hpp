@@ -31,7 +31,7 @@ struct GtsConfig {
   bool idle_pull = false;
   /// Runs the retained per-call-allocating assign() body instead of the
   /// scratch-reusing one. Placement is bit-identical either way; the flag
-  /// exists for bench/tick_bench's reference measurement.
+  /// is the oracle of the QuietSpan* differential tests and hars_fuzz.
   bool reference = false;
 };
 

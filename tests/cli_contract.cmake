@@ -33,11 +33,8 @@ set(tools
   hars_agentd 2 --duration
   hars_simd 2 --jobs
   hars_fuzz 1 --duration
-  sweep_smoke 2 --jobs
   docs_check 2 -
   bench_report 2 -
-  backend_bench 2 --duration
-  cross_platform 2 --duration
   fuzz_suite 2 --duration
   scenario_suite 2 --duration
   tick_bench 2 --duration

@@ -701,6 +701,22 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// The staggered scenario under every registered runtime version, so
+// the single-app versions and HARS-I / MP-HARS-I are checked on a
+// scenario run too.
+class QuietSpanStaggered : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(QuietSpanStaggered, MatchReferenceAtEveryManagerCall) {
+  expect_experiment_identical(GetParam(), [](ExperimentBuilder& b) {
+    b.scenario(std::string_view("staggered")).duration_sec(60).seed(5);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, QuietSpanStaggered,
+    ::testing::ValuesIn(VariantRegistry::instance().names()),
+    [](const auto& info) { return test_name(info.param); });
+
 TEST(QuietSpan, GeneratedChurnScenarioMatchesReference) {
   // Every app departs, targets move: spawns, kills and retargets cap spans.
   expect_experiment_identical("MP-HARS-E", [](ExperimentBuilder& b) {

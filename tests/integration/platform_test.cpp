@@ -1,8 +1,8 @@
 // Platform API integration: the golden exynos5422 regression (the
 // registry preset must reproduce the historical hard-wired
 // Machine::exynos5422() preset bit-for-bit) and N-cluster scenario
-// diversity (every registered runtime version completes on a >=3-cluster
-// platform, serially and through the sweep engine).
+// diversity (every registered runtime version completes on every
+// registered platform, serially and through the sweep engine).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -71,15 +71,20 @@ TEST(PlatformGolden, UnknownPlatformNameThrows) {
 }
 
 TEST(PlatformDiversity, AllVariantsCompleteOnTriClusterPlatform) {
-  // Acceptance: every registered runtime version finishes a sweep on a
-  // >=3-cluster platform and produces sane metrics.
+  // Acceptance: every registered runtime version finishes a sweep on
+  // every registered platform (the tri-cluster sd855, the symmetric
+  // server2x8 and the many-core manycore4x4 included) and produces sane
+  // metrics.
+  const std::vector<std::string> platforms =
+      PlatformRegistry::instance().names();
   const std::vector<std::string> variants = VariantRegistry::instance().names();
+  ASSERT_GE(platforms.size(), 4u);
   ASSERT_GE(variants.size(), 8u);
 
   SweepSpec spec;
-  spec.name("sd855_all_variants")
+  spec.name("all_platforms_all_variants")
       .base([](ExperimentBuilder& b) { b.duration(20 * kUsPerSec); })
-      .platforms({"sd855"})
+      .platforms(platforms)
       .benchmarks({ParsecBenchmark::kSwaptions})
       .variants(variants);
 
@@ -88,18 +93,21 @@ TEST(PlatformDiversity, AllVariantsCompleteOnTriClusterPlatform) {
   engine.add_sink(table);
   const SweepReport report = engine.run(spec);
 
-  ASSERT_EQ(report.outcomes.size(), variants.size());
+  ASSERT_EQ(report.outcomes.size(), platforms.size() * variants.size());
   for (const CaseOutcome& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.ok()) << outcome.error;
   }
+  ASSERT_EQ(table.rows().size(), report.outcomes.size());
   for (const Record& row : table.rows()) {
+    const std::string where = std::string(row.text("platform")) + " " +
+                              std::string(row.text("variant"));
     const RecordCell* power = row.find("avg_power_w");
-    ASSERT_NE(power, nullptr);
-    EXPECT_TRUE(std::isfinite(power->number));
-    EXPECT_GT(power->number, 0.0);
+    ASSERT_NE(power, nullptr) << where;
+    EXPECT_TRUE(std::isfinite(power->number)) << where;
+    EXPECT_GT(power->number, 0.0) << where;
     const RecordCell* beats = row.find("heartbeats");
-    ASSERT_NE(beats, nullptr);
-    EXPECT_GT(beats->number, 0.0);
+    ASSERT_NE(beats, nullptr) << where;
+    EXPECT_GT(beats->number, 0.0) << where;
   }
 }
 

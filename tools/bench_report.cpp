@@ -1,10 +1,10 @@
 // bench_report: merges the BENCH_*.json perf records the bench binaries
-// emit (tick_bench, sweep_smoke, cross_platform, scenario_suite, ...)
-// into one human-readable table, so the perf trajectory of a branch is
-// one command instead of four files of nested JSON.
+// emit (tick_bench, scenario_suite, fuzz_suite, hars_client's daemon
+// record) into one human-readable table, so the perf trajectory of a
+// branch is one command instead of four files of nested JSON.
 //
 // Usage:
-//   bench_report BENCH_tick.json BENCH_sweep.json ...
+//   bench_report BENCH_tick.json BENCH_scenarios.json ...
 //   bench_report --dir build            # all BENCH_*.json in a directory
 //   bench_report --out summary.txt ...  # also write the table to a file
 //
@@ -44,51 +44,13 @@ std::string trim_number(double v) {
 /// records share no schema, so this is a best-effort scan of the keys
 /// each campaign actually emits.
 std::string headline_of(const Value& doc) {
-  std::vector<std::string> parts;
-  auto add_number = [&](const char* key, const char* label) {
-    if (const Value* v = doc.find(key); v != nullptr && v->is_number()) {
-      parts.push_back(std::string(label) + "=" + trim_number(v->as_number()));
-    }
-  };
-  add_number("geomean_speedup", "geomean_speedup");
-  add_number("speedup", "speedup");
-  add_number("overhead_pct", "overhead_pct");
-  add_number("wall_ms", "wall_ms");
-  add_number("ticks_per_sec", "ticks_per_sec");
-  add_number("first_record_ms", "first_record_ms");
-  add_number("records_per_sec", "records_per_sec");
-  add_number("cases", "cases");
-  add_number("jobs", "jobs");
-  if (const Value* grid = doc.find("grid"); grid != nullptr) {
-    add_number("grid_speedup", "grid_speedup");
-    if (const Value* v = grid->find("speedup"); v != nullptr && v->is_number()) {
-      parts.push_back("grid.speedup=" + trim_number(v->as_number()));
-    }
-  }
-  if (const Value* tel = doc.find("telemetry"); tel != nullptr) {
-    if (const Value* v = tel->find("overhead_pct");
-        v != nullptr && v->is_number()) {
-      parts.push_back("telemetry.overhead_pct=" + trim_number(v->as_number()));
-    }
-  }
-  if (const Value* variants = doc.find("variants");
-      variants != nullptr && variants->is_array()) {
-    parts.push_back("variants=" + std::to_string(variants->as_array().size()));
-  }
-  if (const Value* platforms = doc.find("platforms");
-      platforms != nullptr && platforms->is_array()) {
-    parts.push_back("platforms=" +
-                    std::to_string(platforms->as_array().size()));
-  }
-  if (const Value* scenarios = doc.find("scenarios");
-      scenarios != nullptr && scenarios->is_array()) {
-    parts.push_back("scenarios=" +
-                    std::to_string(scenarios->as_array().size()));
-  }
   std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += "  ";
-    out += p;
+  for (const char* key :
+       {"wall_ms", "first_record_ms", "records_per_sec", "cases"}) {
+    if (const Value* v = doc.find(key); v != nullptr && v->is_number()) {
+      if (!out.empty()) out += "  ";
+      out += std::string(key) + "=" + trim_number(v->as_number());
+    }
   }
   return out.empty() ? "(no scalar figures)" : out;
 }
