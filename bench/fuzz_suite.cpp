@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/fuzz_harness.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/repro.hpp"
 #include "scenario/shrink.hpp"

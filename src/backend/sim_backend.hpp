@@ -5,7 +5,9 @@
 // SimBackend produces bit-identical simulations to one holding
 // SimEngine& (the golden/replay/differential suites gate on this). The
 // engine stays caller-owned: SimBackend is cheap to construct on the
-// stack wherever a Backend view of an engine is needed.
+// stack wherever a Backend view of an engine is needed. Not final: the
+// differential oracle's ReferenceSimBackend (oracle/reference_run.hpp)
+// overrides run_until to drive the reference tick.
 #pragma once
 
 #include "backend/backend.hpp"
@@ -25,7 +27,7 @@ class SimTimeSource final : public TimeSource {
   const SimEngine& engine_;
 };
 
-class SimBackend final : public Backend {
+class SimBackend : public Backend {
  public:
   explicit SimBackend(SimEngine& engine)
       : engine_(engine), time_(engine) {}

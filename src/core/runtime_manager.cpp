@@ -36,9 +36,7 @@ RuntimeManager::RuntimeManager(Backend& backend, AppId app, PerfTarget target,
                            learner_config);
   }
   backend_.heartbeats(app_).set_target(target);
-  state_ = config_.start_at_max ? space_.max_state() : SystemState{
-      space_.max_big_cores, space_.max_little_cores, 0, 0};
-  apply_state(state_);
+  apply_state(space_.max_state());
 }
 
 CpuMask RuntimeManager::big_set(const SystemState& s) const {
@@ -109,26 +107,20 @@ TimeUs RuntimeManager::on_tick(TimeUs now) {
   // The memo's other inputs (machine, coefficients) are fixed for the
   // manager's lifetime; only the ratio learner moves r0, and a moved r0
   // makes every entry stale, so that alone opens a new epoch.
-  SearchScratch* scratch = nullptr;
-  if (!config_.reference_search) {
-    if (perf_est_.r0() != memo_r0_) {
-      scratch_.begin_tick(space_);
-      memo_r0_ = perf_est_.r0();
-    }
-    scratch = &scratch_;
+  if (perf_est_.r0() != memo_r0_) {
+    scratch_.begin_tick(space_);
+    memo_r0_ = perf_est_.r0();
   }
-  SearchResult result;
-  if (config_.policy == SearchPolicy::kTabu) {
-    result = tabu_get_next_sys_state(rate, state_, target, config_.tabu,
+  const bool tabu = config_.policy == SearchPolicy::kTabu;
+  const SearchParams params =
+      params_for_policy(config_.policy, overperforming,
+                        config_.exhaustive_window, config_.exhaustive_d);
+  const SearchResult result =
+      tabu ? tabu_get_next_sys_state(rate, state_, target, config_.tabu,
                                      space_, perf_est_, power_est_, threads,
-                                     {}, scratch);
-  } else {
-    const SearchParams params =
-        params_for_policy(config_.policy, overperforming,
-                          config_.exhaustive_window, config_.exhaustive_d);
-    result = get_next_sys_state(rate, state_, target, params, space_,
-                                perf_est_, power_est_, threads, {}, scratch);
-  }
+                                     {}, &scratch_)
+           : get_next_sys_state(rate, state_, target, params, space_,
+                                perf_est_, power_est_, threads, {}, &scratch_);
   {
     const obs::Catalog& cat = obs::catalog();
     obs::counter_add(config_.policy == SearchPolicy::kTabu
@@ -146,6 +138,19 @@ TimeUs RuntimeManager::on_tick(TimeUs now) {
       throw AuditError("RuntimeManager: search returned invalid state: " +
                        why);
     }
+    // Cross-check against the reference search, which recomputes every
+    // estimate: a stale memo entry (say, one that outlived an r0 change)
+    // shows up here.
+    allocg::AllowScope allow_audit("audit diagnostics");
+    audit_search_result(
+        result,
+        tabu ? tabu_get_next_sys_state_reference(rate, state_, target,
+                                                 config_.tabu, space_,
+                                                 perf_est_, power_est_, threads)
+             : get_next_sys_state_reference(rate, state_, target, params,
+                                            space_, perf_est_, power_est_,
+                                            threads),
+        "RuntimeManager");
   }
   cost += config_.adapt_fixed_cost_us +
           config_.cost_per_candidate_us * result.candidates;

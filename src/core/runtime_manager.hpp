@@ -68,14 +68,6 @@ struct RuntimeManagerConfig {
   TimeUs poll_cost_us = 60;
   TimeUs cost_per_candidate_us = 400;
   TimeUs adapt_fixed_cost_us = 500;
-
-  bool start_at_max = true;  ///< Initial state = full machine (baseline-like).
-
-  /// Runs the retained reference search implementations instead of the
-  /// memoized SearchScratch path. Decisions are bit-identical either way;
-  /// the flag is the oracle of the QuietSpan* differential tests and
-  /// hars_fuzz.
-  bool reference_search = false;
 };
 
 class RuntimeManager : public ManagerHook {

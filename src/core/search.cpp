@@ -1,12 +1,17 @@
 #include "core/search.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/alloc_guard.hpp"
+#include "util/audit.hpp"
 #include "util/hot_path.hpp"
 
 namespace hars {
@@ -213,11 +218,6 @@ HARS_HOT SearchResult get_next_sys_state(
     const SearchParams& params, const StateSpace& space,
     const PerfEstimator& perf_est, const PowerEstimator& power_est, int threads,
     const CandidateFilter& filter, SearchScratch* scratch) {
-  if (scratch == nullptr) {
-    return get_next_sys_state_reference(hb_rate, current, target, params,
-                                        space, perf_est, power_est, threads,
-                                        filter);
-  }
   // The memoized sweep is strictly allocation-free: memo tables were
   // pre-sized by SearchScratch::begin_tick, so lookups and fills touch
   // only existing slots. The guard re-tightens any enclosing manager
@@ -246,6 +246,29 @@ HARS_HOT SearchResult get_next_sys_state(
   obs::counter_add(obs::catalog().search_calls);
   if (result.moved) obs::counter_add(obs::catalog().search_moves);
   return result;
+}
+
+void audit_search_result(const SearchResult& got,
+                         const SearchResult& reference, const char* who) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  if (got.state == reference.state && got.candidates == reference.candidates &&
+      got.moved == reference.moved &&
+      bits(got.est_perf) == bits(reference.est_perf) &&
+      bits(got.est_power) == bits(reference.est_power) &&
+      bits(got.est_pp) == bits(reference.est_pp)) {
+    return;
+  }
+  const auto describe = [](const SearchResult& r) {
+    char estimates[96];  // Hex floats: exact, so a 1-ulp drift shows.
+    std::snprintf(estimates, sizeof estimates, " perf=%a power=%a pp=%a",
+                  r.est_perf, r.est_power, r.est_pp);
+    return r.state.to_string() + estimates +
+           " candidates=" + std::to_string(r.candidates) +
+           (r.moved ? " moved" : " stayed");
+  };
+  throw AuditError(std::string(who) +
+                   ": search differs from the reference search: got " +
+                   describe(got) + ", reference " + describe(reference));
 }
 
 }  // namespace hars

@@ -72,31 +72,36 @@ struct SearchResult {
   bool moved = false;         ///< True when `state` differs from current.
 };
 
-/// With a non-null `scratch` the estimator calls are memoized per
-/// (state, threads) within the scratch's current epoch
-/// (SearchScratch::begin_tick), the enumeration walks only the states
-/// inside the Manhattan window and performs no allocations; without one
-/// it falls back to the reference implementation. Both return
-/// bit-identical SearchResults.
+/// The estimator calls are memoized per (state, threads) within
+/// `scratch`'s current epoch (SearchScratch::begin_tick, which must have
+/// run for a space with `space`'s upper bounds), the enumeration walks
+/// only the states inside the Manhattan window and the call performs no
+/// allocations. Bit-identical to get_next_sys_state_reference.
 SearchResult get_next_sys_state(double hb_rate, const SystemState& current,
                                 const PerfTarget& target,
                                 const SearchParams& params,
                                 const StateSpace& space,
                                 const PerfEstimator& perf_est,
                                 const PowerEstimator& power_est, int threads,
-                                const CandidateFilter& filter = {},
-                                SearchScratch* scratch = nullptr);
+                                const CandidateFilter& filter,
+                                SearchScratch* scratch);
 
 /// The retained pre-memoization implementation (recomputes every
 /// estimate from scratch and filters the whole m/n box). Kept as the
-/// golden reference the optimized path is property-tested against
-/// (search_identity_test) and, through reference_search, the oracle of
-/// the QuietSpan* differential tests and hars_fuzz.
+/// golden reference the production path is property-tested against
+/// (search_identity_test) and cross-checked against on every audited
+/// manager search (audit_search_result).
 SearchResult get_next_sys_state_reference(
     double hb_rate, const SystemState& current, const PerfTarget& target,
     const SearchParams& params, const StateSpace& space,
     const PerfEstimator& perf_est, const PowerEstimator& power_est,
     int threads, const CandidateFilter& filter = {});
+
+/// The managers' audit cross-check: throws AuditError, prefixed with
+/// `who`, unless `got` matches `reference` bit for bit — the state,
+/// `candidates`, `moved` and every estimate double by its bit pattern.
+void audit_search_result(const SearchResult& got,
+                         const SearchResult& reference, const char* who);
 
 /// min(g, h) / g with g = target average (no credit for overperformance).
 double normalized_perf(double rate, const PerfTarget& target);

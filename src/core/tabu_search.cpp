@@ -129,11 +129,6 @@ HARS_HOT SearchResult tabu_get_next_sys_state(
     const TabuParams& params, const StateSpace& space,
     const PerfEstimator& perf_est, const PowerEstimator& power_est, int threads,
     const CandidateFilter& filter, SearchScratch* scratch) {
-  if (scratch == nullptr) {
-    return tabu_get_next_sys_state_reference(hb_rate, current, target, params,
-                                             space, perf_est, power_est,
-                                             threads, filter);
-  }
   SearchResult result;
 
   // Memoized scoring, mirroring PerfEstimator::estimate_rate's guards

@@ -25,13 +25,11 @@ struct TabuParams {
   int step = 1;           ///< Neighbourhood radius per move (Manhattan).
 };
 
-/// With a non-null `scratch`, per-state estimates are memoized for the
-/// scratch's epoch (revisited trajectory states cost one lookup) and the
-/// tabu list reuses the scratch's ring storage, making the search
-/// allocation-free in steady state; without one it falls back to the
-/// reference implementation. Both return bit-identical SearchResults
-/// (including `candidates`, which counts logical evaluations, not cache
-/// misses).
+/// Per-state estimates are memoized for `scratch`'s epoch (revisited
+/// trajectory states cost one lookup) and the tabu list reuses the
+/// scratch's ring storage, making the search allocation-free in steady
+/// state. Bit-identical to tabu_get_next_sys_state_reference (including
+/// `candidates`, which counts logical evaluations, not cache misses).
 SearchResult tabu_get_next_sys_state(double hb_rate, const SystemState& current,
                                      const PerfTarget& target,
                                      const TabuParams& params,
@@ -39,12 +37,13 @@ SearchResult tabu_get_next_sys_state(double hb_rate, const SystemState& current,
                                      const PerfEstimator& perf_est,
                                      const PowerEstimator& power_est,
                                      int threads,
-                                     const CandidateFilter& filter = {},
-                                     SearchScratch* scratch = nullptr);
+                                     const CandidateFilter& filter,
+                                     SearchScratch* scratch);
 
 /// The retained pre-memoization implementation (std::deque tabu list,
 /// every estimate recomputed); the golden reference for
-/// search_identity_test's property tests.
+/// search_identity_test's property tests and the audited managers'
+/// cross-check (audit_search_result).
 SearchResult tabu_get_next_sys_state_reference(
     double hb_rate, const SystemState& current, const PerfTarget& target,
     const TabuParams& params, const StateSpace& space,

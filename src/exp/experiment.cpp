@@ -32,23 +32,14 @@ std::unique_ptr<Scheduler> make_default_scheduler() {
   return std::make_unique<GtsScheduler>();
 }
 
-/// The engine + OS scheduler for a measured run, honouring the spec's
-/// reference_impl switch (bit-identical simulations either way).
+/// The engine + OS scheduler for a measured run.
 SimEngine make_engine(const ExperimentSpec& spec) {
-  std::unique_ptr<Scheduler> scheduler;
-  if (spec.make_scheduler) {
-    scheduler = spec.make_scheduler();
-  } else if (spec.reference_impl) {
-    GtsConfig gts;
-    gts.reference = true;
-    scheduler = std::make_unique<GtsScheduler>(gts);
-  } else {
-    scheduler = make_default_scheduler();
-  }
   SimConfig config;
-  config.reference_tick = spec.reference_impl;
   if (spec.audit) config.audit = *spec.audit;
-  return SimEngine(spec.platform, std::move(scheduler), config);
+  return SimEngine(spec.platform,
+                   spec.make_scheduler ? spec.make_scheduler()
+                                       : make_default_scheduler(),
+                   config);
 }
 
 /// Maximum achievable performance of each app *while running concurrently
@@ -233,10 +224,10 @@ void write_capture_metrics(TraceSink& sink, const ExperimentResult& result) {
   }
 }
 
-/// The run pipeline, on any backend: spawn the t = 0 slots, resolve
-/// targets, instantiate the variant, apply the protocol, run (sampling
-/// if asked), collect every app's metrics.
-ExperimentResult run_on(const ExperimentSpec& spec, Backend& backend) {
+}  // namespace
+
+ExperimentResult Experiment::run_on(Backend& backend) const {
+  const ExperimentSpec& spec = spec_;
   SimEngine* const engine = backend.sim_engine();  // Null on live backends.
 
   std::vector<AppSlot> slots = make_slots(spec);
@@ -343,8 +334,6 @@ ExperimentResult run_on(const ExperimentSpec& spec, Backend& backend) {
   return result;
 }
 
-}  // namespace
-
 ExperimentResult Experiment::run() const {
   // Scoped around the whole pipeline: arms the registry when enabled,
   // writes the configured sinks on exit. With telemetry disabled this is
@@ -353,12 +342,11 @@ ExperimentResult Experiment::run() const {
   if (spec_.backend == "sim") {
     SimEngine engine = make_engine(spec_);
     SimBackend backend(engine);
-    return run_on(spec_, backend);
+    return run_on(backend);
   }
   BackendOptions options = spec_.backend_options;
   if (!options.platform) options.platform = spec_.platform;
-  return run_on(spec_,
-                *BackendRegistry::instance().get_live(spec_.backend, options));
+  return run_on(*BackendRegistry::instance().get_live(spec_.backend, options));
 }
 
 ExperimentBuilder::ExperimentBuilder() = default;
@@ -529,11 +517,6 @@ ExperimentBuilder& ExperimentBuilder::tabu(TabuParams params) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::reference_impl(bool on) {
-  spec_.reference_impl = on;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::audit(bool on) {
   spec_.audit = on;
   return *this;
@@ -624,8 +607,7 @@ Experiment ExperimentBuilder::build() const {
   }
   if (spec.backend != "sim") {
     // The live pipeline drives real (or mock) hardware: no simulated
-    // clock to slice for samplers, no engine for scenarios to mutate, and
-    // reference_impl selects simulator hot paths that do not exist here.
+    // clock to slice for samplers and no engine for scenarios to mutate.
     if (spec.scenario) {
       throw ExperimentConfigError(
           "scenario() requires the sim backend (scenario events drive the "
@@ -638,11 +620,6 @@ Experiment ExperimentBuilder::build() const {
     }
     if (spec.capture != nullptr) {
       throw ExperimentConfigError("capture() requires the sim backend");
-    }
-    if (spec.reference_impl) {
-      throw ExperimentConfigError(
-          "reference_impl() requires the sim backend (it selects simulator "
-          "hot-path implementations)");
     }
   }
   const VariantEntry* entry = VariantRegistry::instance().find(spec.variant);

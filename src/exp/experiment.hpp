@@ -100,12 +100,6 @@ struct ExperimentSpec {
   std::optional<Scenario> scenario;
   /// Trace capture for scenario runs (non-owning; see TraceSink).
   TraceSink* capture = nullptr;
-  /// Runs the retained reference implementations of the per-tick hot
-  /// paths (engine tick, GTS placement, search) instead of the optimized
-  /// scratch/memoized ones. Results are bit-identical either way; the
-  /// flag is the differential oracle of the QuietSpan* tests and
-  /// hars_fuzz (exp/fuzz_harness).
-  bool reference_impl = false;
   /// Per-run override of the engine's debug invariant audits
   /// (SimConfig::audit). Unset = the build default (HARS_AUDIT); fuzzing
   /// sets it so oracle runs audit every tick even in release builds.
@@ -156,9 +150,16 @@ class ExperimentConfigError : public std::invalid_argument {
 
 class Experiment {
  public:
-  /// Executes the pipeline. Deterministic: identical specs produce
-  /// identical results.
+  /// Executes the pipeline on the spec's backend. Deterministic:
+  /// identical specs produce identical results.
   ExperimentResult run() const;
+
+  /// The run pipeline on a caller-built backend: spawn the t = 0 apps,
+  /// resolve targets, instantiate the variant, apply the protocol, run
+  /// (sampling if asked) and collect every app's metrics. run() calls it
+  /// with the spec's backend; the differential oracle
+  /// (oracle/reference_run.hpp) with a reference-tick one.
+  ExperimentResult run_on(Backend& backend) const;
 
   const ExperimentSpec& spec() const { return spec_; }
 
@@ -228,11 +229,7 @@ class ExperimentBuilder {
   ExperimentBuilder& learn_ratio(bool on = true);
   ExperimentBuilder& tabu(TabuParams params);
 
-  // --- Implementation selection ---
-  /// Selects the retained reference hot-path implementations (see
-  /// ExperimentSpec::reference_impl). Metric-identical; benchmark use.
-  ExperimentBuilder& reference_impl(bool on = true);
-
+  // --- Audits ---
   /// Forces the engine's debug invariant audits on (or off) for this run
   /// regardless of the build default. See ExperimentSpec::audit.
   ExperimentBuilder& audit(bool on = true);

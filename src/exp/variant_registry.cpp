@@ -111,7 +111,6 @@ class HarsInstance final : public VariantInstance {
     // Calibration default: the platform's assumed fastest:slowest ratio
     // (the paper's r0 = 3/2 on the Exynos preset).
     config.r0 = setup.spec.platform.assumed_ratio();
-    config.reference_search = setup.spec.reference_impl;
     const VariantTuning& t = setup.spec.tuning;
     if (t.scheduler) config.scheduler = *t.scheduler;
     if (t.predictor) config.predictor = *t.predictor;
@@ -196,7 +195,6 @@ class MpHarsInstance final : public VariantInstance {
     MpHarsConfig config;
     config.policy = policy;
     config.r0 = setup.spec.platform.assumed_ratio();
-    config.reference_search = setup.spec.reference_impl;
     const VariantTuning& t = setup.spec.tuning;
     if (t.search_window) config.exhaustive_window = *t.search_window;
     if (t.search_distance) config.exhaustive_d = *t.search_distance;

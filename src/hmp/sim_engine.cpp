@@ -177,10 +177,6 @@ HARS_HOT void SimEngine::refresh_machine_snapshot() {
 }
 
 HARS_HOT void SimEngine::step() {
-  if (config_.reference_tick) {
-    step_reference();
-    return;
-  }
   // Telemetry attach happens before the AllocGuard: building the shard
   // allocates (under its own AllowScope), and detaching when telemetry
   // was just disabled folds this thread's counts into the registry.
@@ -491,10 +487,9 @@ HARS_HOT bool SimEngine::apps_accept_quiet_tick(const QuietVariant& v) const {
 
 HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   // Span entry: nothing may act on the tick but arithmetic. Cheapest
-  // checks first — the reference path, a tick hook that is due (or cannot
-  // say when it is), an app whose begin_tick would admit work or a
-  // scheduler that never elides assign() ends it here.
-  if (config_.reference_tick) return;
+  // checks first — a tick hook that is due (or cannot say when it is),
+  // an app whose begin_tick would admit work or a scheduler that never
+  // elides assign() ends it here.
   if (tick_hook_) {
     if (!tick_hook_due_) return;
     until = std::min(until, tick_hook_due_());
@@ -611,9 +606,10 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
 }
 
 // The retained reference tick path: the pre-TickScratch implementation,
-// kept verbatim as the differential oracle. The QuietSpan*, audit and
-// alloc-free tick tests and hars_fuzz assert that step() and run_until's
-// quiet spans produce bit-identical records against it.
+// kept verbatim as the differential oracle (run_reference_until). The
+// QuietSpan*, audit and alloc-free tick tests and hars_fuzz assert that
+// step() and run_until's quiet spans produce bit-identical records
+// against it.
 void SimEngine::step_reference() {
   if (tick_hook_) tick_hook_(now_);
 

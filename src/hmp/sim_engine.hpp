@@ -51,12 +51,6 @@ struct SimConfig {
   std::uint64_t sensor_seed = 42;
   TimeUs sensor_period_us = PowerSensor::kDefaultSamplePeriodUs;
   double sensor_noise = 0.01;
-  /// Runs the retained, unoptimized tick path (per-tick vector
-  /// allocations, per-thread machine queries) instead of the TickScratch
-  /// path. Both produce bit-identical simulations; the reference path is
-  /// the differential oracle of the QuietSpan*, audit and alloc-free tick
-  /// tests and of hars_fuzz.
-  bool reference_tick = false;
   /// Per-tick invariant audits (audit_tick/audit_now): thread-table
   /// conservation across spawn/kill, snapshot coherence with the live
   /// machine, capacity/share ranges and bit-exact cluster busy-sum
@@ -246,14 +240,21 @@ class SimEngine {
   void audit_now() const;
 
  private:
+  /// The differential oracle's only way in: runs step_reference().
+  friend void run_reference_until(SimEngine& engine, TimeUs t);
+
   static PowerModel make_power_model(const Machine& machine,
                                      const PlatformSpec& platform);
 
   void step();
+  /// The retained pre-TickScratch tick (per-tick vector allocations,
+  /// per-thread machine queries), bit-identical to step() and never
+  /// followed by a quiet span; reached only through run_reference_until
+  /// (oracle/reference_run.hpp).
   void step_reference();
   /// Runs the quiet ticks that follow a step(), up to `until` and the
   /// tick hook's due time; returns at once when the span-entry checks
-  /// fail. Never used on the reference path.
+  /// fail.
   void run_quiet_span(TimeUs until);
   /// Sizes QuietScratch for the current thread table (outside the span's
   /// AllocGuard).

@@ -27,7 +27,7 @@ MpHarsManager::MpHarsManager(Backend& backend, PowerCoeffTable coeffs,
       machine_space_(StateSpace::from_machine(backend_.topology())) {
   // Every input of the memo (machine, coefficients, the fixed r0) is
   // constant for the manager's lifetime: one epoch serves every search.
-  if (!config_.reference_search) scratch_.begin_tick(machine_space_);
+  scratch_.begin_tick(machine_space_);
 }
 
 void MpHarsManager::register_app(AppId app, const MpHarsAppConfig& app_config) {
@@ -272,8 +272,7 @@ TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
                         config_.exhaustive_window, config_.exhaustive_d);
   const SearchResult result = get_next_sys_state(
       rate, current, target, params, machine_space_, perf_est_, power_est_,
-      backend_.thread_count(node.app_id), filter_fn,
-      config_.reference_search ? nullptr : &scratch_);
+      backend_.thread_count(node.app_id), filter_fn, &scratch_);
   {
     const obs::Catalog& cat = obs::catalog();
     obs::counter_add(config_.policy == SearchPolicy::kExhaustive
@@ -287,6 +286,14 @@ TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
     if (!why.empty()) {
       throw AuditError("MpHarsManager: search returned invalid state: " + why);
     }
+    allocg::AllowScope allow_audit("audit diagnostics");
+    audit_search_result(
+        result,
+        get_next_sys_state_reference(rate, current, target, params,
+                                     machine_space_, perf_est_, power_est_,
+                                     backend_.thread_count(node.app_id),
+                                     filter_fn),
+        "MpHarsManager");
   }
 
   TimeUs cost = config_.adapt_fixed_cost_us +

@@ -37,11 +37,6 @@ struct MpHarsConfig {
   TimeUs poll_cost_us = 60;
   TimeUs cost_per_candidate_us = 400;
   TimeUs adapt_fixed_cost_us = 500;
-
-  /// Runs the retained reference search implementation instead of the
-  /// memoized SearchScratch path (bit-identical decisions; see
-  /// RuntimeManagerConfig::reference_search).
-  bool reference_search = false;
 };
 
 struct MpHarsAppConfig {

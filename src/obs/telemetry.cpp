@@ -54,7 +54,7 @@ TelemetrySession::TelemetrySession(TelemetryConfig config)
   if (!config_.enabled) return;
   MetricsRegistry& reg = MetricsRegistry::instance();
   set_phase_sample_shift(config_.phase_sample_shift);
-  if (config_.reset_at_start) reg.reset();
+  reg.reset();
   reg.set_enabled(true);
   ensure_thread_registered();
   if (!config_.trace_json.empty()) {

@@ -1,7 +1,7 @@
-// TelemetrySession: run-scoped telemetry lifecycle. Construction arms
-// the registry (optionally resetting it), attaches the calling thread
-// and installs a span collector when a trace file was requested;
-// finish() (or the destructor) publishes the alloc_guard per-scope
+// TelemetrySession: run-scoped telemetry lifecycle. Construction zeroes
+// and arms the registry (so the dump covers this run only), attaches the
+// calling thread and installs a span collector when a trace file was
+// requested; finish() (or the destructor) publishes the alloc_guard per-scope
 // totals as gauges, snapshots the registry and writes every configured
 // sink, then disarms. The session never throws out of finish(): sink
 // I/O errors go to stderr — telemetry must not change a run's outcome.
@@ -19,8 +19,6 @@ namespace obs {
 
 struct TelemetryConfig {
   bool enabled = false;
-  /// Zero all metrics at session start so the dump covers this run only.
-  bool reset_at_start = true;
   /// log2 of the tick phase-timer sampling period (7 = every 128th tick).
   int phase_sample_shift = 7;
   std::size_t span_capacity = 1 << 16;

@@ -1,14 +1,15 @@
-#include "exp/fuzz_harness.hpp"
+#include "oracle/fuzz_harness.hpp"
 
 #include <sstream>
 
+#include "oracle/reference_run.hpp"
 #include "sweep/result_sink.hpp"
 
 namespace hars {
 
 namespace {
 
-ExperimentResult run_once(const ReproCase& repro, bool reference) {
+Experiment build_case(const ReproCase& repro) {
   ExperimentBuilder b;
   b.platform(std::string_view(repro.platform))
       .scenario(repro.scenario)
@@ -16,10 +17,9 @@ ExperimentResult run_once(const ReproCase& repro, bool reference) {
       .target_fraction(repro.fraction)
       .duration_sec(repro.duration_sec)
       .seed(repro.seed)
-      .reference_impl(reference)
       .audit(true);
   if (repro.threads > 0) b.threads(repro.threads);
-  return b.build().run();
+  return b.build();
 }
 
 }  // namespace
@@ -81,7 +81,7 @@ FuzzCaseResult run_fuzz_case(const ReproCase& repro, bool differential) {
 
   ExperimentResult optimized;
   try {
-    optimized = run_once(repro, /*reference=*/false);
+    optimized = build_case(repro).run();
   } catch (const std::exception& error) {
     return {true, error.what()};
   }
@@ -89,7 +89,7 @@ FuzzCaseResult run_fuzz_case(const ReproCase& repro, bool differential) {
 
   ExperimentResult reference;
   try {
-    reference = run_once(repro, /*reference=*/true);
+    reference = run_reference(build_case(repro));
   } catch (const std::exception& error) {
     return {true, std::string("reference path: ") + error.what()};
   }

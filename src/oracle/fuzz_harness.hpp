@@ -9,8 +9,9 @@
 //   - any thrown exception (AuditError, ScenarioError, config errors,
 //     ...) recorded as the failure message;
 //   - optionally the differential oracle: the same spec re-run through
-//     the retained reference implementations (reference_impl(true)) must
-//     produce a bit-identical result fingerprint.
+//     run_reference (oracle/reference_run.hpp: the reference tick and
+//     GTS, with every manager search cross-checked against the
+//     reference search) must produce a bit-identical result fingerprint.
 // Repro cases with a non-empty `inject` instead evaluate the synthetic
 // injected_failure predicate — the harness self-test and seeded
 // known-bug fixtures go through exactly the same code path as real

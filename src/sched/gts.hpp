@@ -29,10 +29,6 @@ struct GtsConfig {
   /// (EAS-style; thesis §3.1.4 option 3 / related work [9]) — stock GTS
   /// does NOT do this (§4.1.1), which is the paper's baseline critique.
   bool idle_pull = false;
-  /// Runs the retained per-call-allocating assign() body instead of the
-  /// scratch-reusing one. Placement is bit-identical either way; the flag
-  /// is the oracle of the QuietSpan* differential tests and hars_fuzz.
-  bool reference = false;
 };
 
 class GtsScheduler final : public Scheduler {
@@ -41,15 +37,13 @@ class GtsScheduler final : public Scheduler {
 
   void assign(const Machine& machine, std::vector<SimThread>& threads) override;
 
-  /// The scratch-path core loads double as the engine's runnable-thread
-  /// counts (reference mode opts out so the reference engine path keeps
-  /// doing its own counting pass, as it always did).
+  /// The core loads double as the engine's runnable-thread counts.
   const std::vector<int>* runnable_per_core() const override {
-    return config_.reference ? nullptr : &core_load_;
+    return &core_load_;
   }
 
   /// The stable-placement skip's predicate (see below); false in
-  /// reference or idle-pull mode, which never skip.
+  /// idle-pull mode, which never skips.
   bool placement_fixed_point(const Machine& machine,
                              const std::vector<SimThread>& threads) const override;
 
@@ -67,8 +61,6 @@ class GtsScheduler final : public Scheduler {
   const GtsConfig& config() const { return config_; }
 
  private:
-  void assign_reference(const Machine& machine,
-                        std::vector<SimThread>& threads);
   /// Rebuilds the immutable-topology caches when first seeing `machine`.
   void prime_topology(const Machine& machine);
   /// Load tier: 0 = up, 1 = down, 2 = between thresholds.
@@ -82,7 +74,7 @@ class GtsScheduler final : public Scheduler {
   GtsConfig config_;
   std::vector<int> core_load_;  ///< Per-call scratch, pre-sized once.
 
-  // Stable-placement skip (scratch path, idle_pull off): when the last
+  // Stable-placement skip (idle_pull off): when the last
   // full run migrated nothing (the placement was already a fixed point of
   // the deterministic policy) and every per-thread decision input —
   // runnable, load tier, affinity — plus the online mask is unchanged,

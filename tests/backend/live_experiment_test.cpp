@@ -83,12 +83,6 @@ TEST(LiveExperiment, BuildRejectsSimOnlyFeaturesOnLiveBackends) {
   EXPECT_THROW(ExperimentBuilder()
                    .backend("mock_linux")
                    .app(ParsecBenchmark::kSwaptions)
-                   .reference_impl()
-                   .build(),
-               ExperimentConfigError);
-  EXPECT_THROW(ExperimentBuilder()
-                   .backend("mock_linux")
-                   .app(ParsecBenchmark::kSwaptions)
                    .sample_every(kUsPerSec, [](const RunView&) {})
                    .build(),
                ExperimentConfigError);

@@ -116,12 +116,15 @@ SystemState corner_state(const StateSpace& space, int corner) {
   return s;
 }
 
-/// One scratch driven as the managers drive it: it lives across every
-/// case and opens a new epoch only when r0 changes, so entries filled
-/// under one thread count are looked up under others. Windows sit on
-/// every corner of the space, where the window walk clips the most, and
-/// every other round of corners uses a space with raised lower bounds
-/// (same upper bounds, so the memo layout is shared).
+/// Scratches driven as the managers drive them: each lives across every
+/// case, so entries filled under one thread count are looked up under
+/// others. HARS's opens a new epoch only when r0 changes; MP-HARS's opens
+/// one for its whole life (r0 never moves) and every search passes a
+/// random filter shaped like MpHarsManager's (core budgets and allowed
+/// frequency directions per cluster). Windows sit on every corner of the
+/// space, where the window walk clips the most, and every other round of
+/// corners uses a space with raised lower bounds (same upper bounds, so
+/// the memo layout is shared).
 void run_persistent_memo_cases(const char* platform, int cases,
                                std::uint64_t seed) {
   const Machine machine =
@@ -133,11 +136,15 @@ void run_persistent_memo_cases(const char* platform, int cases,
   raised.min_big_freq = 2;
   raised.min_little_freq = 1;
   PerfEstimator perf(machine, 1.5);
+  const PerfEstimator fixed_perf(machine, 1.5);
   const PowerEstimator power(profile_power(machine, PowerModel{machine}));
   Rng rng(seed);
   SearchScratch scratch;
   double memo_r0 = 0.0;
   int epochs = 0;
+  SearchScratch lifetime;
+  lifetime.begin_tick(full);
+  Rng mp_rng(seed + 1);  // Its own stream: the other cases keep theirs.
 
   for (int i = 0; i < cases; ++i) {
     if (rng.next_double() < 0.05) perf.set_r0(rng.uniform(0.8, 3.0));
@@ -173,6 +180,29 @@ void run_persistent_memo_cases(const char* platform, int cases,
     const SearchResult tabu_opt = tabu_get_next_sys_state(
         rate, cur, target, tabu, space, perf, power, threads, {}, &scratch);
     expect_bit_identical(tabu_ref, tabu_opt, "tabu", i);
+    if (testing::Test::HasFailure()) return;
+
+    const int big_budget = mp_rng.uniform_int(0, full.max_big_cores);
+    const int little_budget = mp_rng.uniform_int(0, full.max_little_cores);
+    const int freq_moves = mp_rng.uniform_int(0, 15);  // A bit per direction.
+    const auto mp_filter = [&](const SystemState& s) {
+      if (s.big_cores > big_budget || s.little_cores > little_budget) {
+        return false;
+      }
+      if (s.big_freq > cur.big_freq && (freq_moves & 1) == 0) return false;
+      if (s.big_freq < cur.big_freq && (freq_moves & 2) == 0) return false;
+      if (s.little_freq > cur.little_freq && (freq_moves & 4) == 0) {
+        return false;
+      }
+      return s.little_freq >= cur.little_freq || (freq_moves & 8) != 0;
+    };
+    const SearchResult mp_ref = get_next_sys_state_reference(
+        rate, cur, target, params, space, fixed_perf, power, threads,
+        mp_filter);
+    const SearchResult mp_opt =
+        get_next_sys_state(rate, cur, target, params, space, fixed_perf,
+                           power, threads, mp_filter, &lifetime);
+    expect_bit_identical(mp_ref, mp_opt, "mp-hars", i);
     if (testing::Test::HasFailure()) return;
   }
   EXPECT_GT(epochs, 1);  // r0 moved at least once mid-run.

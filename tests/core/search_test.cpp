@@ -15,6 +15,13 @@ class SearchTest : public testing::Test {
   StateSpace space_ = StateSpace::from_machine(machine_);
   PerfEstimator perf_{machine_, 1.5};
   PowerEstimator power_{profile_power(machine_, PowerModel{machine_})};
+  SearchScratch scratch_;
+
+  /// The production search's memo, opened fresh for `space_`.
+  SearchScratch* fresh_scratch() {
+    scratch_.begin_tick(space_);
+    return &scratch_;
+  }
 };
 
 TEST_F(SearchTest, NormalizedPerfCapsAtOne) {
@@ -75,7 +82,7 @@ TEST_F(SearchTest, ExhaustiveWindowIsSymmetric) {
   };
   (void)get_next_sys_state(2.0, cur, target,
                            params_for_policy(SearchPolicy::kExhaustive, true),
-                           space_, perf_, power_, 8, filter);
+                           space_, perf_, power_, 8, filter, fresh_scratch());
   EXPECT_TRUE(saw_lower_big);
   EXPECT_TRUE(saw_higher_big);
 }
@@ -125,7 +132,7 @@ TEST_F(SearchTest, OverperformingMovesToCheaperState) {
   const PerfTarget target = PerfTarget::around(2.0);
   const SearchResult r =
       get_next_sys_state(4.0, cur, target, SearchParams{4, 4, 7}, space_,
-                         perf_, power_, 8);
+                         perf_, power_, 8, {}, fresh_scratch());
   EXPECT_TRUE(r.moved);
   EXPECT_GE(r.est_perf, target.min);
   EXPECT_LT(power_.estimate(r.state, 8, perf_), power_.estimate(cur, 8, perf_));
@@ -136,7 +143,7 @@ TEST_F(SearchTest, UnderperformingMovesToFasterState) {
   const PerfTarget target = PerfTarget::around(2.0);
   const SearchResult r =
       get_next_sys_state(0.4, cur, target, SearchParams{4, 4, 7}, space_,
-                         perf_, power_, 8);
+                         perf_, power_, 8, {}, fresh_scratch());
   EXPECT_TRUE(r.moved);
   EXPECT_GT(perf_.estimate_rate(r.state, cur, 0.4, 8), 0.4);
 }
@@ -146,7 +153,8 @@ TEST_F(SearchTest, ResultAlwaysWithinDistanceBudget) {
   for (int d : {1, 3, 5, 7}) {
     const SystemState cur{2, 2, 4, 3};
     const SearchResult r = get_next_sys_state(
-        4.0, cur, target, SearchParams{4, 4, d}, space_, perf_, power_, 8);
+        4.0, cur, target, SearchParams{4, 4, d}, space_, perf_, power_, 8,
+        {}, fresh_scratch());
     EXPECT_LE(manhattan_distance(r.state, cur), d) << "d=" << d;
   }
 }
@@ -156,7 +164,8 @@ TEST_F(SearchTest, ResultAlwaysValid) {
   for (double rate : {0.1, 1.0, 10.0}) {
     const SystemState cur{0, 1, 0, 0};  // Corner of the space.
     const SearchResult r = get_next_sys_state(
-        rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8);
+        rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8,
+        {}, fresh_scratch());
     EXPECT_TRUE(space_.valid(r.state));
   }
 }
@@ -166,7 +175,7 @@ TEST_F(SearchTest, IncrementalChangesAtMostOneStep) {
   const PerfTarget target = PerfTarget::around(2.0);
   const SearchResult r = get_next_sys_state(
       4.0, cur, target, params_for_policy(SearchPolicy::kIncremental, true),
-      space_, perf_, power_, 8);
+      space_, perf_, power_, 8, {}, fresh_scratch());
   EXPECT_LE(manhattan_distance(r.state, cur), 1);
 }
 
@@ -176,7 +185,8 @@ TEST_F(SearchTest, CandidateCountGrowsWithD) {
   int prev = 0;
   for (int d : {1, 3, 5, 7, 9}) {
     const SearchResult r = get_next_sys_state(
-        4.0, cur, target, SearchParams{4, 4, d}, space_, perf_, power_, 8);
+        4.0, cur, target, SearchParams{4, 4, d}, space_, perf_, power_, 8,
+        {}, fresh_scratch());
     EXPECT_GT(r.candidates, prev) << "d=" << d;
     prev = r.candidates;
   }
@@ -190,9 +200,9 @@ TEST_F(SearchTest, FilterExcludesCandidates) {
   const auto filter = [&](const SystemState& s) {
     return s.big_cores == cur.big_cores;
   };
-  const SearchResult r = get_next_sys_state(4.0, cur, target,
-                                            SearchParams{4, 4, 7}, space_,
-                                            perf_, power_, 8, filter);
+  const SearchResult r =
+      get_next_sys_state(4.0, cur, target, SearchParams{4, 4, 7}, space_,
+                         perf_, power_, 8, filter, fresh_scratch());
   EXPECT_EQ(r.state.big_cores, cur.big_cores);
 }
 
@@ -205,14 +215,16 @@ TEST_F(SearchTest, StaysWhenCurrentAlreadyBest) {
   double rate = 4.0;
   for (int iter = 0; iter < 10; ++iter) {
     const SearchResult r = get_next_sys_state(
-        rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8);
+        rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8,
+        {}, fresh_scratch());
     if (!r.moved) break;
     rate = perf_.estimate_rate(r.state, cur, rate, 8);
     cur = r.state;
   }
   // Converged: one more search stays put.
   const SearchResult r = get_next_sys_state(
-      rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8);
+      rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8,
+      {}, fresh_scratch());
   EXPECT_FALSE(r.moved);
 }
 
@@ -224,7 +236,8 @@ TEST_F(SearchTest, PrefersTargetSatisfactionOverEfficiency) {
   const double rate = 1.0;
   const PerfTarget target = PerfTarget::around(1.5);
   const SearchResult r = get_next_sys_state(
-      rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8);
+      rate, cur, target, SearchParams{4, 4, 7}, space_, perf_, power_, 8,
+      {}, fresh_scratch());
   EXPECT_GE(r.est_perf, target.min);
 }
 
@@ -243,9 +256,11 @@ TEST_P(SearchProperty, RespectsBudgetAndBounds) {
   const SystemState cur{cb, cl, fb, fl};
   if (!space.valid(cur)) GTEST_SKIP();
   const PerfTarget target = PerfTarget::around(2.0);
-  const SearchResult r = get_next_sys_state(rate, cur, target,
-                                            SearchParams{4, 4, d}, space, perf,
-                                            power, 8);
+  SearchScratch scratch;
+  scratch.begin_tick(space);
+  const SearchResult r =
+      get_next_sys_state(rate, cur, target, SearchParams{4, 4, d}, space,
+                         perf, power, 8, {}, &scratch);
   EXPECT_TRUE(space.valid(r.state));
   EXPECT_LE(manhattan_distance(r.state, cur), d);
 }

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/fuzz_harness.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "scenario/generator.hpp"
 
 namespace hars {

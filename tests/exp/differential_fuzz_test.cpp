@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/trace_sink.hpp"
 

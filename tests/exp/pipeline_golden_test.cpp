@@ -21,7 +21,7 @@
 #include "backend/backend_registry.hpp"
 #include "backend/mock_linux_backend.hpp"
 #include "exp/experiment.hpp"
-#include "exp/fuzz_harness.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "scenario/repro.hpp"
 #include "scenario/trace_sink.hpp"
 #include "sweep/result_sink.hpp"

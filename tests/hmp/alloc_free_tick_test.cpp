@@ -16,6 +16,8 @@
 #include "core/power_profiler.hpp"
 #include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
+#include "oracle/reference_gts.hpp"
+#include "oracle/reference_run.hpp"
 #include "sched/gts.hpp"
 #include "util/alloc_guard.hpp"
 
@@ -125,14 +127,11 @@ TEST(AllocFreeTick, ReferenceTickPathIsExemptFromTheContract) {
   // The retained reference path allocates per tick by design; it must
   // not be guarded (it exists as the readable baseline, not a hot path).
   HandlerScope handler;
-  SimConfig config;
-  config.reference_tick = true;
   SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
-                   std::make_unique<GtsScheduler>(),
-                   config);
+                   std::make_unique<ReferenceGtsScheduler>());
   DataParallelApp app("reference", app_config(8));
   engine.add_app(&app);
-  engine.run_for(200 * kUsPerMs);
+  run_reference_until(engine, 200 * kUsPerMs);
   EXPECT_TRUE(recorded().empty());
 }
 

@@ -16,6 +16,8 @@
 #include "core/system_state.hpp"
 #include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
+#include "oracle/reference_gts.hpp"
+#include "oracle/reference_run.hpp"
 #include "sched/gts.hpp"
 #include "util/audit.hpp"
 
@@ -118,14 +120,12 @@ TEST(Audit, SurvivesSpawnKillAndHotplugChurn) {
 
 TEST(Audit, ReferenceTickPathIsAuditedToo) {
   SimConfig config;
-  config.reference_tick = true;
   config.audit = true;
   SimEngine engine(PlatformSpec::from_machine(Machine::exynos5422()),
-                   std::make_unique<GtsScheduler>(),
-                   config);
+                   std::make_unique<ReferenceGtsScheduler>(), config);
   DataParallelApp app("reference", app_config(8));
   engine.add_app(&app);
-  EXPECT_NO_THROW(engine.run_for(300 * kUsPerMs));
+  EXPECT_NO_THROW(run_reference_until(engine, 300 * kUsPerMs));
 }
 
 TEST(Audit, CheckInvariantsAcceptsEveryValidState) {

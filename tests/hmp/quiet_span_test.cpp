@@ -1,10 +1,11 @@
 // Quiet-span differential: every case runs twice, once on the reference
-// tick path (SimConfig::reference_tick / ExperimentBuilder::reference_impl,
-// which never takes a span) and once on the default path, and the two
-// must agree bit for bit — the result fingerprint, and the engine state
-// (time, per-core busy time, per-cluster energy, every thread's cpu time,
-// load, core and migrations, manager overhead and on_tick calls) at every
-// manager call and at the end, and any scenario capture byte for byte.
+// tick and GTS (oracle/reference_run: run_reference_until or
+// run_reference, which never take a span) and once on the default path,
+// and the two must agree bit for bit — the result fingerprint, and the
+// engine state (time, per-core busy time, per-cluster energy, every
+// thread's cpu time, load, core and migrations, manager overhead and
+// on_tick calls) at every manager call and at the end, and any scenario
+// capture byte for byte.
 // Each default run must also have taken quiet spans, or the comparison
 // would prove nothing (a capture sampled every tick is the one case that
 // must take none).
@@ -23,11 +24,13 @@
 #include "apps/data_parallel_app.hpp"
 #include "apps/pipeline_app.hpp"
 #include "exp/experiment.hpp"
-#include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
 #include "hmp/platform_spec.hpp"
 #include "hmp/sim_engine.hpp"
+#include "oracle/fuzz_harness.hpp"
+#include "oracle/reference_gts.hpp"
+#include "oracle/reference_run.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/trace_sink.hpp"
 #include "sched/gts.hpp"
@@ -181,11 +184,15 @@ struct EngineRun {
 };
 
 EngineRun run_engine(const EngineCase& c, bool reference) {
-  SimConfig config;
-  config.reference_tick = reference;
   const PlatformSpec* platform = PlatformRegistry::instance().find(c.platform);
   EXPECT_NE(platform, nullptr) << c.platform;
-  SimEngine engine(*platform, std::make_unique<GtsScheduler>(), config);
+  std::unique_ptr<Scheduler> scheduler;
+  if (reference) {
+    scheduler = std::make_unique<ReferenceGtsScheduler>();
+  } else {
+    scheduler = std::make_unique<GtsScheduler>();
+  }
+  SimEngine engine(*platform, std::move(scheduler));
   AppPool apps;
   for (const DataParallelConfig& cfg : c.apps) {
     apps.push_back(std::make_unique<DataParallelApp>(
@@ -200,7 +207,11 @@ EngineRun run_engine(const EngineCase& c, bool reference) {
   engine.set_manager(&manager);
   EngineRun run;
   for (std::size_t i = 0; i < c.slices.size(); ++i) {
-    engine.run_for(c.slices[i]);
+    if (reference) {
+      run_reference_until(engine, engine.now() + c.slices[i]);
+    } else {
+      engine.run_for(c.slices[i]);
+    }
     run.slice_states.push_back(engine_state(engine));
     if (c.between_slices) c.between_slices(engine, apps, i);
   }
@@ -560,10 +571,12 @@ ExperimentRun run_probed(const std::string& variant, bool reference,
   TraceSink sink(std::max(sample_ticks, 1));
   ExperimentBuilder builder;
   configure(builder);
-  builder.variant(probe_name(variant)).reference_impl(reference);
+  builder.variant(probe_name(variant));
   if (sample_ticks > 0) builder.capture(sink);
   g_probe_log = &run.log;
-  const ExperimentResult result = builder.build().run();
+  const Experiment experiment = builder.build();
+  const ExperimentResult result =
+      reference ? run_reference(experiment) : experiment.run();
   g_probe_log = nullptr;
   run.fingerprint = result_fingerprint(result);
   if (sample_ticks > 0) run.capture = sink.bytes();

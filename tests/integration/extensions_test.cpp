@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "apps/data_parallel_app.hpp"
 #include "apps/parsec.hpp"
@@ -11,8 +12,8 @@
 #include "core/hars.hpp"
 #include "core/power_profiler.hpp"
 #include "exp/experiment.hpp"
-#include "exp/fuzz_harness.hpp"
 #include "hmp/sim_engine.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -125,20 +126,24 @@ TEST(Extensions, RatioLearnerConvergesInsideManager) {
 TEST(Extensions, RatioLearningMatchesTheReferenceSearch) {
   // The manager keeps its search memo across adaptations and reopens it
   // only when the learner moves r0; a memo that outlived an r0 change
-  // would score candidates with the old ratio and steer differently
-  // from the reference search, which recomputes every estimate.
-  const auto run = [](bool reference) {
+  // would score candidates with the old ratio. The audited run
+  // cross-checks every search against the reference search, which
+  // recomputes every estimate, and throws AuditError on a mismatch; the
+  // audits only observe, so its records equal the unaudited twin's.
+  const auto run = [](bool audit) {
     return result_fingerprint(ExperimentBuilder()
                                   .platform("exynos5422")
                                   .app(ParsecBenchmark::kFluidanimate)
                                   .variant("HARS-E")
                                   .learn_ratio()
-                                  .reference_impl(reference)
+                                  .audit(audit)
                                   .duration(50 * kUsPerSec)
                                   .build()
                                   .run());
   };
-  EXPECT_EQ(run(false), run(true));
+  std::string audited;
+  ASSERT_NO_THROW(audited = run(true));
+  EXPECT_EQ(audited, run(false));
 }
 
 TEST(Extensions, EnergyMetricsPopulated) {

@@ -118,13 +118,16 @@ TEST(SearchEquivalence, MatchesBruteForceReplication) {
   Rng rng(2024);
   const PerfTarget target = PerfTarget::around(2.0);
   const SearchParams params{4, 4, 7};
+  SearchScratch scratch;
   for (int trial = 0; trial < 50; ++trial) {
     SystemState cur{rng.uniform_int(0, 4), rng.uniform_int(0, 4),
                     rng.uniform_int(0, 8), rng.uniform_int(0, 5)};
     if (!f.space.valid(cur)) continue;
     const double rate = rng.uniform(0.2, 8.0);
-    const SearchResult got = get_next_sys_state(rate, cur, target, params,
-                                                f.space, f.perf, f.power, 8);
+    scratch.begin_tick(f.space);
+    const SearchResult got =
+        get_next_sys_state(rate, cur, target, params, f.space, f.perf,
+                           f.power, 8, {}, &scratch);
     const SystemState want = brute_force_next(f, rate, cur, target, params, 8);
     EXPECT_EQ(got.state, want)
         << "cur=" << cur.to_string() << " rate=" << rate;

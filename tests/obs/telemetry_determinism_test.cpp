@@ -11,11 +11,11 @@
 
 #include "apps/parsec.hpp"
 #include "exp/experiment.hpp"
-#include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
 #include "hmp/sim_engine.hpp"
 #include "obs/telemetry.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {

@@ -29,8 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/fuzz_harness.hpp"
 #include "exp/variant_registry.hpp"
+#include "oracle/fuzz_harness.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/repro.hpp"
 #include "scenario/shrink.hpp"
