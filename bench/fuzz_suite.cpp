@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "oracle/fuzz_harness.hpp"
+#include "oracle/repro.hpp"
+#include "oracle/shrink.hpp"
 #include "scenario/generator.hpp"
-#include "scenario/repro.hpp"
-#include "scenario/shrink.hpp"
 #include "sweep/result_sink.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"

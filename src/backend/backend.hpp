@@ -160,9 +160,7 @@ class Backend {
   // --- Estimator support ---
   /// Power model the profiling campaign (profile_power) trains the power
   /// estimator against: the simulator's ground-truth model, or a
-  /// platform-parameter model of the probed topology for live backends
-  /// (real coefficient tables can be loaded from file instead;
-  /// core/coeff_io.hpp).
+  /// platform-parameter model of the probed topology for live backends.
   virtual const PowerModel& profiling_model() const = 0;
 
   /// Whether managers should run their (expensive) result audits.

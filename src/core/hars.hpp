@@ -7,19 +7,11 @@
 //   HARS-EI - exhaustive search with the interleaving scheduler.
 #pragma once
 
-#include <optional>
-#include <string_view>
-
 #include "core/runtime_manager.hpp"
 
 namespace hars {
 
 enum class HarsVariant { kHarsI, kHarsE, kHarsEI };
-
-const char* hars_variant_name(HarsVariant variant);
-
-/// Inverse of hars_variant_name; nullopt for unknown names.
-std::optional<HarsVariant> parse_hars_variant(std::string_view name);
 
 /// The manager configuration the paper uses for each variant.
 RuntimeManagerConfig config_for_variant(HarsVariant variant);

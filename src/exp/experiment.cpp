@@ -487,11 +487,6 @@ ExperimentBuilder& ExperimentBuilder::policy(SearchPolicy policy) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::search_window(int window) {
-  spec_.tuning.search_window = window;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::search_distance(int d) {
   spec_.tuning.search_distance = d;
   return *this;
@@ -509,11 +504,6 @@ ExperimentBuilder& ExperimentBuilder::assumed_ratio(double r0) {
 
 ExperimentBuilder& ExperimentBuilder::learn_ratio(bool on) {
   spec_.tuning.learn_ratio = on;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tabu(TabuParams params) {
-  spec_.tuning.tabu = params;
   return *this;
 }
 
@@ -652,23 +642,13 @@ Experiment ExperimentBuilder::build() const {
   if (rejected != 0) {
     std::string message =
         "variant \"" + spec.variant + "\" does not accept tuning:";
-    for (unsigned bit = 1; bit <= kTuneTabu; bit <<= 1) {
+    for (unsigned bit = 1; bit <= kTuneLearnRatio; bit <<= 1) {
       if (rejected & bit) {
         message += ' ';
         message += tuning_field_name(static_cast<TuningField>(bit));
       }
     }
     throw ExperimentConfigError(message);
-  }
-  if (spec.tuning.tabu) {
-    const SearchPolicy effective = spec.tuning.policy
-                                       ? *spec.tuning.policy
-                                       : traits.base_policy.value_or(
-                                             SearchPolicy::kExhaustive);
-    if (effective != SearchPolicy::kTabu) {
-      throw ExperimentConfigError(
-          "tabu parameters require policy(SearchPolicy::kTabu)");
-    }
   }
   if (!(spec.target_fraction > 0.0) || spec.target_fraction > 1.0) {
     throw ExperimentConfigError("target_fraction must be in (0, 1]");
@@ -687,9 +667,6 @@ Experiment ExperimentBuilder::build() const {
   }
   if (spec.threads < 1) {
     throw ExperimentConfigError("threads must be >= 1");
-  }
-  if (spec.tuning.search_window && *spec.tuning.search_window < 0) {
-    throw ExperimentConfigError("search_window must be >= 0");
   }
   if (spec.tuning.search_distance && *spec.tuning.search_distance < 0) {
     throw ExperimentConfigError("search_distance must be >= 0");

@@ -222,12 +222,10 @@ class ExperimentBuilder {
   ExperimentBuilder& scheduler(ThreadSchedulerKind kind);
   ExperimentBuilder& predictor(PredictorKind kind);
   ExperimentBuilder& policy(SearchPolicy policy);
-  ExperimentBuilder& search_window(int window);
   ExperimentBuilder& search_distance(int d);
   ExperimentBuilder& adapt_period(int heartbeats);
   ExperimentBuilder& assumed_ratio(double r0);
   ExperimentBuilder& learn_ratio(bool on = true);
-  ExperimentBuilder& tabu(TabuParams params);
 
   // --- Audits ---
   /// Forces the engine's debug invariant audits on (or off) for this run
@@ -249,8 +247,8 @@ class ExperimentBuilder {
   ExperimentBuilder& sample_every(TimeUs period, SampleFn fn);
 
   /// Validates the configuration; throws ExperimentConfigError on an
-  /// inconsistent one (unknown variant, tuning the variant ignores, tabu
-  /// parameters without the tabu policy, app-count mismatch, ...).
+  /// inconsistent one (unknown variant, tuning the variant ignores,
+  /// app-count mismatch, ...).
   Experiment build() const;
 
  private:

@@ -27,12 +27,10 @@ unsigned tuning_fields(const VariantTuning& t) {
   if (t.scheduler) fields |= kTuneScheduler;
   if (t.predictor) fields |= kTunePredictor;
   if (t.policy) fields |= kTunePolicy;
-  if (t.search_window) fields |= kTuneSearchWindow;
   if (t.search_distance) fields |= kTuneSearchDistance;
   if (t.adapt_period) fields |= kTuneAdaptPeriod;
   if (t.r0) fields |= kTuneR0;
   if (t.learn_ratio) fields |= kTuneLearnRatio;
-  if (t.tabu) fields |= kTuneTabu;
   return fields;
 }
 
@@ -41,12 +39,10 @@ const char* tuning_field_name(TuningField field) {
     case kTuneScheduler: return "scheduler";
     case kTunePredictor: return "predictor";
     case kTunePolicy: return "policy";
-    case kTuneSearchWindow: return "search_window";
     case kTuneSearchDistance: return "search_distance";
     case kTuneAdaptPeriod: return "adapt_period";
     case kTuneR0: return "assumed_ratio";
     case kTuneLearnRatio: return "learn_ratio";
-    case kTuneTabu: return "tabu";
   }
   return "?";
 }
@@ -54,13 +50,11 @@ const char* tuning_field_name(TuningField field) {
 namespace {
 
 constexpr unsigned kHarsTuning = kTuneScheduler | kTunePredictor | kTunePolicy |
-                                 kTuneSearchWindow | kTuneSearchDistance |
-                                 kTuneAdaptPeriod | kTuneR0 | kTuneLearnRatio |
-                                 kTuneTabu;
+                                 kTuneSearchDistance | kTuneAdaptPeriod |
+                                 kTuneR0 | kTuneLearnRatio;
 constexpr unsigned kConsTuning = kTuneAdaptPeriod | kTuneR0;
-constexpr unsigned kMpHarsTuning = kTuneScheduler | kTuneSearchWindow |
-                                   kTuneSearchDistance | kTuneAdaptPeriod |
-                                   kTuneR0;
+constexpr unsigned kMpHarsTuning = kTuneScheduler | kTuneSearchDistance |
+                                   kTuneAdaptPeriod | kTuneR0;
 
 /// Baseline: the full machine at top frequency under the OS scheduler —
 /// no manager at all.
@@ -115,12 +109,10 @@ class HarsInstance final : public VariantInstance {
     if (t.scheduler) config.scheduler = *t.scheduler;
     if (t.predictor) config.predictor = *t.predictor;
     if (t.policy) config.policy = *t.policy;
-    if (t.search_window) config.exhaustive_window = *t.search_window;
     if (t.search_distance) config.exhaustive_d = *t.search_distance;
     if (t.adapt_period) config.adapt_period = *t.adapt_period;
     if (t.r0) config.r0 = *t.r0;
     if (t.learn_ratio) config.learn_ratio = *t.learn_ratio;
-    if (t.tabu) config.tabu = *t.tabu;
     const PowerCoeffTable coeffs = profile_power(
         setup.backend.topology(), setup.backend.profiling_model());
     auto manager = std::make_unique<RuntimeManager>(
@@ -196,7 +188,6 @@ class MpHarsInstance final : public VariantInstance {
     config.policy = policy;
     config.r0 = setup.spec.platform.assumed_ratio();
     const VariantTuning& t = setup.spec.tuning;
-    if (t.search_window) config.exhaustive_window = *t.search_window;
     if (t.search_distance) config.exhaustive_d = *t.search_distance;
     if (t.r0) config.r0 = *t.r0;
     const PowerCoeffTable coeffs = profile_power(
@@ -245,33 +236,31 @@ constexpr int kManyApps = 64;
 }  // namespace
 
 VariantRegistry::VariantRegistry() {
-  register_variant("Baseline", VariantTraits{1, kManyApps, 0, {}, false},
+  register_variant("Baseline", VariantTraits{1, kManyApps, 0, false},
                    [](const VariantSetup&) {
                      return std::make_unique<BaselineInstance>();
                    });
   register_variant("SO",
-                   VariantTraits{1, 1, 0, {}, /*requires_parsec=*/true},
+                   VariantTraits{1, 1, 0, /*requires_parsec=*/true},
                    make_static_optimal);
-  const auto hars_entry = [this](const char* name, HarsVariant variant,
-                                 SearchPolicy base_policy) {
-    register_variant(name, VariantTraits{1, 1, kHarsTuning, base_policy, false},
+  const auto hars_entry = [this](const char* name, HarsVariant variant) {
+    register_variant(name, VariantTraits{1, 1, kHarsTuning, false},
                      [variant](const VariantSetup& setup) {
                        return std::make_unique<HarsInstance>(setup, variant);
                      });
   };
-  hars_entry("HARS-I", HarsVariant::kHarsI, SearchPolicy::kIncremental);
-  hars_entry("HARS-E", HarsVariant::kHarsE, SearchPolicy::kExhaustive);
-  hars_entry("HARS-EI", HarsVariant::kHarsEI, SearchPolicy::kExhaustive);
+  hars_entry("HARS-I", HarsVariant::kHarsI);
+  hars_entry("HARS-E", HarsVariant::kHarsE);
+  hars_entry("HARS-EI", HarsVariant::kHarsEI);
   register_variant(
       "CONS-I",
-      VariantTraits{1, kManyApps, kConsTuning, SearchPolicy::kIncremental,
-                    false},
+      VariantTraits{1, kManyApps, kConsTuning, false},
       [](const VariantSetup& setup) {
         return std::make_unique<ConsInstance>(setup);
       });
   const auto mphars_entry = [this](const char* name, SearchPolicy policy) {
     register_variant(name,
-                     VariantTraits{1, kManyApps, kMpHarsTuning, policy, false},
+                     VariantTraits{1, kManyApps, kMpHarsTuning, false},
                      [policy](const VariantSetup& setup) {
                        return std::make_unique<MpHarsInstance>(setup, policy);
                      });

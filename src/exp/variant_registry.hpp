@@ -38,12 +38,10 @@ struct VariantTuning {
   std::optional<ThreadSchedulerKind> scheduler;
   std::optional<PredictorKind> predictor;
   std::optional<SearchPolicy> policy;
-  std::optional<int> search_window;    ///< m = n of the exhaustive sweep.
   std::optional<int> search_distance;  ///< Manhattan budget d.
   std::optional<int> adapt_period;     ///< Heartbeats between checks.
   std::optional<double> r0;            ///< Assumed big:little ratio.
   std::optional<bool> learn_ratio;     ///< Online ratio learning.
-  std::optional<TabuParams> tabu;      ///< Tabu trajectory parameters.
 };
 
 /// Which tuning fields a variant understands; builder validation rejects
@@ -52,12 +50,10 @@ enum TuningField : unsigned {
   kTuneScheduler = 1u << 0,
   kTunePredictor = 1u << 1,
   kTunePolicy = 1u << 2,
-  kTuneSearchWindow = 1u << 3,
-  kTuneSearchDistance = 1u << 4,
-  kTuneAdaptPeriod = 1u << 5,
-  kTuneR0 = 1u << 6,
-  kTuneLearnRatio = 1u << 7,
-  kTuneTabu = 1u << 8,
+  kTuneSearchDistance = 1u << 3,
+  kTuneAdaptPeriod = 1u << 4,
+  kTuneR0 = 1u << 5,
+  kTuneLearnRatio = 1u << 6,
 };
 
 /// Bitmask of the TuningField bits set in `tuning`.
@@ -70,9 +66,6 @@ struct VariantTraits {
   int min_apps = 1;
   int max_apps = 1;
   unsigned accepted_tuning = 0;
-  /// Search policy the variant runs when tuning.policy is unset; used to
-  /// validate tabu-parameter consistency.
-  std::optional<SearchPolicy> base_policy;
   /// The variant needs the benchmark identity (e.g. the static optimal's
   /// offline oracle sweep) — only PARSEC apps qualify.
   bool requires_parsec = false;

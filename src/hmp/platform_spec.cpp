@@ -1,9 +1,6 @@
 #include "hmp/platform_spec.hpp"
 
 #include <algorithm>
-#include <climits>
-#include <fstream>
-#include <sstream>
 
 #include "hmp/cpu_mask.hpp"
 
@@ -157,119 +154,6 @@ PlatformSpec PlatformSpec::from_machine(const Machine& machine,
     spec.clusters.push_back({topo, PowerParams::for_type(topo.type)});
   }
   return spec;
-}
-
-namespace {
-
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream in(line);
-  while (std::getline(in, field, sep)) fields.push_back(field);
-  return fields;
-}
-
-double parse_double(const std::string& text, const std::string& what,
-                    int line_no) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw PlatformConfigError("platform csv line " + std::to_string(line_no) +
-                              ": bad " + what + " \"" + text + "\"");
-  }
-}
-
-int parse_int(const std::string& text, const std::string& what, int line_no) {
-  try {
-    std::size_t used = 0;
-    const long value = std::stol(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    if (value < INT_MIN || value > INT_MAX) throw std::out_of_range(text);
-    return static_cast<int>(value);
-  } catch (const std::exception&) {
-    throw PlatformConfigError("platform csv line " + std::to_string(line_no) +
-                              ": bad " + what + " \"" + text + "\"");
-  }
-}
-
-}  // namespace
-
-PlatformSpec PlatformSpec::from_csv(std::istream& in) {
-  PlatformSpec spec;
-  bool saw_platform = false;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    // Trim leading whitespace; skip blanks and comments.
-    const std::size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    if (line[start] == '#') continue;
-    const std::vector<std::string> f = split(line.substr(start), ',');
-    if (f.front() == "platform") {
-      if (f.size() < 3 || f.size() > 4) {
-        throw PlatformConfigError(
-            "platform csv line " + std::to_string(line_no) +
-            ": expected platform,NAME,BASE_WATTS[,R0]");
-      }
-      spec.name = f[1];
-      spec.base_watts = parse_double(f[2], "base_watts", line_no);
-      if (f.size() == 4) {
-        spec.default_r0 = parse_double(f[3], "default_r0", line_no);
-      }
-      saw_platform = true;
-    } else if (f.front() == "cluster") {
-      if (f.size() != 9) {
-        throw PlatformConfigError(
-            "platform csv line " + std::to_string(line_no) +
-            ": expected cluster,big|little,CORES,IPC,C_DYN,C_LEAK,C_MEM,"
-            "K_THERM,F0;F1;...");
-      }
-      PlatformCluster cluster;
-      if (f[1] == "big") {
-        cluster.topology.type = CoreType::kBig;
-      } else if (f[1] == "little") {
-        cluster.topology.type = CoreType::kLittle;
-      } else {
-        throw PlatformConfigError("platform csv line " +
-                                  std::to_string(line_no) +
-                                  ": core type must be big or little");
-      }
-      cluster.topology.core_count = parse_int(f[2], "core count", line_no);
-      cluster.topology.ipc = parse_double(f[3], "ipc", line_no);
-      cluster.power.c_dyn = parse_double(f[4], "c_dyn", line_no);
-      cluster.power.c_leak = parse_double(f[5], "c_leak", line_no);
-      cluster.power.c_mem = parse_double(f[6], "c_mem", line_no);
-      cluster.power.k_therm = parse_double(f[7], "k_therm", line_no);
-      cluster.topology.freqs_ghz.clear();
-      for (const std::string& freq : split(f[8], ';')) {
-        cluster.topology.freqs_ghz.push_back(
-            parse_double(freq, "frequency", line_no));
-      }
-      spec.clusters.push_back(std::move(cluster));
-    } else {
-      throw PlatformConfigError("platform csv line " +
-                                std::to_string(line_no) +
-                                ": unknown record \"" + f.front() + "\"");
-    }
-  }
-  if (!saw_platform) {
-    throw PlatformConfigError("platform csv: missing platform,NAME,... line");
-  }
-  spec.validate();
-  return spec;
-}
-
-PlatformSpec PlatformSpec::from_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw PlatformConfigError("cannot read platform file \"" + path + "\"");
-  }
-  return from_csv(in);
 }
 
 PlatformBuilder& PlatformBuilder::name(std::string platform_name) {

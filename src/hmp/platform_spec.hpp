@@ -4,8 +4,8 @@
 // the platform base draw, and calibration defaults (the managers' assumed
 // fastest:slowest speed ratio r0).
 //
-// A PlatformSpec is plain data: build one with PlatformBuilder, load one
-// from a CSV file (PlatformSpec::from_file), or fetch a preset from the
+// A PlatformSpec is plain data: build one with PlatformBuilder, probe one
+// from sysfs (PlatformSpec::from_sysfs), or fetch a preset from the
 // PlatformRegistry by name ("exynos5422", "sd855", ...). validate() is
 // the single gate every consumer relies on; make_machine() materializes
 // the mutable Machine and SimEngine accepts the spec directly so the
@@ -13,7 +13,6 @@
 // per-core-type dispatch.
 #pragma once
 
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,7 +24,7 @@ namespace hars {
 
 class SysfsIo;  // backend/sysfs.hpp
 
-/// Invalid platform descriptions (builder, CSV loader, registry) are
+/// Invalid platform descriptions (builder, sysfs probe, registry) are
 /// reported through this exception.
 class PlatformConfigError : public std::invalid_argument {
  public:
@@ -79,17 +78,6 @@ struct PlatformSpec {
   /// power parameters (PowerParams::for_type) and base draw.
   static PlatformSpec from_machine(const Machine& machine,
                                    double base_watts = 0.7);
-
-  /// Parses the platform CSV format (see README "Platforms"):
-  ///   # comment / empty lines ignored
-  ///   platform,NAME,BASE_WATTS[,R0]
-  ///   cluster,big|little,CORES,IPC,C_DYN,C_LEAK,C_MEM,K_THERM,F0;F1;...
-  /// Throws PlatformConfigError on malformed input; the result is
-  /// validate()d.
-  static PlatformSpec from_csv(std::istream& in);
-
-  /// Reads `path` and parses it with from_csv.
-  static PlatformSpec from_file(const std::string& path);
 
   /// Probes a (real or fixture) sysfs tree and self-describes the
   /// topology: clusters from cpufreq `related_cpus` groups, DVFS ladders

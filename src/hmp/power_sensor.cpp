@@ -21,30 +21,6 @@ PowerSensor::PowerSensor(const Machine& machine, const PowerModel& model,
   assert(sample_period_us > 0);
 }
 
-void PowerSensor::tick(TimeUs now, TimeUs tick_us,
-                       const std::vector<double>& core_busy) {
-  const double dt_sec = us_to_sec(tick_us);
-  std::vector<double> cluster_watts(
-      static_cast<std::size_t>(machine_->num_clusters()), 0.0);
-  double total = 0.0;
-  for (int c = 0; c < machine_->num_clusters(); ++c) {
-    double busy_sum = 0.0;
-    const CpuMask mask = machine_->cluster_mask(c);
-    for (CoreId core = mask.first(); core >= 0; core = mask.next(core)) {
-      busy_sum += core_busy[static_cast<std::size_t>(core)];
-    }
-    const double watts = model_->cluster_power(c, busy_sum);
-    cluster_watts[static_cast<std::size_t>(c)] = watts;
-    cluster_energy_j_[static_cast<std::size_t>(c)] += watts * dt_sec;
-    total += watts;
-  }
-  base_energy_j_ += model_->base_watts() * dt_sec;
-  total += model_->base_watts();
-  last_instant_power_ = total;
-
-  maybe_sample(now, cluster_watts);
-}
-
 HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
                                  const std::vector<double>& cluster_busy,
                                  const std::vector<double>& cluster_freq,

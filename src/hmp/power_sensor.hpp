@@ -30,7 +30,9 @@ class PowerSensor {
 
   /// Advances the sensor by one simulator tick with the given per-core
   /// busy fractions. Integrates energy and takes samples as the sampling
-  /// period elapses.
+  /// period elapses. The reference tick's sensor path: defined in
+  /// hars_oracle (src/oracle/reference_run.cpp), so a binary that links
+  /// only hars cannot call it.
   void tick(TimeUs now, TimeUs tick_us, const std::vector<double>& core_busy);
 
   /// Allocation-free form of tick() for the engine's TickScratch path:

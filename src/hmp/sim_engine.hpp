@@ -249,8 +249,8 @@ class SimEngine {
   void step();
   /// The retained pre-TickScratch tick (per-tick vector allocations,
   /// per-thread machine queries), bit-identical to step() and never
-  /// followed by a quiet span; reached only through run_reference_until
-  /// (oracle/reference_run.hpp).
+  /// followed by a quiet span; reached only through run_reference_until.
+  /// Defined in hars_oracle (src/oracle/reference_run.cpp).
   void step_reference();
   /// Runs the quiet ticks that follow a step(), up to `until` and the
   /// tick hook's due time; returns at once when the span-entry checks

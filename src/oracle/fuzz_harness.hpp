@@ -21,7 +21,7 @@
 #include <string>
 
 #include "exp/experiment.hpp"
-#include "scenario/repro.hpp"
+#include "oracle/repro.hpp"
 
 namespace hars {
 

@@ -1,4 +1,4 @@
-#include "scenario/repro.hpp"
+#include "oracle/repro.hpp"
 
 #include <cstdlib>
 #include <fstream>

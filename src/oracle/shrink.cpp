@@ -1,4 +1,4 @@
-#include "scenario/shrink.hpp"
+#include "oracle/shrink.hpp"
 
 #include <algorithm>
 #include <string>

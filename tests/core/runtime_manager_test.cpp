@@ -162,11 +162,5 @@ TEST(RuntimeManager, RejectsNonPositiveTargetWindow) {
   }
 }
 
-TEST(HarsVariantName, Names) {
-  EXPECT_STREQ(hars_variant_name(HarsVariant::kHarsI), "HARS-I");
-  EXPECT_STREQ(hars_variant_name(HarsVariant::kHarsE), "HARS-E");
-  EXPECT_STREQ(hars_variant_name(HarsVariant::kHarsEI), "HARS-EI");
-}
-
 }  // namespace
 }  // namespace hars

@@ -36,18 +36,6 @@ TEST(BuilderValidation, RejectsUnknownVariant) {
   }
 }
 
-TEST(BuilderValidation, RejectsTabuParamsWithoutTabuPolicy) {
-  ExperimentBuilder builder = valid_single();
-  builder.tabu(TabuParams{16, 8, 1});  // HARS-E defaults to kExhaustive.
-  EXPECT_THROW(builder.build(), ExperimentConfigError);
-}
-
-TEST(BuilderValidation, AcceptsTabuParamsWithTabuPolicy) {
-  ExperimentBuilder builder = valid_single();
-  builder.policy(SearchPolicy::kTabu).tabu(TabuParams{16, 8, 1});
-  EXPECT_NO_THROW(builder.build());
-}
-
 TEST(BuilderValidation, RejectsTuningTheVariantIgnores) {
   // The old runner silently ignored HARS overrides under Baseline/SO;
   // the builder makes that a configuration error.
@@ -97,8 +85,6 @@ TEST(BuilderValidation, RejectsBadNumericRanges) {
   EXPECT_THROW(valid_single().threads(0).build(), ExperimentConfigError);
   EXPECT_THROW(valid_single().adapt_period(0).build(), ExperimentConfigError);
   EXPECT_THROW(valid_single().assumed_ratio(-1.0).build(),
-               ExperimentConfigError);
-  EXPECT_THROW(valid_single().search_window(-1).build(),
                ExperimentConfigError);
   EXPECT_THROW(valid_single().search_distance(-2).build(),
                ExperimentConfigError);

@@ -22,7 +22,7 @@
 #include "backend/mock_linux_backend.hpp"
 #include "exp/experiment.hpp"
 #include "oracle/fuzz_harness.hpp"
-#include "scenario/repro.hpp"
+#include "oracle/repro.hpp"
 #include "scenario/trace_sink.hpp"
 #include "sweep/result_sink.hpp"
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "core/hars.hpp"
 #include "exp/experiment.hpp"
 #include "exp/variant_registry.hpp"
 
@@ -65,7 +64,7 @@ TEST(VariantRegistry, SingleAppVariantsDeclareSingleAppTraits) {
 
 TEST(VariantRegistry, UserVariantRegistersAndRuns) {
   VariantRegistry& registry = VariantRegistry::instance();
-  VariantRegistrar reg("TEST-NOOP", VariantTraits{1, 4, 0, {}, false},
+  VariantRegistrar reg("TEST-NOOP", VariantTraits{1, 4, 0, false},
                        [](const VariantSetup&) {
                          return std::make_unique<VariantInstance>();
                        });
@@ -96,14 +95,9 @@ TEST(VariantRegistry, ParseHelpersRoundTrip) {
                               SearchPolicy::kExhaustive, SearchPolicy::kTabu}) {
     EXPECT_EQ(parse_search_policy(search_policy_name(policy)), policy);
   }
-  for (HarsVariant variant :
-       {HarsVariant::kHarsI, HarsVariant::kHarsE, HarsVariant::kHarsEI}) {
-    EXPECT_EQ(parse_hars_variant(hars_variant_name(variant)), variant);
-  }
   EXPECT_EQ(parse_thread_scheduler("bogus"), std::nullopt);
   EXPECT_EQ(parse_predictor_kind(""), std::nullopt);
   EXPECT_EQ(parse_search_policy("Exhaustive"), std::nullopt);
-  EXPECT_EQ(parse_hars_variant("hars-e"), std::nullopt);
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
-// PlatformSpec: builder round-trips, validation errors, the CSV loader
-// and the Machine perf-ranked capability API the spec materializes into.
+// PlatformSpec: builder round-trips, validation errors and the Machine
+// perf-ranked capability API the spec materializes into.
 #include "hmp/platform_spec.hpp"
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 namespace hars {
 namespace {
@@ -173,58 +171,6 @@ TEST(PlatformSpec, FromMachineWrapsLegacyDefaults) {
   EXPECT_EQ(spec.clusters[1].power.c_dyn, PowerParams::cortex_a15().c_dyn);
   EXPECT_EQ(spec.base_watts, 0.7);
   EXPECT_DOUBLE_EQ(spec.assumed_ratio(), 1.5);  // The paper's r0.
-}
-
-TEST(PlatformSpec, FromCsvRoundTrip) {
-  std::istringstream in(
-      "# custom laptop part\n"
-      "platform,laptop,0.5,2.0\n"
-      "cluster,little,6,2.0,0.1,0.05,0.03,0.01,0.8;1.2;1.6;2.0\n"
-      "cluster,big,2,4.0,0.3,0.15,0.06,0.02,1.0;2.0;3.0;3.6\n");
-  const PlatformSpec spec = PlatformSpec::from_csv(in);
-  EXPECT_EQ(spec.name, "laptop");
-  EXPECT_DOUBLE_EQ(spec.base_watts, 0.5);
-  EXPECT_DOUBLE_EQ(spec.default_r0, 2.0);
-  ASSERT_EQ(spec.clusters.size(), 2u);
-  EXPECT_EQ(spec.clusters[0].topology.type, CoreType::kLittle);
-  EXPECT_EQ(spec.clusters[0].topology.core_count, 6);
-  ASSERT_EQ(spec.clusters[1].topology.freqs_ghz.size(), 4u);
-  EXPECT_DOUBLE_EQ(spec.clusters[1].topology.freqs_ghz[3], 3.6);
-  EXPECT_DOUBLE_EQ(spec.clusters[1].power.k_therm, 0.02);
-}
-
-TEST(PlatformSpec, FromCsvErrors) {
-  std::istringstream no_platform("cluster,big,2,4.0,0.3,0.15,0.06,0.02,1.0\n");
-  EXPECT_THROW(PlatformSpec::from_csv(no_platform), PlatformConfigError);
-
-  std::istringstream bad_type(
-      "platform,x,0.5\n"
-      "cluster,medium,2,4.0,0.3,0.15,0.06,0.02,1.0\n");
-  EXPECT_THROW(PlatformSpec::from_csv(bad_type), PlatformConfigError);
-
-  std::istringstream bad_number(
-      "platform,x,0.5\n"
-      "cluster,big,2,fast,0.3,0.15,0.06,0.02,1.0\n");
-  EXPECT_THROW(PlatformSpec::from_csv(bad_number), PlatformConfigError);
-
-  std::istringstream bad_record(
-      "platform,x,0.5\n"
-      "socket,big,2,4.0,0.3,0.15,0.06,0.02,1.0\n");
-  EXPECT_THROW(PlatformSpec::from_csv(bad_record), PlatformConfigError);
-
-  // Parsed but invalid: descending ladder fails validate().
-  std::istringstream bad_ladder(
-      "platform,x,0.5\n"
-      "cluster,little,2,2.0,0.1,0.05,0.03,0.01,0.5;1.0\n"
-      "cluster,big,2,4.0,0.3,0.15,0.06,0.02,2.0;1.0\n");
-  EXPECT_THROW(PlatformSpec::from_csv(bad_ladder), PlatformConfigError);
-
-  // Core counts must be whole numbers, not silently truncated doubles.
-  std::istringstream fractional_cores(
-      "platform,x,0.5\n"
-      "cluster,little,2,2.0,0.1,0.05,0.03,0.01,0.5;1.0\n"
-      "cluster,big,3.9,4.0,0.3,0.15,0.06,0.02,1.0;2.0\n");
-  EXPECT_THROW(PlatformSpec::from_csv(fractional_cores), PlatformConfigError);
 }
 
 TEST(PlatformSpec, SignatureDistinguishesContent) {

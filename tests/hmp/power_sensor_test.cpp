@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "hmp/platform_registry.hpp"
+#include "util/rng.hpp"
+
 namespace hars {
 namespace {
 
@@ -100,6 +105,90 @@ TEST_F(PowerSensorTest, ResetClearsState) {
   sensor.reset();
   EXPECT_EQ(sensor.total_energy_j(), 0.0);
   EXPECT_TRUE(sensor.samples().empty());
+}
+
+// SimEngine feeds the sensor through tick_presummed (per-cluster busy sums
+// plus the frequency and any-core-online snapshots); tick() is the
+// reference tick's path. Drives both with the same per-core busy vectors
+// under DVFS changes and `offline` and asserts bit-identical energy,
+// instant power and samples.
+void expect_presummed_matches_tick(Machine& machine, const PowerModel& model,
+                                   CpuMask offline) {
+  const TimeUs period = 5 * kUsPerMs;
+  PowerSensor reference(machine, model, period, 0.02, /*seed=*/3);
+  PowerSensor presummed(machine, model, period, 0.02, /*seed=*/3);
+  const auto clusters = static_cast<std::size_t>(machine.num_clusters());
+  std::vector<double> busy(static_cast<std::size_t>(machine.num_cores()));
+  std::vector<double> cluster_busy(clusters);
+  std::vector<double> cluster_freq(clusters);
+  std::vector<char> cluster_online(clusters);
+  Rng rng(11);
+  TimeUs now = 0;
+  for (int i = 0; i < 60; ++i) {
+    if (i % 7 == 0) {
+      for (ClusterId c = 0; c < machine.num_clusters(); ++c) {
+        machine.set_freq_level(c, (i / 7 + c) % machine.num_freq_levels(c));
+      }
+    }
+    // Offline for the second half, as a hotplug event would leave it.
+    machine.set_online_mask(i < 30 ? machine.all_mask()
+                                   : machine.all_mask() & ~offline);
+    for (CoreId core = 0; core < machine.num_cores(); ++core) {
+      busy[static_cast<std::size_t>(core)] =
+          machine.is_online(core) ? rng.next_double() : 0.0;
+    }
+    for (ClusterId c = 0; c < machine.num_clusters(); ++c) {
+      const auto ci = static_cast<std::size_t>(c);
+      const CpuMask mask = machine.cluster_mask(c);
+      cluster_busy[ci] = 0.0;
+      for (CoreId core = mask.first(); core >= 0; core = mask.next(core)) {
+        cluster_busy[ci] += busy[static_cast<std::size_t>(core)];
+      }
+      cluster_freq[ci] = machine.freq_ghz(c);
+      cluster_online[ci] = (machine.online_mask() & mask).any() ? 1 : 0;
+    }
+    now += kUsPerMs;
+    reference.tick(now, kUsPerMs, busy);
+    presummed.tick_presummed(now, kUsPerMs, cluster_busy, cluster_freq,
+                             cluster_online);
+    ASSERT_EQ(presummed.instantaneous_power_w(),
+              reference.instantaneous_power_w())
+        << "tick " << i;
+  }
+  for (ClusterId c = 0; c < machine.num_clusters(); ++c) {
+    EXPECT_EQ(presummed.cluster_energy_j(c), reference.cluster_energy_j(c))
+        << "cluster " << c;
+  }
+  EXPECT_EQ(presummed.total_energy_j(), reference.total_energy_j());
+  ASSERT_EQ(presummed.samples().size(), 12u);
+  ASSERT_EQ(reference.samples().size(), 12u);
+  for (std::size_t i = 0; i < reference.samples().size(); ++i) {
+    const PowerSample& want = reference.samples()[i];
+    const PowerSample& got = presummed.samples()[i];
+    EXPECT_EQ(got.time, want.time) << "sample " << i;
+    EXPECT_EQ(got.cluster_watts, want.cluster_watts) << "sample " << i;
+    EXPECT_EQ(got.total_watts, want.total_watts) << "sample " << i;
+  }
+}
+
+TEST(PowerSensorPaths, PresummedMatchesTickOnExynos) {
+  const PlatformSpec spec = PlatformRegistry::instance().get("exynos5422");
+  Machine machine = spec.make_machine();
+  const PowerModel model(machine, spec.cluster_power());
+  CpuMask offline;
+  offline.set(2);
+  offline.set(5);
+  expect_presummed_matches_tick(machine, model, offline);
+}
+
+TEST(PowerSensorPaths, PresummedMatchesTickWithAClusterFullyOffline) {
+  const PlatformSpec spec = PlatformRegistry::instance().get("sd855");
+  Machine machine = spec.make_machine();
+  ASSERT_EQ(machine.num_clusters(), 3);
+  const PowerModel model(machine, spec.cluster_power());
+  // The whole one-core prime cluster plus one core of the big cluster.
+  const CpuMask offline = machine.cluster_mask(2) | CpuMask::single(4);
+  expect_presummed_matches_tick(machine, model, offline);
 }
 
 }  // namespace

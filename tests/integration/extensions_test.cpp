@@ -62,10 +62,9 @@ TEST(Extensions, TabuPolicyConvergesToTarget) {
             1.5 * base.app().metrics.perf_per_watt);
 }
 
-TEST(Extensions, TabuParamsFlowThroughBuilder) {
+TEST(Extensions, TabuPolicyRunsEndToEnd) {
   const ExperimentResult r = quick(ParsecBenchmark::kSwaptions)
                                  .policy(SearchPolicy::kTabu)
-                                 .tabu(TabuParams{8, 6, 1})
                                  .duration(40 * kUsPerSec)
                                  .build()
                                  .run();

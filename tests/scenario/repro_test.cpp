@@ -7,7 +7,7 @@
 #include <string>
 
 #include "apps/parsec.hpp"
-#include "scenario/repro.hpp"
+#include "oracle/repro.hpp"
 
 namespace hars {
 namespace {

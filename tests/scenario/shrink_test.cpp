@@ -7,9 +7,9 @@
 #include <sstream>
 #include <string>
 
+#include "oracle/repro.hpp"
+#include "oracle/shrink.hpp"
 #include "scenario/generator.hpp"
-#include "scenario/repro.hpp"
-#include "scenario/shrink.hpp"
 
 namespace hars {
 namespace {

@@ -6,7 +6,6 @@
 // 2. Format-drift check — every worked example checked into examples/
 //    must parse with the *real* parser it documents, so
 //    docs/FILE_FORMATS.md cannot drift from the code:
-//      examples/*.platform.csv   -> PlatformSpec::from_file
 //      examples/*.scenario.csv   -> Scenario::from_file; files with a
 //                                   "# generator=" comment also check
 //                                   the gen: name grammar, and hars_fuzz
@@ -38,9 +37,8 @@
 
 #include "backend/sysfs.hpp"
 #include "backend/sysfs_probe.hpp"
-#include "hmp/platform_spec.hpp"
+#include "oracle/repro.hpp"
 #include "scenario/generator.hpp"
-#include "scenario/repro.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace_sink.hpp"
 #include "svc/protocol.hpp"
@@ -109,14 +107,6 @@ std::vector<std::string> split_csv(const std::string& line) {
   std::string cell;
   while (std::getline(ss, cell, ',')) cells.push_back(cell);
   return cells;
-}
-
-void check_platform_example(const fs::path& path) {
-  try {
-    (void)hars::PlatformSpec::from_file(path.string());
-  } catch (const std::exception& error) {
-    fail(path.string() + ": " + error.what());
-  }
 }
 
 /// Scenario examples come in three flavours, all `*.scenario.csv`:
@@ -446,10 +436,7 @@ int main(int argc, char** argv) {
   if (fs::is_directory(examples)) {
     for (const auto& entry : fs::directory_iterator(examples)) {
       const std::string name = entry.path().filename().string();
-      if (ends_with(name, ".platform.csv")) {
-        check_platform_example(entry.path());
-        ++checked;
-      } else if (ends_with(name, ".scenario.csv")) {
+      if (ends_with(name, ".scenario.csv")) {
         check_scenario_example(entry.path());
         ++checked;
       } else if (ends_with(name, ".trace.jsonl")) {
@@ -482,9 +469,8 @@ int main(int argc, char** argv) {
     fail("examples/ not found under " + root.string());
   }
   if (checked == 0) {
-    fail("no example data files found (expected *.platform.csv, "
-         "*.scenario.csv, *.trace.jsonl, *.records.{csv,jsonl} under "
-         "examples/)");
+    fail("no example data files found (expected *.scenario.csv, "
+         "*.trace.jsonl, *.records.{csv,jsonl} under examples/)");
   }
 
   if (failures > 0) {

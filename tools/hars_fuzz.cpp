@@ -6,7 +6,7 @@
 // AllocGuard, check_invariants, thrown exceptions, plus the differential
 // optimized-vs-reference record-identity oracle — and, on any failure,
 // shrinks the scenario to a minimal failing repro written to the corpus
-// directory with an embedded re-run recipe (see scenario/repro.hpp).
+// directory with an embedded re-run recipe (see oracle/repro.hpp).
 //
 // Deterministic: the whole campaign, including every generated scenario
 // and every corpus byte, is a pure function of --seed and the flags. Two
@@ -31,9 +31,9 @@
 
 #include "exp/variant_registry.hpp"
 #include "oracle/fuzz_harness.hpp"
+#include "oracle/repro.hpp"
+#include "oracle/shrink.hpp"
 #include "scenario/generator.hpp"
-#include "scenario/repro.hpp"
-#include "scenario/shrink.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 

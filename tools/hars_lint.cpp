@@ -16,6 +16,12 @@
 //                       fast path (counter_add / hist_observe /
 //                       PhaseTimer) is hot-safe
 //
+// and one whole-file rule that keeps the hars library free of the
+// differential oracle (src/oracle/, built as hars_oracle):
+//
+//   oracle-boundary     a file under src/ but outside src/oracle/ that
+//                       #includes an oracle/ header
+//
 // Exemptions (same line): // hars-lint: allow(<rule>): <reason>
 // Exemption blocks:       // hars-lint: allow-begin(<rule>): <reason>
 //                         ...
@@ -48,7 +54,8 @@ struct Finding {
   int line = 0;            // 1-based line of the offending token.
   std::string rule;
   std::string message;
-  int region_line = 0;     // 1-based line where the HARS_HOT body opens.
+  int region_line = 0;     // 1-based line where the HARS_HOT body opens
+                           // (0 for the whole-file oracle-boundary rule).
 };
 
 bool is_ident(char c) {
@@ -444,6 +451,41 @@ void check_region(const std::string& code, const HotRegion& region,
   }
 }
 
+/// oracle-boundary: `file` (repo-relative) lies under src/ but outside
+/// src/oracle/, and a live (not commented-out) #include names an oracle/
+/// header. The path sits in a literal, which the stripped `code` blanks,
+/// so the directive is recognized on `code` and the path read from `src`.
+void check_oracle_boundary(const std::string& src, const std::string& code,
+                           const std::vector<std::size_t>& starts,
+                           const Suppressions& supp, const std::string& file,
+                           std::vector<Finding>& findings) {
+  if (file.rfind("src/", 0) != 0 || file.rfind("src/oracle/", 0) == 0) return;
+  static constexpr std::string_view kRule = "oracle-boundary";
+  for (std::size_t li = 0; li < starts.size(); ++li) {
+    const std::size_t begin = starts[li];
+    const std::size_t end =
+        li + 1 < starts.size() ? starts[li + 1] : src.size();
+    const std::size_t hash = code.find_first_not_of(" \t", begin);
+    if (hash >= end || code[hash] != '#') continue;
+    const std::size_t directive = code.find_first_not_of(" \t", hash + 1);
+    if (directive >= end || code.compare(directive, 7, "include") != 0) {
+      continue;
+    }
+    const std::string_view line(src.data() + begin, end - begin);
+    if (line.find("\"oracle/") == std::string_view::npos &&
+        line.find("<oracle/") == std::string_view::npos) {
+      continue;
+    }
+    const int line_no = static_cast<int>(li) + 1;
+    if (supp.allows(line_no, std::string(kRule))) continue;
+    findings.push_back(Finding{file, line_no, std::string(kRule),
+                               "includes an oracle/ header outside "
+                               "src/oracle/ (hars must not depend on "
+                               "hars_oracle)",
+                               0});
+  }
+}
+
 std::vector<Finding> analyze(const std::string& src, const std::string& file) {
   std::vector<Finding> findings;
   const std::string code = strip_comments_and_literals(src);
@@ -452,6 +494,7 @@ std::vector<Finding> analyze(const std::string& src, const std::string& file) {
   for (const HotRegion& region : find_hot_regions(code, starts)) {
     check_region(code, region, starts, supp, file, findings);
   }
+  check_oracle_boundary(src, code, starts, supp, file, findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule) <
@@ -462,6 +505,11 @@ std::vector<Finding> analyze(const std::string& src, const std::string& file) {
 
 void print_findings(const std::vector<Finding>& findings) {
   for (const Finding& f : findings) {
+    if (f.region_line == 0) {
+      std::fprintf(stderr, "%s:%d: error: [%s] %s\n", f.file.c_str(), f.line,
+                   f.rule.c_str(), f.message.c_str());
+      continue;
+    }
     std::fprintf(stderr,
                  "%s:%d: error: [%s] %s (HARS_HOT body opens at line %d)\n",
                  f.file.c_str(), f.line, f.rule.c_str(), f.message.c_str(),
@@ -517,9 +565,11 @@ int scan_tree(const std::filesystem::path& root) {
 // --- Self-test --------------------------------------------------------
 
 /// A fixture with one deliberate violation per rule (plus a declaration
-/// and a suppressed line that must NOT be flagged).
+/// and a suppressed line that must NOT be flagged), scanned as a file
+/// of hars proper (src/core/), where an oracle/ include is a finding.
 const char kBadFixture[] = R"fixture(
 #include <vector>
+#include "oracle/reference_run.hpp"
 HARS_HOT void declared_only();
 HARS_HOT int hot_bad(std::vector<int>& out) {
   std::vector<int> tmp;
@@ -536,9 +586,12 @@ HARS_HOT int hot_bad(std::vector<int>& out) {
 )fixture";
 
 /// Everything here is exempt, out of a hot region, or a near-miss the
-/// boundary rules must not trip on.
+/// boundary rules must not trip on. Scanned as an oracle file, which may
+/// include oracle/ headers; the commented-out include is no directive.
 const char kCleanFixture[] = R"fixture(
 #include <vector>
+#include "oracle/reference_run.hpp"
+// #include "oracle/repro.hpp"
 HARS_HOT double hot_ok(std::vector<int>& v, double unit) {
   v.reserve(8);  // hars-lint: allow(no-alloc): retained capacity
   // hars-lint: allow-begin(no-alloc): one-time growth
@@ -564,17 +617,19 @@ int self_test() {
   };
   // Lines are 1-based within the fixture (leading newline = line 1).
   const std::vector<Expected> expected = {
-      {5, "no-container-local"},  // std::vector<int> tmp;
-      {6, "no-alloc"},            // tmp.push_back(1)
-      {7, "no-alloc"},            // new int(3)
-      {8, "no-alloc"},            // out.resize(9)
-      {9, "no-wallclock-rand"},   // time(nullptr)
-      {10, "no-unordered"},       // std::unordered_map
-      {11, "no-obs-cold"},        // .take_snapshot()
-      {12, "no-obs-cold"},        // ensure_thread_registered()
-      {14, "no-wallclock-rand"},  // rand()
+      {3, "oracle-boundary"},     // #include "oracle/reference_run.hpp"
+      {6, "no-container-local"},  // std::vector<int> tmp;
+      {7, "no-alloc"},            // tmp.push_back(1)
+      {8, "no-alloc"},            // new int(3)
+      {9, "no-alloc"},            // out.resize(9)
+      {10, "no-wallclock-rand"},  // time(nullptr)
+      {11, "no-unordered"},       // std::unordered_map
+      {12, "no-obs-cold"},        // .take_snapshot()
+      {13, "no-obs-cold"},        // ensure_thread_registered()
+      {15, "no-wallclock-rand"},  // rand()
   };
-  const std::vector<Finding> bad = analyze(kBadFixture, "fixture_bad.cpp");
+  const std::vector<Finding> bad =
+      analyze(kBadFixture, "src/core/fixture_bad.cpp");
   bool ok = bad.size() == expected.size();
   if (ok) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -594,7 +649,7 @@ int self_test() {
   }
 
   const std::vector<Finding> clean =
-      analyze(kCleanFixture, "fixture_clean.cpp");
+      analyze(kCleanFixture, "src/oracle/fixture_clean.cpp");
   if (!clean.empty()) {
     std::fprintf(stderr,
                  "self-test FAILED: clean fixture produced %zu finding(s):\n",
