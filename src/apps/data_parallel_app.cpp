@@ -142,19 +142,24 @@ HARS_HOT bool DataParallelApp::accepts_quiet_tick(const QuietLane* lanes) const 
   // The barrier must stay open (end_tick emits when it closes) and every
   // granted thread must take execute()'s full-share branch (rem > can_do).
   if (open_threads_ <= 0) return false;
+  // Branch-free: one bitwise AND per thread, no early exit.
+  bool ok = true;
   for (std::size_t i = 0; i < remaining_.size(); ++i) {
-    if (lanes[i].work > 0.0 && !(remaining_[i] > lanes[i].work)) return false;
+    const WorkUnits work = lanes[i].work;
+    ok &= !(work > 0.0) | (remaining_[i] > work);
   }
-  return true;
+  return ok;
 }
 
 HARS_HOT void DataParallelApp::commit_quiet_tick(const QuietLane* lanes) {
+  // A lane that retires nothing has work 0.0, and x - 0.0 == x bit for
+  // bit, so every entry is subtracted without a branch.
   if (warmup_remaining_ > 0.0) {
-    if (lanes[0].work > 0.0) warmup_remaining_ -= lanes[0].work;
+    warmup_remaining_ -= lanes[0].work;
     return;
   }
   for (std::size_t i = 0; i < remaining_.size(); ++i) {
-    if (lanes[i].work > 0.0) remaining_[i] -= lanes[i].work;
+    remaining_[i] -= lanes[i].work;
   }
 }
 

@@ -28,6 +28,7 @@
 // on simulated or wall-clock time with the same code.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "heartbeats/heartbeat.hpp"
@@ -46,8 +47,18 @@ class SimEngine;   // hmp/sim_engine.hpp
 /// real and ignore the return value).
 class ManagerHook {
  public:
+  /// next_due() answer of a manager that never acts again.
+  static constexpr TimeUs kNeverDue = std::numeric_limits<TimeUs>::max();
+
   virtual ~ManagerHook() = default;
   virtual TimeUs on_tick(TimeUs now) = 0;
+
+  /// The earliest tick time at which on_tick may do anything: on a tick
+  /// before it, on_tick must return 0 and change nothing, so a quiet span
+  /// skips the call. The answer may change only inside on_tick. The
+  /// default, 0, means always due, so a wrapper that overrides only
+  /// on_tick sees every call.
+  virtual TimeUs next_due() const { return 0; }
 };
 
 /// What a backend can actually do on its platform; probed at

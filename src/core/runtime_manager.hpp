@@ -80,6 +80,7 @@ class RuntimeManager : public ManagerHook {
                  PowerCoeffTable coeffs, RuntimeManagerConfig config = {});
 
   TimeUs on_tick(TimeUs now) override;
+  TimeUs next_due() const override { return next_poll_; }
 
   const SystemState& current_state() const { return state_; }
   const std::vector<TracePoint>& trace() const { return trace_; }

@@ -82,6 +82,11 @@ class VariantInstance : public ManagerHook {
     return (inner_ && !inner_muted_) ? inner_->on_tick(now) : 0;
   }
 
+  /// The owned manager's due time; never while muted or manager-less.
+  TimeUs next_due() const override {
+    return (inner_ && !inner_muted_) ? inner_->next_due() : kNeverDue;
+  }
+
   // --- Scenario hooks (dynamic app sets) ---
   /// A scenario spawned `app` mid-run; the engine already has it and its
   /// target is installed. Multi-app managers register it; the default

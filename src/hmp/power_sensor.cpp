@@ -25,21 +25,39 @@ HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
                                  const std::vector<double>& cluster_busy,
                                  const std::vector<double>& cluster_freq,
                                  const std::vector<char>& cluster_online) {
-  const double dt_sec = us_to_sec(tick_us);
   double total = 0.0;
+  cluster_watts(cluster_busy, cluster_freq, cluster_online, scratch_watts_,
+                total);
+  tick_watts(now, tick_us, scratch_watts_, total);
+}
+
+HARS_HOT void PowerSensor::cluster_watts(const std::vector<double>& cluster_busy,
+                                         const std::vector<double>& cluster_freq,
+                                         const std::vector<char>& cluster_online,
+                                         std::vector<double>& watts,
+                                         double& total) const {
+  double sum = 0.0;  // A local: `total` may alias `watts`.
   for (int c = 0; c < machine_->num_clusters(); ++c) {
     const auto i = static_cast<std::size_t>(c);
-    const double watts = model_->cluster_power_given(
+    const double w = model_->cluster_power_given(
         c, cluster_freq[i], cluster_online[i] != 0, cluster_busy[i]);
-    scratch_watts_[i] = watts;
-    cluster_energy_j_[i] += watts * dt_sec;
-    total += watts;
+    watts[i] = w;
+    sum += w;
+  }
+  total = sum + model_->base_watts();
+}
+
+HARS_HOT void PowerSensor::tick_watts(TimeUs now, TimeUs tick_us,
+                                      const std::vector<double>& watts,
+                                      double total) {
+  const double dt_sec = us_to_sec(tick_us);
+  for (std::size_t i = 0; i < cluster_energy_j_.size(); ++i) {
+    cluster_energy_j_[i] += watts[i] * dt_sec;
   }
   base_energy_j_ += model_->base_watts() * dt_sec;
-  total += model_->base_watts();
   last_instant_power_ = total;
 
-  maybe_sample(now, scratch_watts_);
+  maybe_sample(now, watts);
 }
 
 void PowerSensor::maybe_sample(TimeUs now,

@@ -42,10 +42,26 @@ class PowerSensor {
   /// any-core-online snapshot, so this produces bit-identical
   /// energy/samples without the per-tick scratch vector and per-call
   /// machine queries tick() performs.
+  /// Equals cluster_watts() then tick_watts() on the sensor's own scratch.
   void tick_presummed(TimeUs now, TimeUs tick_us,
                       const std::vector<double>& cluster_busy,
                       const std::vector<double>& cluster_freq,
                       const std::vector<char>& cluster_online);
+
+  /// The power half of tick_presummed: each cluster's watts for the given
+  /// busy sums and snapshot into `watts` (sized to the cluster count), and
+  /// their sum plus the base draw into `total`. A quiet span computes it
+  /// once per planned variant.
+  void cluster_watts(const std::vector<double>& cluster_busy,
+                     const std::vector<double>& cluster_freq,
+                     const std::vector<char>& cluster_online,
+                     std::vector<double>& watts, double& total) const;
+
+  /// The integration half of tick_presummed: one tick of `watts` and
+  /// `total` as cluster_watts() computed them; takes a sample when the
+  /// period elapsed.
+  void tick_watts(TimeUs now, TimeUs tick_us, const std::vector<double>& watts,
+                  double total);
 
   /// Exact accumulated energy in joules (per cluster / total).
   double cluster_energy_j(ClusterId cluster) const;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "hmp/platform_spec.hpp"
 #include "obs/catalog.hpp"
@@ -410,7 +411,10 @@ void SimEngine::size_quiet_scratch() {
   // the thread table grew past every earlier span.
   allocg::AllowScope allow("quiet-span scratch growth");
   quiet_.grants.resize(threads);
-  quiet_.saved_load.resize(threads);
+  for (std::vector<double>& load : quiet_.load) load.resize(threads);
+  quiet_.load_add.resize(threads);
+  quiet_.load_lo.resize(threads);
+  quiet_.load_hi.resize(threads);
   for (QuietVariant& v : quiet_.variants) {
     v.mgr_use = -1;  // Placement and frequencies may differ from last span.
     v.core_capacity.resize(cores);
@@ -418,6 +422,8 @@ void SimEngine::size_quiet_scratch() {
     v.lanes.resize(threads);
     v.core_busy_us.resize(cores);
     v.cluster_busy.resize(clusters);
+    v.cluster_watts.resize(clusters);
+    v.unbilled_ticks = 0;
   }
 }
 
@@ -425,6 +431,7 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
   const TimeUs tick = config_.tick_us;
   const TickScratch& s = scratch_;
   const auto mgr = static_cast<std::size_t>(config_.manager_core);
+  bill_quiet_cpu_time(v);  // The lanes below replace the billed ones.
   std::fill(v.core_capacity.begin(), v.core_capacity.end(), tick);
   v.core_capacity[mgr] -= mgr_use;
   compute_core_shares(v.core_capacity, v.core_share);
@@ -473,6 +480,8 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
   // From here on the array holds each core's lifetime busy-time
   // increment, the product step() adds.
   for (double& b : busy) b = std::min(b, 1.0) * static_cast<double>(tick);
+  sensor_.cluster_watts(v.cluster_busy, s.cluster_freq, s.cluster_online,
+                        v.cluster_watts, v.total_watts);
   v.mgr_use = mgr_use;
   return true;
 }
@@ -517,10 +526,25 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   }
 
   size_quiet_scratch();
+  const std::size_t n = threads_.size();
+  double* const lo = quiet_.load_lo.data();
+  double* const hi = quiet_.load_hi.data();
+  if (!scheduler_->load_bounds(threads_, lo, hi)) return;
   // One allocation-free contract for the whole span, as step() has per
   // tick; manager bookkeeping and sensor samples open their own scopes.
   AllocGuard alloc_guard("SimEngine::run_quiet_span");
   const TimeUs tick = config_.tick_us;
+  // Span-local loads: runnable flags are fixed for the span, so each
+  // thread's EWMA term is too.
+  const double decay = load_decay_;
+  double* cur = quiet_.load[0].data();
+  double* next = quiet_.load[1].data();
+  double* const add = quiet_.load_add.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    cur[i] = threads_[i].load.value();
+    add[i] = LoadTracker::add_for(threads_[i].runnable, decay);
+  }
+  TimeUs manager_due = manager_ != nullptr ? manager_->next_due() : kNeverDue;
   const QuietVariant* last = nullptr;
   std::int64_t ticks = 0;
   bool machine_moved = false;
@@ -529,36 +553,34 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     QuietVariant& v = quiet_.variants[mgr_use > 0 ? 1 : 0];
     if (v.mgr_use != mgr_use && !plan_quiet_variant(v, mgr_use)) break;
     if (!apps_accept_quiet_tick(v)) break;
-    // Loads advance first, as in step(); a load-tier change ends the span
-    // before this tick, so the advance is rolled back.
-    SimThread* const threads = threads_.data();
-    LoadTracker* const saved = quiet_.saved_load.data();
-    const std::size_t n = threads_.size();
-    const double decay = load_decay_;
+    // Loads advance first, as in step(), into the other array; a load
+    // outside its scheduler bound ends the span before this tick, and
+    // step() runs it from the current loads.
+    bool in_bounds = true;
     for (std::size_t i = 0; i < n; ++i) {
-      saved[i] = threads[i].load;
-      threads[i].load.update_with_decay(threads[i].runnable, decay);
+      const double x = LoadTracker::advance(cur[i], decay, add[i]);
+      next[i] = x;
+      in_bounds &= (x >= lo[i]) & (x <= hi[i]);
     }
-    if (!scheduler_->placement_holds_after_load_update(machine_, threads_)) {
-      for (std::size_t i = 0; i < n; ++i) threads[i].load = saved[i];
-      break;
-    }
+    if (!in_bounds) break;
+    std::swap(cur, next);
 
     // Commit: execute and end_tick, then the manager, integration and
-    // the sensor, in step()'s order.
+    // the sensor, in step()'s order. Cpu time is integral, so it is
+    // billed per variant when the thread table is next read.
     pending_manager_us_ -= mgr_use;
     now_ += tick;
     for (const LiveApp& live : live_) {
       live.app->commit_quiet_tick(
           &v.lanes[static_cast<std::size_t>(live.thread_base)]);
     }
-    const QuietLane* const lanes = v.lanes.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      threads[i].cpu_time_us += lanes[i].used_us;
-    }
-    if (manager_ != nullptr) {
+    ++v.unbilled_ticks;
+    if (now_ >= manager_due) {
+      // The manager may read the thread table.
+      write_back_quiet_state(cur);
       const std::uint64_t affinity_epoch = affinity_epoch_;
       const TimeUs cost = manager_->on_tick(now_);
+      manager_due = manager_->next_due();
       if (cost > 0) {
         pending_manager_us_ += cost;
         manager_overhead_total_us_ += cost;
@@ -576,12 +598,18 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     for (std::size_t c = 0; c < core_busy_us_.size(); ++c) {
       core_busy_us_[c] += v.core_busy_us[c];
     }
-    sensor_.tick_presummed(now_, tick, v.cluster_busy, s.cluster_freq,
-                           s.cluster_online);
+    // The variant's watts hold for the snapshot it was planned on.
+    if (machine_moved) {
+      sensor_.tick_presummed(now_, tick, v.cluster_busy, s.cluster_freq,
+                             s.cluster_online);
+    } else {
+      sensor_.tick_watts(now_, tick, v.cluster_watts, v.total_watts);
+    }
     last = &v;
     ++ticks;
   }
   if (ticks == 0) return;
+  write_back_quiet_state(cur);
 
   // Leave the tick scratch as the span's last tick would have: audits
   // and the next step() read it.
@@ -602,6 +630,22 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   if (config_.audit) {
     allocg::AllowScope allow("audit diagnostics");
     audit_tick();
+  }
+}
+
+HARS_HOT void SimEngine::bill_quiet_cpu_time(QuietVariant& v) {
+  if (v.unbilled_ticks == 0) return;
+  const QuietLane* const lanes = v.lanes.data();
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    threads_[i].cpu_time_us += lanes[i].used_us * v.unbilled_ticks;
+  }
+  v.unbilled_ticks = 0;
+}
+
+HARS_HOT void SimEngine::write_back_quiet_state(const double* load) {
+  for (QuietVariant& v : quiet_.variants) bill_quiet_cpu_time(v);
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    threads_[i].load.prime(load[i]);
   }
 }
 

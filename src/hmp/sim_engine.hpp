@@ -90,12 +90,23 @@ struct QuietVariant {
   std::vector<QuietLane> lanes;        ///< Per thread-table entry.
   std::vector<double> core_busy_us;    ///< Clamped busy fraction * tick.
   std::vector<double> cluster_busy;    ///< Per-cluster clamped busy sums.
+  std::vector<double> cluster_watts;   ///< PowerSensor::cluster_watts.
+  double total_watts = 0.0;            ///< Their sum plus the base draw.
+  /// Ticks run with these lanes whose cpu time is not yet added to the
+  /// thread table.
+  std::int64_t unbilled_ticks = 0;
 };
 
-/// Scratch of the quiet-span loop, sized at span entry.
+/// Scratch of the quiet-span loop, sized at span entry. The span keeps
+/// each thread's load in `load[0]` or `load[1]` (current and advanced, by
+/// turns) and writes it back to the thread table before every manager call
+/// and at span end.
 struct QuietScratch {
   std::vector<QuietGrant> grants;      ///< Per thread, for plan_quiet.
-  std::vector<LoadTracker> saved_load; ///< Rollback of a declined tick.
+  std::vector<double> load[2];         ///< Span-local loads.
+  std::vector<double> load_add;        ///< LoadTracker::add_for per thread.
+  std::vector<double> load_lo;         ///< Scheduler::load_bounds.
+  std::vector<double> load_hi;
   QuietVariant variants[2];            ///< [0] full tick, [1] charged.
 };
 
@@ -130,7 +141,7 @@ class SimEngine {
   }
 
   /// next_due() answer of a hook that has nothing left to do.
-  static constexpr TimeUs kNeverDue = std::numeric_limits<TimeUs>::max();
+  static constexpr TimeUs kNeverDue = ManagerHook::kNeverDue;
 
   /// Installs a callback invoked with the tick's start time on every
   /// stepped tick, before applications generate work — the dispatch point
@@ -264,6 +275,11 @@ class SimEngine {
   bool plan_quiet_variant(QuietVariant& variant, TimeUs mgr_use);
   /// True when every app accepts one quiet tick with `variant`'s lanes.
   bool apps_accept_quiet_tick(const QuietVariant& variant) const;
+  /// Adds the cpu time of `variant`'s unbilled ticks to the thread table.
+  void bill_quiet_cpu_time(QuietVariant& variant);
+  /// Writes the span-local loads and every unbilled cpu time back to the
+  /// thread table, which then reads as step() would have left it.
+  void write_back_quiet_state(const double* load);
   /// Equal per-core shares of `capacity` among the runnable threads
   /// placed on each core (step()'s expressions; the span planner's too).
   void compute_core_shares(const std::vector<TimeUs>& capacity,

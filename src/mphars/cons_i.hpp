@@ -64,6 +64,7 @@ class ConsIManager : public ManagerHook {
   bool set_app_target(AppId app, PerfTarget target);
 
   TimeUs on_tick(TimeUs now) override;
+  TimeUs next_due() const override { return next_poll_; }
 
   const SystemState& global_state() const { return state_; }
   const std::vector<TracePoint>& trace(AppId app) const;

@@ -66,6 +66,7 @@ class MpHarsManager : public ManagerHook {
   bool set_app_target(AppId app, PerfTarget target);
 
   TimeUs on_tick(TimeUs now) override;
+  TimeUs next_due() const override { return next_poll_; }
 
   /// Current state of one app (own cores + shared frequencies).
   SystemState app_state(AppId app) const;

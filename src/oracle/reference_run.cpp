@@ -6,6 +6,7 @@
 
 #include "hmp/power_sensor.hpp"
 #include "oracle/reference_gts.hpp"
+#include "sched/load_tracker.hpp"
 
 namespace hars {
 
@@ -118,6 +119,12 @@ void PowerSensor::tick(TimeUs now, TimeUs tick_us,
   last_instant_power_ = total;
 
   maybe_sample(now, cluster_watts);
+}
+
+// The reference tick's load update (per-call exp2); the production tick
+// calls update_with_decay with the engine's one decay factor instead.
+void LoadTracker::update(bool runnable, TimeUs tick_us) {
+  update_with_decay(runnable, decay_for(tick_us));
 }
 
 void run_reference_until(SimEngine& engine, TimeUs t) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "obs/catalog.hpp"
@@ -45,19 +47,36 @@ HARS_HOT bool GtsScheduler::placement_fixed_point(
     // and so does any thread-identity change (kill + spawn can restore
     // the same table size with every index reshuffled).
     if (t.id != sig.id || t.runnable != sig.runnable ||
-        t.affinity.bits() != sig.affinity || tier_of(t) != sig.tier ||
-        (t.runnable && t.core < 0)) {
+        t.affinity.bits() != sig.affinity ||
+        tier_of(t.load.value()) != sig.tier || (t.runnable && t.core < 0)) {
       return false;
     }
   }
   return true;
 }
 
-HARS_HOT bool GtsScheduler::placement_holds_after_load_update(
-    const Machine& machine, const std::vector<SimThread>& threads) const {
-  (void)machine;
+bool GtsScheduler::load_bounds(const std::vector<SimThread>& threads,
+                               double* lo, double* hi) const {
+  if (!sig_valid_ || threads.size() != prev_sig_.size()) return false;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // tier_of tests `up` first, so tier 1 also needs load < up.
+  const double below_up = std::nextafter(config_.up_threshold, -kInf);
+  const double above_down = std::nextafter(config_.down_threshold, kInf);
   for (std::size_t i = 0; i < threads.size(); ++i) {
-    if (tier_of(threads[i]) != prev_sig_[i].tier) return false;
+    switch (prev_sig_[i].tier) {
+      case 0:
+        lo[i] = config_.up_threshold;
+        hi[i] = kInf;
+        break;
+      case 1:
+        lo[i] = -kInf;
+        hi[i] = std::min(config_.down_threshold, below_up);
+        break;
+      default:
+        lo[i] = above_down;
+        hi[i] = below_up;
+        break;
+    }
   }
   return true;
 }
@@ -124,7 +143,7 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
     sig.affinity = t.affinity.bits();
     sig.id = t.id;
     sig.runnable = t.runnable;
-    sig.tier = tier_of(t);
+    sig.tier = tier_of(t.load.value());
     if (!t.runnable) {
       // Sleeping threads keep their last core for stickiness but occupy
       // no capacity.

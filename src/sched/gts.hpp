@@ -47,11 +47,11 @@ class GtsScheduler final : public Scheduler {
   bool placement_fixed_point(const Machine& machine,
                              const std::vector<SimThread>& threads) const override;
 
-  /// Only load tiers can have changed: compares them with the last full
-  /// run's.
-  bool placement_holds_after_load_update(
-      const Machine& machine,
-      const std::vector<SimThread>& threads) const override;
+  /// Each thread's interval of loads that keeps the tier the last full
+  /// run recorded: [up, +inf], [-inf, down] or the open band between,
+  /// as closed intervals of doubles.
+  bool load_bounds(const std::vector<SimThread>& threads, double* lo,
+                   double* hi) const override;
 
   /// Counts each elided call as an assign() call that took the skip.
   void note_elided_assigns(std::int64_t ticks) override;
@@ -60,16 +60,16 @@ class GtsScheduler final : public Scheduler {
 
   const GtsConfig& config() const { return config_; }
 
- private:
-  /// Rebuilds the immutable-topology caches when first seeing `machine`.
-  void prime_topology(const Machine& machine);
   /// Load tier: 0 = up, 1 = down, 2 = between thresholds.
-  std::uint8_t tier_of(const SimThread& t) const {
-    const double load = t.load.value();
+  std::uint8_t tier_of(double load) const {
     if (load >= config_.up_threshold) return 0;
     if (load <= config_.down_threshold) return 1;
     return 2;
   }
+
+ private:
+  /// Rebuilds the immutable-topology caches when first seeing `machine`.
+  void prime_topology(const Machine& machine);
 
   GtsConfig config_;
   std::vector<int> core_load_;  ///< Per-call scratch, pre-sized once.

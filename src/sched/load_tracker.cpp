@@ -11,8 +11,4 @@ double LoadTracker::decay_for(TimeUs tick_us) const {
                    static_cast<double>(half_life_us_));
 }
 
-void LoadTracker::update(bool runnable, TimeUs tick_us) {
-  update_with_decay(runnable, decay_for(tick_us));
-}
-
 }  // namespace hars

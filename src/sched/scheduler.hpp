@@ -61,13 +61,18 @@ class Scheduler {
     return false;
   }
 
-  /// Per-tick form of placement_fixed_point() for a caller that, since it
-  /// last answered true, changed nothing but load averages (a quiet
-  /// span): only what the loads feed is re-checked. The default re-asks
-  /// placement_fixed_point().
-  virtual bool placement_holds_after_load_update(
-      const Machine& machine, const std::vector<SimThread>& threads) const {
-    return placement_fixed_point(machine, threads);
+  /// Quiet-span query, asked once per span after placement_fixed_point()
+  /// held: fills lo[i] and hi[i] with the closed interval of load values
+  /// (`SimThread::load`) within which thread i keeps the last placement a
+  /// fixed point while nothing but loads changes. The engine checks each
+  /// tick's advanced loads against these bounds instead of asking again.
+  /// The default answers false, so no span runs.
+  virtual bool load_bounds(const std::vector<SimThread>& threads, double* lo,
+                           double* hi) const {
+    (void)threads;
+    (void)lo;
+    (void)hi;
+    return false;
   }
 
   /// Accounts (telemetry only) for `ticks` assign() calls the engine

@@ -51,10 +51,14 @@ ThreadState& state() {
 
 std::uint64_t* scope_slot(ThreadState& s, const char* why) {
   if (why == nullptr) return nullptr;
+  // A literal names its scope on every entry, so a pointer match finds the
+  // slot without comparing text; slot names are unique, so the text match
+  // below finds the same slot for an equal string at another address.
   for (int i = 0; i < s.num_scopes; ++i) {
-    if (s.scopes[i].name == why || std::strcmp(s.scopes[i].name, why) == 0) {
-      return &s.scopes[i].allocs;
-    }
+    if (s.scopes[i].name == why) return &s.scopes[i].allocs;
+  }
+  for (int i = 0; i < s.num_scopes; ++i) {
+    if (std::strcmp(s.scopes[i].name, why) == 0) return &s.scopes[i].allocs;
   }
   if (s.num_scopes >= ThreadState::kMaxScopes) return nullptr;
   s.scopes[s.num_scopes].name = why;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace hars {
@@ -139,6 +141,58 @@ TEST(GtsScheduler, ConfigThresholdsExposed) {
   GtsScheduler gts(cfg);
   EXPECT_DOUBLE_EQ(gts.config().up_threshold, 0.9);
   EXPECT_DOUBLE_EQ(gts.config().down_threshold, 0.2);
+}
+
+// A quiet span checks each tick's advanced loads against load_bounds()
+// instead of re-deriving tiers, so each interval must hold exactly the
+// loads tier_of() puts in the recorded tier.
+TEST(GtsScheduler, LoadBoundsHoldExactlyTheRecordedTier) {
+  const Machine machine = Machine::exynos5422();
+  GtsConfig cfg;
+  GtsScheduler gts(cfg);
+  const double up = cfg.up_threshold;
+  const double down = cfg.down_threshold;
+  // One thread per tier: up, down, between.
+  auto threads = make_threads(machine, 3);
+  threads[0].load.prime(0.95);
+  threads[1].load.prime(0.1);
+  threads[2].load.prime(0.5);
+  gts.assign(machine, threads);
+
+  std::vector<double> lo(threads.size());
+  std::vector<double> hi(threads.size());
+  ASSERT_TRUE(gts.load_bounds(threads, lo.data(), hi.data()));
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double probes[] = {up,
+                           std::nextafter(up, -kInf),
+                           std::nextafter(up, kInf),
+                           down,
+                           std::nextafter(down, -kInf),
+                           std::nextafter(down, kInf),
+                           0.0,
+                           1.0};
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    const std::uint8_t tier = gts.tier_of(threads[i].load.value());
+    EXPECT_EQ(tier, static_cast<std::uint8_t>(i));
+    for (double x : probes) {
+      EXPECT_EQ(lo[i] <= x && x <= hi[i], gts.tier_of(x) == tier)
+          << "thread " << i << " load " << x;
+    }
+  }
+}
+
+TEST(Scheduler, DefaultHasNoLoadBounds) {
+  struct Fixed final : Scheduler {
+    void assign(const Machine&, std::vector<SimThread>&) override {}
+    const char* name() const override { return "fixed"; }
+  };
+  const Machine machine = Machine::exynos5422();
+  auto threads = make_threads(machine, 2);
+  std::vector<double> lo(threads.size());
+  std::vector<double> hi(threads.size());
+  Fixed fixed;
+  EXPECT_FALSE(fixed.load_bounds(threads, lo.data(), hi.data()));
 }
 
 }  // namespace

@@ -176,6 +176,43 @@ TEST(AllocGuard, ScopeCountsAttributeAllocationsToAllowScopes) {
   EXPECT_EQ(after - before, 2u);
 }
 
+// Scope lookup matches the literal's address first and falls back to its
+// text: a scope named by an equal string elsewhere in memory must still
+// land in the literal's slot.
+TEST(AllocGuard, ScopeNamedByEqualTextSharesTheLiteralsSlot) {
+  if (!allocg::counting_compiled_in()) GTEST_SKIP();
+  const char* const literal = "heap-copy-scope-test";
+  const std::vector<char> copy(literal, literal + std::string(literal).size() + 1);
+  ASSERT_NE(copy.data(), literal);
+  auto slots = [&] {
+    std::vector<allocg::ScopeCount> found;
+    for (const allocg::ScopeCount& sc : allocg::thread_scope_counts()) {
+      if (std::string(sc.name) == literal) found.push_back(sc);
+    }
+    return found;
+  };
+  {
+    allocg::AllowScope allow(literal);
+    ::operator delete(::operator new(16));
+  }
+  const std::vector<allocg::ScopeCount> first = slots();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].name, literal);  // The literal registered the slot.
+  {
+    allocg::AllowScope allow(copy.data());
+    ::operator delete(::operator new(16));
+    ::operator delete(::operator new(32));
+  }
+  {
+    allocg::AllowScope allow(literal);
+    ::operator delete(::operator new(64));
+  }
+  const std::vector<allocg::ScopeCount> after = slots();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].name, literal);
+  EXPECT_EQ(after[0].allocs - first[0].allocs, 3u);
+}
+
 TEST(AllocGuard, InnerGuardSuspendsScopeAttribution) {
   if (!allocg::counting_compiled_in()) GTEST_SKIP();
   HandlerScope handler;
