@@ -10,7 +10,7 @@
 #include "hmp/platform_spec.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
+#include "obs/span_collector.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/hot_path.hpp"
 
@@ -115,10 +115,57 @@ TimeUs SimEngine::thread_cpu_time_us(AppId app_id, int local_tid) const {
   return thread_of(app_id, local_tid).cpu_time_us;
 }
 
+namespace {
+
+/// Pushes one "tick" trace span when a collector is installed.
+void push_tick_span(const char* name, std::int64_t start_ns,
+                    std::int64_t end_ns, std::int64_t ticks) {
+  obs::SpanCollector* collector = obs::spans();
+  if (collector == nullptr) return;
+  obs::SpanEvent event;
+  event.name = name;
+  event.cat = "tick";
+  event.ts_ns = start_ns;
+  event.dur_ns = end_ns - start_ns;
+  event.ticks = ticks;
+  event.tid = obs::thread_tag();
+  collector->push(event);
+}
+
+}  // namespace
+
 void SimEngine::run_until(TimeUs t) {
+  const obs::Catalog& cat = obs::catalog();
   while (now_ < t) {
+    // Telemetry attach happens before step()'s AllocGuard: building the
+    // shard allocates (under its own AllowScope), and detaching when
+    // telemetry was just disabled folds this thread's counts into the
+    // registry.
+    obs::ensure_thread_registered();
+    if (!obs::thread_attached()) {
+      step();
+      if (now_ < t) run_quiet_span(t);
+      continue;
+    }
+    // Armed: every tick passes through this step/span pair, so three
+    // clock reads time all of them — one step() observation, and the
+    // span's wall time spread over the ticks it ran.
+    const std::int64_t step_start = obs::now_ns();
     step();
-    if (now_ < t) run_quiet_span(t);
+    const std::int64_t step_end = obs::now_ns();
+    obs::hist_observe(cat.step_ns,
+                      static_cast<double>(step_end - step_start));
+    push_tick_span("step", step_start, step_end, 0);
+    if (now_ >= t) break;
+    const std::int64_t quiet_before = quiet_ticks_;
+    run_quiet_span(t);
+    const std::int64_t ticks = quiet_ticks_ - quiet_before;
+    if (ticks == 0) continue;
+    const std::int64_t span_end = obs::now_ns();
+    obs::hist_observe(cat.quiet_tick_ns,
+                      static_cast<double>(span_end - step_end) /
+                          static_cast<double>(ticks));
+    push_tick_span("quiet_span", step_end, span_end, ticks);
   }
 }
 
@@ -178,20 +225,11 @@ HARS_HOT void SimEngine::refresh_machine_snapshot() {
 }
 
 HARS_HOT void SimEngine::step() {
-  // Telemetry attach happens before the AllocGuard: building the shard
-  // allocates (under its own AllowScope), and detaching when telemetry
-  // was just disabled folds this thread's counts into the registry.
-  // After this line the whole tick's instrumentation is a branch + a
-  // relaxed add per write. obs_tick gates the phase timers' clock reads
-  // to every 2^phase_sample_shift-th tick.
-  obs::ensure_thread_registered();  // hars-lint: allow(no-obs-cold): pre-guard attach point
-  const bool obs_tick = obs::tick_sample();
+  // run_until attached (or detached) this thread before the call, so the
+  // tick's instrumentation is a branch + a relaxed add per write.
   const obs::Catalog& cat = obs::catalog();
 
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kScenarioDispatch, obs_tick);
-    if (tick_hook_) tick_hook_(now_);
-  }
+  if (tick_hook_) tick_hook_(now_);
 
   // From here to the end of the tick the engine is on the allocation-free
   // contract (PR 5): any allocation not inside a declared AllowScope
@@ -203,15 +241,9 @@ HARS_HOT void SimEngine::step() {
   const TimeUs tick = config_.tick_us;
   now_ += tick;
 
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kBeginTick, obs_tick);
-    for (const LiveApp& live : live_) live.app->begin_tick(now_);
-  }
+  for (const LiveApp& live : live_) live.app->begin_tick(now_);
 
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kSnapshotRefresh, obs_tick);
-    prepare_scratch();
-  }
+  prepare_scratch();
   TickScratch& s = scratch_;
 
   // Refresh runnability and load averages, one app block at a time: the
@@ -220,7 +252,6 @@ HARS_HOT void SimEngine::step() {
   // constant load_decay_ (every tracker has the default half-life,
   // asserted below).
   if (!threads_.empty()) {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kRunnability, obs_tick);
     const double decay = load_decay_;
     for (const LiveApp& live : live_) {
       App* a = live.app;
@@ -242,21 +273,17 @@ HARS_HOT void SimEngine::step() {
     }
   }
 
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kAssign, obs_tick);
-    scheduler_->assign(machine_, threads_);
-    if (config_.audit) {
-      // Placement is audited here — between assign and the manager hook —
-      // because the manager may legitimately narrow affinities or hotplug
-      // cores later in this tick; threads keep their stale cores until the
-      // next tick's assign pass re-places them.
-      allocg::AllowScope allow("audit diagnostics");
-      audit_placement();
-    }
+  scheduler_->assign(machine_, threads_);
+  if (config_.audit) {
+    // Placement is audited here — between assign and the manager hook —
+    // because the manager may legitimately narrow affinities or hotplug
+    // cores later in this tick; threads keep their stale cores until the
+    // next tick's assign pass re-places them.
+    allocg::AllowScope allow("audit diagnostics");
+    audit_placement();
   }
 
   {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kExecute, obs_tick);
     // tick_busy_ was re-zeroed by the integration pass of the previous
     // tick (and starts zeroed), so no refill is needed here. The capacity
     // array likewise only needs a refill while manager overhead is being
@@ -297,13 +324,9 @@ HARS_HOT void SimEngine::step() {
     }
   }
 
-  {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kEndTick, obs_tick);
-    for (const LiveApp& live : live_) live.app->end_tick(now_);
-  }
+  for (const LiveApp& live : live_) live.app->end_tick(now_);
 
   if (manager_ != nullptr) {
-    obs::PhaseTimer obs_phase(obs::TickPhase::kManager, obs_tick);
     const TimeUs cost = manager_->on_tick(now_);
     if (cost > 0) {
       pending_manager_us_ += cost;
@@ -315,7 +338,6 @@ HARS_HOT void SimEngine::step() {
     refresh_machine_snapshot();
   }
 
-  obs::PhaseTimer obs_sensor_phase(obs::TickPhase::kSensor, obs_tick);
   // The busy-sum audit needs the busy fractions the integration pass
   // below consumes and re-zeroes.
   std::array<double, 64> audit_busy;  // CpuMask caps cores at 64.

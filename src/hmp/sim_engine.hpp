@@ -215,6 +215,9 @@ class SimEngine {
   TimeUs thread_cpu_time_us(AppId app_id, int local_tid) const;
 
   /// Runs the simulation until `t` (absolute) or for `dt` (relative).
+  /// While telemetry is armed, each step()/quiet-span pair is timed into
+  /// engine.step_ns and engine.quiet_tick_ns (and traced when a span
+  /// collector is installed).
   void run_until(TimeUs t);
   void run_for(TimeUs dt) { run_until(now_ + dt); }
 

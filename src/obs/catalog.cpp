@@ -1,35 +1,19 @@
 #include "obs/catalog.hpp"
 
 #include <cmath>
-#include <string>
 #include <vector>
 
 namespace hars {
 namespace obs {
 
-const char* tick_phase_name(TickPhase phase) {
-  switch (phase) {
-    case TickPhase::kScenarioDispatch: return "scenario_dispatch";
-    case TickPhase::kBeginTick: return "begin_tick";
-    case TickPhase::kSnapshotRefresh: return "snapshot_refresh";
-    case TickPhase::kRunnability: return "runnability";
-    case TickPhase::kAssign: return "assign";
-    case TickPhase::kExecute: return "execute";
-    case TickPhase::kEndTick: return "end_tick";
-    case TickPhase::kManager: return "manager";
-    case TickPhase::kSensor: return "sensor";
-    case TickPhase::kCount: break;
-  }
-  return "?";
-}
-
 namespace {
 
-/// Exponential ns bounds for phase timers: 100 ns .. 10 ms.
-std::vector<double> phase_ns_bounds() {
+/// Exponential bounds shared by every ns histogram: 10 ns .. 10 ms,
+/// two buckets per decade.
+std::vector<double> ns_bounds() {
   std::vector<double> bounds;
-  for (double b = 100.0; b <= 1e7; b *= std::sqrt(10.0)) {
-    bounds.push_back(b);
+  for (int half_decades = 2; half_decades <= 14; ++half_decades) {
+    bounds.push_back(std::pow(10.0, half_decades / 2.0));
   }
   return bounds;
 }
@@ -61,13 +45,12 @@ Catalog build_catalog() {
   c.tick_alloc_violations = reg.register_counter(
       "engine.tick_alloc_violations",
       "Undeclared allocations inside guarded tick regions (must stay 0)");
-  for (int p = 0; p < static_cast<int>(TickPhase::kCount); ++p) {
-    c.tick_phase_ns[p] = reg.register_histogram(
-        std::string("engine.phase.") +
-            tick_phase_name(static_cast<TickPhase>(p)) + "_ns",
-        phase_ns_bounds(),
-        "Sampled wall time of one tick phase (ns)");
-  }
+  c.step_ns = reg.register_histogram(
+      "engine.step_ns", ns_bounds(),
+      "Wall time of one step() tick, timed by run_until (ns)");
+  c.quiet_tick_ns = reg.register_histogram(
+      "engine.quiet_tick_ns", ns_bounds(),
+      "Wall time of one quiet span divided by its tick count (ns)");
 
   c.memo_unit_time_hits = reg.register_counter(
       "search.memo.unit_time_hits", "SearchScratch unit-time memo hits");
@@ -113,7 +96,7 @@ Catalog build_catalog() {
   c.backend_ticks = reg.register_counter(
       "backend.ticks", "Live-backend tick-loop iterations (mock/linux)");
   c.backend_tick_ns = reg.register_histogram(
-      "backend.tick_ns", phase_ns_bounds(),
+      "backend.tick_ns", ns_bounds(),
       "Wall time of one live-backend tick (observe + manager + actuate, ns)");
 
   c.sweep_cases =

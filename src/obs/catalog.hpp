@@ -4,35 +4,14 @@
 // writers only ever touch pre-built ids — registration can never happen
 // inside a live AllocGuard.
 //
-// Naming: dotted lowercase ("engine.phase.assign_ns"); the Prometheus
-// writer sanitizes to hars_engine_phase_assign_ns.
+// Naming: dotted lowercase ("engine.quiet_tick_ns"); the Prometheus
+// writer sanitizes to hars_engine_quiet_tick_ns.
 #pragma once
-
-#include <cstdint>
 
 #include "obs/metrics.hpp"
 
 namespace hars {
 namespace obs {
-
-/// The tick lifecycle phases timed in SimEngine::step(): the paper's
-/// 6-step tick plus the scenario-dispatch hook (step 0), with snapshot
-/// refresh and the manager hook separated out so search cost is
-/// attributable. Order matches execution order inside one tick.
-enum class TickPhase : std::uint8_t {
-  kScenarioDispatch = 0,  ///< tick hook: scenario event dispatch.
-  kBeginTick,             ///< App work generation (begin_tick).
-  kSnapshotRefresh,       ///< Scratch prep + DVFS/online snapshot.
-  kRunnability,           ///< Runnable refresh + EWMA load update.
-  kAssign,                ///< Scheduler placement (+ placement audit).
-  kExecute,               ///< Share split + app execution.
-  kEndTick,               ///< App barrier/heartbeat logic (end_tick).
-  kManager,               ///< Runtime-manager hook (HARS search etc).
-  kSensor,                ///< Power integration + sensor advance.
-  kCount
-};
-
-const char* tick_phase_name(TickPhase phase);
 
 /// Ids for every metric in the catalog. Access through catalog(); the
 /// instance is built (and all names registered) during static init.
@@ -42,7 +21,8 @@ struct Catalog {
   CounterId quiet_ticks;            ///< engine.quiet_ticks
   CounterId tick_allocs;            ///< engine.tick_allocs
   CounterId tick_alloc_violations;  ///< engine.tick_alloc_violations
-  HistId tick_phase_ns[static_cast<int>(TickPhase::kCount)];
+  HistId step_ns;                   ///< engine.step_ns (one per step())
+  HistId quiet_tick_ns;             ///< engine.quiet_tick_ns (per span)
 
   // --- Search / memoization ---
   CounterId memo_unit_time_hits;    ///< search.memo.unit_time_hits

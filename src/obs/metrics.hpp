@@ -98,7 +98,6 @@ struct ThreadShard {
   std::vector<const HistDef*> hists;  ///< Per-histogram layout.
   std::uint64_t layout_epoch = 0;     ///< Registry epoch this was built for.
   std::uint32_t tag = 0;              ///< thread_tag() of the owner.
-  std::uint64_t tick_serial = 0;      ///< Advanced by tick_sample().
 };
 
 /// Shard of the calling thread; nullptr until ensure_thread_registered()
@@ -177,7 +176,8 @@ inline bool enabled() { return MetricsRegistry::instance().enabled(); }
 /// under allocg::AllowScope("obs thread shard growth")) when telemetry
 /// is enabled; detaches it — folding its counts into the retired
 /// accumulators — when disabled. Call at a cold point before entering
-/// guarded regions (e.g. top of SimEngine::step, worker-loop entry).
+/// guarded regions (e.g. each SimEngine::run_until pair, worker-loop
+/// entry).
 /// Steady state (attached-and-current or detached-and-disabled) is one
 /// thread-local load plus one relaxed atomic compare.
 inline void ensure_thread_registered() {
@@ -189,6 +189,10 @@ inline void ensure_thread_registered() {
   }
   detail::ensure_thread_registered_slow();
 }
+
+/// True when the calling thread is attached, i.e. its writes are live.
+/// One thread-local load; gates clock reads that only feed telemetry.
+inline bool thread_attached() { return detail::tls != nullptr; }
 
 /// Hot-path write: thread-local load + bounds check + relaxed add.
 /// Drops silently when the thread is not attached or the id is inert.

@@ -1,6 +1,7 @@
 #include "obs/span_collector.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/alloc_guard.hpp"
 
@@ -8,8 +9,22 @@ namespace hars {
 namespace obs {
 
 namespace {
+
 std::atomic<SpanCollector*> g_spans{nullptr};
+
+std::int64_t steady_now_raw() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// Process-relative base so span timestamps start near 0 and fit
+// comfortably in Chrome's microsecond doubles.
+const std::int64_t g_base_ns = steady_now_raw();
+
 }  // namespace
+
+std::int64_t now_ns() { return steady_now_raw() - g_base_ns; }
 
 SpanCollector::SpanCollector(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {

@@ -1,8 +1,13 @@
-// SpanCollector: a pre-allocated ring of trace spans (one per sampled
-// tick phase or sweep case), drained into Chrome trace-event JSON by
-// obs::write_chrome_trace. push() is lock-free and allocation-free: one
-// fetch_add plus five stores; when the ring is full further spans are
-// counted as dropped rather than grown.
+// SpanCollector: a pre-allocated ring of trace spans (one per step()
+// tick and one per quiet span that SimEngine::run_until times), drained
+// into Chrome trace-event JSON by obs::write_chrome_trace. push() is
+// lock-free and allocation-free: one fetch_add plus six stores; once the
+// ring is full it keeps the first `capacity` spans and counts every
+// later one as dropped rather than growing.
+//
+// now_ns() lives out-of-line in span_collector.cpp, so no wall-clock
+// token appears inside a HARS_HOT body (hars_lint's no-wallclock-rand
+// rule stays intact).
 #pragma once
 
 #include <atomic>
@@ -13,6 +18,9 @@
 namespace hars {
 namespace obs {
 
+/// Process-relative monotonic time in ns. Cold-callable from anywhere.
+std::int64_t now_ns();
+
 /// One completed span. `name`/`cat` must be string literals (the
 /// collector stores the pointers).
 struct SpanEvent {
@@ -20,6 +28,7 @@ struct SpanEvent {
   const char* cat = nullptr;
   std::int64_t ts_ns = 0;   ///< Start, process-relative.
   std::int64_t dur_ns = 0;
+  std::int64_t ticks = 0;   ///< Ticks the span ran; > 0 writes "args":{"ticks":N}.
   std::uint32_t tid = 0;    ///< obs::thread_tag() of the emitting thread.
 };
 
@@ -41,6 +50,7 @@ class SpanCollector {
   /// quiescent (e.g. after the run, before writing the trace file).
   std::vector<SpanEvent> drain() const;
 
+  /// Spans pushed after the ring filled up (not in drain()).
   std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }

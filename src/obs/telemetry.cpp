@@ -1,8 +1,8 @@
 #include "obs/telemetry.hpp"
 
+#include <cstddef>
 #include <string>
 
-#include "obs/phase_timer.hpp"
 #include "obs/writers.hpp"
 #include "util/alloc_guard.hpp"
 
@@ -10,6 +10,9 @@ namespace hars {
 namespace obs {
 
 namespace {
+
+/// Span ring slots of a traced session; later spans count as dropped.
+constexpr std::size_t kSpanCapacity = 1 << 16;
 
 std::string scope_metric_name(const char* scope) {
   std::string name = "alloc.scope.";
@@ -53,12 +56,11 @@ TelemetrySession::TelemetrySession(TelemetryConfig config)
     : config_(std::move(config)) {
   if (!config_.enabled) return;
   MetricsRegistry& reg = MetricsRegistry::instance();
-  set_phase_sample_shift(config_.phase_sample_shift);
   reg.reset();
   reg.set_enabled(true);
   ensure_thread_registered();
   if (!config_.trace_json.empty()) {
-    spans_ = std::make_unique<SpanCollector>(config_.span_capacity);
+    spans_ = std::make_unique<SpanCollector>(kSpanCapacity);
     install_span_collector(spans_.get());
   }
   active_ = true;
@@ -71,6 +73,13 @@ void TelemetrySession::finish() {
   finished_ = true;
   publish_alloc_scope_gauges();
   MetricsRegistry& reg = MetricsRegistry::instance();
+  if (spans_ != nullptr) {
+    install_span_collector(nullptr);
+    reg.gauge_set(
+        reg.register_gauge("obs.spans_dropped",
+                           "Trace spans pushed after the span ring filled"),
+        static_cast<double>(spans_->dropped()));
+  }
   snapshot_ = reg.take_snapshot();
   if (!config_.metrics_jsonl.empty()) {
     write_metrics_jsonl_file(config_.metrics_jsonl, snapshot_);
@@ -82,10 +91,7 @@ void TelemetrySession::finish() {
     write_prometheus_file(config_.prometheus, snapshot_);
   }
   if (spans_ != nullptr) {
-    install_span_collector(nullptr);
-    if (!config_.trace_json.empty()) {
-      write_chrome_trace_file(config_.trace_json, spans_->drain());
-    }
+    write_chrome_trace_file(config_.trace_json, spans_->drain());
   }
   reg.set_enabled(false);
 }

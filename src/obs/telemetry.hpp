@@ -1,13 +1,13 @@
 // TelemetrySession: run-scoped telemetry lifecycle. Construction zeroes
 // and arms the registry (so the dump covers this run only), attaches the
 // calling thread and installs a span collector when a trace file was
-// requested; finish() (or the destructor) publishes the alloc_guard per-scope
-// totals as gauges, snapshots the registry and writes every configured
-// sink, then disarms. The session never throws out of finish(): sink
-// I/O errors go to stderr — telemetry must not change a run's outcome.
+// requested; finish() (or the destructor) publishes the alloc_guard
+// per-scope totals and the span ring's drop count as gauges, snapshots
+// the registry and writes every configured sink, then disarms. The
+// session never throws out of finish(): sink I/O errors go to stderr —
+// telemetry must not change a run's outcome.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -19,9 +19,6 @@ namespace obs {
 
 struct TelemetryConfig {
   bool enabled = false;
-  /// log2 of the tick phase-timer sampling period (7 = every 128th tick).
-  int phase_sample_shift = 7;
-  std::size_t span_capacity = 1 << 16;
   // Output paths; empty = sink disabled.
   std::string metrics_jsonl;
   std::string metrics_csv;
@@ -36,8 +33,9 @@ class TelemetrySession {
   TelemetrySession(const TelemetrySession&) = delete;
   TelemetrySession& operator=(const TelemetrySession&) = delete;
 
-  /// Publishes alloc-scope gauges, snapshots, writes all configured
-  /// sinks and disables telemetry. Idempotent; called by the destructor.
+  /// Publishes alloc-scope gauges (and obs.spans_dropped when tracing),
+  /// snapshots, writes all configured sinks and disables telemetry.
+  /// Idempotent; called by the destructor.
   void finish();
 
   /// The snapshot finish() took (empty before finish / when disabled).

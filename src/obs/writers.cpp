@@ -158,7 +158,9 @@ void write_chrome_trace(std::ostream& out,
         << json::escape(s.cat != nullptr ? s.cat : "") << "\",\"ph\":\"X\""
         << ",\"ts\":" << format_number(static_cast<double>(s.ts_ns) / 1000.0)
         << ",\"dur\":" << format_number(static_cast<double>(s.dur_ns) / 1000.0)
-        << ",\"pid\":0,\"tid\":" << s.tid << "}";
+        << ",\"pid\":0,\"tid\":" << s.tid;
+    if (s.ticks > 0) out << ",\"args\":{\"ticks\":" << s.ticks << "}";
+    out << "}";
   }
   out << "],\"displayTimeUnit\":\"ms\"}\n";
 }

@@ -217,16 +217,6 @@ SweepReport SweepEngine::run(const SweepSpec& spec) {
       outcome.wall_ms = elapsed_ms(case_start);
       obs::counter_add(obs::catalog().sweep_cases);
       obs::hist_observe(obs::catalog().sweep_case_run_ms, outcome.wall_ms);
-      if (options_.record_timing) {
-        // Opt-in timing columns, appended after the deterministic metric
-        // columns so the default column set stays byte-identical.
-        const auto worker = static_cast<std::int64_t>(
-            WorkStealingPool::current_worker());
-        for (Record& r : outcome.records) {
-          r.set("case_wall_ms", outcome.wall_ms);
-          r.set("worker", worker);
-        }
-      }
     }
 
     // Publish, then release the completed prefix to the sinks in order.

@@ -43,12 +43,6 @@ struct SweepOptions {
   /// Keep each case's full ExperimentResult (traces can be large; turn
   /// off for huge campaigns that only need the sink records).
   bool keep_results = true;
-  /// Opt-in timing columns on every sink record: `case_wall_ms` (the
-  /// case's wall clock) and `worker` (the pool worker index, -1 when the
-  /// case ran inline). Off by default because the values vary run to run
-  /// — the byte-identity guarantees above only cover the default
-  /// column set.
-  bool record_timing = false;
   /// Run on this externally owned pool instead of creating one (the
   /// daemon shares one pool across concurrent campaigns). The engine
   /// then tracks its own cases with a campaign-local latch rather than

@@ -60,11 +60,6 @@ std::size_t WorkStealingPool::steal_count() const {
   return steals_;
 }
 
-int WorkStealingPool::current_worker() {
-  const std::size_t index = tls_worker_index;
-  return index == static_cast<std::size_t>(-1) ? -1 : static_cast<int>(index);
-}
-
 bool WorkStealingPool::try_pop(std::size_t self, std::function<void()>& task) {
   Worker& w = *queues_[self];
   std::lock_guard<std::mutex> lock(w.mutex);

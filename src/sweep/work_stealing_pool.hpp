@@ -55,12 +55,6 @@ class WorkStealingPool {
   /// pool test uses it to prove the stealing path runs).
   std::size_t steal_count() const;
 
-  /// Worker index (0-based) of the calling thread within the pool it
-  /// belongs to, or -1 when called off-pool (e.g. the submitting thread
-  /// running cases inline). Thread-local, so valid even while several
-  /// pools exist.
-  static int current_worker();
-
  private:
   struct Worker {
     std::deque<std::function<void()>> tasks;

@@ -1,12 +1,11 @@
 // The hot-path write functions must be allocation-free: once a thread
 // is attached and the catalog is registered, counter_add / hist_observe
-// / PhaseTimer / span push run under a strict AllocGuard with zero
+// / now_ns / span push run under a strict AllocGuard with zero
 // allocations (not even declared ones) and zero violations.
 #include <gtest/gtest.h>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_timer.hpp"
 #include "obs/span_collector.hpp"
 #include "util/alloc_guard.hpp"
 
@@ -28,7 +27,17 @@ TEST(AllocFreeTelemetry, HotWritesAllocateNothing) {
       counter_add(cat.search_moves, 3);
       hist_observe(cat.tabu_ring_occupancy, static_cast<double>(i % 40));
       hist_observe(cat.sweep_case_run_ms, 0.25 * i);
-      { PhaseTimer timer(TickPhase::kExecute, /*active=*/true); }
+      const std::int64_t start = now_ns();
+      hist_observe(cat.step_ns, static_cast<double>(i));
+      hist_observe(cat.quiet_tick_ns, 0.5 * i);
+      SpanEvent event;
+      event.name = "quiet_span";
+      event.cat = "tick";
+      event.ts_ns = start;
+      event.dur_ns = now_ns() - start;
+      event.ticks = i;
+      event.tid = thread_tag();
+      spans.push(event);
     }
     EXPECT_EQ(guard.allocations(), 0u) << "hot write path allocated";
     EXPECT_EQ(guard.violations(), 0u);
@@ -49,7 +58,8 @@ TEST(AllocFreeTelemetry, DetachedWritesAllocateNothing) {
     for (int i = 0; i < 10000; ++i) {
       counter_add(cat.ticks);
       hist_observe(cat.sweep_case_run_ms, 1.0);
-      PhaseTimer timer(TickPhase::kAssign, /*active=*/false);
+      hist_observe(cat.step_ns, 1.0);
+      hist_observe(cat.quiet_tick_ns, 1.0);
     }
     EXPECT_EQ(guard.allocations(), 0u);
     EXPECT_EQ(guard.violations(), 0u);

@@ -48,7 +48,6 @@ std::string slurp(const std::string& path) {
 TEST_F(SinksTest, OneRunProducesAllFourFormats) {
   obs::TelemetryConfig cfg;
   cfg.enabled = true;
-  cfg.phase_sample_shift = 3;
   cfg.metrics_jsonl = path("metrics.jsonl");
   cfg.metrics_csv = path("metrics.csv");
   cfg.prometheus = path("metrics.prom");
@@ -89,7 +88,9 @@ TEST_F(SinksTest, OneRunProducesAllFourFormats) {
     }
     EXPECT_GT(lines, 10);
     EXPECT_TRUE(names.count("engine.ticks"));
-    EXPECT_TRUE(names.count("engine.phase.assign_ns"));
+    EXPECT_TRUE(names.count("engine.step_ns"));
+    EXPECT_TRUE(names.count("engine.quiet_tick_ns"));
+    EXPECT_TRUE(names.count("obs.spans_dropped"));
     EXPECT_TRUE(names.count("search.calls"));
     EXPECT_TRUE(names.count("alloc.thread_total"));
   }
@@ -116,33 +117,42 @@ TEST_F(SinksTest, OneRunProducesAllFourFormats) {
     const std::string prom = slurp(cfg.prometheus);
     EXPECT_NE(prom.find("# TYPE hars_engine_ticks counter"),
               std::string::npos);
-    EXPECT_NE(prom.find("# TYPE hars_engine_phase_assign_ns histogram"),
-              std::string::npos);
-    EXPECT_NE(prom.find("hars_engine_phase_assign_ns_bucket{le=\"+Inf\"}"),
-              std::string::npos);
-    EXPECT_NE(prom.find("hars_engine_phase_assign_ns_count"),
-              std::string::npos);
-    EXPECT_NE(prom.find("hars_engine_phase_assign_ns_sum"),
-              std::string::npos);
+    for (const char* hist : {"hars_engine_step_ns", "hars_engine_quiet_tick_ns"}) {
+      const std::string name(hist);
+      EXPECT_NE(prom.find("# TYPE " + name + " histogram"), std::string::npos)
+          << name;
+      EXPECT_NE(prom.find(name + "_bucket{le=\"+Inf\"}"), std::string::npos)
+          << name;
+      EXPECT_NE(prom.find(name + "_count"), std::string::npos) << name;
+      EXPECT_NE(prom.find(name + "_sum"), std::string::npos) << name;
+    }
   }
 
   // --- Chrome trace: top-level object with a traceEvents array of
-  //     complete ("ph":"X") events carrying name/cat/ts/dur/pid/tid.
+  //     complete ("ph":"X") events carrying name/cat/ts/dur/pid/tid:
+  //     one "step" span per step() tick and one "quiet_span" per span,
+  //     the latter with its tick count in args.
   {
     const json::Value trace = json::parse_file(cfg.trace_json);
     ASSERT_EQ(trace.type(), json::Value::Type::kObject);
     const json::Value& events = trace.at("traceEvents");
     ASSERT_EQ(events.type(), json::Value::Type::kArray);
     ASSERT_FALSE(events.as_array().empty());
+    std::set<std::string> span_names;
     for (const json::Value& e : events.as_array()) {
       EXPECT_EQ(e.at("ph").as_string(), "X");
-      EXPECT_FALSE(e.at("name").as_string().empty());
+      const std::string name = e.at("name").as_string();
+      span_names.insert(name);
+      if (name == "quiet_span") {
+        EXPECT_GT(e.at("args").at("ticks").as_number(), 0.0);
+      }
       EXPECT_EQ(e.at("cat").as_string(), "tick");
       EXPECT_GE(e.at("dur").as_number(), 0.0);
       (void)e.at("ts").as_number();
       (void)e.at("pid").as_number();
       (void)e.at("tid").as_number();
     }
+    EXPECT_EQ(span_names, (std::set<std::string>{"step", "quiet_span"}));
   }
 }
 

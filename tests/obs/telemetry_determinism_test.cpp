@@ -1,11 +1,14 @@
 // The telemetry contract's load-bearing clause: enabling the metrics
-// registry, phase timers and span collector must not perturb a single
+// registry, tick timers and span collector must not perturb a single
 // simulated bit. Every registered variant is run on both platform
 // presets — plus a dynamic-scenario run — with telemetry off and on,
 // and the full result (metrics, traces, states) must compare equal as
 // raw doubles, not within a tolerance.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "obs/telemetry.hpp"
 #include "oracle/fuzz_harness.hpp"
 #include "sched/gts.hpp"
+#include "util/json.hpp"
 
 namespace hars {
 namespace {
@@ -26,7 +30,6 @@ namespace {
 obs::TelemetryConfig armed() {
   obs::TelemetryConfig cfg;
   cfg.enabled = true;
-  cfg.phase_sample_shift = 0;  // Time every tick: maximum interference.
   return cfg;
 }
 
@@ -75,8 +78,17 @@ TEST(TelemetryDeterminism, StaggeredScenarioIsBitIdentical) {
 
 TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
   // Quiet spans run many ticks per loop and elide GTS assign(); the tick
-  // and assign counters must still advance once per simulated tick.
-  obs::TelemetrySession session(armed());
+  // and assign counters must still advance once per simulated tick, and
+  // run_until's timers must cover every tick: one engine.step_ns per
+  // step() and one traced quiet_span per span, with the span ticks adding
+  // up to engine.quiet_ticks.
+  const std::string trace_path =
+      (std::filesystem::temp_directory_path() /
+       ("hars_quiet_span_trace_" + std::to_string(::getpid()) + ".json"))
+          .string();
+  obs::TelemetryConfig cfg = armed();
+  cfg.trace_json = trace_path;
+  obs::TelemetrySession session(cfg);
   SimEngine engine(*PlatformRegistry::instance().find("exynos5422"),
                    std::make_unique<GtsScheduler>());
   const std::unique_ptr<App> app =
@@ -97,6 +109,36 @@ TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
   EXPECT_GE(snap.find("sched.gts.assign_skips")->counter,
             static_cast<std::uint64_t>(engine.quiet_ticks()));
   EXPECT_EQ(snap.find("engine.tick_alloc_violations")->counter, 0u);
+
+  const obs::MetricValue* step_ns = snap.find("engine.step_ns");
+  ASSERT_NE(step_ns, nullptr);
+  EXPECT_EQ(step_ns->count,
+            ticks - static_cast<std::uint64_t>(engine.quiet_ticks()));
+  const obs::MetricValue* quiet_tick_ns = snap.find("engine.quiet_tick_ns");
+  ASSERT_NE(quiet_tick_ns, nullptr);
+  EXPECT_GT(quiet_tick_ns->count, 0u);
+
+  const obs::MetricValue* dropped = snap.find("obs.spans_dropped");
+  ASSERT_NE(dropped, nullptr);
+  ASSERT_EQ(dropped->gauge, 0.0) << "span ring overflowed; sum is partial";
+  const json::Value trace = json::parse_file(trace_path);
+  std::filesystem::remove(trace_path);
+  std::int64_t span_ticks = 0;
+  std::uint64_t quiet_spans = 0;
+  std::uint64_t steps = 0;
+  for (const json::Value& e : trace.at("traceEvents").as_array()) {
+    const std::string name = e.at("name").as_string();
+    if (name == "quiet_span") {
+      ++quiet_spans;
+      span_ticks += static_cast<std::int64_t>(
+          e.at("args").at("ticks").as_number());
+    } else if (name == "step") {
+      ++steps;
+    }
+  }
+  EXPECT_EQ(span_ticks, engine.quiet_ticks());
+  EXPECT_EQ(quiet_spans, quiet_tick_ns->count);
+  EXPECT_EQ(steps, step_ns->count);
 }
 
 }  // namespace

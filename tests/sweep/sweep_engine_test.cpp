@@ -167,47 +167,6 @@ TEST(SweepEngine, InvalidExperimentConfigSurfacesAsCaseError) {
   EXPECT_FALSE(report.outcomes[0].error.empty());
 }
 
-TEST(SweepEngine, RecordTimingAddsColumnsOnlyWhenOptedIn) {
-  const SweepSpec spec = small_spec();
-
-  // Default: no timing columns — the byte-identity contract's columns.
-  SweepEngine plain(SweepOptions{.jobs = 2});
-  const SweepReport a = plain.run(spec);
-  for (const CaseOutcome& outcome : a.outcomes) {
-    for (const Record& r : outcome.records) {
-      EXPECT_EQ(r.find("case_wall_ms"), nullptr);
-      EXPECT_EQ(r.find("worker"), nullptr);
-    }
-  }
-
-  // Opted in: every record carries the case wall clock and the worker
-  // index that ran it.
-  SweepEngine timed(SweepOptions{.jobs = 2, .record_timing = true});
-  const SweepReport b = timed.run(spec);
-  for (const CaseOutcome& outcome : b.outcomes) {
-    ASSERT_FALSE(outcome.records.empty());
-    for (const Record& r : outcome.records) {
-      const RecordCell* wall = r.find("case_wall_ms");
-      ASSERT_NE(wall, nullptr);
-      EXPECT_GE(wall->number, 0.0);
-      EXPECT_EQ(wall->number, outcome.wall_ms);
-      const RecordCell* worker = r.find("worker");
-      ASSERT_NE(worker, nullptr);
-      EXPECT_GE(worker->number, 0.0);  // Pool-run: a real worker index.
-      EXPECT_LT(worker->number, 2.0);
-    }
-  }
-
-  // Inline (jobs=1) cases report worker -1.
-  SweepEngine inline_engine(SweepOptions{.jobs = 1, .record_timing = true});
-  const SweepReport c = inline_engine.run(spec);
-  for (const CaseOutcome& outcome : c.outcomes) {
-    for (const Record& r : outcome.records) {
-      EXPECT_EQ(r.find("worker")->number, -1.0);
-    }
-  }
-}
-
 TEST(SweepEngine, AggregatorOverEngineRecords) {
   const SweepSpec spec = small_spec();
   TableSink sink;

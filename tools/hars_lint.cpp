@@ -14,7 +14,7 @@
 //   no-obs-cold         cold telemetry entry points (obs registration,
 //                       snapshotting, thread attach) — only the write
 //                       fast path (counter_add / hist_observe /
-//                       PhaseTimer) is hot-safe
+//                       span push) is hot-safe
 //
 // and one whole-file rule that keeps the hars library free of the
 // differential oracle (src/oracle/, built as hars_oracle):
@@ -445,7 +445,7 @@ void check_region(const std::string& code, const HotRegion& region,
                "cold telemetry call " +
                    std::string(fn.substr(0, fn.size() - 1)) +
                    "() in hot path (locks/allocates; hot-safe writes are "
-                   "counter_add/hist_observe/PhaseTimer)",
+                   "counter_add/hist_observe/span push)",
                file, findings,
                [&](std::size_t hit) { return call(hit, fn.size() - 1); });
   }

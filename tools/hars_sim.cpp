@@ -510,9 +510,9 @@ int main(int argc, char** argv) {
             "write telemetry metrics in Prometheus text\n"
             "format (run mode)")
       .flag("--trace-spans FILE", &local.telemetry.trace_json,
-            "write sampled tick-phase spans as Chrome\n"
-            "trace-event JSON (run mode; open in\n"
-            "chrome://tracing or Perfetto)")
+            "write one span per step() tick and per\n"
+            "quiet span as Chrome trace-event JSON (run\n"
+            "mode; open in chrome://tracing or Perfetto)")
       .flag("--csv FILE", &local.csv_path,
             "write result records as CSV (sweep mode)")
       .flag("--jsonl FILE", &local.jsonl_path,
