@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,9 +51,13 @@ struct QuietGrant {
 };
 
 /// What execute() does with a grant the thread does not finish: the work
-/// it retires and the CPU time it returns. work == 0 means no change.
+/// it retires, the CPU time it returns and the floor its remaining work
+/// must stay above once the work is subtracted (the tick is quiet only
+/// then). work == 0 means no change; such a lane's floor is -inf, which
+/// any remaining work x passes, since x - 0.0 == x.
 struct QuietLane {
   WorkUnits work = 0.0;
+  WorkUnits floor = -std::numeric_limits<double>::infinity();
   TimeUs used_us = 0;
 };
 
@@ -104,12 +109,15 @@ class App {
   // --- Quiet spans (SimEngine::run_until) ---
   // A quiet tick changes only arithmetic: every granted thread keeps
   // work beyond its share, so no runnable flag flips and end_tick is a
-  // no-op. The engine plans the lanes once per span and then, per tick,
-  // asks every app to accept before it commits any.
+  // no-op. For the length of a span the engine holds each thread's
+  // remaining work in its own array (export_quiet ... import_quiet); each
+  // tick it subtracts every lane's work and takes the tick only when
+  // every result stays above the lane's floor.
 
   /// Fills `lanes[i]` for each of the app's threads from `grants[i]`
   /// with exactly the values execute() computes for a share the thread
-  /// does not finish. Returns false when the app does not take quiet
+  /// does not finish, and the floor execute() needs the remaining work to
+  /// stay above for that. Returns false when the app does not take quiet
   /// ticks with these grants (the default: never); the engine then steps
   /// the tick.
   virtual bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const {
@@ -118,16 +126,18 @@ class App {
     return false;
   }
 
-  /// True when, after one tick of `lanes`, every thread with a lane still
-  /// has work left and end_tick would be a no-op.
-  virtual bool accepts_quiet_tick(const QuietLane* lanes) const {
-    (void)lanes;
+  /// Writes each thread's remaining work to `rem` (thread_count()
+  /// entries) at span entry. Returns false when the app takes no quiet
+  /// tick whatever its lanes (the default: never).
+  virtual bool export_quiet(double* rem) const {
+    (void)rem;
     return false;
   }
 
-  /// Applies one accepted quiet tick: bit-identical to execute() on
-  /// every granted thread followed by end_tick().
-  virtual void commit_quiet_tick(const QuietLane* lanes) { (void)lanes; }
+  /// Takes back the remaining work after the span subtracted its ticks'
+  /// lanes: bit-identical to execute() on every granted thread followed
+  /// by end_tick(), once per tick.
+  virtual void import_quiet(const double* rem) { (void)rem; }
 
   /// True once the application has retired all its input (simulations
   /// normally end on time instead).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/hot_path.hpp"
-
 namespace hars {
 
 DataParallelApp::DataParallelApp(std::string name, const DataParallelConfig& config)
@@ -127,40 +125,33 @@ bool DataParallelApp::plan_quiet(const QuietGrant* grants,
     const double speed = thread_speed(grant.type, grant.freq_ghz);
     if (speed <= 0.0) continue;  // execute() returns 0 and changes nothing.
     lane.work = speed * us_to_sec(grant.share_us);
+    lane.floor = 0.0;
     lane.used_us = static_cast<TimeUs>(lane.work / speed * kUsPerSec);
   }
   return true;
 }
 
-HARS_HOT bool DataParallelApp::accepts_quiet_tick(const QuietLane* lanes) const {
+bool DataParallelApp::export_quiet(double* rem) const {
+  std::copy(remaining_.begin(), remaining_.end(), rem);
   // Serial input phase: only thread 0 runs, and end_tick returns early
   // while warm-up work is left.
-  if (warmup_remaining_ > 0.0) return warmup_remaining_ > lanes[0].work;
+  if (warmup_remaining_ > 0.0) {
+    rem[0] = warmup_remaining_;
+    return true;
+  }
   // No iteration open: nothing runs, and end_tick changes nothing once the
   // iteration budget is spent.
   if (!iteration_open_) return finished();
-  // The barrier must stay open (end_tick emits when it closes) and every
-  // granted thread must take execute()'s full-share branch (rem > can_do).
-  if (open_threads_ <= 0) return false;
-  // Branch-free: one bitwise AND per thread, no early exit.
-  bool ok = true;
-  for (std::size_t i = 0; i < remaining_.size(); ++i) {
-    const WorkUnits work = lanes[i].work;
-    ok &= !(work > 0.0) | (remaining_[i] > work);
-  }
-  return ok;
+  // The barrier must stay open: end_tick emits when it closes.
+  return open_threads_ > 0;
 }
 
-HARS_HOT void DataParallelApp::commit_quiet_tick(const QuietLane* lanes) {
-  // A lane that retires nothing has work 0.0, and x - 0.0 == x bit for
-  // bit, so every entry is subtracted without a branch.
+void DataParallelApp::import_quiet(const double* rem) {
   if (warmup_remaining_ > 0.0) {
-    warmup_remaining_ -= lanes[0].work;
+    warmup_remaining_ = rem[0];
     return;
   }
-  for (std::size_t i = 0; i < remaining_.size(); ++i) {
-    remaining_[i] -= lanes[i].work;
-  }
+  std::copy(rem, rem + remaining_.size(), remaining_.begin());
 }
 
 bool DataParallelApp::finished() const {

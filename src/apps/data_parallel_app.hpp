@@ -42,10 +42,14 @@ class DataParallelApp final : public App {
   bool finished() const override;
 
   /// Quiet spans use execute()'s full-share expressions: can_do =
-  /// speed * us_to_sec(share) and used = can_do / speed * kUsPerSec.
+  /// speed * us_to_sec(share) and used = can_do / speed * kUsPerSec. A
+  /// lane's floor is 0: rem > can_do (the full-share branch) holds
+  /// exactly when rem - can_do > 0, since doubles underflow gradually.
+  /// During the serial warm-up, thread 0's remaining work is the
+  /// warm-up's.
   bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const override;
-  bool accepts_quiet_tick(const QuietLane* lanes) const override;
-  void commit_quiet_tick(const QuietLane* lanes) override;
+  bool export_quiet(double* rem) const override;
+  void import_quiet(const double* rem) override;
 
   std::int64_t iterations_completed() const { return iteration_; }
   bool in_warmup() const { return warmup_remaining_ > 0.0; }

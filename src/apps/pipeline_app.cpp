@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/alloc_guard.hpp"
-#include "util/hot_path.hpp"
 
 namespace hars {
 
@@ -123,6 +122,8 @@ bool PipelineApp::plan_quiet(const QuietGrant* grants,
     const double speed = thread_speed(grant.type, grant.freq_ghz);
     if (speed <= 0.0) continue;  // execute() returns 0 and changes nothing.
     lane.work = speed * us_to_sec(grant.share_us);
+    // execute() hands the item off once remaining <= 1e-12.
+    lane.floor = 1e-12;
     lane.used_us = static_cast<TimeUs>(lane.work / speed * kUsPerSec);
     // A truncated used time sends execute() round its loop again.
     if (lane.used_us < grant.share_us) return false;
@@ -130,24 +131,20 @@ bool PipelineApp::plan_quiet(const QuietGrant* grants,
   return true;
 }
 
-HARS_HOT bool PipelineApp::accepts_quiet_tick(const QuietLane* lanes) const {
+bool PipelineApp::export_quiet(double* rem) const {
+  bool ok = true;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const Worker& w = workers_[i];
-    if (w.has_item) {
-      // execute() hands the item off once remaining <= 1e-12.
-      if (lanes[i].work > 0.0 && !(w.remaining - lanes[i].work > 1e-12)) {
-        return false;
-      }
-    } else if (!queues_[static_cast<std::size_t>(w.stage)].empty()) {
-      return false;
-    }
+    rem[i] = w.remaining;
+    // An idle worker takes a queued item on its next share.
+    ok &= w.has_item || queues_[static_cast<std::size_t>(w.stage)].empty();
   }
-  return true;
+  return ok;
 }
 
-HARS_HOT void PipelineApp::commit_quiet_tick(const QuietLane* lanes) {
+void PipelineApp::import_quiet(const double* rem) {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (lanes[i].work > 0.0) workers_[i].remaining -= lanes[i].work;
+    workers_[i].remaining = rem[i];
   }
 }
 

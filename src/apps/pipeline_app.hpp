@@ -48,11 +48,12 @@ class PipelineApp final : public App {
   /// Quiet spans use execute()'s first pass over a held item: can_do =
   /// speed * us_to_sec(share) and used = can_do / speed * kUsPerSec. A
   /// quiet tick moves no item: every worker holding one keeps more than
-  /// its lane's work, and every idle worker's input queue is empty, so no
-  /// hand-off, RNG draw or heartbeat happens.
+  /// its lane's work beyond the hand-off threshold (the lane's floor,
+  /// 1e-12), and every idle worker's input queue is empty, so no hand-off,
+  /// RNG draw or heartbeat happens.
   bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const override;
-  bool accepts_quiet_tick(const QuietLane* lanes) const override;
-  void commit_quiet_tick(const QuietLane* lanes) override;
+  bool export_quiet(double* rem) const override;
+  void import_quiet(const double* rem) override;
 
   int num_stages() const { return static_cast<int>(config_.stages.size()); }
   int stage_of_thread(int local_tid) const;

@@ -55,10 +55,26 @@ class ManagerHook {
 
   /// The earliest tick time at which on_tick may do anything: on a tick
   /// before it, on_tick must return 0 and change nothing, so a quiet span
-  /// skips the call. The answer may change only inside on_tick. The
-  /// default, 0, means always due, so a wrapper that overrides only
-  /// on_tick sees every call.
+  /// skips the call. The answer may change only inside on_tick and
+  /// skip_idle_polls. The default, 0, means always due, so a wrapper that
+  /// overrides only on_tick sees every call.
   virtual TimeUs next_due() const { return 0; }
+
+  /// True when a due on_tick that finds no heartbeat newer than the ones
+  /// its last call saw does nothing but move next_due() to now + `period`
+  /// and return `cost`; it then fills both. A quiet span emits no
+  /// heartbeat, so after its first real call it charges such idle polls
+  /// itself, without calling on_tick. The default answers false, so a
+  /// wrapper sees every call.
+  virtual bool idle_poll(TimeUs& period, TimeUs& cost) const {
+    (void)period;
+    (void)cost;
+    return false;
+  }
+
+  /// Records the idle polls a quiet span charged in place of on_tick:
+  /// next_due() becomes `due`. Called only after idle_poll() held.
+  virtual void skip_idle_polls(TimeUs due) { (void)due; }
 };
 
 /// What a backend can actually do on its platform; probed at

@@ -81,6 +81,13 @@ class RuntimeManager : public ManagerHook {
 
   TimeUs on_tick(TimeUs now) override;
   TimeUs next_due() const override { return next_poll_; }
+  /// A poll that finds no new heartbeat only moves the next poll.
+  bool idle_poll(TimeUs& period, TimeUs& cost) const override {
+    period = config_.poll_period_us;
+    cost = config_.poll_cost_us;
+    return true;
+  }
+  void skip_idle_polls(TimeUs due) override { next_poll_ = due; }
 
   const SystemState& current_state() const { return state_; }
   const std::vector<TracePoint>& trace() const { return trace_; }

@@ -87,6 +87,14 @@ class VariantInstance : public ManagerHook {
     return (inner_ && !inner_muted_) ? inner_->next_due() : kNeverDue;
   }
 
+  /// The owned manager's answer; false while muted or manager-less.
+  bool idle_poll(TimeUs& period, TimeUs& cost) const override {
+    return inner_ && !inner_muted_ && inner_->idle_poll(period, cost);
+  }
+  void skip_idle_polls(TimeUs due) override {
+    if (inner_ && !inner_muted_) inner_->skip_idle_polls(due);
+  }
+
   // --- Scenario hooks (dynamic app sets) ---
   /// A scenario spawned `app` mid-run; the engine already has it and its
   /// target is installed. Multi-app managers register it; the default

@@ -25,10 +25,22 @@ HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
                                  const std::vector<double>& cluster_busy,
                                  const std::vector<double>& cluster_freq,
                                  const std::vector<char>& cluster_online) {
+  // cluster_watts() and tick_watts() fused into one pass, with the same
+  // expressions in the same order, so each cluster's watts go straight
+  // from the power formula into its energy.
+  const double dt_sec = tick_sec(tick_us);
   double total = 0.0;
-  cluster_watts(cluster_busy, cluster_freq, cluster_online, scratch_watts_,
-                total);
-  tick_watts(now, tick_us, scratch_watts_, total);
+  for (int c = 0; c < machine_->num_clusters(); ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    const double w = model_->cluster_power_given(
+        c, cluster_freq[i], cluster_online[i] != 0, cluster_busy[i]);
+    scratch_watts_[i] = w;
+    cluster_energy_j_[i] += w * dt_sec;
+    total += w;
+  }
+  base_energy_j_ += model_->base_watts() * dt_sec;
+  last_instant_power_ = total + model_->base_watts();
+  maybe_sample(now, scratch_watts_);
 }
 
 HARS_HOT void PowerSensor::cluster_watts(const std::vector<double>& cluster_busy,
@@ -50,7 +62,7 @@ HARS_HOT void PowerSensor::cluster_watts(const std::vector<double>& cluster_busy
 HARS_HOT void PowerSensor::tick_watts(TimeUs now, TimeUs tick_us,
                                       const std::vector<double>& watts,
                                       double total) {
-  const double dt_sec = us_to_sec(tick_us);
+  const double dt_sec = tick_sec(tick_us);
   for (std::size_t i = 0; i < cluster_energy_j_.size(); ++i) {
     cluster_energy_j_[i] += watts[i] * dt_sec;
   }

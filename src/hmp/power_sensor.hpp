@@ -42,7 +42,8 @@ class PowerSensor {
   /// any-core-online snapshot, so this produces bit-identical
   /// energy/samples without the per-tick scratch vector and per-call
   /// machine queries tick() performs.
-  /// Equals cluster_watts() then tick_watts() on the sensor's own scratch.
+  /// Equals cluster_watts() then tick_watts() on the sensor's own scratch,
+  /// in one pass.
   void tick_presummed(TimeUs now, TimeUs tick_us,
                       const std::vector<double>& cluster_busy,
                       const std::vector<double>& cluster_freq,
@@ -88,8 +89,20 @@ class PowerSensor {
   /// Takes a noisy sample of `cluster_watts` when the period elapsed.
   void maybe_sample(TimeUs now, const std::vector<double>& cluster_watts);
 
+  /// us_to_sec(tick_us). The tick length never changes in an engine's
+  /// life, so the division runs once; the cached quotient is its result.
+  double tick_sec(TimeUs tick_us) {
+    if (tick_us != dt_tick_us_) {
+      dt_tick_us_ = tick_us;
+      dt_sec_ = us_to_sec(tick_us);
+    }
+    return dt_sec_;
+  }
+
   std::vector<double> cluster_energy_j_;
   std::vector<double> scratch_watts_;  ///< Per-tick scratch (presummed path).
+  TimeUs dt_tick_us_ = -1;  ///< Tick length dt_sec_ was computed for.
+  double dt_sec_ = 0.0;     ///< us_to_sec(dt_tick_us_).
   double base_energy_j_ = 0.0;
   TimeUs next_sample_at_;
   std::vector<PowerSample> samples_;

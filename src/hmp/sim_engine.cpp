@@ -434,6 +434,7 @@ void SimEngine::size_quiet_scratch() {
   allocg::AllowScope allow("quiet-span scratch growth");
   quiet_.grants.resize(threads);
   for (std::vector<double>& load : quiet_.load) load.resize(threads);
+  for (std::vector<double>& rem : quiet_.rem) rem.resize(threads);
   quiet_.load_add.resize(threads);
   quiet_.load_lo.resize(threads);
   quiet_.load_hi.resize(threads);
@@ -442,6 +443,8 @@ void SimEngine::size_quiet_scratch() {
     v.core_capacity.resize(cores);
     v.core_share.resize(cores);
     v.lanes.resize(threads);
+    v.work.resize(threads);
+    v.floor.resize(threads);
     v.core_busy_us.resize(cores);
     v.cluster_busy.resize(clusters);
     v.cluster_watts.resize(clusters);
@@ -477,6 +480,10 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
       return false;
     }
   }
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    v.work[i] = v.lanes[i].work;
+    v.floor[i] = v.lanes[i].floor;
+  }
 
   // Busy fractions in step()'s addition order: the manager charge first,
   // then each executed thread in thread-table order.
@@ -505,14 +512,6 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
   sensor_.cluster_watts(v.cluster_busy, s.cluster_freq, s.cluster_online,
                         v.cluster_watts, v.total_watts);
   v.mgr_use = mgr_use;
-  return true;
-}
-
-HARS_HOT bool SimEngine::apps_accept_quiet_tick(const QuietVariant& v) const {
-  for (const LiveApp& live : live_) {
-    const auto base = static_cast<std::size_t>(live.thread_base);
-    if (!live.app->accepts_quiet_tick(&v.lanes[base])) return false;
-  }
   return true;
 }
 
@@ -552,6 +551,12 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   double* const lo = quiet_.load_lo.data();
   double* const hi = quiet_.load_hi.data();
   if (!scheduler_->load_bounds(threads_, lo, hi)) return;
+  // Span-local remaining work: the apps hand it over once.
+  double* rem = quiet_.rem[0].data();
+  double* rem_next = quiet_.rem[1].data();
+  for (const LiveApp& live : live_) {
+    if (!live.app->export_quiet(&rem[live.thread_base])) return;
+  }
   // One allocation-free contract for the whole span, as step() has per
   // tick; manager bookkeeping and sensor samples open their own scopes.
   AllocGuard alloc_guard("SimEngine::run_quiet_span");
@@ -559,14 +564,25 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   // Span-local loads: runnable flags are fixed for the span, so each
   // thread's EWMA term is too.
   const double decay = load_decay_;
-  double* cur = quiet_.load[0].data();
-  double* next = quiet_.load[1].data();
+  double* load = quiet_.load[0].data();
+  double* load_next = quiet_.load[1].data();
   double* const add = quiet_.load_add.data();
   for (std::size_t i = 0; i < n; ++i) {
-    cur[i] = threads_[i].load.value();
+    load[i] = threads_[i].load.value();
     add[i] = LoadTracker::add_for(threads_[i].runnable, decay);
   }
-  TimeUs manager_due = manager_ != nullptr ? manager_->next_due() : kNeverDue;
+  TimeUs manager_due = kNeverDue;
+  TimeUs poll_period = 0;
+  TimeUs poll_cost = 0;
+  bool idle_polls = false;
+  if (manager_ != nullptr) {
+    manager_due = manager_->next_due();
+    idle_polls = manager_->idle_poll(poll_period, poll_cost);
+  }
+  // Set by the span's first manager call: every heartbeat is seen then,
+  // and quiet ticks emit none, so each later due poll is idle.
+  bool polled = false;
+  bool skipped_polls = false;
   const QuietVariant* last = nullptr;
   std::int64_t ticks = 0;
   bool machine_moved = false;
@@ -574,47 +590,56 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     const TimeUs mgr_use = std::min(pending_manager_us_, tick);
     QuietVariant& v = quiet_.variants[mgr_use > 0 ? 1 : 0];
     if (v.mgr_use != mgr_use && !plan_quiet_variant(v, mgr_use)) break;
-    if (!apps_accept_quiet_tick(v)) break;
-    // Loads advance first, as in step(), into the other array; a load
-    // outside its scheduler bound ends the span before this tick, and
-    // step() runs it from the current loads.
-    bool in_bounds = true;
+    // Loads advance first, as in step(), and every thread's remaining
+    // work drops by its lane's, into the other arrays. A load outside its
+    // scheduler bound, or work at or below its lane's floor, ends the
+    // span before this tick, and step() runs it from the current values.
+    const double* const work = v.work.data();
+    const double* const floor = v.floor.data();
+    bool quiet = true;
     for (std::size_t i = 0; i < n; ++i) {
-      const double x = LoadTracker::advance(cur[i], decay, add[i]);
-      next[i] = x;
-      in_bounds &= (x >= lo[i]) & (x <= hi[i]);
+      const double x = LoadTracker::advance(load[i], decay, add[i]);
+      load_next[i] = x;
+      const double r = rem[i] - work[i];
+      rem_next[i] = r;
+      quiet &= (x >= lo[i]) & (x <= hi[i]) & (r > floor[i]);
     }
-    if (!in_bounds) break;
-    std::swap(cur, next);
+    if (!quiet) break;
+    std::swap(load, load_next);
+    std::swap(rem, rem_next);
 
-    // Commit: execute and end_tick, then the manager, integration and
-    // the sensor, in step()'s order. Cpu time is integral, so it is
-    // billed per variant when the thread table is next read.
+    // Commit: the manager, integration and the sensor, in step()'s order.
+    // Cpu time is integral, so it is billed per variant when the thread
+    // table is next read.
     pending_manager_us_ -= mgr_use;
     now_ += tick;
-    for (const LiveApp& live : live_) {
-      live.app->commit_quiet_tick(
-          &v.lanes[static_cast<std::size_t>(live.thread_base)]);
-    }
     ++v.unbilled_ticks;
     if (now_ >= manager_due) {
-      // The manager may read the thread table.
-      write_back_quiet_state(cur);
-      const std::uint64_t affinity_epoch = affinity_epoch_;
-      const TimeUs cost = manager_->on_tick(now_);
-      manager_due = manager_->next_due();
-      if (cost > 0) {
-        pending_manager_us_ += cost;
-        manager_overhead_total_us_ += cost;
-      }
-      // A retune, hotplug or affinity change ends the span after this
-      // tick; the sensor integrates against the new machine state, as in
-      // step().
-      if (affinity_epoch_ != affinity_epoch ||
-          s.dvfs_epoch != machine_.dvfs_epoch() ||
-          s.online_bits != machine_.online_mask().bits()) {
-        refresh_machine_snapshot();
-        machine_moved = true;
+      if (polled && idle_polls) {
+        pending_manager_us_ += poll_cost;
+        manager_overhead_total_us_ += poll_cost;
+        manager_due = now_ + poll_period;
+        skipped_polls = true;
+      } else {
+        // The manager may read the thread table and the apps.
+        write_back_quiet_state(load, rem);
+        const std::uint64_t affinity_epoch = affinity_epoch_;
+        const TimeUs cost = manager_->on_tick(now_);
+        manager_due = manager_->next_due();
+        polled = true;
+        if (cost > 0) {
+          pending_manager_us_ += cost;
+          manager_overhead_total_us_ += cost;
+        }
+        // A retune, hotplug or affinity change ends the span after this
+        // tick; the sensor integrates against the new machine state, as
+        // in step().
+        if (affinity_epoch_ != affinity_epoch ||
+            s.dvfs_epoch != machine_.dvfs_epoch() ||
+            s.online_bits != machine_.online_mask().bits()) {
+          refresh_machine_snapshot();
+          machine_moved = true;
+        }
       }
     }
     for (std::size_t c = 0; c < core_busy_us_.size(); ++c) {
@@ -631,7 +656,8 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     ++ticks;
   }
   if (ticks == 0) return;
-  write_back_quiet_state(cur);
+  if (skipped_polls) manager_->skip_idle_polls(manager_due);
+  write_back_quiet_state(load, rem);
 
   // Leave the tick scratch as the span's last tick would have: audits
   // and the next step() read it.
@@ -664,10 +690,14 @@ HARS_HOT void SimEngine::bill_quiet_cpu_time(QuietVariant& v) {
   v.unbilled_ticks = 0;
 }
 
-HARS_HOT void SimEngine::write_back_quiet_state(const double* load) {
+HARS_HOT void SimEngine::write_back_quiet_state(const double* load,
+                                                 const double* rem) {
   for (QuietVariant& v : quiet_.variants) bill_quiet_cpu_time(v);
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     threads_[i].load.prime(load[i]);
+  }
+  for (const LiveApp& live : live_) {
+    live.app->import_quiet(&rem[live.thread_base]);
   }
 }
 

@@ -88,6 +88,8 @@ struct QuietVariant {
   std::vector<TimeUs> core_capacity;   ///< As TickScratch::core_capacity.
   std::vector<TimeUs> core_share;      ///< As TickScratch::core_share.
   std::vector<QuietLane> lanes;        ///< Per thread-table entry.
+  std::vector<double> work;            ///< lanes[i].work, flat.
+  std::vector<double> floor;           ///< lanes[i].floor, flat.
   std::vector<double> core_busy_us;    ///< Clamped busy fraction * tick.
   std::vector<double> cluster_busy;    ///< Per-cluster clamped busy sums.
   std::vector<double> cluster_watts;   ///< PowerSensor::cluster_watts.
@@ -98,12 +100,13 @@ struct QuietVariant {
 };
 
 /// Scratch of the quiet-span loop, sized at span entry. The span keeps
-/// each thread's load in `load[0]` or `load[1]` (current and advanced, by
-/// turns) and writes it back to the thread table before every manager call
-/// and at span end.
+/// each thread's load and remaining work in `load[k]` and `rem[k]`
+/// (current and advanced, by turns) and writes them back to the thread
+/// table and the apps before a manager call and at span end.
 struct QuietScratch {
   std::vector<QuietGrant> grants;      ///< Per thread, for plan_quiet.
   std::vector<double> load[2];         ///< Span-local loads.
+  std::vector<double> rem[2];          ///< Span-local remaining work.
   std::vector<double> load_add;        ///< LoadTracker::add_for per thread.
   std::vector<double> load_lo;         ///< Scheduler::load_bounds.
   std::vector<double> load_hi;
@@ -276,13 +279,12 @@ class SimEngine {
   /// Plans `variant` for a manager charge of `mgr_use`; false when an app
   /// does not take quiet ticks.
   bool plan_quiet_variant(QuietVariant& variant, TimeUs mgr_use);
-  /// True when every app accepts one quiet tick with `variant`'s lanes.
-  bool apps_accept_quiet_tick(const QuietVariant& variant) const;
   /// Adds the cpu time of `variant`'s unbilled ticks to the thread table.
   void bill_quiet_cpu_time(QuietVariant& variant);
-  /// Writes the span-local loads and every unbilled cpu time back to the
-  /// thread table, which then reads as step() would have left it.
-  void write_back_quiet_state(const double* load);
+  /// Writes the span-local loads, every unbilled cpu time and the apps'
+  /// remaining work back, so the thread table and the apps then read as
+  /// step() would have left them.
+  void write_back_quiet_state(const double* load, const double* rem);
   /// Equal per-core shares of `capacity` among the runnable threads
   /// placed on each core (step()'s expressions; the span planner's too).
   void compute_core_shares(const std::vector<TimeUs>& capacity,

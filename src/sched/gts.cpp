@@ -29,6 +29,45 @@ void GtsScheduler::prime_topology(const Machine& machine) {
   sig_valid_ = false;
 }
 
+HARS_HOT CpuMask GtsScheduler::preferred(std::uint8_t tier, CpuMask allowed,
+                                         CoreId core) const {
+  if (tier == 0) {
+    const CpuMask big_allowed = allowed & big_cache_;
+    return big_allowed.any() ? big_allowed : allowed;
+  }
+  if (tier == 1) {
+    const CpuMask little_allowed = allowed & little_cache_;
+    return little_allowed.any() ? little_allowed : allowed;
+  }
+  if (core >= 0 && ((allowed.bits() >> core) & 1ULL) != 0) {
+    // Between thresholds: stay in the current cluster if possible.
+    const CpuMask same_cluster =
+        allowed & core_cluster_mask_[static_cast<std::size_t>(core)];
+    if (same_cluster.any()) return same_cluster;
+  }
+  return allowed;
+}
+
+HARS_HOT std::uint8_t GtsScheduler::equal_preference_tiers(
+    std::uint8_t tier, CpuMask own_cores, CpuMask allowed, CoreId core) const {
+  // On the load line the tiers run 1 (low), 2, 0 (high); the set grows
+  // from the recorded tier through neighbours with the same cores.
+  const std::uint64_t own = own_cores.bits();
+  const auto same = [&](std::uint8_t other) {
+    return preferred(other, allowed, core).bits() == own;
+  };
+  std::uint8_t tiers = static_cast<std::uint8_t>(1u << tier);
+  if (tier == 2) {
+    if (same(1)) tiers |= 1u << 1;
+    if (same(0)) tiers |= 1u << 0;
+  } else if (same(2)) {
+    tiers |= 1u << 2;
+    const std::uint8_t far = tier == 0 ? 1 : 0;
+    if (same(far)) tiers |= static_cast<std::uint8_t>(1u << far);
+  }
+  return tiers;
+}
+
 // Stable-placement skip: the current placement is a fixed point and no
 // decision input changed, so a full run would reproduce it exactly.
 HARS_HOT bool GtsScheduler::placement_fixed_point(
@@ -48,7 +87,8 @@ HARS_HOT bool GtsScheduler::placement_fixed_point(
     // the same table size with every index reshuffled).
     if (t.id != sig.id || t.runnable != sig.runnable ||
         t.affinity.bits() != sig.affinity ||
-        tier_of(t.load.value()) != sig.tier || (t.runnable && t.core < 0)) {
+        ((sig.tiers >> tier_of(t.load.value())) & 1u) == 0 ||
+        (t.runnable && t.core < 0)) {
       return false;
     }
   }
@@ -59,24 +99,19 @@ bool GtsScheduler::load_bounds(const std::vector<SimThread>& threads,
                                double* lo, double* hi) const {
   if (!sig_valid_ || threads.size() != prev_sig_.size()) return false;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // tier_of tests `up` first, so tier 1 also needs load < up.
-  const double below_up = std::nextafter(config_.up_threshold, -kInf);
-  const double above_down = std::nextafter(config_.down_threshold, kInf);
+  const double up = config_.up_threshold;
+  const double down = config_.down_threshold;
+  // tier_of tests `up` first, so tiers 1 and 2 also need load < up; tier
+  // 2 is empty unless down < up.
+  const double below_up = std::nextafter(up, -kInf);
+  const double above_down = std::nextafter(down, kInf);
   for (std::size_t i = 0; i < threads.size(); ++i) {
-    switch (prev_sig_[i].tier) {
-      case 0:
-        lo[i] = config_.up_threshold;
-        hi[i] = kInf;
-        break;
-      case 1:
-        lo[i] = -kInf;
-        hi[i] = std::min(config_.down_threshold, below_up);
-        break;
-      default:
-        lo[i] = above_down;
-        hi[i] = below_up;
-        break;
-    }
+    const std::uint8_t tiers = prev_sig_[i].tiers;
+    const bool low = (tiers & (1u << 1)) != 0;
+    const bool mid = (tiers & (1u << 2)) != 0;
+    const bool high = (tiers & (1u << 0)) != 0;
+    lo[i] = low ? -kInf : mid ? std::min(above_down, up) : up;
+    hi[i] = high ? kInf : mid ? below_up : std::min(down, below_up);
   }
   return true;
 }
@@ -92,8 +127,6 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
   if (cached_machine_ != &machine) prime_topology(machine);
   obs::counter_add(obs::catalog().gts_assign_calls);
   const CpuMask online = machine.online_mask();
-  const CpuMask little = little_cache_;
-  const CpuMask big = big_cache_;
 
   if (placement_fixed_point(machine, threads)) {
     // core_load_ from the last full run still holds.
@@ -143,10 +176,10 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
     sig.affinity = t.affinity.bits();
     sig.id = t.id;
     sig.runnable = t.runnable;
-    sig.tier = tier_of(t.load.value());
     if (!t.runnable) {
       // Sleeping threads keep their last core for stickiness but occupy
-      // no capacity.
+      // no capacity; their load decides nothing.
+      sig.tiers = kAllTiers;
       continue;
     }
 
@@ -154,21 +187,10 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
     if (allowed.empty()) allowed = online;  // Linux falls back to all online.
 
     // GTS tier selection by load thresholds, constrained by affinity.
-    CpuMask preferred = allowed;
-    if (sig.tier == 0) {
-      const CpuMask big_allowed = allowed & big;
-      if (big_allowed.any()) preferred = big_allowed;
-    } else if (sig.tier == 1) {
-      const CpuMask little_allowed = allowed & little;
-      if (little_allowed.any()) preferred = little_allowed;
-    } else if (t.core >= 0 && ((allowed.bits() >> t.core) & 1ULL) != 0) {
-      // Between thresholds: stay in the current cluster if possible.
-      const CpuMask same_cluster =
-          allowed & core_cluster_mask_[static_cast<std::size_t>(t.core)];
-      if (same_cluster.any()) preferred = same_cluster;
-    }
-
-    const CoreId target = pick_least_loaded(preferred, t.core);
+    const std::uint8_t tier = tier_of(t.load.value());
+    const CpuMask cores = preferred(tier, allowed, t.core);
+    sig.tiers = equal_preference_tiers(tier, cores, allowed, t.core);
+    const CoreId target = pick_least_loaded(cores, t.core);
     if (target < 0) continue;  // No online core at all; cannot happen with cpu0 pinned online.
     if (t.core != target) {
       if (t.core >= 0) {

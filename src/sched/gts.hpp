@@ -47,9 +47,10 @@ class GtsScheduler final : public Scheduler {
   bool placement_fixed_point(const Machine& machine,
                              const std::vector<SimThread>& threads) const override;
 
-  /// Each thread's interval of loads that keeps the tier the last full
-  /// run recorded: [up, +inf], [-inf, down] or the open band between,
-  /// as closed intervals of doubles.
+  /// Each thread's interval of loads that keeps the preferred cores the
+  /// last full run chose for it, as a closed interval of doubles: the
+  /// union of the recorded tier and the adjacent tiers whose preferred
+  /// cores are the same. A sleeping thread is unbounded.
   bool load_bounds(const std::vector<SimThread>& threads, double* lo,
                    double* hi) const override;
 
@@ -70,6 +71,14 @@ class GtsScheduler final : public Scheduler {
  private:
   /// Rebuilds the immutable-topology caches when first seeing `machine`.
   void prime_topology(const Machine& machine);
+  /// GTS's tier selection: the cores a runnable thread of load tier
+  /// `tier`, online affinity set `allowed` and current core `core`
+  /// prefers; assign() balances it over these.
+  CpuMask preferred(std::uint8_t tier, CpuMask allowed, CoreId core) const;
+  /// The ThreadSig::tiers of a runnable thread recorded in `tier`, whose
+  /// preferred cores there are `own_cores`.
+  std::uint8_t equal_preference_tiers(std::uint8_t tier, CpuMask own_cores,
+                                      CpuMask allowed, CoreId core) const;
 
   GtsConfig config_;
   std::vector<int> core_load_;  ///< Per-call scratch, pre-sized once.
@@ -77,16 +86,21 @@ class GtsScheduler final : public Scheduler {
   // Stable-placement skip (idle_pull off): when the last
   // full run migrated nothing (the placement was already a fixed point of
   // the deterministic policy) and every per-thread decision input —
-  // runnable, load tier, affinity — plus the online mask is unchanged,
-  // re-running the policy provably reproduces the current placement, so
-  // assign() returns early with core_load_ still valid.
+  // runnable, preferred cores, affinity — plus the online mask is
+  // unchanged, re-running the policy provably reproduces the current
+  // placement, so assign() returns early with core_load_ still valid.
+  // A load keeps the preferred cores while its tier is one of `tiers`.
   struct ThreadSig {
     std::uint64_t affinity = 0;
     ThreadId id = -1;  ///< Thread identity: a kill+spawn that restores the
                        ///< same table size must not match stale entries.
-    std::uint8_t tier = 0;  ///< 0 = up, 1 = down, 2 = between thresholds.
+    /// Bit k set: tier k gives the recorded preferred cores, and the set
+    /// is one interval of loads (tiers 1, 2, 0 from low to high). All
+    /// three for a sleeping thread, which assign() does not place.
+    std::uint8_t tiers = 0;
     bool runnable = false;
   };
+  static constexpr std::uint8_t kAllTiers = 0b111;
   std::vector<ThreadSig> prev_sig_;
   std::uint64_t prev_online_bits_ = 0;
   bool sig_valid_ = false;

@@ -13,16 +13,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/data_parallel_app.hpp"
+#include "apps/parsec.hpp"
 #include "apps/pipeline_app.hpp"
+#include "backend/sim_backend.hpp"
 #include "exp/experiment.hpp"
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
@@ -166,6 +171,7 @@ struct EngineCase {
   std::string platform = "exynos5422";
   std::vector<DataParallelConfig> apps;
   std::vector<PipelineConfig> pipelines;  ///< Added after `apps`.
+  std::vector<ParsecBenchmark> parsec;    ///< Added after `pipelines`.
   ScriptedManager::Script script;
   std::vector<TimeUs> slices;  ///< run_for lengths, in order.
   /// Runs after slice `i` (i = 0, 1, ...): may remove_app, or add_app an
@@ -201,6 +207,9 @@ EngineRun run_engine(const EngineCase& c, bool reference) {
   for (const PipelineConfig& cfg : c.pipelines) {
     apps.push_back(std::make_unique<PipelineApp>(
         "pipe" + std::to_string(apps.size()), cfg));
+  }
+  for (ParsecBenchmark bench : c.parsec) {
+    apps.push_back(make_parsec_app(bench, 8, apps.size() + 1));
   }
   for (const auto& app : apps) engine.add_app(app.get());
   ScriptedManager manager(engine, c.script);
@@ -377,6 +386,63 @@ TEST(QuietSpan, PipelineBesideDataParallelApp) {
   expect_identical(c);
 }
 
+TEST(QuietSpan, BlackscholesSpansCrossTheSerialWarmup) {
+  // blackscholes parses its input on thread 0 alone for several seconds:
+  // spans run through that phase on the warm-up's remaining work, and the
+  // span that reaches its end stops before the tick that finishes it.
+  EngineCase c;
+  c.parsec = {ParsecBenchmark::kBlackscholes};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    return now % (5 * engine.tick_us()) == 0 ? 60 : 0;
+  };
+  c.slices = {2 * kUsPerSec, 10 * kUsPerSec};
+  // Per run (reference first): quiet ticks and warm-up state after slice 0.
+  std::vector<std::int64_t> quiet_after_first;
+  std::vector<bool> warming_after_first;
+  c.between_slices = [&](SimEngine& engine, AppPool& pool, std::size_t i) {
+    const auto& app = static_cast<const DataParallelApp&>(*pool.front());
+    if (i == 0) {
+      quiet_after_first.push_back(engine.quiet_ticks());
+      warming_after_first.push_back(app.in_warmup());
+    } else {
+      EXPECT_FALSE(app.in_warmup());
+    }
+  };
+  expect_identical(c);
+  ASSERT_EQ(quiet_after_first.size(), 2u);
+  EXPECT_TRUE(warming_after_first[1]);
+  EXPECT_GT(quiet_after_first[1], 0) << "no span inside the warm-up";
+}
+
+// A quiet tick subtracts a lane's work from the thread's remaining work
+// and compares the difference with the lane's floor; a data-parallel
+// lane's floor 0 stands for execute()'s `rem > can_do`. The two agree on
+// every pair of doubles because subtraction underflows gradually: the
+// difference of two distinct doubles is never zero.
+TEST(QuietSpan, WorkFloorOfZeroIsTheExactComparison) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double normal = std::numeric_limits<double>::min();
+  std::vector<double> values = {0.0,          tiny,        2 * tiny,
+                                3 * tiny,     normal,      1e-300,
+                                1e-12,        0.5,         1.0,
+                                3.0,          1e300};
+  const std::size_t base = values.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    values.push_back(std::nextafter(values[i], kInf));
+    if (values[i] > 0.0) values.push_back(std::nextafter(values[i], 0.0));
+  }
+  int pairs = 0;
+  for (double rem : values) {
+    for (double work : values) {
+      EXPECT_EQ(rem > work, rem - work > 0.0)
+          << std::hexfloat << rem << " - " << work;
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 400);
+}
+
 // --- Apps joining and leaving ------------------------------------------
 
 /// Every thread-table entry is what the per-thread accessors of its own
@@ -493,26 +559,11 @@ struct ProbeLog {
 
 ProbeLog* g_probe_log = nullptr;
 
-class ProbeInstance final : public VariantInstance {
+/// Forwards the scenario hooks and the post-run queries to `real`.
+class ForwardingInstance : public VariantInstance {
  public:
-  ProbeInstance(std::unique_ptr<VariantInstance> real, SimEngine* engine)
-      : real_(std::move(real)), engine_(engine) {
-    inner_ = std::make_unique<Idle>();  // Makes active() true.
-  }
+  explicit ForwardingInstance(VariantInstance* real) : real_(real) {}
 
-  ~ProbeInstance() override {
-    if (g_probe_log != nullptr && engine_ != nullptr) {
-      g_probe_log->quiet_ticks = engine_->quiet_ticks();
-    }
-  }
-
-  TimeUs on_tick(TimeUs now) override {
-    if (g_probe_log != nullptr && engine_ != nullptr) {
-      ++g_probe_log->calls;
-      g_probe_log->trail.add(state_hash(*engine_));
-    }
-    return real_->active() ? real_->on_tick(now) : 0;
-  }
   void on_app_spawn(AppId app, const PerfTarget& target) override {
     real_->on_app_spawn(app, target);
   }
@@ -531,11 +582,38 @@ class ProbeInstance final : public VariantInstance {
   }
   std::int64_t adaptations() const override { return real_->adaptations(); }
 
+ protected:
+  VariantInstance* real_;
+};
+
+class ProbeInstance final : public ForwardingInstance {
+ public:
+  ProbeInstance(std::unique_ptr<VariantInstance> real, SimEngine* engine)
+      : ForwardingInstance(real.get()),
+        owned_(std::move(real)),
+        engine_(engine) {
+    inner_ = std::make_unique<Idle>();  // Makes active() true.
+  }
+
+  ~ProbeInstance() override {
+    if (g_probe_log != nullptr && engine_ != nullptr) {
+      g_probe_log->quiet_ticks = engine_->quiet_ticks();
+    }
+  }
+
+  TimeUs on_tick(TimeUs now) override {
+    if (g_probe_log != nullptr && engine_ != nullptr) {
+      ++g_probe_log->calls;
+      g_probe_log->trail.add(state_hash(*engine_));
+    }
+    return real_->active() ? real_->on_tick(now) : 0;
+  }
+
  private:
   struct Idle final : ManagerHook {
     TimeUs on_tick(TimeUs) override { return 0; }
   };
-  std::unique_ptr<VariantInstance> real_;
+  std::unique_ptr<VariantInstance> owned_;
   SimEngine* engine_;
 };
 
@@ -751,6 +829,158 @@ TEST(QuietSpan, GeneratedChurnScenarioWithCaptureMatchesReference) {
       /*sample_ticks=*/2000);
 }
 
+// --- Idle manager polls ------------------------------------------------
+
+/// What a CountingInstance saw over a run.
+struct PollLog {
+  std::int64_t calls = 0;  ///< on_tick calls that reached the variant.
+  /// Engine state at every due poll that finds a new heartbeat: the polls
+  /// that act, which must reach the manager at the same ticks on both
+  /// paths.
+  Fnv beat_trail;
+  std::int64_t beat_polls = 0;
+};
+
+PollLog* g_poll_log = nullptr;
+
+/// Forwards everything to a registered variant, idle polls included, and
+/// logs the on_tick calls that reach it: on the default path a quiet span
+/// charges the idle polls after its first call without one.
+class CountingInstance final : public ForwardingInstance {
+ public:
+  CountingInstance(std::unique_ptr<VariantInstance> real,
+                   const VariantSetup& setup)
+      : ForwardingInstance(real.get()),
+        backend_(setup.backend),
+        app_ids_(setup.app_ids) {
+    inner_ = std::move(real);
+  }
+
+  TimeUs on_tick(TimeUs now) override {
+    if (g_poll_log != nullptr && now >= next_due()) {
+      std::int64_t beats = 0;
+      for (AppId app : app_ids_) beats += backend_.heartbeats(app).count();
+      if (beats != beats_at_last_poll_) {
+        ++g_poll_log->beat_polls;
+        g_poll_log->beat_trail.add(now);
+        g_poll_log->beat_trail.add(state_hash(*backend_.sim_engine()));
+      }
+      beats_at_last_poll_ = beats;
+    }
+    if (g_poll_log != nullptr) ++g_poll_log->calls;
+    return VariantInstance::on_tick(now);
+  }
+
+ private:
+  Backend& backend_;
+  std::vector<AppId> app_ids_;
+  std::int64_t beats_at_last_poll_ = 0;
+};
+
+std::string counting_name(const std::string& variant) {
+  return "count:" + variant;
+}
+
+void register_counting(const std::string& variant) {
+  VariantRegistry& registry = VariantRegistry::instance();
+  if (registry.find(counting_name(variant)) != nullptr) return;
+  const VariantEntry* entry = registry.find(variant);
+  ASSERT_NE(entry, nullptr) << variant;
+  const VariantFactory real = entry->factory;
+  registry.register_variant(
+      counting_name(variant), entry->traits,
+      [real](const VariantSetup& setup) -> std::unique_ptr<VariantInstance> {
+        return std::make_unique<CountingInstance>(real(setup), setup);
+      });
+}
+
+struct TickRun {
+  std::string fingerprint;
+  std::string state;  ///< engine_state() at the end of the run.
+  PollLog log;
+  std::int64_t quiet_ticks = 0;
+};
+
+/// Runs `variant` on `apps` on an engine whose tick is `tick_us`, on the
+/// reference tick or the default path.
+TickRun run_with_tick(const std::string& variant,
+                      const std::vector<ParsecBenchmark>& apps,
+                      double seconds, TimeUs tick_us, bool reference) {
+  register_counting(variant);
+  const std::string platform = "exynos5422";
+  const Experiment experiment = ExperimentBuilder()
+                                    .platform(std::string_view(platform))
+                                    .apps(apps)
+                                    .duration_sec(seconds)
+                                    .seed(17)
+                                    .variant(counting_name(variant))
+                                    .build();
+  SimConfig config;
+  config.tick_us = tick_us;
+  std::unique_ptr<Scheduler> scheduler;
+  if (reference) {
+    scheduler = std::make_unique<ReferenceGtsScheduler>();
+  } else {
+    scheduler = std::make_unique<GtsScheduler>();
+  }
+  SimEngine engine(*PlatformRegistry::instance().find(platform),
+                   std::move(scheduler), config);
+  TickRun run;
+  g_poll_log = &run.log;
+  ExperimentResult result;
+  if (reference) {
+    ReferenceSimBackend backend(engine);
+    result = experiment.run_on(backend);
+  } else {
+    SimBackend backend(engine);
+    result = experiment.run_on(backend);
+  }
+  g_poll_log = nullptr;
+  run.fingerprint = result_fingerprint(result);
+  run.state = engine_state(engine);
+  run.quiet_ticks = engine.quiet_ticks();
+  return run;
+}
+
+// A 0.7 ms tick does not divide the 5 ms poll period, so the polls a span
+// charges itself fall between ticks of the grid: each is due on the first
+// tick at or after it (5.6 ms apart), as the real call would be. A poll
+// lands inside a span that starts soon after a heartbeat, which only the
+// span's first, real call may see. blackscholes' serial warm-up emits no
+// heartbeat, so its polls are idle from the start.
+class QuietSpanIdlePolls : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(QuietSpanIdlePolls, OffGridTickMatchesReference) {
+  const std::string variant = GetParam();
+  const bool multi = variant != "HARS-E";
+  const std::vector<ParsecBenchmark> apps =
+      multi ? std::vector<ParsecBenchmark>{ParsecBenchmark::kBodytrack,
+                                           ParsecBenchmark::kBlackscholes}
+            : std::vector<ParsecBenchmark>{ParsecBenchmark::kBlackscholes};
+  constexpr TimeUs kTick = 700;
+  const TickRun ref = run_with_tick(variant, apps, 40, kTick, true);
+  const TickRun fast = run_with_tick(variant, apps, 40, kTick, false);
+  EXPECT_EQ(ref.quiet_ticks, 0);
+  EXPECT_GT(fast.quiet_ticks, 0) << "the default path took no span";
+  EXPECT_EQ(first_difference(ref.fingerprint, fast.fingerprint), "");
+  EXPECT_EQ(first_difference(ref.state, fast.state), "");
+  // Every poll that finds a new heartbeat reaches the manager at the same
+  // tick and engine state.
+  EXPECT_GT(ref.log.beat_polls, 0);
+  EXPECT_EQ(ref.log.beat_polls, fast.log.beat_polls);
+  EXPECT_EQ(ref.log.beat_trail.value(), fast.log.beat_trail.value());
+  // Every reference tick calls the manager, and a poll is due on every
+  // eighth one. The default path calls only on due ticks, and not on
+  // those whose idle poll a span charged itself.
+  EXPECT_LT(fast.log.calls, ref.log.calls / 8 - 100)
+      << "no idle poll was charged inline";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, QuietSpanIdlePolls,
+    ::testing::Values("HARS-E", "MP-HARS-E", "CONS-I"),
+    [](const auto& info) { return test_name(info.param); });
+
 // Span shares, pinned as floors at the counts the runs take today: a
 // change that silently turns spans off (for pipeline apps, or under a
 // scenario hook) fails here. Counts, not timings, so noise cannot fail it.
@@ -759,7 +989,7 @@ TEST(QuietSpanShares, FerretHarsE120s) {
     b.app(ParsecBenchmark::kFerret).duration_sec(120);
   });
   ASSERT_EQ(run.log.calls, 121200);  // 1.2 s warm-up, then 120 s.
-  EXPECT_GE(run.log.quiet_ticks, 114774);
+  EXPECT_GE(run.log.quiet_ticks, 117008);
 }
 
 TEST(QuietSpanShares, GeneratedChurnMpHarsE60sOnSd855) {
@@ -770,7 +1000,7 @@ TEST(QuietSpanShares, GeneratedChurnMpHarsE60sOnSd855) {
             .duration_sec(60);
       });
   ASSERT_EQ(run.log.calls, 60000);
-  EXPECT_GE(run.log.quiet_ticks, 57450);
+  EXPECT_GE(run.log.quiet_ticks, 58527);
 }
 
 }  // namespace

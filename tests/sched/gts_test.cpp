@@ -6,6 +6,9 @@
 #include <limits>
 #include <vector>
 
+#include "hmp/platform_registry.hpp"
+#include "hmp/platform_spec.hpp"
+
 namespace hars {
 namespace {
 
@@ -143,27 +146,63 @@ TEST(GtsScheduler, ConfigThresholdsExposed) {
   EXPECT_DOUBLE_EQ(gts.config().down_threshold, 0.2);
 }
 
+// The cores GTS prefers for a runnable thread with load `load`, current
+// core `core` and affinity `affinity`, read off full assign() runs: for
+// each core k, every other core gets one pinned runnable filler placed
+// ahead of the thread, so the thread lands on k exactly when k is among
+// the cores it prefers (the only idle core wins any balance over a mask
+// holding it; a one-core mask wins regardless).
+CpuMask preferred_by_assign(const Machine& machine, double load, CoreId core,
+                            CpuMask affinity) {
+  CpuMask preferred;
+  for (CoreId k = 0; k < machine.num_cores(); ++k) {
+    std::vector<SimThread> threads;
+    for (CoreId j = 0; j < machine.num_cores(); ++j) {
+      if (j == k) continue;
+      SimThread filler;
+      filler.id = static_cast<ThreadId>(threads.size());
+      filler.affinity = CpuMask::single(j);
+      filler.core = j;
+      filler.runnable = true;
+      threads.push_back(filler);
+    }
+    SimThread t;
+    t.id = static_cast<ThreadId>(threads.size());
+    t.affinity = affinity;
+    t.core = core;
+    t.runnable = true;
+    t.load.prime(load);
+    threads.push_back(t);
+    GtsScheduler gts;
+    gts.assign(machine, threads);
+    if (threads.back().core == k) preferred = preferred | CpuMask::single(k);
+  }
+  return preferred;
+}
+
+/// Where a full assign() run puts a lone thread.
+CoreId placement_by_assign(const Machine& machine, double load, CoreId core,
+                           CpuMask affinity) {
+  std::vector<SimThread> threads(1);
+  threads[0].affinity = affinity;
+  threads[0].core = core;
+  threads[0].runnable = true;
+  threads[0].load.prime(load);
+  GtsScheduler gts;
+  gts.assign(machine, threads);
+  return threads[0].core;
+}
+
 // A quiet span checks each tick's advanced loads against load_bounds()
-// instead of re-deriving tiers, so each interval must hold exactly the
-// loads tier_of() puts in the recorded tier.
-TEST(GtsScheduler, LoadBoundsHoldExactlyTheRecordedTier) {
-  const Machine machine = Machine::exynos5422();
-  GtsConfig cfg;
-  GtsScheduler gts(cfg);
+// instead of re-deriving the placement, so each interval must hold
+// exactly the loads at which a full run prefers the cores it recorded —
+// the recorded tier widened by its neighbours with the same preferred
+// cores — and those loads keep the placement.
+TEST(GtsScheduler, LoadBoundsKeepThePlacement) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const GtsConfig cfg;
   const double up = cfg.up_threshold;
   const double down = cfg.down_threshold;
-  // One thread per tier: up, down, between.
-  auto threads = make_threads(machine, 3);
-  threads[0].load.prime(0.95);
-  threads[1].load.prime(0.1);
-  threads[2].load.prime(0.5);
-  gts.assign(machine, threads);
-
-  std::vector<double> lo(threads.size());
-  std::vector<double> hi(threads.size());
-  ASSERT_TRUE(gts.load_bounds(threads, lo.data(), hi.data()));
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const double probes[] = {up,
                            std::nextafter(up, -kInf),
                            std::nextafter(up, kInf),
@@ -172,14 +211,96 @@ TEST(GtsScheduler, LoadBoundsHoldExactlyTheRecordedTier) {
                            std::nextafter(down, kInf),
                            0.0,
                            1.0};
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    const std::uint8_t tier = gts.tier_of(threads[i].load.value());
-    EXPECT_EQ(tier, static_cast<std::uint8_t>(i));
-    for (double x : probes) {
-      EXPECT_EQ(lo[i] <= x && x <= hi[i], gts.tier_of(x) == tier)
-          << "thread " << i << " load " << x;
+  // One load per tier: up, down, between.
+  const double tier_loads[] = {0.95, 0.1, 0.5};
+  int exact_tier_cases = 0;
+  int widened_cases = 0;
+  for (const char* platform : {"exynos5422", "sd855"}) {
+    const Machine machine =
+        PlatformRegistry::instance().find(platform)->make_machine();
+    // A little core and the first core of every faster cluster.
+    std::vector<CoreId> cores;
+    for (ClusterId cl = 0; cl < machine.num_clusters(); ++cl) {
+      cores.push_back(machine.cluster_mask(cl).first());
+    }
+    for (CoreId core : cores) {
+      for (CpuMask affinity : {machine.all_mask(), CpuMask::single(core)}) {
+        CpuMask tier_cores[3];
+        for (int tier = 0; tier < 3; ++tier) {
+          tier_cores[tier] =
+              preferred_by_assign(machine, tier_loads[tier], core, affinity);
+        }
+        const bool all_differ = tier_cores[0].bits() != tier_cores[1].bits() &&
+                                tier_cores[1].bits() != tier_cores[2].bits() &&
+                                tier_cores[0].bits() != tier_cores[2].bits();
+        for (int tier = 0; tier < 3; ++tier) {
+          const double recorded = tier_loads[tier];
+          std::vector<SimThread> threads(1);
+          threads[0].affinity = affinity;
+          threads[0].core = core;
+          threads[0].runnable = true;
+          threads[0].load.prime(recorded);
+          GtsScheduler gts(cfg);
+          gts.assign(machine, threads);
+          double lo = 0.0;
+          double hi = 0.0;
+          ASSERT_TRUE(gts.load_bounds(threads, &lo, &hi));
+          const CoreId placed =
+              placement_by_assign(machine, recorded, core, affinity);
+          for (double x : probes) {
+            const bool inside = lo <= x && x <= hi;
+            const bool same_cores =
+                preferred_by_assign(machine, x, core, affinity).bits() ==
+                tier_cores[tier].bits();
+            EXPECT_EQ(inside, same_cores)
+                << platform << " core " << core << " affinity "
+                << affinity.bits() << " tier " << tier << " load " << x;
+            if (inside) {
+              EXPECT_EQ(placement_by_assign(machine, x, core, affinity), placed)
+                  << platform << " core " << core << " load " << x;
+            }
+            if (all_differ) {
+              EXPECT_EQ(inside, gts.tier_of(x) == tier)
+                  << platform << " core " << core << " load " << x;
+            }
+            widened_cases += inside && gts.tier_of(x) != tier;
+          }
+          exact_tier_cases += all_differ;
+        }
+      }
     }
   }
+  // Both kinds occur: sd855's unpinned mid cluster prefers different cores
+  // in each tier, and a one-core affinity makes the whole line one interval.
+  EXPECT_GT(exact_tier_cases, 0);
+  EXPECT_GT(widened_cases, 0);
+}
+
+// assign() places no sleeping thread, so its load bounds nothing.
+TEST(GtsScheduler, SleepingThreadsHaveNoLoadBounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Machine machine = Machine::exynos5422();
+  GtsScheduler gts;
+  auto threads = make_threads(machine, 3);
+  threads[0].load.prime(0.95);
+  threads[1].load.prime(0.1);
+  threads[1].runnable = false;
+  threads[2].load.prime(0.5);
+  threads[2].runnable = false;
+  gts.assign(machine, threads);
+  gts.assign(machine, threads);  // A fixed point now.
+  std::vector<double> lo(threads.size());
+  std::vector<double> hi(threads.size());
+  ASSERT_TRUE(gts.load_bounds(threads, lo.data(), hi.data()));
+  for (std::size_t i = 1; i < threads.size(); ++i) {
+    EXPECT_EQ(lo[i], -kInf) << "thread " << i;
+    EXPECT_EQ(hi[i], kInf) << "thread " << i;
+  }
+  // A sleeper's load may cross every threshold without ending the fixed
+  // point.
+  threads[1].load.prime(1.0);
+  threads[2].load.prime(0.0);
+  EXPECT_TRUE(gts.placement_fixed_point(machine, threads));
 }
 
 TEST(Scheduler, DefaultHasNoLoadBounds) {
