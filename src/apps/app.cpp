@@ -4,12 +4,8 @@
 
 namespace hars {
 
-App::App(std::string name, int thread_count, SpeedModel speed,
-         std::size_t heartbeat_window)
-    : name_(std::move(name)),
-      thread_count_(thread_count),
-      speed_(speed),
-      heartbeats_(heartbeat_window) {
+App::App(std::string name, int thread_count, SpeedModel speed)
+    : name_(std::move(name)), thread_count_(thread_count), speed_(speed) {
   if (thread_count <= 0) {
     throw std::invalid_argument("App requires at least one thread");
   }

@@ -63,8 +63,8 @@ struct QuietLane {
 
 class App {
  public:
-  App(std::string name, int thread_count, SpeedModel speed,
-      std::size_t heartbeat_window = 10);
+  /// The app's heartbeat monitor keeps HeartbeatMonitor's default window.
+  App(std::string name, int thread_count, SpeedModel speed);
   virtual ~App() = default;
 
   App(const App&) = delete;

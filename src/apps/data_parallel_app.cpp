@@ -6,7 +6,7 @@
 namespace hars {
 
 DataParallelApp::DataParallelApp(std::string name, const DataParallelConfig& config)
-    : App(std::move(name), config.threads, config.speed, config.heartbeat_window),
+    : App(std::move(name), config.threads, config.speed),
       config_(config),
       workload_(config.workload, Rng(config.seed)),
       rng_(Rng(config.seed).fork(0xDA7A)),

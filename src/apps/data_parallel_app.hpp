@@ -25,7 +25,6 @@ struct DataParallelConfig {
   WorkUnits warmup_work = 0.0; ///< Serial work before the first iteration.
   std::int64_t max_iterations = -1;  ///< <0: unbounded (run until sim end).
   std::uint64_t seed = 1;
-  std::size_t heartbeat_window = 10;
 };
 
 class DataParallelApp final : public App {

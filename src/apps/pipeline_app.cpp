@@ -15,8 +15,7 @@ int PipelineApp::total_threads(const PipelineConfig& config) {
 }
 
 PipelineApp::PipelineApp(std::string name, const PipelineConfig& config)
-    : App(std::move(name), total_threads(config), config.speed,
-          config.heartbeat_window),
+    : App(std::move(name), total_threads(config), config.speed),
       config_(config),
       rng_(config.seed) {
   if (config_.stages.empty()) {

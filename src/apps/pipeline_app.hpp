@@ -29,7 +29,6 @@ struct PipelineConfig {
   double work_noise = 0.0; ///< Relative jitter on per-item stage work.
   std::int64_t max_items = -1;  ///< <0: unbounded input.
   std::uint64_t seed = 1;
-  std::size_t heartbeat_window = 10;
 };
 
 class PipelineApp final : public App {

@@ -77,6 +77,40 @@ class ManagerHook {
   virtual void skip_idle_polls(TimeUs due) { (void)due; }
 };
 
+/// The poll clock of the three runtime managers. HARS (Algorithm 1),
+/// MP-HARS (Algorithm 3) and CONS-I are each one user-level loop that
+/// polls the heartbeat channel every kPollPeriodUs and pays kPollCostUs
+/// per poll (the overhead model, docs/ARCHITECTURE.md). A due on_tick
+/// moves the clock, charges the poll cost and runs the manager's poll();
+/// a poll that finds no new heartbeat must do nothing else, which is
+/// what lets a quiet span charge it inline (idle_poll).
+class PollingManager : public ManagerHook {
+ public:
+  static constexpr TimeUs kPollPeriodUs = 5 * kUsPerMs;
+  static constexpr TimeUs kPollCostUs = 60;
+
+  TimeUs on_tick(TimeUs now) final {
+    if (now < next_poll_) return 0;
+    next_poll_ = now + kPollPeriodUs;
+    return kPollCostUs + poll();
+  }
+  TimeUs next_due() const final { return next_poll_; }
+  bool idle_poll(TimeUs& period, TimeUs& cost) const final {
+    period = kPollPeriodUs;
+    cost = kPollCostUs;
+    return true;
+  }
+  void skip_idle_polls(TimeUs due) final { next_poll_ = due; }
+
+ protected:
+  /// One due poll's work after the clock moved; returns its CPU cost
+  /// beyond kPollCostUs.
+  virtual TimeUs poll() = 0;
+
+ private:
+  TimeUs next_poll_ = 0;
+};
+
 /// What a backend can actually do on its platform; probed at
 /// construction for live backends (a server without cpufreq still runs,
 /// it just reports dvfs = false and set_dvfs_level only moves the

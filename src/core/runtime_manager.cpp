@@ -6,12 +6,18 @@
 #include <utility>
 
 #include "backend/backend.hpp"
+#include "core/tabu_search.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/audit.hpp"
 
 namespace hars {
+
+namespace {
+/// Trajectory parameters when the policy is SearchPolicy::kTabu.
+constexpr TabuParams kTabuParams{};
+}  // namespace
 
 RuntimeManager::RuntimeManager(Backend& backend, AppId app, PerfTarget target,
                                PowerCoeffTable coeffs,
@@ -62,25 +68,22 @@ void RuntimeManager::apply_state(const SystemState& state) {
                         little_set(state));
 }
 
-TimeUs RuntimeManager::on_tick(TimeUs now) {
-  if (now < next_poll_) return 0;
+TimeUs RuntimeManager::poll() {
   // Manager bookkeeping (trace growth, predictor state, schedule
   // changes) is a declared amortized allocator inside the engine's
   // guarded tick; the candidate searches below re-tighten the contract
   // with their own AllocGuard for the duration of each sweep.
   allocg::AllowScope allow("runtime-manager bookkeeping");
-  next_poll_ = now + config_.poll_period_us;
-  TimeUs cost = config_.poll_cost_us;
 
   const HeartbeatMonitor& hb = backend_.heartbeats(app_);
   const std::int64_t idx = hb.last_index();
-  if (idx < 0 || idx == last_seen_hb_) return cost;
+  if (idx < 0 || idx == last_seen_hb_) return 0;
   last_seen_hb_ = idx;
 
   const double measured_rate = hb.rate();
   const double rate = predictor_->observe(measured_rate);
   if (ratio_learner_ && measured_rate > 0.0 &&
-      (last_change_hb_ < 0 || idx - last_change_hb_ >= config_.settle_beats)) {
+      (last_change_hb_ < 0 || idx - last_change_hb_ >= kSettleBeats)) {
     // Only settled rates are attributable to the current state.
     ratio_learner_->observe(state_, measured_rate);
     perf_est_.set_r0(ratio_learner_->estimate());
@@ -91,15 +94,15 @@ TimeUs RuntimeManager::on_tick(TimeUs now) {
       m.freq_ghz_at_level(m.fastest_cluster(), state_.big_freq),
       m.freq_ghz_at_level(m.slowest_cluster(), state_.little_freq)});
 
-  if (idx % config_.adapt_period != 0) return cost;  // isAdaptPeriod
-  if (rate <= 0.0) return cost;  // Not enough beats for a windowed rate yet.
-  if (last_change_hb_ >= 0 && idx - last_change_hb_ < config_.settle_beats) {
-    return cost;  // Window still mixes pre-change rates.
+  if (idx % config_.adapt_period != 0) return 0;  // isAdaptPeriod
+  if (rate <= 0.0) return 0;  // Not enough beats for a windowed rate yet.
+  if (last_change_hb_ >= 0 && idx - last_change_hb_ < kSettleBeats) {
+    return 0;  // Window still mixes pre-change rates.
   }
 
   const PerfTarget& target = hb.target();
   if (std::abs(rate - target.avg()) <= 0.5 * (target.max - target.min)) {
-    return cost;  // Inside the window: nothing to do.
+    return 0;  // Inside the window: nothing to do.
   }
 
   const bool overperforming = rate > target.avg();
@@ -114,9 +117,9 @@ TimeUs RuntimeManager::on_tick(TimeUs now) {
   const bool tabu = config_.policy == SearchPolicy::kTabu;
   const SearchParams params =
       params_for_policy(config_.policy, overperforming,
-                        config_.exhaustive_window, config_.exhaustive_d);
+                        kExhaustiveWindow, config_.exhaustive_d);
   const SearchResult result =
-      tabu ? tabu_get_next_sys_state(rate, state_, target, config_.tabu,
+      tabu ? tabu_get_next_sys_state(rate, state_, target, kTabuParams,
                                      space_, perf_est_, power_est_, threads,
                                      {}, &scratch_)
            : get_next_sys_state(rate, state_, target, params, space_,
@@ -145,15 +148,15 @@ TimeUs RuntimeManager::on_tick(TimeUs now) {
     audit_search_result(
         result,
         tabu ? tabu_get_next_sys_state_reference(rate, state_, target,
-                                                 config_.tabu, space_,
+                                                 kTabuParams, space_,
                                                  perf_est_, power_est_, threads)
              : get_next_sys_state_reference(rate, state_, target, params,
                                             space_, perf_est_, power_est_,
                                             threads),
         "RuntimeManager");
   }
-  cost += config_.adapt_fixed_cost_us +
-          config_.cost_per_candidate_us * result.candidates;
+  const TimeUs cost =
+      kAdaptFixedCostUs + kCostPerCandidateUs * result.candidates;
   if (result.moved) {
     const double t_old = perf_est_.unit_time(state_, threads);
     const double t_new = perf_est_.unit_time(result.state, threads);

@@ -23,7 +23,6 @@
 #include "core/ratio_learner.hpp"
 #include "core/search.hpp"
 #include "core/system_state.hpp"
-#include "core/tabu_search.hpp"
 #include "core/thread_scheduler.hpp"
 #include "core/workload_predictor.hpp"
 #include "hmp/sim_engine.hpp"
@@ -40,17 +39,24 @@ struct TracePoint {
   double little_freq_ghz = 0.0;
 };
 
+/// After a state change the heartbeat window mixes old- and new-state
+/// rates; adapting on that stale signal oscillates (§3.1.3 discusses
+/// HARS-E's oscillation risk). HARS and MP-HARS wait this many fresh
+/// heartbeats after a move before adapting again (the monitor window).
+inline constexpr int kSettleBeats = 10;
+
+/// The modeled CPU cost of one HARS or MP-HARS search, on top of the
+/// poll's PollingManager::kPollCostUs: a fixed part plus one estimate per
+/// candidate state (the overhead model, calibrated so Figure 5.3(b) lands
+/// in the paper's "under 6% at d = 9" envelope).
+inline constexpr TimeUs kAdaptFixedCostUs = 500;
+inline constexpr TimeUs kCostPerCandidateUs = 400;
+
 struct RuntimeManagerConfig {
   SearchPolicy policy = SearchPolicy::kExhaustive;
   ThreadSchedulerKind scheduler = ThreadSchedulerKind::kChunk;
-  int exhaustive_window = 4;  ///< m = n for HARS-E.
   int exhaustive_d = 7;       ///< d for HARS-E.
   int adapt_period = 5;       ///< Heartbeats between adaptation checks.
-  /// After a state change the heartbeat window mixes old- and new-state
-  /// rates; adapting on that stale signal oscillates (§3.1.3 discusses
-  /// HARS-E's oscillation risk). Wait this many fresh heartbeats after a
-  /// move before adapting again (matches the monitor window).
-  int settle_beats = 10;
   double r0 = 1.5;            ///< Assumed big:little speed ratio.
 
   // --- §3.1.4 / §5.1.2 extensions (all off by default: paper behaviour) ---
@@ -59,18 +65,14 @@ struct RuntimeManagerConfig {
   /// Learn the big:little ratio online instead of trusting r0 (fixes the
   /// blackscholes misprediction).
   bool learn_ratio = false;
-  /// Trajectory parameters when policy == SearchPolicy::kTabu.
-  TabuParams tabu;
 
-  // Overhead model (calibrated so Figure 5.3(b) lands in the paper's
-  // "under 6% at d = 9" envelope).
-  TimeUs poll_period_us = 5 * kUsPerMs;
-  TimeUs poll_cost_us = 60;
-  TimeUs cost_per_candidate_us = 400;
-  TimeUs adapt_fixed_cost_us = 500;
+  // The overhead model under the names perfbench's cost decoder reads.
+  static constexpr TimeUs poll_cost_us = PollingManager::kPollCostUs;
+  static constexpr TimeUs cost_per_candidate_us = kCostPerCandidateUs;
+  static constexpr TimeUs adapt_fixed_cost_us = kAdaptFixedCostUs;
 };
 
-class RuntimeManager : public ManagerHook {
+class RuntimeManager final : public PollingManager {
  public:
   /// `target` is installed on the app's heartbeat monitor. The coefficient
   /// table comes from a profiling campaign (profile_power). The manager
@@ -78,16 +80,6 @@ class RuntimeManager : public ManagerHook {
   /// heartbeats) — simulated and live backends are interchangeable here.
   RuntimeManager(Backend& backend, AppId app, PerfTarget target,
                  PowerCoeffTable coeffs, RuntimeManagerConfig config = {});
-
-  TimeUs on_tick(TimeUs now) override;
-  TimeUs next_due() const override { return next_poll_; }
-  /// A poll that finds no new heartbeat only moves the next poll.
-  bool idle_poll(TimeUs& period, TimeUs& cost) const override {
-    period = config_.poll_period_us;
-    cost = config_.poll_cost_us;
-    return true;
-  }
-  void skip_idle_polls(TimeUs due) override { next_poll_ = due; }
 
   const SystemState& current_state() const { return state_; }
   const std::vector<TracePoint>& trace() const { return trace_; }
@@ -101,6 +93,8 @@ class RuntimeManager : public ManagerHook {
   void apply_state(const SystemState& state);
 
  private:
+  TimeUs poll() override;
+
   /// Core sets for a state: the first C_L little cores and first C_B big
   /// cores of the machine (single-application HARS owns the machine).
   CpuMask big_set(const SystemState& s) const;
@@ -117,7 +111,6 @@ class RuntimeManager : public ManagerHook {
   SearchScratch scratch_;  ///< Search memoization (search_scratch.hpp).
   /// r0 the memo was filled under; NaN until the first search opens it.
   double memo_r0_ = std::numeric_limits<double>::quiet_NaN();
-  TimeUs next_poll_ = 0;
   std::int64_t last_seen_hb_ = -1;
   std::int64_t last_change_hb_ = -1;
   std::int64_t adaptations_ = 0;

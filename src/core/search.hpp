@@ -43,6 +43,9 @@ const char* search_policy_name(SearchPolicy policy);
 /// Inverse of search_policy_name; nullopt for unknown names.
 std::optional<SearchPolicy> parse_search_policy(std::string_view name);
 
+/// HARS-E's exhaustive window, m = n = 4 (§3.1.3); MP-HARS-E uses it too.
+inline constexpr int kExhaustiveWindow = 4;
+
 /// Builds the effective SearchParams for a policy given whether the
 /// application currently overperforms its target.
 ///
@@ -54,7 +57,8 @@ std::optional<SearchPolicy> parse_search_policy(std::string_view name);
 /// tests/core/search_test.cpp (ExhaustiveWindowIsSymmetric,
 /// HarsEDecisionGolden).
 SearchParams params_for_policy(SearchPolicy policy, bool overperforming,
-                               int exhaustive_window = 4, int exhaustive_d = 7);
+                               int exhaustive_window = kExhaustiveWindow,
+                               int exhaustive_d = 7);
 
 /// Optional per-candidate constraint (MP-HARS narrows the space by free
 /// cores and frequency controllability). Return false to skip a

@@ -27,8 +27,7 @@ SimEngine::SimEngine(const PlatformSpec& platform,
                      std::unique_ptr<Scheduler> scheduler, SimConfig config)
     : machine_(platform.make_machine()),
       power_model_(make_power_model(machine_, platform)),
-      sensor_(machine_, power_model_, config.sensor_period_us,
-              config.sensor_noise, config.sensor_seed),
+      sensor_(machine_, power_model_),
       scheduler_(std::move(scheduler)),
       config_(config),
       load_decay_(LoadTracker().decay_for(config.tick_us)),
@@ -295,10 +294,9 @@ HARS_HOT void SimEngine::step() {
       capacity_dirty_ = false;
     }
     if (mgr_use > 0) {
-      s.core_capacity[static_cast<std::size_t>(config_.manager_core)] -=
-          mgr_use;
+      s.core_capacity[kManagerCore] -= mgr_use;
       capacity_dirty_ = true;
-      tick_busy_[static_cast<std::size_t>(config_.manager_core)] +=
+      tick_busy_[kManagerCore] +=
           static_cast<double>(mgr_use) / static_cast<double>(tick);
     }
 
@@ -455,10 +453,9 @@ void SimEngine::size_quiet_scratch() {
 HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
   const TimeUs tick = config_.tick_us;
   const TickScratch& s = scratch_;
-  const auto mgr = static_cast<std::size_t>(config_.manager_core);
   bill_quiet_cpu_time(v);  // The lanes below replace the billed ones.
   std::fill(v.core_capacity.begin(), v.core_capacity.end(), tick);
-  v.core_capacity[mgr] -= mgr_use;
+  v.core_capacity[kManagerCore] -= mgr_use;
   compute_core_shares(v.core_capacity, v.core_share);
 
   // Each thread's grant: what step()'s execute loop hands it.
@@ -490,7 +487,8 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
   std::vector<double>& busy = v.core_busy_us;
   std::fill(busy.begin(), busy.end(), 0.0);
   if (mgr_use > 0) {
-    busy[mgr] += static_cast<double>(mgr_use) / static_cast<double>(tick);
+    busy[kManagerCore] +=
+        static_cast<double>(mgr_use) / static_cast<double>(tick);
   }
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     if (quiet_.grants[i].share_us <= 0) continue;

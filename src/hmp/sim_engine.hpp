@@ -47,10 +47,6 @@ class SimEngine;
 
 struct SimConfig {
   TimeUs tick_us = 1 * kUsPerMs;
-  CoreId manager_core = 0;  ///< Where runtime-manager overhead is charged.
-  std::uint64_t sensor_seed = 42;
-  TimeUs sensor_period_us = PowerSensor::kDefaultSamplePeriodUs;
-  double sensor_noise = 0.01;
   /// Per-tick invariant audits (audit_tick/audit_now): thread-table
   /// conservation across spawn/kill, snapshot coherence with the live
   /// machine, capacity/share ranges and bit-exact cluster busy-sum
@@ -145,6 +141,9 @@ class SimEngine {
 
   /// next_due() answer of a hook that has nothing left to do.
   static constexpr TimeUs kNeverDue = ManagerHook::kNeverDue;
+
+  /// The core (cpu0) runtime-manager overhead is charged to.
+  static constexpr std::size_t kManagerCore = 0;
 
   /// Installs a callback invoked with the tick's start time on every
   /// stepped tick, before applications generate work — the dispatch point

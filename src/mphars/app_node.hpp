@@ -1,5 +1,6 @@
-// Per-application data structure (thesis Table 4.1), kept in a linked list
-// that the MP-HARS runtime manager iterates each cycle (Algorithm 3).
+// Per-application data structure (thesis Table 4.1), kept in the
+// AppRegistry that the MP-HARS runtime manager walks each cycle
+// (Algorithm 3).
 #pragma once
 
 #include <cstdint>
@@ -9,7 +10,6 @@
 #include "core/thread_scheduler.hpp"
 #include "heartbeats/heartbeat.hpp"
 #include "util/common.hpp"
-#include "util/intrusive_list.hpp"
 
 namespace hars {
 
@@ -19,7 +19,7 @@ inline constexpr int kUnuse = 0;
 inline constexpr int kFree = 1;
 inline constexpr int kNotFree = 0;
 
-struct AppNode : IntrusiveListNode<AppNode> {
+struct AppNode {
   AppId app_id = -1;
 
   // --- Table 4.1 fields ---

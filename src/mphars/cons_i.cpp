@@ -52,16 +52,16 @@ void ConsIManager::build_state_list() {
   }
   std::stable_sort(states_.begin(), states_.end(),
                    [&](const SystemState& a, const SystemState& b) {
-                     return cons_perf_score(m, a, config_.r0, config_.f0_ghz) <
-                            cons_perf_score(m, b, config_.r0, config_.f0_ghz);
+                     return cons_perf_score(m, a, config_.r0, kF0Ghz) <
+                            cons_perf_score(m, b, config_.r0, kF0Ghz);
                    });
-  // Quantize into a ladder: keep one representative per min_score_step,
+  // Quantize into a ladder: keep one representative per kMinScoreStep,
   // always retaining the maximum state (the boot configuration).
   std::vector<SystemState> ladder;
   double last_score = -1e18;
   for (const auto& s : states_) {
-    const double score = cons_perf_score(m, s, config_.r0, config_.f0_ghz);
-    if (score - last_score >= config_.min_score_step) {
+    const double score = cons_perf_score(m, s, config_.r0, kF0Ghz);
+    if (score - last_score >= kMinScoreStep) {
       ladder.push_back(s);
       last_score = score;
     }
@@ -73,7 +73,7 @@ void ConsIManager::build_state_list() {
   states_ = std::move(ladder);
   scores_.reserve(states_.size());
   for (const auto& s : states_) {
-    scores_.push_back(cons_perf_score(m, s, config_.r0, config_.f0_ghz));
+    scores_.push_back(cons_perf_score(m, s, config_.r0, kF0Ghz));
   }
 }
 
@@ -154,13 +154,11 @@ const std::vector<TracePoint>& ConsIManager::trace(AppId app) const {
   return kEmpty;
 }
 
-TimeUs ConsIManager::on_tick(TimeUs now) {
-  if (now < next_poll_) return 0;
+TimeUs ConsIManager::poll() {
   // Per-app trace growth and hotplug/schedule changes are declared
   // amortized allocators inside the engine's guarded tick.
   allocg::AllowScope allow("cons-i bookkeeping");
-  next_poll_ = now + config_.poll_period_us;
-  TimeUs cost = config_.poll_cost_us;
+  TimeUs cost = 0;
 
   const Machine& m = backend_.topology();
   for (AppEntry& entry : apps_) {
@@ -216,7 +214,7 @@ TimeUs ConsIManager::on_tick(TimeUs now) {
     }
 
     const InterferenceDecision decision = decide_interference(own, others, frozen);
-    cost += config_.step_cost_us;
+    cost += kStepCostUs;
 
     if (decision.freeze == FreezeDecision::kUnfreeze) {
       for (AppEntry& a : apps_) {
@@ -237,7 +235,7 @@ TimeUs ConsIManager::on_tick(TimeUs now) {
         apply_state(states_[j]);
         if (decision.freeze == FreezeDecision::kFreeze) {
           for (AppEntry& a : apps_) {
-            if (a.alive) a.freezing_cnt = config_.freeze_heartbeats;
+            if (a.alive) a.freezing_cnt = kFreezeHeartbeats;
           }
         }
       }

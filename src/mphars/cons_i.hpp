@@ -25,17 +25,6 @@ namespace hars {
 
 struct ConsIConfig {
   double r0 = 1.5;
-  double f0_ghz = 1.0;
-  /// The raw cross-product of (C_B, C_L, f_B, f_L) yields hundreds of
-  /// near-duplicate perfScores; stepping through every one would take the
-  /// incremental model minutes to descend. The configuration ladder keeps
-  /// only states whose score differs by at least this much from the
-  /// previous kept state (one "step" of system performance).
-  double min_score_step = 0.5;
-  int freeze_heartbeats = 5;
-  TimeUs poll_period_us = 5 * kUsPerMs;
-  TimeUs poll_cost_us = 60;
-  TimeUs step_cost_us = 200;  ///< Cost of one incremental step decision.
 };
 
 struct ConsIAppConfig {
@@ -47,8 +36,20 @@ struct ConsIAppConfig {
 double cons_perf_score(const Machine& machine, const SystemState& s, double r0,
                        double f0_ghz);
 
-class ConsIManager : public ManagerHook {
+class ConsIManager final : public PollingManager {
  public:
+  /// The score unit: perfScore counts cores at this frequency.
+  static constexpr double kF0Ghz = 1.0;
+  /// The raw cross-product of (C_B, C_L, f_B, f_L) yields hundreds of
+  /// near-duplicate perfScores; stepping through every one would take the
+  /// incremental model minutes to descend. The configuration ladder keeps
+  /// only states whose score differs by at least this much from the
+  /// previous kept state (one "step" of system performance).
+  static constexpr double kMinScoreStep = 0.5;
+  /// Modeled CPU cost of one incremental step decision, on top of the
+  /// poll's kPollCostUs.
+  static constexpr TimeUs kStepCostUs = 200;
+
   /// The model drives the platform exclusively through `backend` (DVFS,
   /// hotplug, heartbeats) — simulated and live backends interchange.
   explicit ConsIManager(Backend& backend, ConsIConfig config = {});
@@ -62,16 +63,6 @@ class ConsIManager : public ManagerHook {
   /// Moves an app's performance target (scenario set_target events).
   /// Returns false for unknown apps.
   bool set_app_target(AppId app, PerfTarget target);
-
-  TimeUs on_tick(TimeUs now) override;
-  TimeUs next_due() const override { return next_poll_; }
-  /// A poll that finds no new heartbeat only moves the next poll.
-  bool idle_poll(TimeUs& period, TimeUs& cost) const override {
-    period = config_.poll_period_us;
-    cost = config_.poll_cost_us;
-    return true;
-  }
-  void skip_idle_polls(TimeUs due) override { next_poll_ = due; }
 
   const SystemState& global_state() const { return state_; }
   const std::vector<TracePoint>& trace(AppId app) const;
@@ -88,6 +79,7 @@ class ConsIManager : public ManagerHook {
     std::vector<TracePoint> trace;
   };
 
+  TimeUs poll() override;
   void apply_state(const SystemState& s);
   void build_state_list();
   /// Index into states_ holding the current state.
@@ -99,7 +91,6 @@ class ConsIManager : public ManagerHook {
   std::vector<SystemState> states_;  ///< Sorted ascending by perfScore.
   std::vector<double> scores_;
   SystemState state_;
-  TimeUs next_poll_ = 0;
 };
 
 }  // namespace hars

@@ -24,6 +24,10 @@ struct InterferenceDecision {
   FreezeDecision freeze = FreezeDecision::kKeep;
 };
 
+/// Heartbeats a frequency decrease freezes its cluster for: the freezing
+/// count MP-HARS and CONS-I arm on every affected application.
+inline constexpr int kFreezeHeartbeats = 5;
+
 /// Table 4.3, implemented verbatim (all 18 rows).
 InterferenceDecision decide_interference(PerfStatus app_in_period,
                                          PerfStatus the_others, bool frozen);

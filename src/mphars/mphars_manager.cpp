@@ -185,22 +185,21 @@ void MpHarsManager::apply_app_state(AppNode& node, const SystemState& next) {
   if (big_dec || little_dec) {
     registry_.for_each([&](AppNode& other) {
       if (big_dec && other.used_big_count() > 0) {
-        other.freezing_cnt_b = config_.freeze_heartbeats;
+        other.freezing_cnt_b = kFreezeHeartbeats;
       }
       if (little_dec && other.used_little_count() > 0) {
-        other.freezing_cnt_l = config_.freeze_heartbeats;
+        other.freezing_cnt_l = kFreezeHeartbeats;
       }
     });
   }
 }
 
-TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
-  (void)now;
+TimeUs MpHarsManager::adapt_app(AppNode& node) {
   const double rate = node.heartbeat_rate;
   const PerfTarget& target = node.target;
   if (rate <= 0.0) return 0;  // No windowed rate yet.
   if (node.adaptation_index >= 0 &&
-      node.last_seen_hb - node.adaptation_index < config_.settle_beats) {
+      node.last_seen_hb - node.adaptation_index < kSettleBeats) {
     return 0;  // Heartbeat window still mixes pre-change rates.
   }
   if (std::abs(rate - target.avg()) <= 0.5 * (target.max - target.min)) {
@@ -269,7 +268,7 @@ TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
   const bool overperforming = rate > target.avg();
   const SearchParams params =
       params_for_policy(config_.policy, overperforming,
-                        config_.exhaustive_window, config_.exhaustive_d);
+                        kExhaustiveWindow, config_.exhaustive_d);
   const SearchResult result = get_next_sys_state(
       rate, current, target, params, machine_space_, perf_est_, power_est_,
       backend_.thread_count(node.app_id), filter_fn, &scratch_);
@@ -296,8 +295,8 @@ TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
         "MpHarsManager");
   }
 
-  TimeUs cost = config_.adapt_fixed_cost_us +
-                config_.cost_per_candidate_us * result.candidates;
+  const TimeUs cost =
+      kAdaptFixedCostUs + kCostPerCandidateUs * result.candidates;
   if (result.moved) {
     apply_app_state(node, result.state);
     ++adaptations_;
@@ -306,14 +305,12 @@ TimeUs MpHarsManager::adapt_app(AppNode& node, TimeUs now) {
   return cost;
 }
 
-TimeUs MpHarsManager::on_tick(TimeUs now) {
-  if (now < next_poll_) return 0;
+TimeUs MpHarsManager::poll() {
   // Registry/trace bookkeeping and schedule changes are declared
   // amortized allocators inside the guarded tick; the candidate search
   // re-tightens via its own AllocGuard (see get_next_sys_state).
   allocg::AllowScope allow("mphars-manager bookkeeping");
-  next_poll_ = now + config_.poll_period_us;
-  TimeUs cost = config_.poll_cost_us;
+  TimeUs cost = 0;
 
   // Algorithm 3: iterate the application list.
   registry_.for_each([&](AppNode& node) {
@@ -344,7 +341,7 @@ TimeUs MpHarsManager::on_tick(TimeUs now) {
 
     // Lines 16-22: adaptation period check.
     if (idx % node.adapt_period == 0) {
-      cost += adapt_app(node, now);
+      cost += adapt_app(node);
     }
   });
   return cost;

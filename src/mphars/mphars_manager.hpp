@@ -16,6 +16,7 @@
 
 #include "core/perf_estimator.hpp"
 #include "core/power_estimator.hpp"
+#include "core/runtime_manager.hpp"
 #include "core/search.hpp"
 #include "hmp/sim_engine.hpp"
 #include "mphars/core_allocator.hpp"
@@ -24,19 +25,13 @@
 
 namespace hars {
 
+/// MP-HARS manages each application by its own HARS, so it shares HARS's
+/// fixed parameters: kExhaustiveWindow, kSettleBeats and the search's
+/// overhead model (core/runtime_manager.hpp).
 struct MpHarsConfig {
   SearchPolicy policy = SearchPolicy::kExhaustive;
-  int exhaustive_window = 4;  ///< MP-HARS-E: m = n = 4.
   int exhaustive_d = 7;       ///< MP-HARS-E: d = 7.
-  int freeze_heartbeats = 5;  ///< Freezing count installed after a decrease.
-  int settle_beats = 10;      ///< Fresh heartbeats required after a move.
   double r0 = 1.5;
-
-  // Overhead model, as in RuntimeManagerConfig.
-  TimeUs poll_period_us = 5 * kUsPerMs;
-  TimeUs poll_cost_us = 60;
-  TimeUs cost_per_candidate_us = 400;
-  TimeUs adapt_fixed_cost_us = 500;
 };
 
 struct MpHarsAppConfig {
@@ -45,7 +40,7 @@ struct MpHarsAppConfig {
   ThreadSchedulerKind scheduler = ThreadSchedulerKind::kChunk;
 };
 
-class MpHarsManager : public ManagerHook {
+class MpHarsManager final : public PollingManager {
  public:
   /// The manager drives the platform exclusively through `backend` (DVFS,
   /// placement, heartbeats) — simulated and live backends interchange.
@@ -65,16 +60,6 @@ class MpHarsManager : public ManagerHook {
   /// Returns false for unknown apps.
   bool set_app_target(AppId app, PerfTarget target);
 
-  TimeUs on_tick(TimeUs now) override;
-  TimeUs next_due() const override { return next_poll_; }
-  /// A poll that finds no new heartbeat only moves the next poll.
-  bool idle_poll(TimeUs& period, TimeUs& cost) const override {
-    period = config_.poll_period_us;
-    cost = config_.poll_cost_us;
-    return true;
-  }
-  void skip_idle_polls(TimeUs due) override { next_poll_ = due; }
-
   /// Current state of one app (own cores + shared frequencies).
   SystemState app_state(AppId app) const;
   const std::vector<TracePoint>& trace(AppId app) const;
@@ -82,7 +67,8 @@ class MpHarsManager : public ManagerHook {
   std::int64_t adaptations() const { return adaptations_; }
 
  private:
-  TimeUs adapt_app(AppNode& node, TimeUs now);
+  TimeUs poll() override;
+  TimeUs adapt_app(AppNode& node);
   void apply_app_state(AppNode& node, const SystemState& next);
   SystemState current_state_of(const AppNode& node) const;
   /// Aggregate status of the other apps sharing `big` (true) or little.
@@ -100,7 +86,6 @@ class MpHarsManager : public ManagerHook {
   /// Search memoization shared by every app's searches: one epoch for
   /// the manager's lifetime, opened by the constructor.
   SearchScratch scratch_;
-  TimeUs next_poll_ = 0;
   std::int64_t adaptations_ = 0;
 };
 

@@ -13,10 +13,8 @@ AppNode& AppRegistry::add(AppId app_id) {
   node->app_id = app_id;
   node->use_b_core.assign(static_cast<std::size_t>(big_slots_), kUnuse);
   node->use_l_core.assign(static_cast<std::size_t>(little_slots_), kUnuse);
-  AppNode& ref = *node;
   nodes_.push_back(std::move(node));
-  list_.push_back(&ref);
-  return ref;
+  return *nodes_.back();
 }
 
 bool AppRegistry::remove(AppId app_id) {
@@ -30,7 +28,6 @@ bool AppRegistry::remove(AppId app_id) {
     for (std::size_t i = 0; i < node.use_l_core.size(); ++i) {
       if (node.use_l_core[i] == kUse) little_.free_core[i] = kFree;
     }
-    list_.remove(&node);
     nodes_.erase(it);
     return true;
   }

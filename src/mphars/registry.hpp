@@ -1,13 +1,12 @@
-// Application registry for MP-HARS: owns the AppNode storage and exposes
-// the paper's linked-list iteration (Algorithm 3 walks nodes in
-// registration order) plus the per-cluster data of Table 4.2.
+// Application registry for MP-HARS: owns the AppNode storage, walked in
+// registration order as Algorithm 3 walks its linked list, plus the
+// per-cluster data of Table 4.2.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "mphars/app_node.hpp"
-#include "util/intrusive_list.hpp"
 
 namespace hars {
 
@@ -16,24 +15,25 @@ class AppRegistry {
   /// `big_slots` / `little_slots` size the per-cluster core-slot arrays.
   AppRegistry(int big_slots, int little_slots);
 
-  /// Creates and links a node; all core slots of the new app start UNUSE.
+  /// Creates and appends a node; all core slots of the new app start UNUSE.
   AppNode& add(AppId app_id);
 
-  /// Unlinks and destroys the node, returning all of its core slots to
+  /// Destroys the node, returning all of its core slots to
   /// the clusters' free pools. Returns false if the app is unknown.
   bool remove(AppId app_id);
 
   AppNode* find(AppId app_id);
   const AppNode* find(AppId app_id) const;
 
-  /// Algorithm 3's iterateNodes order.
+  /// Algorithm 3's iterateNodes order: registration order (remove
+  /// erases in place).
   template <typename Fn>
   void for_each(Fn&& fn) {
-    list_.for_each(std::forward<Fn>(fn));
+    for (const auto& node : nodes_) fn(*node);
   }
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    list_.for_each([&fn](AppNode& node) { fn(static_cast<const AppNode&>(node)); });
+    for (const auto& node : nodes_) fn(static_cast<const AppNode&>(*node));
   }
 
   std::size_t size() const { return nodes_.size(); }
@@ -49,7 +49,6 @@ class AppRegistry {
 
  private:
   std::vector<std::unique_ptr<AppNode>> nodes_;
-  IntrusiveList<AppNode> list_;
   ClusterData big_;
   ClusterData little_;
   int big_slots_;

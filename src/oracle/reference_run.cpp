@@ -43,8 +43,8 @@ void SimEngine::step_reference() {
   std::vector<TimeUs> core_capacity(static_cast<std::size_t>(machine_.num_cores()),
                                     tick);
   if (mgr_use > 0) {
-    core_capacity[static_cast<std::size_t>(config_.manager_core)] -= mgr_use;
-    tick_busy_[static_cast<std::size_t>(config_.manager_core)] +=
+    core_capacity[kManagerCore] -= mgr_use;
+    tick_busy_[kManagerCore] +=
         static_cast<double>(mgr_use) / static_cast<double>(tick);
   }
 

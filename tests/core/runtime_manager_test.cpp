@@ -9,6 +9,7 @@
 #include "core/hars.hpp"
 #include "core/power_profiler.hpp"
 #include "hmp/platform_spec.hpp"
+#include "mphars/cons_i.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -142,10 +143,29 @@ TEST(ConfigForVariant, MatchesPaper) {
   EXPECT_EQ(i.scheduler, ThreadSchedulerKind::kChunk);
   const RuntimeManagerConfig e = config_for_variant(HarsVariant::kHarsE);
   EXPECT_EQ(e.policy, SearchPolicy::kExhaustive);
-  EXPECT_EQ(e.exhaustive_window, 4);
+  EXPECT_EQ(kExhaustiveWindow, 4);  // m = n = 4 (§3.1.3).
   EXPECT_EQ(e.exhaustive_d, 7);
   const RuntimeManagerConfig ei = config_for_variant(HarsVariant::kHarsEI);
   EXPECT_EQ(ei.scheduler, ThreadSchedulerKind::kInterleaved);
+  // The fixed parameters every variant shares: the daemon polls the
+  // heartbeat channel every 5 ms, waits one monitor window (10 beats)
+  // after a move, and a frequency decrease freezes the cluster for 5.
+  EXPECT_EQ(PollingManager::kPollPeriodUs, 5 * kUsPerMs);
+  EXPECT_EQ(kSettleBeats, 10);
+  EXPECT_EQ(kFreezeHeartbeats, 5);
+  // The overhead model, calibrated so Figure 5.3(b) stays under 6% at
+  // d = 9; perfbench decodes it under RuntimeManagerConfig's names.
+  EXPECT_EQ(PollingManager::kPollCostUs, 60);
+  EXPECT_EQ(kAdaptFixedCostUs, 500);
+  EXPECT_EQ(kCostPerCandidateUs, 400);
+  EXPECT_EQ(ConsIManager::kStepCostUs, 200);
+  EXPECT_EQ(RuntimeManagerConfig::poll_cost_us, PollingManager::kPollCostUs);
+  EXPECT_EQ(RuntimeManagerConfig::adapt_fixed_cost_us, kAdaptFixedCostUs);
+  EXPECT_EQ(RuntimeManagerConfig::cost_per_candidate_us, kCostPerCandidateUs);
+  // CONS-I's perfScore ladder (§4.1.1): scores in cores at 1 GHz, one
+  // kept state per half-core step.
+  EXPECT_EQ(ConsIManager::kF0Ghz, 1.0);
+  EXPECT_EQ(ConsIManager::kMinScoreStep, 0.5);
 }
 
 // Regression: a non-positive target average zeroed every normalized-perf

@@ -5,7 +5,11 @@
 // engine state (time, per-core busy time, per-cluster energy, every
 // thread's cpu time, load, core and migrations, manager overhead and
 // on_tick calls) at every manager call and at the end, and any scenario
-// capture byte for byte.
+// capture byte for byte. Hashing the state at every call keeps spans from
+// charging idle polls, so each experiment-level case runs a second time
+// under a wrapper that forwards the manager's poll schedule: its spans
+// charge idle polls inline, and the state is compared at every poll that
+// finds a new heartbeat.
 // Each default run must also have taken quiet spans, or the comparison
 // would prove nothing (a capture sampled every tick is the one case that
 // must take none).
@@ -633,31 +637,119 @@ void register_probe(const std::string& variant) {
       });
 }
 
+/// What a CountingInstance saw over a run.
+struct PollLog {
+  std::int64_t calls = 0;  ///< on_tick calls that reached the variant.
+  /// Engine state at every due poll that finds a new heartbeat: the polls
+  /// that act, which must reach the manager at the same ticks on both
+  /// paths.
+  Fnv beat_trail;
+  std::int64_t beat_polls = 0;
+};
+
+PollLog* g_poll_log = nullptr;
+
+/// Forwards everything to a registered variant, idle polls included, and
+/// logs the on_tick calls that reach it: on the default path a quiet span
+/// charges the idle polls after its first call without one. A new
+/// heartbeat of any live app, or an app's arrival or departure, reaches
+/// the first due poll after it as a real call on both paths.
+class CountingInstance final : public ForwardingInstance {
+ public:
+  CountingInstance(std::unique_ptr<VariantInstance> real,
+                   const VariantSetup& setup)
+      : ForwardingInstance(real.get()), backend_(setup.backend) {
+    inner_ = std::move(real);
+  }
+
+  TimeUs on_tick(TimeUs now) override {
+    if (g_poll_log != nullptr && now >= next_due()) {
+      std::int64_t beats = 0;
+      for (AppId app = 0; app < backend_.num_apps(); ++app) {
+        if (backend_.app_alive(app)) beats += backend_.heartbeats(app).count();
+      }
+      if (beats != beats_at_last_poll_) {
+        ++g_poll_log->beat_polls;
+        g_poll_log->beat_trail.add(now);
+        g_poll_log->beat_trail.add(state_hash(*backend_.sim_engine()));
+      }
+      beats_at_last_poll_ = beats;
+    }
+    if (g_poll_log != nullptr) ++g_poll_log->calls;
+    return VariantInstance::on_tick(now);
+  }
+
+ private:
+  Backend& backend_;
+  std::int64_t beats_at_last_poll_ = 0;
+};
+
+std::string counting_name(const std::string& variant) {
+  return "count:" + variant;
+}
+
+void register_counting(const std::string& variant) {
+  VariantRegistry& registry = VariantRegistry::instance();
+  if (registry.find(counting_name(variant)) != nullptr) return;
+  const VariantEntry* entry = registry.find(variant);
+  ASSERT_NE(entry, nullptr) << variant;
+  const VariantFactory real = entry->factory;
+  registry.register_variant(
+      counting_name(variant), entry->traits,
+      [real](const VariantSetup& setup) -> std::unique_ptr<VariantInstance> {
+        return std::make_unique<CountingInstance>(real(setup), setup);
+      });
+}
+
 struct ExperimentRun {
   std::string fingerprint;
   std::string capture;  ///< TraceSink bytes; empty without a capture.
-  ProbeLog log;
+  ProbeLog log;         ///< Under the probe wrapper.
+  PollLog polls;        ///< Under the counting wrapper.
 };
 
-/// Runs the experiment `configure` sets up under the probe wrapper of
-/// `variant`, capturing every `sample_ticks` ticks when that is > 0.
-ExperimentRun run_probed(const std::string& variant, bool reference,
-                         const std::function<void(ExperimentBuilder&)>& configure,
-                         int sample_ticks = 0) {
-  register_probe(variant);
-  ExperimentRun run;
+using Configure = std::function<void(ExperimentBuilder&)>;
+
+/// Runs the experiment `configure` sets up under the registered variant
+/// `name`, capturing every `sample_ticks` ticks when that is > 0.
+void run_experiment(const std::string& name, bool reference,
+                    const Configure& configure, int sample_ticks,
+                    ExperimentRun& run) {
   TraceSink sink(std::max(sample_ticks, 1));
   ExperimentBuilder builder;
   configure(builder);
-  builder.variant(probe_name(variant));
+  builder.variant(name);
   if (sample_ticks > 0) builder.capture(sink);
-  g_probe_log = &run.log;
   const Experiment experiment = builder.build();
   const ExperimentResult result =
       reference ? run_reference(experiment) : experiment.run();
-  g_probe_log = nullptr;
   run.fingerprint = result_fingerprint(result);
   if (sample_ticks > 0) run.capture = sink.bytes();
+}
+
+/// The run under the probe wrapper of `variant`, which hashes the engine
+/// state at every manager call (so no span charges an idle poll).
+ExperimentRun run_probed(const std::string& variant, bool reference,
+                         const Configure& configure, int sample_ticks = 0) {
+  register_probe(variant);
+  ExperimentRun run;
+  g_probe_log = &run.log;
+  run_experiment(probe_name(variant), reference, configure, sample_ticks, run);
+  g_probe_log = nullptr;
+  return run;
+}
+
+/// The run under the counting wrapper of `variant`, which forwards the
+/// variant's poll schedule, so the default path's spans charge idle polls
+/// inline.
+ExperimentRun run_counted(const std::string& variant, bool reference,
+                          const Configure& configure, int sample_ticks = 0) {
+  register_counting(variant);
+  ExperimentRun run;
+  g_poll_log = &run.polls;
+  run_experiment(counting_name(variant), reference, configure, sample_ticks,
+                 run);
+  g_poll_log = nullptr;
   return run;
 }
 
@@ -686,16 +778,33 @@ void expect_matches_reference(const ExperimentRun& ref,
   EXPECT_EQ(ref.log.quiet_ticks, 0);
 }
 
-/// Runs `configure`'s experiment on both paths and compares them; the
-/// default path must have taken spans.
-void expect_experiment_identical(
-    const std::string& variant,
-    const std::function<void(ExperimentBuilder&)>& configure,
-    int sample_ticks = 0) {
+/// Runs `configure`'s experiment on both paths under the counting wrapper
+/// and compares them: fingerprint, capture bytes and the engine state at
+/// every poll that finds a new heartbeat.
+void expect_counted_matches_reference(const std::string& variant,
+                                      const Configure& configure,
+                                      int sample_ticks = 0) {
+  const ExperimentRun ref = run_counted(variant, true, configure, sample_ticks);
+  const ExperimentRun fast =
+      run_counted(variant, false, configure, sample_ticks);
+  EXPECT_EQ(first_difference(ref.fingerprint, fast.fingerprint), "");
+  EXPECT_EQ(first_difference(ref.capture, fast.capture), "");
+  EXPECT_EQ(ref.polls.beat_polls, fast.polls.beat_polls);
+  EXPECT_EQ(ref.polls.beat_trail.value(), fast.polls.beat_trail.value())
+      << "engine state differs at some poll that found a new heartbeat";
+}
+
+/// Runs `configure`'s experiment on both paths, under the probe and the
+/// counting wrapper, and compares them; the default path must have taken
+/// spans.
+void expect_experiment_identical(const std::string& variant,
+                                 const Configure& configure,
+                                 int sample_ticks = 0) {
   const ExperimentRun ref = run_probed(variant, true, configure, sample_ticks);
   const ExperimentRun fast = run_probed(variant, false, configure, sample_ticks);
   expect_matches_reference(ref, fast);
   EXPECT_GT(fast.log.quiet_ticks, 0) << "the default path took no span";
+  expect_counted_matches_reference(variant, configure, sample_ticks);
 }
 
 /// Underscores for the characters gtest names do not allow.
@@ -780,6 +889,7 @@ TEST_P(QuietSpanScenarios, MatchReferenceAtEveryManagerCall) {
   } else {
     EXPECT_GT(fast.log.quiet_ticks, 0) << "the default path took no span";
   }
+  expect_counted_matches_reference("MP-HARS-E", configure, sample_ticks);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -830,69 +940,6 @@ TEST(QuietSpan, GeneratedChurnScenarioWithCaptureMatchesReference) {
 }
 
 // --- Idle manager polls ------------------------------------------------
-
-/// What a CountingInstance saw over a run.
-struct PollLog {
-  std::int64_t calls = 0;  ///< on_tick calls that reached the variant.
-  /// Engine state at every due poll that finds a new heartbeat: the polls
-  /// that act, which must reach the manager at the same ticks on both
-  /// paths.
-  Fnv beat_trail;
-  std::int64_t beat_polls = 0;
-};
-
-PollLog* g_poll_log = nullptr;
-
-/// Forwards everything to a registered variant, idle polls included, and
-/// logs the on_tick calls that reach it: on the default path a quiet span
-/// charges the idle polls after its first call without one.
-class CountingInstance final : public ForwardingInstance {
- public:
-  CountingInstance(std::unique_ptr<VariantInstance> real,
-                   const VariantSetup& setup)
-      : ForwardingInstance(real.get()),
-        backend_(setup.backend),
-        app_ids_(setup.app_ids) {
-    inner_ = std::move(real);
-  }
-
-  TimeUs on_tick(TimeUs now) override {
-    if (g_poll_log != nullptr && now >= next_due()) {
-      std::int64_t beats = 0;
-      for (AppId app : app_ids_) beats += backend_.heartbeats(app).count();
-      if (beats != beats_at_last_poll_) {
-        ++g_poll_log->beat_polls;
-        g_poll_log->beat_trail.add(now);
-        g_poll_log->beat_trail.add(state_hash(*backend_.sim_engine()));
-      }
-      beats_at_last_poll_ = beats;
-    }
-    if (g_poll_log != nullptr) ++g_poll_log->calls;
-    return VariantInstance::on_tick(now);
-  }
-
- private:
-  Backend& backend_;
-  std::vector<AppId> app_ids_;
-  std::int64_t beats_at_last_poll_ = 0;
-};
-
-std::string counting_name(const std::string& variant) {
-  return "count:" + variant;
-}
-
-void register_counting(const std::string& variant) {
-  VariantRegistry& registry = VariantRegistry::instance();
-  if (registry.find(counting_name(variant)) != nullptr) return;
-  const VariantEntry* entry = registry.find(variant);
-  ASSERT_NE(entry, nullptr) << variant;
-  const VariantFactory real = entry->factory;
-  registry.register_variant(
-      counting_name(variant), entry->traits,
-      [real](const VariantSetup& setup) -> std::unique_ptr<VariantInstance> {
-        return std::make_unique<CountingInstance>(real(setup), setup);
-      });
-}
 
 struct TickRun {
   std::string fingerprint;

@@ -46,6 +46,19 @@ TEST(AppRegistry, IterationInRegistrationOrder) {
   EXPECT_EQ(order, (std::vector<AppId>{5, 3, 9}));
 }
 
+TEST(AppRegistry, RemoveKeepsRegistrationOrder) {
+  AppRegistry r(4, 4);
+  for (AppId id : {5, 3, 9, 4}) r.add(id);
+  EXPECT_TRUE(r.remove(3));
+  EXPECT_FALSE(r.remove(3));
+  r.add(7);
+  EXPECT_TRUE(r.remove(4));
+  std::vector<AppId> order;
+  r.for_each([&](AppNode& n) { order.push_back(n.app_id); });
+  EXPECT_EQ(order, (std::vector<AppId>{5, 9, 7}));
+  EXPECT_EQ(r.size(), 3u);
+}
+
 TEST(AppRegistry, ConstIteration) {
   AppRegistry r(4, 4);
   r.add(1);
