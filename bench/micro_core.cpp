@@ -8,6 +8,7 @@
 #include "core/power_profiler.hpp"
 #include "core/search.hpp"
 #include "core/thread_assignment.hpp"
+#include "hmp/platform_spec.hpp"
 
 namespace {
 
@@ -19,8 +20,9 @@ const Machine& machine() {
 }
 
 const PowerEstimator& power_estimator() {
-  static const PowerEstimator est(
-      profile_power(machine(), PowerModel{machine()}));
+  static const PowerModel model(machine(),
+                                PlatformSpec::from_machine(machine()));
+  static const PowerEstimator est(profile_power(machine(), model));
   return est;
 }
 
@@ -107,7 +109,7 @@ void BM_SearchByDistanceReference(benchmark::State& state) {
 BENCHMARK(BM_SearchByDistanceReference)->Arg(1)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
 
 void BM_PowerProfiling(benchmark::State& state) {
-  const PowerModel model(machine());
+  const PowerModel model(machine(), PlatformSpec::from_machine(machine()));
   for (auto _ : state) {
     benchmark::DoNotOptimize(profile_power(machine(), model));
   }

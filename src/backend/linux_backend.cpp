@@ -244,8 +244,7 @@ LinuxBackend::LinuxBackend(std::unique_ptr<SysfsIo> sysfs,
       topo_(probe_topology(*sysfs_)),
       spec_(make_spec(*sysfs_, config_)),
       machine_(spec_.make_machine()),
-      power_model_(machine_, spec_.cluster_power()) {
-  power_model_.set_base_watts(spec_.base_watts);
+      power_model_(machine_, spec_) {
   if (config_.tick_us <= 0) {
     throw std::invalid_argument("LinuxBackend tick must be positive");
   }

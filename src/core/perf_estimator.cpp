@@ -7,18 +7,18 @@
 
 namespace hars {
 
-PerfEstimator::PerfEstimator(const Machine& machine, double r0, double f0_ghz)
-    : machine_(&machine), r0_(r0), f0_ghz_(f0_ghz) {}
+PerfEstimator::PerfEstimator(const Machine& machine, double r0)
+    : machine_(&machine), r0_(r0) {}
 
 HARS_HOT double PerfEstimator::big_speed(const SystemState& s) const {
   const double f = machine_->freq_ghz_at_level(machine_->fastest_cluster(), s.big_freq);
-  return r0_ * f / f0_ghz_;  // S_B,f0 = r0, S_L,f0 = 1.
+  return r0_ * f / kF0Ghz;  // S_B,f0 = r0, S_L,f0 = 1.
 }
 
 HARS_HOT double PerfEstimator::little_speed(const SystemState& s) const {
   const double f =
       machine_->freq_ghz_at_level(machine_->slowest_cluster(), s.little_freq);
-  return 1.0 * f / f0_ghz_;
+  return 1.0 * f / kF0Ghz;
 }
 
 double PerfEstimator::ratio(const SystemState& s) const {

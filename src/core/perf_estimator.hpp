@@ -19,11 +19,19 @@
 
 namespace hars {
 
+/// The paper's assumed big:little per-core speed ratio, r0 = 3/2. The
+/// managers' configs default to it; experiments overwrite it with
+/// PlatformSpec::assumed_ratio(), which derives the same 3/2 on the Exynos.
+inline constexpr double kAssumedR0 = 1.5;
+
+/// The baseline frequency f_0 at which r0 is stated. CONS-I's perfScore
+/// counts cores at this frequency too.
+inline constexpr double kF0Ghz = 1.0;
+
 class PerfEstimator {
  public:
-  /// `r0` is the assumed big:little per-core speed ratio at the baseline
-  /// frequency `f0_ghz`.
-  PerfEstimator(const Machine& machine, double r0 = 1.5, double f0_ghz = 1.0);
+  /// `r0` is the assumed big:little per-core speed ratio at kF0Ghz.
+  PerfEstimator(const Machine& machine, double r0);
 
   /// Per-core speeds (arbitrary units; only ratios matter).
   double big_speed(const SystemState& s) const;
@@ -53,7 +61,6 @@ class PerfEstimator {
  private:
   const Machine* machine_;
   double r0_;
-  double f0_ghz_;
 };
 
 }  // namespace hars

@@ -1,5 +1,6 @@
 #include "core/power_profiler.hpp"
 
+#include "hmp/power_sensor.hpp"
 #include "util/rng.hpp"
 
 namespace hars {
@@ -8,31 +9,30 @@ namespace {
 
 ClusterPowerCoeffs profile_cluster(const Machine& machine,
                                    const PowerModel& model, ClusterId cluster,
-                                   const ProfilerConfig& config, Rng& rng) {
+                                   Rng& rng) {
   ClusterPowerCoeffs coeffs;
   const int levels = machine.num_freq_levels(cluster);
   const int cores = machine.cluster_core_count(cluster);
-  // The microbenchmark owns the machine while profiling; we emulate its
-  // frequency control on a scratch copy so the caller's machine state is
-  // untouched.
-  Machine scratch = machine;
-  std::vector<PowerParams> params;
-  params.reserve(static_cast<std::size_t>(machine.num_clusters()));
-  for (int c = 0; c < machine.num_clusters(); ++c) params.push_back(model.params(c));
+  // The microbenchmark owns the machine while profiling; it sweeps the
+  // cluster's frequency without touching the caller's machine state, so
+  // each level's truth comes from the model at that level's frequency.
+  const bool any_online =
+      (machine.online_mask() & machine.cluster_mask(cluster)).any();
   for (int level = 0; level < levels; ++level) {
-    scratch.set_freq_level(cluster, level);
-    PowerModel scratch_model(scratch, params);
+    const double f = machine.freq_ghz_at_level(cluster, level);
     std::vector<double> xs;
     std::vector<double> ys;
     for (int c = 1; c <= cores; ++c) {
-      for (int u = 1; u <= config.utilization_steps; ++u) {
-        const double util =
-            static_cast<double>(u) / static_cast<double>(config.utilization_steps);
+      for (int u = 1; u <= kProfileUtilizationSteps; ++u) {
+        const double util = static_cast<double>(u) /
+                            static_cast<double>(kProfileUtilizationSteps);
         const double busy_sum = c * util;
-        for (int rep = 0; rep < config.repeats; ++rep) {
-          const double truth = scratch_model.cluster_power(cluster, busy_sum);
+        for (int rep = 0; rep < kProfileRepeats; ++rep) {
+          const double truth =
+              model.cluster_power_given(cluster, f, any_online, busy_sum);
           const double measured =
-              truth * (1.0 + rng.normal(0.0, config.sensor_noise));
+              truth *
+              (1.0 + rng.normal(0.0, PowerSensor::kDefaultNoiseStddev));
           xs.push_back(busy_sum);
           ys.push_back(measured);
         }
@@ -48,13 +48,12 @@ ClusterPowerCoeffs profile_cluster(const Machine& machine,
 
 }  // namespace
 
-PowerCoeffTable profile_power(const Machine& machine, const PowerModel& model,
-                              const ProfilerConfig& config) {
-  Rng rng(config.seed);
+PowerCoeffTable profile_power(const Machine& machine, const PowerModel& model) {
+  Rng rng(kProfileSeed);
   PowerCoeffTable table;
-  table.big = profile_cluster(machine, model, machine.fastest_cluster(), config, rng);
+  table.big = profile_cluster(machine, model, machine.fastest_cluster(), rng);
   table.little =
-      profile_cluster(machine, model, machine.slowest_cluster(), config, rng);
+      profile_cluster(machine, model, machine.slowest_cluster(), rng);
   return table;
 }
 

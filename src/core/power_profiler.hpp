@@ -31,15 +31,15 @@ struct PowerCoeffTable {
   ClusterPowerCoeffs little;
 };
 
-struct ProfilerConfig {
-  int utilization_steps = 4;   ///< Grid of U in (0, 1].
-  int repeats = 3;             ///< Sensor readings per operating point.
-  double sensor_noise = 0.01;  ///< Matches the power sensor's noise.
-  std::uint64_t seed = 2024;
-};
+/// The campaign's grid: kProfileUtilizationSteps utilizations in (0, 1]
+/// per core count, kProfileRepeats sensor readings per operating point,
+/// each with PowerSensor::kDefaultNoiseStddev noise drawn from one
+/// kProfileSeed stream.
+inline constexpr int kProfileUtilizationSteps = 4;
+inline constexpr int kProfileRepeats = 3;
+inline constexpr std::uint64_t kProfileSeed = 2024;
 
 /// Runs the profiling campaign and fits the per-level models.
-PowerCoeffTable profile_power(const Machine& machine, const PowerModel& model,
-                              const ProfilerConfig& config = {});
+PowerCoeffTable profile_power(const Machine& machine, const PowerModel& model);
 
 }  // namespace hars

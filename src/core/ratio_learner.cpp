@@ -5,12 +5,11 @@
 
 namespace hars {
 
-RatioLearner::RatioLearner(const Machine& machine, int threads,
-                           RatioLearnerConfig config)
+RatioLearner::RatioLearner(const Machine& machine, int threads, double prior_r0)
     : machine_(&machine),
       threads_(threads),
-      config_(config),
-      best_r_(config.prior_r0) {}
+      prior_r0_(prior_r0),
+      best_r_(prior_r0) {}
 
 void RatioLearner::observe(const SystemState& state, double rate) {
   if (rate <= 0.0) return;
@@ -24,7 +23,7 @@ void RatioLearner::observe(const SystemState& state, double rate) {
       ++same_mix;
     }
   }
-  if (same_mix >= config_.per_mix_cap) {
+  if (same_mix >= kPerMixCap) {
     for (auto it = history_.begin(); it != history_.end(); ++it) {
       if (it->state.big_cores == state.big_cores &&
           it->state.little_cores == state.little_cores) {
@@ -34,7 +33,7 @@ void RatioLearner::observe(const SystemState& state, double rate) {
     }
   }
   history_.push_back(Observation{state, std::log(rate)});
-  while (history_.size() > config_.history) history_.pop_front();
+  while (history_.size() > kHistory) history_.pop_front();
   refit();
 }
 
@@ -52,15 +51,14 @@ bool RatioLearner::identifiable() const {
 }
 
 void RatioLearner::refit() {
-  if (history_.size() < config_.min_samples || !identifiable()) {
-    best_r_ = config_.prior_r0;
+  if (history_.size() < kMinSamples || !identifiable()) {
+    best_r_ = prior_r0_;
     best_residual_ = 0.0;
     return;
   }
-  double best_r = config_.prior_r0;
+  double best_r = prior_r0_;
   double best_res = std::numeric_limits<double>::infinity();
-  for (double r = config_.r_min; r <= config_.r_max + 1e-9;
-       r += config_.r_step) {
+  for (double r = kRMin; r <= kRMax + 1e-9; r += kRStep) {
     PerfEstimator est(*machine_, r);
     // c_i = log rate_i + log t_f_i should be constant (= log k) if r is
     // right; score by its variance.
@@ -95,7 +93,7 @@ double RatioLearner::estimate() const { return best_r_; }
 
 void RatioLearner::reset() {
   history_.clear();
-  best_r_ = config_.prior_r0;
+  best_r_ = prior_r0_;
   best_residual_ = 0.0;
 }
 

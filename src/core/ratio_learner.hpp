@@ -24,23 +24,21 @@
 
 namespace hars {
 
-struct RatioLearnerConfig {
-  std::size_t history = 32;     ///< Observations retained in total.
+class RatioLearner {
+ public:
+  static constexpr std::size_t kHistory = 32;  ///< Observations retained.
   /// Observations retained per (C_B, C_L) core mix. Without this cap, a
   /// settled runtime floods the history with one state and the ratio
   /// becomes unidentifiable again — the exploration evidence must survive.
-  std::size_t per_mix_cap = 4;
-  double r_min = 0.8;           ///< Grid bounds for the ratio search.
-  double r_max = 3.0;
-  double r_step = 0.05;
-  std::size_t min_samples = 6;  ///< Below this, keep the prior.
-  double prior_r0 = 1.5;        ///< Returned until identified.
-};
+  static constexpr std::size_t kPerMixCap = 4;
+  static constexpr double kRMin = 0.8;  ///< Grid bounds for the ratio search.
+  static constexpr double kRMax = 3.0;
+  static constexpr double kRStep = 0.05;
+  static constexpr std::size_t kMinSamples = 6;  ///< Below this, the prior.
 
-class RatioLearner {
- public:
-  RatioLearner(const Machine& machine, int threads,
-               RatioLearnerConfig config = {});
+  /// `prior_r0` is returned until the ratio is identified: the manager's
+  /// own r0.
+  RatioLearner(const Machine& machine, int threads, double prior_r0);
 
   /// Records one (state, measured windowed rate) observation.
   void observe(const SystemState& state, double rate);
@@ -70,7 +68,7 @@ class RatioLearner {
 
   const Machine* machine_;
   int threads_;
-  RatioLearnerConfig config_;
+  double prior_r0_;
   std::deque<Observation> history_;
   double best_r_;
   double best_residual_ = 0.0;

@@ -36,10 +36,8 @@ RuntimeManager::RuntimeManager(Backend& backend, AppId app, PerfTarget target,
         "score and the search would pick arbitrarily");
   }
   if (config_.learn_ratio) {
-    RatioLearnerConfig learner_config;
-    learner_config.prior_r0 = config_.r0;
     ratio_learner_.emplace(backend_.topology(), backend_.thread_count(app_),
-                           learner_config);
+                           config_.r0);
   }
   backend_.heartbeats(app_).set_target(target);
   apply_state(space_.max_state());

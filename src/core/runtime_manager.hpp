@@ -45,6 +45,10 @@ struct TracePoint {
 /// heartbeats after a move before adapting again (the monitor window).
 inline constexpr int kSettleBeats = 10;
 
+/// Heartbeats between adaptation checks (Algorithm 1's isAdaptPeriod):
+/// every manager's per-app default.
+inline constexpr int kAdaptPeriodBeats = 5;
+
 /// The modeled CPU cost of one HARS or MP-HARS search, on top of the
 /// poll's PollingManager::kPollCostUs: a fixed part plus one estimate per
 /// candidate state (the overhead model, calibrated so Figure 5.3(b) lands
@@ -55,9 +59,9 @@ inline constexpr TimeUs kCostPerCandidateUs = 400;
 struct RuntimeManagerConfig {
   SearchPolicy policy = SearchPolicy::kExhaustive;
   ThreadSchedulerKind scheduler = ThreadSchedulerKind::kChunk;
-  int exhaustive_d = 7;       ///< d for HARS-E.
-  int adapt_period = 5;       ///< Heartbeats between adaptation checks.
-  double r0 = 1.5;            ///< Assumed big:little speed ratio.
+  int exhaustive_d = kExhaustiveDistance;  ///< d for HARS-E.
+  int adapt_period = kAdaptPeriodBeats;    ///< Heartbeats between checks.
+  double r0 = kAssumedR0;                  ///< Assumed big:little ratio.
 
   // --- §3.1.4 / §5.1.2 extensions (all off by default: paper behaviour) ---
   /// Rate prediction model; kKalman smooths noisy heartbeat windows.

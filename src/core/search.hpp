@@ -26,10 +26,15 @@
 
 namespace hars {
 
+/// HARS-E's exhaustive window, m = n = 4, and its Manhattan-distance
+/// budget, d = 7 (§3.1.3); MP-HARS-E uses both too.
+inline constexpr int kExhaustiveWindow = 4;
+inline constexpr int kExhaustiveDistance = 7;
+
 struct SearchParams {
-  int m = 4;  ///< How far each dimension may decrease.
-  int n = 4;  ///< How far each dimension may increase.
-  int d = 7;  ///< Manhattan-distance budget.
+  int m = kExhaustiveWindow;    ///< How far each dimension may decrease.
+  int n = kExhaustiveWindow;    ///< How far each dimension may increase.
+  int d = kExhaustiveDistance;  ///< Manhattan-distance budget.
 };
 
 enum class SearchPolicy {
@@ -43,9 +48,6 @@ const char* search_policy_name(SearchPolicy policy);
 /// Inverse of search_policy_name; nullopt for unknown names.
 std::optional<SearchPolicy> parse_search_policy(std::string_view name);
 
-/// HARS-E's exhaustive window, m = n = 4 (§3.1.3); MP-HARS-E uses it too.
-inline constexpr int kExhaustiveWindow = 4;
-
 /// Builds the effective SearchParams for a policy given whether the
 /// application currently overperforms its target.
 ///
@@ -58,7 +60,7 @@ inline constexpr int kExhaustiveWindow = 4;
 /// HarsEDecisionGolden).
 SearchParams params_for_policy(SearchPolicy policy, bool overperforming,
                                int exhaustive_window = kExhaustiveWindow,
-                               int exhaustive_d = 7);
+                               int exhaustive_d = kExhaustiveDistance);
 
 /// Optional per-candidate constraint (MP-HARS narrows the space by free
 /// cores and frequency controllability). Return false to skip a

@@ -51,7 +51,7 @@ Probe probe_state(const PlatformSpec& platform, ParsecBenchmark bench,
   }
   const TimeUs t0 = engine.now();
   engine.sensor().reset();
-  engine.run_for(options.probe_duration);
+  engine.run_for(kStaticOptimalProbeUs);
 
   Probe probe;
   const auto& history = app->heartbeats().history();
@@ -90,7 +90,7 @@ double measure_pinned_max_rate(const PlatformSpec& platform,
     engine.run_for(100 * kUsPerMs);
   }
   const TimeUs t0 = engine.now();
-  engine.run_for(options.probe_duration);
+  engine.run_for(kStaticOptimalProbeUs);
   return average_rate(app->heartbeats().history(), t0, engine.now());
 }
 
@@ -105,7 +105,7 @@ StaticOptimalResult compute_static_optimal(
   const StateSpace space = StateSpace::from_machine(machine);
   // The offline sweep may use the benchmark's true ratio: SO is an oracle.
   PerfEstimator perf_est(machine, parsec_true_ratio(bench));
-  const PowerModel model(machine, platform.cluster_power());
+  const PowerModel model(machine, platform);
   PowerEstimator power_est(profile_power(machine, model));
 
   // Reference point: measured rate of the maximum state under the
@@ -150,7 +150,7 @@ StaticOptimalResult compute_static_optimal(
 
   StaticOptimalResult best;
   bool best_set = false;
-  const int n_probe = std::min<int>(options.shortlist,
+  const int n_probe = std::min<int>(kStaticOptimalShortlist,
                                     static_cast<int>(ranked.size()));
   for (int i = 0; i < n_probe; ++i) {
     const Probe probe =

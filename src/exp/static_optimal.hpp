@@ -18,9 +18,11 @@
 
 namespace hars {
 
+/// Candidates measured by simulation, and each one's measured span.
+inline constexpr int kStaticOptimalShortlist = 24;
+inline constexpr TimeUs kStaticOptimalProbeUs = 15 * kUsPerSec;
+
 struct StaticOptimalOptions {
-  int shortlist = 24;                    ///< Candidates measured by simulation.
-  TimeUs probe_duration = 15 * kUsPerSec;///< Per-candidate measurement.
   int threads = 8;
   std::uint64_t seed = 1;
   /// Platform the oracle sweeps; unset = the exynos5422 preset.

@@ -144,7 +144,8 @@ class HarsInstance final : public VariantInstance {
 class ConsInstance final : public VariantInstance {
  public:
   explicit ConsInstance(const VariantSetup& setup)
-      : adapt_period_(setup.spec.tuning.adapt_period.value_or(5)) {
+      : adapt_period_(
+            setup.spec.tuning.adapt_period.value_or(kAdaptPeriodBeats)) {
     ConsIConfig config;
     config.r0 = setup.spec.platform.assumed_ratio();
     const VariantTuning& t = setup.spec.tuning;
@@ -181,7 +182,8 @@ class ConsInstance final : public VariantInstance {
 class MpHarsInstance final : public VariantInstance {
  public:
   MpHarsInstance(const VariantSetup& setup, SearchPolicy policy)
-      : adapt_period_(setup.spec.tuning.adapt_period.value_or(5)),
+      : adapt_period_(
+            setup.spec.tuning.adapt_period.value_or(kAdaptPeriodBeats)),
         scheduler_(setup.spec.tuning.scheduler.value_or(
             ThreadSchedulerKind::kChunk)) {
     MpHarsConfig config;

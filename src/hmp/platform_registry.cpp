@@ -7,12 +7,11 @@ namespace hars {
 namespace {
 
 /// The paper's platform. Built from Machine::exynos5422() — the single
-/// source of truth for the topology — plus the legacy per-core-type power
-/// defaults and base draw, so experiments through the registry are
-/// bit-identical to the historical hard-wired preset.
+/// source of truth for the topology — plus the per-core-type power
+/// parameters (PowerParams::for_type: Cortex-A15 and A7) and
+/// PlatformSpec::kDefaultBaseWatts.
 PlatformSpec exynos5422_platform() {
-  return PlatformSpec::from_machine(Machine::exynos5422(),
-                                    /*base_watts=*/0.7);
+  return PlatformSpec::from_machine(Machine::exynos5422());
 }
 
 /// A tri-cluster big.LITTLE.prime mobile SoC in the Snapdragon 855 mold:

@@ -1,8 +1,8 @@
 // PlatformRegistry: the string-keyed catalogue of platforms, modeled on
 // VariantRegistry. Built-in presets register at construction:
 //
-//   exynos5422   the paper's ODROID-XU3 part (bit-identical to
-//                Machine::exynos5422() + the legacy power defaults)
+//   exynos5422   the paper's ODROID-XU3 part (Machine::exynos5422() +
+//                the per-core-type power defaults)
 //   sd855        a tri-cluster big.LITTLE.prime mobile SoC (4+3+1)
 //   server2x8    a symmetric two-socket-style 2x8 server part
 //   manycore4x4  four graded 4-core clusters (16 cores)

@@ -104,15 +104,6 @@ MachineSpec PlatformSpec::machine_spec() const {
 
 Machine PlatformSpec::make_machine() const { return Machine(machine_spec()); }
 
-std::vector<PowerParams> PlatformSpec::cluster_power() const {
-  std::vector<PowerParams> params;
-  params.reserve(clusters.size());
-  for (const PlatformCluster& cluster : clusters) {
-    params.push_back(cluster.power);
-  }
-  return params;
-}
-
 double PlatformSpec::assumed_ratio() const {
   if (default_r0 > 0.0) return default_r0;
   // Ask the materialized machine for its perf ranking so the derived r0
@@ -145,11 +136,9 @@ std::string PlatformSpec::signature() const {
   return sig;
 }
 
-PlatformSpec PlatformSpec::from_machine(const Machine& machine,
-                                        double base_watts) {
+PlatformSpec PlatformSpec::from_machine(const Machine& machine) {
   PlatformSpec spec;
   spec.name = machine.spec().name.empty() ? "custom" : machine.spec().name;
-  spec.base_watts = base_watts;
   for (const ClusterSpec& topo : machine.spec().clusters) {
     spec.clusters.push_back({topo, PowerParams::for_type(topo.type)});
   }

@@ -8,9 +8,9 @@
 // from sysfs (PlatformSpec::from_sysfs), or fetch a preset from the
 // PlatformRegistry by name ("exynos5422", "sd855", ...). validate() is
 // the single gate every consumer relies on; make_machine() materializes
-// the mutable Machine and SimEngine accepts the spec directly so the
-// power model picks up the carried parameters instead of the legacy
-// per-core-type dispatch.
+// the mutable Machine, and PowerModel (which SimEngine and the live
+// backend build from the spec) reads the carried per-cluster parameters
+// and base draw.
 #pragma once
 
 #include <stdexcept>
@@ -38,9 +38,13 @@ struct PlatformCluster {
 };
 
 struct PlatformSpec {
+  /// The Exynos board's constant floor (board/memory), and every spec's
+  /// default.
+  static constexpr double kDefaultBaseWatts = 0.7;
+
   std::string name;
   std::vector<PlatformCluster> clusters;
-  double base_watts = 0.7;  ///< Constant platform floor (board/memory).
+  double base_watts = kDefaultBaseWatts;  ///< Constant platform floor.
   /// Calibration default for the runtime managers' assumed
   /// fastest:slowest per-core speed ratio. 0 = derive from the ipc ratio
   /// of the fastest and slowest clusters (the paper's instruction-width
@@ -58,9 +62,6 @@ struct PlatformSpec {
   /// Materializes the mutable machine (validate()d first).
   Machine make_machine() const;
 
-  /// Per-cluster power parameters, in cluster order.
-  std::vector<PowerParams> cluster_power() const;
-
   /// The assumed r0: default_r0 when set, else the ipc ratio of the
   /// fastest and slowest clusters (3/2 = the paper's value on the Exynos).
   /// Like the paper's instruction-width argument this is an *architectural
@@ -74,10 +75,9 @@ struct PlatformSpec {
   /// equal signatures behave identically.
   std::string signature() const;
 
-  /// Wraps an existing Machine, attaching the legacy per-core-type default
-  /// power parameters (PowerParams::for_type) and base draw.
-  static PlatformSpec from_machine(const Machine& machine,
-                                   double base_watts = 0.7);
+  /// Wraps an existing Machine, attaching the per-core-type default power
+  /// parameters (PowerParams::for_type) and kDefaultBaseWatts.
+  static PlatformSpec from_machine(const Machine& machine);
 
   /// Probes a (real or fixture) sysfs tree and self-describes the
   /// topology: clusters from cpufreq `related_cpus` groups, DVFS ladders
@@ -106,7 +106,7 @@ class PlatformBuilder {
   PlatformBuilder& name(std::string platform_name);
 
   /// Starts a new cluster; the ladder/power setters below apply to it.
-  /// Power parameters default to the core type's legacy values.
+  /// Power parameters default to PowerParams::for_type(type).
   PlatformBuilder& cluster(CoreType type, int core_count, double ipc);
 
   /// Explicit DVFS ladder (ascending GHz) for the current cluster.

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "hmp/platform_spec.hpp"
+
 namespace hars {
 
 PowerParams PowerParams::cortex_a15() {
@@ -27,17 +29,13 @@ PowerParams PowerParams::for_type(CoreType type) {
   return type == CoreType::kBig ? cortex_a15() : cortex_a7();
 }
 
-PowerModel::PowerModel(const Machine& machine) : machine_(&machine) {
-  params_.reserve(static_cast<std::size_t>(machine.num_clusters()));
-  for (int c = 0; c < machine.num_clusters(); ++c) {
-    params_.push_back(
-        PowerParams::for_type(machine.spec().clusters[static_cast<std::size_t>(c)].type));
+PowerModel::PowerModel(const Machine& machine, const PlatformSpec& platform)
+    : machine_(&machine), base_watts_(platform.base_watts) {
+  assert(static_cast<int>(platform.clusters.size()) == machine.num_clusters());
+  params_.reserve(platform.clusters.size());
+  for (const PlatformCluster& cluster : platform.clusters) {
+    params_.push_back(cluster.power);
   }
-}
-
-PowerModel::PowerModel(const Machine& machine, std::vector<PowerParams> per_cluster)
-    : machine_(&machine), params_(std::move(per_cluster)) {
-  assert(static_cast<int>(params_.size()) == machine.num_clusters());
 }
 
 double PowerModel::cluster_power(ClusterId cluster, double busy_sum) const {

@@ -20,16 +20,18 @@
 
 namespace hars {
 
+struct PlatformSpec;  // hmp/platform_spec.hpp
+
 struct PowerParams {
   double c_dyn = 0.0;    ///< W per core per GHz^3 at 100% busy.
   double c_leak = 0.0;   ///< W per GHz for the whole cluster when online.
   double c_mem = 0.0;    ///< W per fully-busy core (uncore/memory traffic).
   double k_therm = 0.0;  ///< Leakage inflation per (busy core * GHz^2).
 
-  // Legacy per-core-type defaults, kept as thin shims for out-of-tree
-  // callers. Canonically, power parameters are carried per cluster by a
-  // PlatformSpec (hmp/platform_spec.hpp); these values are what
-  // PlatformSpec::from_machine attaches when wrapping a bare Machine.
+  // The per-core-type defaults. A PlatformSpec carries power parameters
+  // per cluster (hmp/platform_spec.hpp); these are the values its
+  // from_machine, PlatformBuilder::cluster and the sysfs probe attach,
+  // and that the sd855 and manycore presets start from.
   static PowerParams cortex_a15();
   static PowerParams cortex_a7();
   static PowerParams for_type(CoreType type);
@@ -37,12 +39,10 @@ struct PowerParams {
 
 class PowerModel {
  public:
-  /// Uses the legacy per-core-type default parameters for the machine's
-  /// clusters. Prefer constructing through a PlatformSpec (SimEngine's
-  /// platform constructor), which carries explicit per-cluster params.
-  explicit PowerModel(const Machine& machine);
-
-  PowerModel(const Machine& machine, std::vector<PowerParams> per_cluster);
+  /// The model of `platform`'s per-cluster power parameters and base
+  /// draw, reading frequencies and the online mask from `machine` (the
+  /// platform's materialized machine, which must outlive the model).
+  PowerModel(const Machine& machine, const PlatformSpec& platform);
 
   /// Instantaneous power of `cluster` given the sum of per-core busy
   /// fractions in [0, core_count]. A fully offline cluster (no online
@@ -73,16 +73,11 @@ class PowerModel {
 
   /// Constant platform floor in watts.
   double base_watts() const { return base_watts_; }
-  void set_base_watts(double watts) { base_watts_ = watts; }
-
-  const PowerParams& params(ClusterId cluster) const {
-    return params_[static_cast<std::size_t>(cluster)];
-  }
 
  private:
   const Machine* machine_;
   std::vector<PowerParams> params_;
-  double base_watts_ = 0.7;
+  double base_watts_;
 };
 
 }  // namespace hars

@@ -23,10 +23,14 @@ struct PowerSample {
 class PowerSensor {
  public:
   static constexpr TimeUs kDefaultSamplePeriodUs = 263'808;
+  /// Multiplicative reading noise (1% stddev); the power profiler's
+  /// simulated readings carry the same.
+  static constexpr double kDefaultNoiseStddev = 0.01;
 
   PowerSensor(const Machine& machine, const PowerModel& model,
               TimeUs sample_period_us = kDefaultSamplePeriodUs,
-              double noise_stddev = 0.01, std::uint64_t seed = 42);
+              double noise_stddev = kDefaultNoiseStddev,
+              std::uint64_t seed = 42);
 
   /// Advances the sensor by one simulator tick with the given per-core
   /// busy fractions. Integrates energy and takes samples as the sampling

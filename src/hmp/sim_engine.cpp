@@ -16,17 +16,10 @@
 
 namespace hars {
 
-PowerModel SimEngine::make_power_model(const Machine& machine,
-                                       const PlatformSpec& platform) {
-  PowerModel model(machine, platform.cluster_power());
-  model.set_base_watts(platform.base_watts);
-  return model;
-}
-
 SimEngine::SimEngine(const PlatformSpec& platform,
                      std::unique_ptr<Scheduler> scheduler, SimConfig config)
     : machine_(platform.make_machine()),
-      power_model_(make_power_model(machine_, platform)),
+      power_model_(machine_, platform),
       sensor_(machine_, power_model_),
       scheduler_(std::move(scheduler)),
       config_(config),

@@ -259,9 +259,6 @@ class SimEngine {
   /// The differential oracle's only way in: runs step_reference().
   friend void run_reference_until(SimEngine& engine, TimeUs t);
 
-  static PowerModel make_power_model(const Machine& machine,
-                                     const PlatformSpec& platform);
-
   void step();
   /// The retained pre-TickScratch tick (per-tick vector allocations,
   /// per-thread machine queries), bit-identical to step() and never

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/runtime_manager.hpp"  // TracePoint
+#include "core/runtime_manager.hpp"  // TracePoint, kAdaptPeriodBeats
 #include "core/thread_scheduler.hpp"
 #include "heartbeats/heartbeat.hpp"
 #include "util/common.hpp"
@@ -34,7 +34,7 @@ struct AppNode {
 
   // --- Implementation bookkeeping ---
   PerfTarget target;
-  int adapt_period = 5;
+  int adapt_period = kAdaptPeriodBeats;
   ThreadSchedulerKind scheduler = ThreadSchedulerKind::kChunk;
   std::int64_t last_seen_hb = -1;
   int dec_big_core_cnt = 0;     ///< Cores to release at the next allocation.

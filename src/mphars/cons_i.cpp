@@ -11,12 +11,12 @@
 
 namespace hars {
 
-double cons_perf_score(const Machine& machine, const SystemState& s, double r0,
-                       double f0_ghz) {
+double cons_perf_score(const Machine& machine, const SystemState& s,
+                       double r0) {
   const double fb = machine.freq_ghz_at_level(machine.fastest_cluster(), s.big_freq);
   const double fl =
       machine.freq_ghz_at_level(machine.slowest_cluster(), s.little_freq);
-  return s.big_cores * r0 * (fb / f0_ghz) + s.little_cores * (fl / f0_ghz);
+  return s.big_cores * r0 * (fb / kF0Ghz) + s.little_cores * (fl / kF0Ghz);
 }
 
 ConsIManager::ConsIManager(Backend& backend, ConsIConfig config)
@@ -52,15 +52,15 @@ void ConsIManager::build_state_list() {
   }
   std::stable_sort(states_.begin(), states_.end(),
                    [&](const SystemState& a, const SystemState& b) {
-                     return cons_perf_score(m, a, config_.r0, kF0Ghz) <
-                            cons_perf_score(m, b, config_.r0, kF0Ghz);
+                     return cons_perf_score(m, a, config_.r0) <
+                            cons_perf_score(m, b, config_.r0);
                    });
   // Quantize into a ladder: keep one representative per kMinScoreStep,
   // always retaining the maximum state (the boot configuration).
   std::vector<SystemState> ladder;
   double last_score = -1e18;
   for (const auto& s : states_) {
-    const double score = cons_perf_score(m, s, config_.r0, kF0Ghz);
+    const double score = cons_perf_score(m, s, config_.r0);
     if (score - last_score >= kMinScoreStep) {
       ladder.push_back(s);
       last_score = score;
@@ -73,7 +73,7 @@ void ConsIManager::build_state_list() {
   states_ = std::move(ladder);
   scores_.reserve(states_.size());
   for (const auto& s : states_) {
-    scores_.push_back(cons_perf_score(m, s, config_.r0, kF0Ghz));
+    scores_.push_back(cons_perf_score(m, s, config_.r0));
   }
 }
 

@@ -17,29 +17,27 @@
 #include <vector>
 
 #include "core/system_state.hpp"
-#include "core/runtime_manager.hpp"  // TracePoint
+#include "core/runtime_manager.hpp"  // TracePoint, kAdaptPeriodBeats
 #include "hmp/sim_engine.hpp"
 #include "mphars/freeze_policy.hpp"
 
 namespace hars {
 
 struct ConsIConfig {
-  double r0 = 1.5;
+  double r0 = kAssumedR0;
 };
 
 struct ConsIAppConfig {
   PerfTarget target;
-  int adapt_period = 5;
+  int adapt_period = kAdaptPeriodBeats;
 };
 
-/// perfScore of a global state (freq dims are level indices).
-double cons_perf_score(const Machine& machine, const SystemState& s, double r0,
-                       double f0_ghz);
+/// perfScore of a global state (freq dims are level indices), in cores at
+/// kF0Ghz.
+double cons_perf_score(const Machine& machine, const SystemState& s, double r0);
 
 class ConsIManager final : public PollingManager {
  public:
-  /// The score unit: perfScore counts cores at this frequency.
-  static constexpr double kF0Ghz = 1.0;
   /// The raw cross-product of (C_B, C_L, f_B, f_L) yields hundreds of
   /// near-duplicate perfScores; stepping through every one would take the
   /// incremental model minutes to descend. The configuration ladder keeps
@@ -72,7 +70,7 @@ class ConsIManager final : public PollingManager {
     AppId app = -1;
     bool alive = true;  ///< False once unregistered (departed).
     PerfTarget target;
-    int adapt_period = 5;
+    int adapt_period = kAdaptPeriodBeats;
     std::int64_t last_seen_hb = -1;
     double rate = 0.0;
     int freezing_cnt = 0;

@@ -30,13 +30,13 @@ namespace hars {
 /// overhead model (core/runtime_manager.hpp).
 struct MpHarsConfig {
   SearchPolicy policy = SearchPolicy::kExhaustive;
-  int exhaustive_d = 7;       ///< MP-HARS-E: d = 7.
-  double r0 = 1.5;
+  int exhaustive_d = kExhaustiveDistance;
+  double r0 = kAssumedR0;
 };
 
 struct MpHarsAppConfig {
   PerfTarget target;
-  int adapt_period = 5;
+  int adapt_period = kAdaptPeriodBeats;
   ThreadSchedulerKind scheduler = ThreadSchedulerKind::kChunk;
 };
 

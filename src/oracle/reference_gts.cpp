@@ -46,10 +46,10 @@ void ReferenceGtsScheduler::assign(const Machine& machine,
     // GTS tier selection by load thresholds, constrained by affinity.
     CpuMask preferred = allowed;
     const double load = t.load.value();
-    if (load >= config_.up_threshold) {
+    if (load >= kGtsUpThreshold) {
       const CpuMask big_allowed = allowed & big;
       if (big_allowed.any()) preferred = big_allowed;
-    } else if (load <= config_.down_threshold) {
+    } else if (load <= kGtsDownThreshold) {
       const CpuMask little_allowed = allowed & little;
       if (little_allowed.any()) preferred = little_allowed;
     } else if (t.core >= 0 && allowed.test(t.core)) {

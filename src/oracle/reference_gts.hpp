@@ -19,7 +19,7 @@ namespace hars {
 
 class ReferenceGtsScheduler final : public Scheduler {
  public:
-  /// Reads the thresholds and idle_pull of `config`.
+  /// Reads the idle_pull of `config`.
   explicit ReferenceGtsScheduler(GtsConfig config = {}) : config_(config) {}
 
   void assign(const Machine& machine, std::vector<SimThread>& threads) override;

@@ -99,8 +99,8 @@ bool GtsScheduler::load_bounds(const std::vector<SimThread>& threads,
                                double* lo, double* hi) const {
   if (!sig_valid_ || threads.size() != prev_sig_.size()) return false;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double up = config_.up_threshold;
-  const double down = config_.down_threshold;
+  const double up = kGtsUpThreshold;
+  const double down = kGtsDownThreshold;
   // tier_of tests `up` first, so tiers 1 and 2 also need load < up; tier
   // 2 is empty unless down < up.
   const double below_up = std::nextafter(up, -kInf);

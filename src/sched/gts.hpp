@@ -20,9 +20,12 @@
 
 namespace hars {
 
+/// GTS's migration thresholds on a thread's load_avg: little -> big at
+/// or above kGtsUpThreshold, big -> little at or below kGtsDownThreshold.
+inline constexpr double kGtsUpThreshold = 0.80;
+inline constexpr double kGtsDownThreshold = 0.30;
+
 struct GtsConfig {
-  double up_threshold = 0.80;    ///< little -> big when load_avg above.
-  double down_threshold = 0.30;  ///< big -> little when load_avg below.
   /// Idle-pull spill-over: when true, an idle online core steals a
   /// runnable thread from a core packing two or more, across clusters.
   /// Models the fine-grain inter-cluster balancing of later schedulers
@@ -59,12 +62,10 @@ class GtsScheduler final : public Scheduler {
 
   const char* name() const override { return "gts"; }
 
-  const GtsConfig& config() const { return config_; }
-
   /// Load tier: 0 = up, 1 = down, 2 = between thresholds.
   std::uint8_t tier_of(double load) const {
-    if (load >= config_.up_threshold) return 0;
-    if (load <= config_.down_threshold) return 1;
+    if (load >= kGtsUpThreshold) return 0;
+    if (load <= kGtsDownThreshold) return 1;
     return 2;
   }
 

@@ -10,7 +10,7 @@ namespace {
 class PerfEstimatorTest : public testing::Test {
  protected:
   Machine machine_ = Machine::exynos5422();
-  PerfEstimator est_{machine_, 1.5, 1.0};
+  PerfEstimator est_{machine_, 1.5};
 };
 
 TEST_F(PerfEstimatorTest, SpeedsScaleWithFrequencyLevels) {

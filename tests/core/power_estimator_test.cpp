@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/power_profiler.hpp"
+#include "hmp/platform_spec.hpp"
 
 namespace hars {
 namespace {
@@ -10,7 +11,7 @@ namespace {
 class PowerEstimatorTest : public testing::Test {
  protected:
   Machine machine_ = Machine::exynos5422();
-  PowerModel model_{machine_};
+  PowerModel model_{machine_, PlatformSpec::from_machine(machine_)};
   PowerCoeffTable table_ = profile_power(machine_, model_);
   PerfEstimator perf_{machine_, 1.5};
 };

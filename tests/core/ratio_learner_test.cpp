@@ -29,7 +29,7 @@ class RatioLearnerTest : public testing::Test {
 };
 
 TEST_F(RatioLearnerTest, PriorUntilEnoughSamples) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   EXPECT_DOUBLE_EQ(learner.estimate(), 1.5);
   learner.observe(SystemState{4, 4, 8, 5}, 3.0);
   EXPECT_DOUBLE_EQ(learner.estimate(), 1.5);
@@ -37,7 +37,7 @@ TEST_F(RatioLearnerTest, PriorUntilEnoughSamples) {
 }
 
 TEST_F(RatioLearnerTest, PriorWhenUnidentifiable) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   // Many samples but always the same core mix: r cannot be identified.
   for (int f = 0; f < 9; ++f) {
     learner.observe(SystemState{4, 4, f, 5}, true_rate({4, 4, f, 5}, 1.2));
@@ -47,7 +47,7 @@ TEST_F(RatioLearnerTest, PriorWhenUnidentifiable) {
 
 TEST_F(RatioLearnerTest, RecoversTrueRatioNoiseless) {
   for (double true_r : {1.0, 1.5, 2.0, 2.5}) {
-    RatioLearner learner(machine_, threads_);
+    RatioLearner learner(machine_, threads_, kAssumedR0);
     for (const auto& s : mixed_states_) {
       learner.observe(s, true_rate(s, true_r));
     }
@@ -56,7 +56,7 @@ TEST_F(RatioLearnerTest, RecoversTrueRatioNoiseless) {
 }
 
 TEST_F(RatioLearnerTest, RecoversBlackscholesRatioUnderNoise) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   for (int rep = 0; rep < 3; ++rep) {
     for (const auto& s : mixed_states_) {
       learner.observe(s, true_rate(s, 1.0, 5.0, 0.03));
@@ -66,20 +66,20 @@ TEST_F(RatioLearnerTest, RecoversBlackscholesRatioUnderNoise) {
 }
 
 TEST_F(RatioLearnerTest, FitResidualLowForModelConsistentData) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   for (const auto& s : mixed_states_) learner.observe(s, true_rate(s, 1.5));
   EXPECT_LT(learner.fit_residual(), 1e-3);
 }
 
 TEST_F(RatioLearnerTest, IgnoresNonPositiveRates) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   learner.observe(SystemState{4, 4, 8, 5}, 0.0);
   learner.observe(SystemState{4, 4, 8, 5}, -1.0);
   EXPECT_EQ(learner.samples(), 0u);
 }
 
 TEST_F(RatioLearnerTest, ResetRestoresPrior) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   for (const auto& s : mixed_states_) learner.observe(s, true_rate(s, 2.0));
   EXPECT_NEAR(learner.estimate(), 2.0, 0.06);
   learner.reset();
@@ -88,21 +88,24 @@ TEST_F(RatioLearnerTest, ResetRestoresPrior) {
 }
 
 TEST_F(RatioLearnerTest, SlidingWindowForgetsOldRegime) {
-  RatioLearnerConfig config;
-  config.per_mix_cap = 2;
-  RatioLearner learner(machine_, threads_, config);
+  // Four core mixes hold at most 4 * kPerMixCap observations, fewer than
+  // kHistory, so only the per-mix cap can evict here.
+  const std::vector<SystemState> states(mixed_states_.begin(),
+                                        mixed_states_.begin() + 4);
+  static_assert(4 * RatioLearner::kPerMixCap < RatioLearner::kHistory);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   // Old regime r=2.5 ...
-  for (const auto& s : mixed_states_) learner.observe(s, true_rate(s, 2.5));
-  // ... displaced by repeated passes of a new regime at r=1.0 (the per-mix
-  // cap evicts the stale entries state by state).
-  for (int pass = 0; pass < 3; ++pass) {
-    for (const auto& s : mixed_states_) learner.observe(s, true_rate(s, 1.0));
+  for (const auto& s : states) learner.observe(s, true_rate(s, 2.5));
+  // ... displaced by kPerMixCap passes of a new regime at r=1.0 (the
+  // last pass's per-mix cap evicts the stale entries state by state).
+  for (std::size_t pass = 0; pass < RatioLearner::kPerMixCap; ++pass) {
+    for (const auto& s : states) learner.observe(s, true_rate(s, 1.0));
   }
   EXPECT_NEAR(learner.estimate(), 1.0, 0.1);
 }
 
 TEST_F(RatioLearnerTest, PerMixCapPreservesExplorationEvidence) {
-  RatioLearner learner(machine_, threads_);
+  RatioLearner learner(machine_, threads_, kAssumedR0);
   // A short exploration phase over mixed states...
   for (const auto& s : mixed_states_) learner.observe(s, true_rate(s, 1.0));
   // ...followed by a long settled phase in one state must not wipe out

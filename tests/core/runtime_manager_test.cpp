@@ -8,8 +8,13 @@
 #include "backend/sim_backend.hpp"
 #include "core/hars.hpp"
 #include "core/power_profiler.hpp"
+#include "core/ratio_learner.hpp"
+#include "exp/static_optimal.hpp"
+#include "hmp/platform_registry.hpp"
 #include "hmp/platform_spec.hpp"
+#include "hmp/power_sensor.hpp"
 #include "mphars/cons_i.hpp"
+#include "mphars/mphars_manager.hpp"
 #include "sched/gts.hpp"
 
 namespace hars {
@@ -143,8 +148,55 @@ TEST(ConfigForVariant, MatchesPaper) {
   EXPECT_EQ(i.scheduler, ThreadSchedulerKind::kChunk);
   const RuntimeManagerConfig e = config_for_variant(HarsVariant::kHarsE);
   EXPECT_EQ(e.policy, SearchPolicy::kExhaustive);
-  EXPECT_EQ(kExhaustiveWindow, 4);  // m = n = 4 (§3.1.3).
-  EXPECT_EQ(e.exhaustive_d, 7);
+  // HARS-E's search (§3.1.3): m = n = 4, d = 7, for every struct that
+  // carries it.
+  EXPECT_EQ(kExhaustiveWindow, 4);
+  EXPECT_EQ(kExhaustiveDistance, 7);
+  EXPECT_EQ(e.exhaustive_d, kExhaustiveDistance);
+  EXPECT_EQ(MpHarsConfig{}.exhaustive_d, kExhaustiveDistance);
+  const SearchParams search;
+  EXPECT_EQ(search.m, kExhaustiveWindow);
+  EXPECT_EQ(search.n, kExhaustiveWindow);
+  EXPECT_EQ(search.d, kExhaustiveDistance);
+  EXPECT_EQ(params_for_policy(SearchPolicy::kExhaustive, true).d,
+            kExhaustiveDistance);
+  // An adaptation check every 5 heartbeats, for every manager.
+  EXPECT_EQ(kAdaptPeriodBeats, 5);
+  EXPECT_EQ(e.adapt_period, kAdaptPeriodBeats);
+  EXPECT_EQ(MpHarsAppConfig{}.adapt_period, kAdaptPeriodBeats);
+  EXPECT_EQ(ConsIAppConfig{}.adapt_period, kAdaptPeriodBeats);
+  EXPECT_EQ(AppNode{}.adapt_period, kAdaptPeriodBeats);
+  // The assumed big:little ratio r0 = 3/2 at f0 = 1 GHz (§3.1.1); the
+  // Exynos preset derives the same value from the ipc ratio.
+  EXPECT_EQ(kAssumedR0, 1.5);
+  EXPECT_EQ(kF0Ghz, 1.0);
+  EXPECT_EQ(e.r0, kAssumedR0);
+  EXPECT_EQ(MpHarsConfig{}.r0, kAssumedR0);
+  EXPECT_EQ(ConsIConfig{}.r0, kAssumedR0);
+  const PlatformSpec exynos = PlatformRegistry::instance().get("exynos5422");
+  EXPECT_EQ(exynos.assumed_ratio(), kAssumedR0);
+  // The simulated board: a 0.7 W floor and 1% sensor noise, which the
+  // power profiler's readings share, on a 4-utilization x 3-reading grid.
+  EXPECT_EQ(PlatformSpec::kDefaultBaseWatts, 0.7);
+  EXPECT_EQ(exynos.base_watts, PlatformSpec::kDefaultBaseWatts);
+  EXPECT_EQ(PowerSensor::kDefaultNoiseStddev, 0.01);
+  EXPECT_EQ(kProfileUtilizationSteps, 4);
+  EXPECT_EQ(kProfileRepeats, 3);
+  EXPECT_EQ(kProfileSeed, 2024u);
+  // The OS scheduler's migration thresholds.
+  EXPECT_EQ(kGtsUpThreshold, 0.80);
+  EXPECT_EQ(kGtsDownThreshold, 0.30);
+  // The online ratio learner's window and grid (§5.1.2 extension).
+  EXPECT_EQ(RatioLearner::kHistory, 32u);
+  EXPECT_EQ(RatioLearner::kPerMixCap, 4u);
+  EXPECT_EQ(RatioLearner::kRMin, 0.8);
+  EXPECT_EQ(RatioLearner::kRMax, 3.0);
+  EXPECT_EQ(RatioLearner::kRStep, 0.05);
+  EXPECT_EQ(RatioLearner::kMinSamples, 6u);
+  // The static-optimal oracle measures its 24 best-ranked states, 15 s
+  // each.
+  EXPECT_EQ(kStaticOptimalShortlist, 24);
+  EXPECT_EQ(kStaticOptimalProbeUs, 15 * kUsPerSec);
   const RuntimeManagerConfig ei = config_for_variant(HarsVariant::kHarsEI);
   EXPECT_EQ(ei.scheduler, ThreadSchedulerKind::kInterleaved);
   // The fixed parameters every variant shares: the daemon polls the
@@ -162,9 +214,8 @@ TEST(ConfigForVariant, MatchesPaper) {
   EXPECT_EQ(RuntimeManagerConfig::poll_cost_us, PollingManager::kPollCostUs);
   EXPECT_EQ(RuntimeManagerConfig::adapt_fixed_cost_us, kAdaptFixedCostUs);
   EXPECT_EQ(RuntimeManagerConfig::cost_per_candidate_us, kCostPerCandidateUs);
-  // CONS-I's perfScore ladder (§4.1.1): scores in cores at 1 GHz, one
+  // CONS-I's perfScore ladder (§4.1.1): scores in cores at kF0Ghz, one
   // kept state per half-core step.
-  EXPECT_EQ(ConsIManager::kF0Ghz, 1.0);
   EXPECT_EQ(ConsIManager::kMinScoreStep, 0.5);
 }
 

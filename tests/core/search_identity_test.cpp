@@ -48,7 +48,8 @@ void run_property_cases(const char* platform, int cases,
       PlatformRegistry::instance().get(platform).make_machine();
   const StateSpace space = StateSpace::from_machine(machine);
   const PerfEstimator perf(machine, 1.5);
-  const PowerEstimator power(profile_power(machine, PowerModel{machine}));
+  const PowerEstimator power(profile_power(
+      machine, PowerModel{machine, PlatformSpec::from_machine(machine)}));
   Rng rng(seed);
   SearchScratch scratch;  // One scratch, a fresh epoch per case.
 
@@ -137,7 +138,8 @@ void run_persistent_memo_cases(const char* platform, int cases,
   raised.min_little_freq = 1;
   PerfEstimator perf(machine, 1.5);
   const PerfEstimator fixed_perf(machine, 1.5);
-  const PowerEstimator power(profile_power(machine, PowerModel{machine}));
+  const PowerEstimator power(profile_power(
+      machine, PowerModel{machine, PlatformSpec::from_machine(machine)}));
   Rng rng(seed);
   SearchScratch scratch;
   double memo_r0 = 0.0;

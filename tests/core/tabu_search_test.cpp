@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/power_profiler.hpp"
+#include "hmp/platform_spec.hpp"
 
 namespace hars {
 namespace {
@@ -12,7 +13,8 @@ class TabuSearchTest : public testing::Test {
   Machine machine_ = Machine::exynos5422();
   StateSpace space_ = StateSpace::from_machine(machine_);
   PerfEstimator perf_{machine_, 1.5};
-  PowerEstimator power_{profile_power(machine_, PowerModel{machine_})};
+  PowerEstimator power_{profile_power(
+      machine_, PowerModel{machine_, PlatformSpec::from_machine(machine_)})};
   SearchScratch scratch_;
 
   /// The production search's memo, opened fresh for `space_`.

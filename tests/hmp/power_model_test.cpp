@@ -1,4 +1,5 @@
 #include "hmp/power_model.hpp"
+#include "hmp/platform_spec.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@ namespace {
 class PowerModelTest : public testing::Test {
  protected:
   Machine machine_ = Machine::exynos5422();
-  PowerModel model_{machine_};
+  PowerModel model_{machine_, PlatformSpec::from_machine(machine_)};
 };
 
 TEST_F(PowerModelTest, IdleClusterDrawsLeakageOnly) {

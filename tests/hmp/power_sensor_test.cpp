@@ -13,7 +13,7 @@ namespace {
 class PowerSensorTest : public testing::Test {
  protected:
   Machine machine_ = Machine::exynos5422();
-  PowerModel model_{machine_};
+  PowerModel model_{machine_, PlatformSpec::from_machine(machine_)};
 };
 
 TEST_F(PowerSensorTest, EnergyIntegratesExactly) {
@@ -174,7 +174,7 @@ void expect_presummed_matches_tick(Machine& machine, const PowerModel& model,
 TEST(PowerSensorPaths, PresummedMatchesTickOnExynos) {
   const PlatformSpec spec = PlatformRegistry::instance().get("exynos5422");
   Machine machine = spec.make_machine();
-  const PowerModel model(machine, spec.cluster_power());
+  const PowerModel model(machine, spec);
   CpuMask offline;
   offline.set(2);
   offline.set(5);
@@ -185,7 +185,7 @@ TEST(PowerSensorPaths, PresummedMatchesTickWithAClusterFullyOffline) {
   const PlatformSpec spec = PlatformRegistry::instance().get("sd855");
   Machine machine = spec.make_machine();
   ASSERT_EQ(machine.num_clusters(), 3);
-  const PowerModel model(machine, spec.cluster_power());
+  const PowerModel model(machine, spec);
   // The whole one-core prime cluster plus one core of the big cluster.
   const CpuMask offline = machine.cluster_mask(2) | CpuMask::single(4);
   expect_presummed_matches_tick(machine, model, offline);

@@ -62,7 +62,8 @@ struct BruteForceFixture {
   Machine machine = Machine::exynos5422();
   StateSpace space = StateSpace::from_machine(machine);
   PerfEstimator perf{machine, 1.5};
-  PowerEstimator power{profile_power(machine, PowerModel{machine})};
+  PowerEstimator power{profile_power(
+      machine, PowerModel{machine, PlatformSpec::from_machine(machine)})};
 };
 
 SystemState brute_force_next(BruteForceFixture& f, double rate,

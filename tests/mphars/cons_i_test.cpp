@@ -16,9 +16,9 @@ TEST(ConsPerfScore, Formula) {
   const Machine m = Machine::exynos5422();
   // perfScore = CB * r0 * fB/f0 + CL * fL/f0.
   const SystemState s{4, 4, 8, 5};  // 1.6 / 1.3 GHz.
-  EXPECT_NEAR(cons_perf_score(m, s, 1.5, 1.0), 4 * 1.5 * 1.6 + 4 * 1.3, 1e-9);
+  EXPECT_NEAR(cons_perf_score(m, s, 1.5), 4 * 1.5 * 1.6 + 4 * 1.3, 1e-9);
   const SystemState small{1, 1, 0, 0};  // 0.8 / 0.8.
-  EXPECT_NEAR(cons_perf_score(m, small, 1.5, 1.0), 1.2 + 0.8, 1e-9);
+  EXPECT_NEAR(cons_perf_score(m, small, 1.5), 1.2 + 0.8, 1e-9);
 }
 
 struct ConsFixture {
@@ -70,8 +70,8 @@ TEST(ConsIManager, DecreasesWhenAllOverperform) {
   const SystemState max_state =
       StateSpace::from_machine(f.engine.machine()).max_state();
   EXPECT_NE(s, max_state);
-  EXPECT_LT(cons_perf_score(f.engine.machine(), s, 1.5, 1.0),
-            cons_perf_score(f.engine.machine(), max_state, 1.5, 1.0));
+  EXPECT_LT(cons_perf_score(f.engine.machine(), s, 1.5),
+            cons_perf_score(f.engine.machine(), max_state, 1.5));
   // And it should be roughly within the target window by then.
   EXPECT_NEAR(f.apps[0]->heartbeats().rate(), 2.0, 1.0);
 }

@@ -137,15 +137,6 @@ TEST(GtsScheduler, BalancesWithinLittleForColdThreads) {
   for (CoreId c = 0; c < 4; ++c) EXPECT_EQ(per_core[static_cast<std::size_t>(c)], 1);
 }
 
-TEST(GtsScheduler, ConfigThresholdsExposed) {
-  GtsConfig cfg;
-  cfg.up_threshold = 0.9;
-  cfg.down_threshold = 0.2;
-  GtsScheduler gts(cfg);
-  EXPECT_DOUBLE_EQ(gts.config().up_threshold, 0.9);
-  EXPECT_DOUBLE_EQ(gts.config().down_threshold, 0.2);
-}
-
 // The cores GTS prefers for a runnable thread with load `load`, current
 // core `core` and affinity `affinity`, read off full assign() runs: for
 // each core k, every other core gets one pinned runnable filler placed
@@ -200,9 +191,8 @@ CoreId placement_by_assign(const Machine& machine, double load, CoreId core,
 // cores — and those loads keep the placement.
 TEST(GtsScheduler, LoadBoundsKeepThePlacement) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const GtsConfig cfg;
-  const double up = cfg.up_threshold;
-  const double down = cfg.down_threshold;
+  const double up = kGtsUpThreshold;
+  const double down = kGtsDownThreshold;
   const double probes[] = {up,
                            std::nextafter(up, -kInf),
                            std::nextafter(up, kInf),
@@ -240,7 +230,7 @@ TEST(GtsScheduler, LoadBoundsKeepThePlacement) {
           threads[0].core = core;
           threads[0].runnable = true;
           threads[0].load.prime(recorded);
-          GtsScheduler gts(cfg);
+          GtsScheduler gts;
           gts.assign(machine, threads);
           double lo = 0.0;
           double hi = 0.0;
