@@ -1,26 +1,41 @@
 #include "exp/calibration.hpp"
 
+#include <compare>
 #include <memory>
-#include <string>
-#include <tuple>
 
 #include "exp/metrics.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
+#include "util/fan_out.hpp"
 #include "util/once_cache.hpp"
 
 namespace hars {
 
-Calibration calibrate_benchmark(const PlatformSpec& platform,
-                                ParsecBenchmark bench, int threads,
-                                std::uint64_t seed, TimeUs duration) {
-  using Key = std::tuple<std::string, int, int, std::uint64_t, TimeUs>;
-  static OnceCache<Key, Calibration> cache{"calibration"};
-  const Key key{platform.signature(), static_cast<int>(bench), threads, seed,
-                duration};
-  return cache.get_or_compute(key, [&] {
+namespace {
+
+struct CalibrationKey {
+  std::uint32_t platform_id = 0;  ///< PlatformSpec::signature_id().
+  ParsecBenchmark bench = ParsecBenchmark::kSwaptions;
+  int threads = 0;
+  std::uint64_t seed = 0;
+  TimeUs duration = 0;
+
+  auto operator<=>(const CalibrationKey&) const = default;
+};
+
+OnceCache<CalibrationKey, Calibration>& calibration_cache() {
+  static OnceCache<CalibrationKey, Calibration> cache{"calibration"};
+  return cache;
+}
+
+/// calibrate_benchmark for a key whose platform id the caller computed
+/// (once per batch: building a signature costs about as much as a hit).
+Calibration calibrate_keyed(const PlatformSpec& platform,
+                            const CalibrationKey& key) {
+  return calibration_cache().get_or_compute(key, [&] {
     SimEngine engine(platform, std::make_unique<GtsScheduler>());
-    std::unique_ptr<App> app = make_parsec_app(bench, threads, seed);
+    std::unique_ptr<App> app =
+        make_parsec_app(key.bench, key.threads, key.seed);
     const AppId id = engine.add_app(app.get());
     (void)id;
 
@@ -31,7 +46,7 @@ Calibration calibrate_benchmark(const PlatformSpec& platform,
       engine.run_for(100 * kUsPerMs);
     }
     const TimeUs t0 = engine.now();
-    engine.run_for(duration);
+    engine.run_for(key.duration);
 
     Calibration cal;
     cal.max_rate_hps =
@@ -40,6 +55,36 @@ Calibration calibrate_benchmark(const PlatformSpec& platform,
     cal.high_target = cal.target_for_fraction(0.75);
     return cal;
   });
+}
+
+}  // namespace
+
+Calibration calibrate_benchmark(const PlatformSpec& platform,
+                                ParsecBenchmark bench, int threads,
+                                std::uint64_t seed, TimeUs duration) {
+  return calibrate_keyed(
+      platform, {platform.signature_id(), bench, threads, seed, duration});
+}
+
+std::vector<Calibration> calibrate_benchmarks(
+    const PlatformSpec& platform,
+    const std::vector<CalibrationRequest>& requests) {
+  const std::uint32_t platform_id = platform.signature_id();
+  std::vector<CalibrationKey> keys;
+  keys.reserve(requests.size());
+  std::vector<std::size_t> cold;
+  std::vector<std::size_t> warm;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CalibrationRequest& r = requests[i];
+    keys.push_back({platform_id, r.bench, r.threads, r.seed, kCalibrationUs});
+    (calibration_cache().contains(keys.back()) ? warm : cold).push_back(i);
+  }
+  std::vector<Calibration> results(requests.size());
+  fan_out_each(cold.size(), [&](std::size_t k) {
+    results[cold[k]] = calibrate_keyed(platform, keys[cold[k]]);
+  });
+  for (std::size_t i : warm) results[i] = calibrate_keyed(platform, keys[i]);
+  return results;
 }
 
 }  // namespace hars

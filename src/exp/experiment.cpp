@@ -71,7 +71,8 @@ std::vector<double> probe_baseline_rates(const ExperimentSpec& spec) {
 }
 
 std::vector<double> concurrent_baseline_rates(const ExperimentSpec& spec) {
-  using Key = std::tuple<std::string, long long, int, std::uint64_t>;
+  using Key =
+      std::tuple<std::string, std::uint32_t, long long, int, std::uint64_t>;
   static OnceCache<Key, std::vector<double>> cache{"baseline_probe"};
   bool cacheable = !spec.make_scheduler;  // Custom schedulers aren't keyed.
   std::string case_key;
@@ -81,8 +82,8 @@ std::vector<double> concurrent_baseline_rates(const ExperimentSpec& spec) {
     case_key += '+';
   }
   if (!cacheable) return probe_baseline_rates(spec);
-  case_key += spec.platform.signature();
-  const Key key{case_key, static_cast<long long>(spec.duration), spec.threads,
+  const Key key{case_key, spec.platform.signature_id(),
+                static_cast<long long>(spec.duration), spec.threads,
                 spec.seed};
   return cache.get_or_compute(key, [&] { return probe_baseline_rates(spec); });
 }

@@ -15,6 +15,7 @@
 #include "hmp/platform_registry.hpp"
 #include "hmp/sim_engine.hpp"
 #include "sched/gts.hpp"
+#include "util/fan_out.hpp"
 #include "util/once_cache.hpp"
 
 namespace hars {
@@ -148,20 +149,23 @@ StaticOptimalResult compute_static_optimal(
     return a.est_rate > b.est_rate;
   });
 
+  // The probes are independent simulations: run them in parallel, then
+  // select serially in rank order, as one loop would.
+  const std::size_t n_probe =
+      std::min<std::size_t>(kStaticOptimalShortlist, ranked.size());
+  const std::vector<Probe> probes = fan_out(n_probe, [&](std::size_t i) {
+    return probe_state(platform, bench, ranked[i].state, target, options);
+  });
   StaticOptimalResult best;
   bool best_set = false;
-  const int n_probe = std::min<int>(kStaticOptimalShortlist,
-                                    static_cast<int>(ranked.size()));
-  for (int i = 0; i < n_probe; ++i) {
-    const Probe probe =
-        probe_state(platform, bench, ranked[static_cast<std::size_t>(i)].state,
-                    target, options);
+  for (std::size_t i = 0; i < n_probe; ++i) {
+    const Probe& probe = probes[i];
     const bool better =
         !best_set ||
         (probe.satisfies && !best.satisfies_target) ||
         (probe.satisfies == best.satisfies_target && probe.pp > best.measured_pp);
     if (better) {
-      best.state = ranked[static_cast<std::size_t>(i)].state;
+      best.state = ranked[i].state;
       best.measured_pp = probe.pp;
       best.measured_rate = probe.rate;
       best.satisfies_target = probe.satisfies;
@@ -179,9 +183,10 @@ StaticOptimalResult find_static_optimal(ParsecBenchmark bench,
   const PlatformSpec platform =
       options.platform ? *options.platform
                        : PlatformRegistry::instance().get("exynos5422");
-  using Key = std::tuple<std::string, int, double, double, std::uint64_t, int>;
+  using Key =
+      std::tuple<std::uint32_t, int, double, double, std::uint64_t, int>;
   static OnceCache<Key, StaticOptimalResult> cache{"static_optimal"};
-  const Key key{platform.signature(), static_cast<int>(bench), target.min,
+  const Key key{platform.signature_id(), static_cast<int>(bench), target.min,
                 target.max, options.seed, options.threads};
   return cache.get_or_compute(key, [&] {
     return compute_static_optimal(platform, bench, target, options);

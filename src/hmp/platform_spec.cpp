@@ -1,6 +1,9 @@
 #include "hmp/platform_spec.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <unordered_map>
+#include <utility>
 
 #include "hmp/cpu_mask.hpp"
 
@@ -134,6 +137,15 @@ std::string PlatformSpec::signature() const {
   sig += "|base=" + std::to_string(base_watts);
   sig += "|r0=" + std::to_string(default_r0);
   return sig;
+}
+
+std::uint32_t PlatformSpec::signature_id() const {
+  static std::mutex mutex;
+  static std::unordered_map<std::string, std::uint32_t> ids;
+  std::string sig = signature();
+  const std::lock_guard<std::mutex> lock(mutex);
+  const auto next = static_cast<std::uint32_t>(ids.size());
+  return ids.try_emplace(std::move(sig), next).first->second;
 }
 
 PlatformSpec PlatformSpec::from_machine(const Machine& machine) {

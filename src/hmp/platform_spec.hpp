@@ -13,6 +13,7 @@
 // and base draw.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -74,6 +75,11 @@ struct PlatformSpec {
   /// A stable content signature for memoization keys: two platforms with
   /// equal signatures behave identically.
   std::string signature() const;
+
+  /// signature() interned to a small process-wide id: equal ids mean
+  /// equal signatures. Memo caches key on it, so each entry carries four
+  /// bytes instead of a copy of the signature string.
+  std::uint32_t signature_id() const;
 
   /// Wraps an existing Machine, attaching the per-core-type default power
   /// parameters (PowerParams::for_type) and kDefaultBaseWatts.

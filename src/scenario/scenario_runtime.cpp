@@ -28,21 +28,30 @@ HeartbeatMonitor& slot_heartbeats(const AppSlot& slot, Backend& backend) {
 
 std::vector<PerfTarget> resolve_scenario_targets(const ExperimentSpec& spec,
                                                  const Scenario& scenario) {
-  std::vector<PerfTarget> targets;
   const auto spawns = scenario.spawns();
-  targets.reserve(spawns.size());
+  std::vector<CalibrationRequest> requests;
   for (std::size_t i = 0; i < spawns.size(); ++i) {
     const ScenarioSpawn& spawn = spawns[i]->spawn;
+    if (spawn.target) continue;
+    requests.push_back({*spawn.bench,
+                        spawn.threads > 0 ? spawn.threads : spec.threads,
+                        spec.seed + i});
+  }
+  const std::vector<Calibration> cals =
+      calibrate_benchmarks(spec.platform, requests);
+
+  std::vector<PerfTarget> targets;
+  targets.reserve(spawns.size());
+  auto cal = cals.begin();
+  for (const ScenarioEvent* event : spawns) {
+    const ScenarioSpawn& spawn = event->spawn;
     if (spawn.target) {
       targets.push_back(*spawn.target);
       continue;
     }
-    const int threads = spawn.threads > 0 ? spawn.threads : spec.threads;
-    const Calibration cal = calibrate_benchmark(spec.platform, *spawn.bench,
-                                                threads, spec.seed + i);
     const double fraction =
         spawn.fraction ? *spawn.fraction : spec.target_fraction;
-    targets.push_back(cal.target_for_fraction(fraction));
+    targets.push_back((cal++)->target_for_fraction(fraction));
   }
   return targets;
 }

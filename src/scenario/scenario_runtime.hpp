@@ -61,6 +61,7 @@ std::vector<AppSlot> scenario_slots(const ExperimentSpec& spec,
 /// Per-spawn target resolution (spawn order): an explicit window wins;
 /// otherwise fraction (spawn's or the spec default) of the standalone
 /// calibrated maximum on the spec's platform, seeded like the app itself.
+/// The calibrations not cached yet run in parallel (calibrate_benchmarks).
 std::vector<PerfTarget> resolve_scenario_targets(const ExperimentSpec& spec,
                                                  const Scenario& scenario);
 

@@ -1,5 +1,5 @@
 // Shared command-line plumbing for sweep-driven binaries: every figure /
-// ablation bench accepts `--jobs N` (0 = hardware concurrency; also
+// ablation bench accepts `--jobs N` (0 = hardware_threads(); also
 // honoured via the HARS_JOBS environment variable, flag wins), rejects
 // every other flag, and prints a one-line campaign summary.
 #pragma once
@@ -17,7 +17,7 @@ class Parser;
 /// from the HARS_JOBS environment variable (so the flag wins).
 void declare_jobs_flag(flags::Parser& cli, int* jobs);
 
-/// SweepOptions for a parsed --jobs value (0 = hardware concurrency);
+/// SweepOptions for a parsed --jobs value (0 = hardware_threads());
 /// negative values clamp to 1.
 SweepOptions sweep_options_for_jobs(int jobs);
 

@@ -7,12 +7,12 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "sweep/work_stealing_pool.hpp"
+#include "util/fan_out.hpp"
 
 namespace hars {
 
@@ -93,10 +93,7 @@ std::vector<Record> run_experiment_case(const SweepSpec& spec,
 }
 
 SweepEngine::SweepEngine(SweepOptions options) : options_(options) {
-  if (options_.jobs == 0) {
-    options_.jobs =
-        static_cast<int>(std::thread::hardware_concurrency());
-  }
+  if (options_.jobs == 0) options_.jobs = hardware_threads();
   if (options_.jobs < 1) options_.jobs = 1;
 }
 

@@ -38,7 +38,7 @@ enum class SweepControl : int {
 
 struct SweepOptions {
   /// Worker threads; 1 runs inline on the calling thread, 0 means
-  /// hardware concurrency.
+  /// hardware_threads() (util/fan_out.hpp).
   int jobs = 1;
   /// Keep each case's full ExperimentResult (traces can be large; turn
   /// off for huge campaigns that only need the sink records).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/fan_out.hpp"
+
 namespace hars {
 
 namespace {
@@ -89,6 +91,7 @@ bool WorkStealingPool::try_steal(std::size_t self,
 
 void WorkStealingPool::worker_loop(std::size_t self) {
   tls_worker_index = self;
+  mark_pool_worker();  // Set-up fan-outs in tasks run inline.
   for (;;) {
     std::function<void()> task;
     if (try_pop(self, task) || try_steal(self, task)) {

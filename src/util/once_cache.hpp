@@ -1,12 +1,17 @@
-// Keyed compute-once cache, safe for concurrent sweep workers.
+// Keyed compute-once cache, safe for concurrent sweep workers and set-up
+// fan-outs.
 //
-// The map itself is guarded by a mutex, but the (potentially expensive —
-// whole probe simulations) computation runs outside it under a per-key
-// state machine: concurrent lookups of different keys compute in
-// parallel, concurrent lookups of the same key compute exactly once and
-// everyone observes the same value — which is what keeps cached and
-// uncached sweep cases bit-identical. A computation that throws resets
-// the entry, so a later call retries.
+// One map of {state, value} slots under one mutex and one condition
+// variable. The (potentially expensive — whole probe simulations)
+// computation runs outside the lock while its slot reads kRunning:
+// concurrent lookups of different keys compute in parallel, concurrent
+// lookups of the same key wait on the condition variable and compute
+// exactly once, and everyone observes the same value — which is what
+// keeps cached and uncached sweep cases bit-identical. A computation that
+// throws resets its slot to kIdle, so exactly one later caller (or one of
+// the waiters) recomputes; the slot itself stays, and counts as an entry.
+// Slots are never erased, so a reference into the std::map stays valid
+// while its computation runs unlocked.
 //
 // Named caches are observable: constructing an OnceCache with a name
 // registers `cache.<name>.hit`, `cache.<name>.miss` counters and a
@@ -30,7 +35,6 @@
 
 #include <condition_variable>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -47,54 +51,58 @@ class OnceCache {
   explicit OnceCache(std::string name) : name_(std::move(name)) {}
 
   /// Returns the cached value for `key`, computing it via `fn` on first
-  /// use. The returned copy is taken under the entry's lock after the
-  /// state reaches kDone, so it never observes a partial write.
+  /// use. The returned copy is taken under the lock after the slot
+  /// reaches kDone, so it never observes a partial write.
   template <typename Fn>
   Value get_or_compute(const Key& key, Fn&& fn) {
-    std::shared_ptr<Entry> entry;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ensure_metrics_locked();
-      std::shared_ptr<Entry>& slot = entries_[key];
-      if (!slot) slot = std::make_shared<Entry>();
-      entry = slot;
+    std::unique_lock<std::mutex> lock(mutex_);
+    ensure_metrics_locked();
+    Slot& slot = slots_[key];
+    cv_.wait(lock, [&] { return slot.state != State::kRunning; });
+    if (slot.state == State::kDone) {
+      obs::counter_add(hit_);
+      return slot.value;
     }
-
-    std::unique_lock<std::mutex> lock(entry->m);
-    for (;;) {
-      if (entry->state == State::kDone) {
-        obs::counter_add(hit_);
-        return entry->value;
-      }
-      if (entry->state == State::kIdle) break;  // We become the computer.
-      entry->cv.wait(lock, [&] { return entry->state != State::kRunning; });
-    }
-
-    entry->state = State::kRunning;
+    slot.state = State::kRunning;  // We become the computer.
     lock.unlock();
+
+    Value value;
     try {
-      Value value = fn();  // Outside the lock: distinct keys in parallel.
-      lock.lock();
-      entry->value = std::move(value);
-      entry->state = State::kDone;
-      entry->cv.notify_all();
-      obs::counter_add(miss_);
-      publish_entry_count();
-      return entry->value;
+      value = fn();  // Outside the lock: distinct keys in parallel.
     } catch (...) {
       lock.lock();
-      entry->state = State::kIdle;  // Retryable: the next caller recomputes.
-      entry->cv.notify_all();
+      slot.state = State::kIdle;  // Retryable: the next caller recomputes.
       lock.unlock();
+      cv_.notify_all();
       obs::counter_add(miss_);
       throw;
     }
+    lock.lock();
+    slot.value = std::move(value);
+    slot.state = State::kDone;
+    Value result = slot.value;
+    // Under the lock, so the last write is the current count.
+    if (!name_.empty()) {
+      obs::gauge_set(entries_gauge_, static_cast<double>(slots_.size()));
+    }
+    lock.unlock();
+    cv_.notify_all();
+    obs::counter_add(miss_);
+    return result;
+  }
+
+  /// True when `key` holds a computed value, so get_or_compute would
+  /// return it without running anything. Not a lookup: counts no hit.
+  bool contains(const Key& key) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slots_.find(key);
+    return it != slots_.end() && it->second.state == State::kDone;
   }
 
   /// Number of keyed entries (computed or in flight). Observability.
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return slots_.size();
   }
 
   const std::string& name() const { return name_; }
@@ -102,9 +110,7 @@ class OnceCache {
  private:
   enum class State { kIdle, kRunning, kDone };
 
-  struct Entry {
-    std::mutex m;
-    std::condition_variable cv;
+  struct Slot {
     State state = State::kIdle;
     Value value{};
   };
@@ -124,20 +130,9 @@ class OnceCache {
     metrics_ready_ = true;
   }
 
-  /// Publishes the entry-count gauge after a computation lands. Takes
-  /// mutex_ itself, so callers must NOT hold it (gauge_set is cold).
-  void publish_entry_count() {
-    if (name_.empty()) return;
-    std::size_t n;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      n = entries_.size();
-    }
-    obs::gauge_set(entries_gauge_, static_cast<double>(n));
-  }
-
   mutable std::mutex mutex_;
-  std::map<Key, std::shared_ptr<Entry>> entries_;
+  std::condition_variable cv_;  ///< Signalled when any slot leaves kRunning.
+  std::map<Key, Slot> slots_;   ///< Guarded by mutex_.
   std::string name_;
   bool metrics_ready_ = false;  ///< Guarded by mutex_.
   obs::CounterId hit_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <thread>
@@ -182,6 +183,85 @@ TEST(OnceCache, NamedHammerStaysConsistent) {
   ASSERT_NE(entries, nullptr);
   EXPECT_EQ(entries->gauge, static_cast<double>(kKeys));
   registry.set_enabled(false);
+}
+
+TEST(OnceCache, WaitersOnAThrowingComputationRecomputeExactlyOnce) {
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.set_enabled(true);
+  OnceCache<int, int> cache("once_cache_throw_waiters_test");
+  // Registers the metric ids before any racer attaches its shard; the
+  // counts below are deltas from here.
+  EXPECT_EQ(cache.get_or_compute(0, [] { return 0; }), 0);
+  const auto count = [&](const char* field) {
+    const obs::MetricsSnapshot snapshot = registry.take_snapshot();
+    const obs::MetricValue* metric = snapshot.find(
+        std::string("cache.once_cache_throw_waiters_test.") + field);
+    return metric == nullptr ? 0.0
+           : metric->kind == obs::MetricKind::kGauge
+               ? metric->gauge
+               : static_cast<double>(metric->counter);
+  };
+  const double hits_before = count("hit");
+  const double misses_before = count("miss");
+
+  constexpr int kWaiters = 6;
+  std::atomic<int> waiters_started{0};
+  std::atomic<int> recomputes{0};
+  std::atomic<int> bad{0};
+  std::thread thrower([&] {
+    obs::ensure_thread_registered();
+    EXPECT_THROW(cache.get_or_compute(1,
+                                      [&]() -> int {
+                                        // Hold kRunning until every waiter
+                                        // is on its way into the wait.
+                                        while (waiters_started.load() <
+                                               kWaiters) {
+                                          std::this_thread::yield();
+                                        }
+                                        std::this_thread::sleep_for(
+                                            std::chrono::milliseconds(20));
+                                        throw std::runtime_error("flaky");
+                                      }),
+                 std::runtime_error);
+  });
+  // The waiters start only once key 1 reads kRunning.
+  while (cache.size() < 2) std::this_thread::yield();
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&] {
+      obs::ensure_thread_registered();
+      waiters_started.fetch_add(1);
+      const int value = cache.get_or_compute(1, [&] {
+        recomputes.fetch_add(1);
+        return 11;
+      });
+      if (value != 11) bad.fetch_add(1);
+    });
+  }
+  thrower.join();
+  for (std::thread& w : waiters) w.join();
+
+  EXPECT_EQ(recomputes.load(), 1);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(count("hit") - hits_before, kWaiters - 1);
+  // The throw and the one recompute.
+  EXPECT_EQ(count("miss") - misses_before, 2.0);
+  EXPECT_EQ(count("entries"), 2.0);  // Keys 0 and 1.
+  registry.set_enabled(false);
+}
+
+TEST(OnceCache, ContainsOnlyComputedKeysAndCountsNoLookup) {
+  OnceCache<int, int> cache;
+  EXPECT_FALSE(cache.contains(1));
+  EXPECT_THROW(
+      cache.get_or_compute(1, []() -> int { throw std::runtime_error("x"); }),
+      std::runtime_error);
+  EXPECT_FALSE(cache.contains(1));  // A failed computation caches nothing.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get_or_compute(1, [] { return 5; }), 5);
+  EXPECT_TRUE(cache.contains(1));
+  EXPECT_FALSE(cache.contains(2));
+  EXPECT_EQ(cache.size(), 1u);  // contains() adds no entry.
 }
 
 }  // namespace

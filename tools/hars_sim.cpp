@@ -15,7 +15,7 @@
 //
 // In `sweep` mode, repeated --bench/--version/--fraction/--distance flags
 // become axes of a cartesian campaign executed on the work-stealing pool
-// (--jobs N; 0 = hardware concurrency); results stream to stdout as a
+// (--jobs N; 0 = the hardware threads it may use); results stream to stdout as a
 // table and optionally to --csv / --jsonl sinks. --derive-seeds gives
 // every case a coordinate-derived RNG seed.
 //
