@@ -87,16 +87,13 @@ int main(int argc, char** argv) {
   double duration_sec = 60.0;
   int sample_ticks = 10;
   std::string out_path = "BENCH_scenarios.json";
-  int jobs = 1;
   flags::Parser cli("scenario_suite");
   cli.flag("--duration SEC", &duration_sec,
            "simulated seconds per scenario run (default 60)")
       .flag("--sample-ticks N", &sample_ticks,
             "trace capture cadence in engine ticks (default 10)")
       .flag("--out FILE", &out_path,
-            "perf record (default BENCH_scenarios.json)")
-      .flag("--jobs N", &jobs,
-            "accepted for symmetry; the suite times runs serially");
+            "perf record (default BENCH_scenarios.json)");
   if (const flags::Status status = cli.parse(argc, argv);
       status != flags::Status::kOk) {
     return flags::exit_code(status);

@@ -74,7 +74,7 @@ void ReferenceGtsScheduler::assign(const Machine& machine,
   for (CoreId idle = online.first(); idle >= 0; idle = online.next(idle)) {
     if (core_load[static_cast<std::size_t>(idle)] != 0) continue;
     SimThread* victim = nullptr;
-    int victim_load = 1;  // Only steal from cores with >= 2 runnable threads.
+    int victim_load = 1;  // Only pull from cores with >= 2 runnable threads.
     for (SimThread& t : threads) {
       if (!t.runnable || t.core < 0 || t.core == idle) continue;
       const int load = core_load[static_cast<std::size_t>(t.core)];

@@ -26,7 +26,7 @@ inline constexpr double kGtsUpThreshold = 0.80;
 inline constexpr double kGtsDownThreshold = 0.30;
 
 struct GtsConfig {
-  /// Idle-pull spill-over: when true, an idle online core steals a
+  /// Idle-pull spill-over: when true, an idle online core pulls a
   /// runnable thread from a core packing two or more, across clusters.
   /// Models the fine-grain inter-cluster balancing of later schedulers
   /// (EAS-style; thesis §3.1.4 option 3 / related work [9]) — stock GTS

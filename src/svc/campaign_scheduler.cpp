@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 #include "apps/parsec.hpp"
 #include "core/search.hpp"
@@ -190,12 +189,7 @@ std::string build_run_experiment(const CampaignRequest& request,
   return {};
 }
 
-CampaignScheduler::CampaignScheduler(int jobs) {
-  if (jobs <= 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  pool_ = std::make_unique<WorkStealingPool>(std::max(1, jobs));
-}
+CampaignScheduler::CampaignScheduler(int jobs) : pool_(jobs) {}
 
 CampaignScheduler::CampaignPtr CampaignScheduler::register_campaign(
     std::uint64_t session, std::uint64_t cases) {

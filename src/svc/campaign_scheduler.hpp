@@ -1,5 +1,5 @@
-// CampaignScheduler: maps client campaigns onto one shared
-// WorkStealingPool and tracks them for status/cancel/drain.
+// CampaignScheduler: maps client campaigns onto one shared TaskPool and
+// tracks them for status/cancel/drain.
 //
 // Expansion: a declarative CampaignRequest becomes a SweepSpec (sweep
 // mode) or an ExperimentBuilder (run mode). This is the one mapping from
@@ -11,9 +11,9 @@
 // the offender (mapped to kBadRequest by the connection layer).
 //
 // Scheduling: all campaigns share the daemon's one pool; the SweepEngine
-// runs each with SweepOptions::shared_pool and a campaign-local latch,
-// so concurrent campaigns interleave at case granularity and never wait
-// on each other's completion. Each registered campaign owns an atomic
+// runs each with SweepOptions::shared_pool, so concurrent campaigns
+// interleave at case granularity and never wait on each other's
+// completion. Each registered campaign owns an atomic
 // control word (SweepControl) the engine polls — cancel flips one
 // campaign's word, drain_all flips every current *and future* one.
 #pragma once
@@ -29,7 +29,7 @@
 #include "svc/protocol.hpp"
 #include "sweep/sweep_engine.hpp"
 #include "sweep/sweep_spec.hpp"
-#include "sweep/work_stealing_pool.hpp"
+#include "util/fan_out.hpp"
 
 namespace hars {
 namespace flags {
@@ -78,7 +78,7 @@ class CampaignScheduler {
   };
   using CampaignPtr = std::shared_ptr<Campaign>;
 
-  /// `jobs` <= 0 selects hardware concurrency.
+  /// `jobs` <= 0 selects hardware_threads().
   explicit CampaignScheduler(int jobs);
 
   CampaignPtr register_campaign(std::uint64_t session, std::uint64_t cases);
@@ -92,13 +92,13 @@ class CampaignScheduler {
   void drain_all();
 
   std::vector<CampaignStatus> status() const;
-  WorkStealingPool& pool() { return *pool_; }
-  int jobs() const { return pool_->worker_count(); }
+  TaskPool& pool() { return pool_; }
+  int jobs() const { return pool_.worker_count(); }
   std::uint64_t active_count() const;
   std::uint64_t total_count() const;
 
  private:
-  std::unique_ptr<WorkStealingPool> pool_;
+  TaskPool pool_;
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, CampaignPtr> active_;
   std::uint64_t next_id_ = 1;

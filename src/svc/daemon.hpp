@@ -1,7 +1,7 @@
 // ServiceDaemon: the hars_simd simulation-as-a-service core.
 //
 // One daemon = one listener + one SessionManager (admission) + one
-// CampaignScheduler (shared WorkStealingPool) + one shared cache tier
+// CampaignScheduler (shared TaskPool) + one shared cache tier
 // (the process-wide OnceCaches, warm across requests). Each accepted
 // connection gets a handler thread (reads request frames), a writer
 // thread (drains the connection's bounded FrameQueue in batches), and

@@ -4,14 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <utility>
 
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
-#include "sweep/work_stealing_pool.hpp"
 #include "util/fan_out.hpp"
 
 namespace hars {
@@ -137,7 +135,7 @@ SweepReport SweepEngine::run(const SweepSpec& spec) {
                             finished[emit_cursor])
                             .count());
       // A throwing sink is captured as that case's error — it must not
-      // escape the pool task (std::terminate) or stall the cursor.
+      // escape the case or stall the cursor.
       try {
         for (const Record& record : ready.records) {
           for (ResultSink* sink : sinks_) sink->write(record);
@@ -169,7 +167,7 @@ SweepReport SweepEngine::run(const SweepSpec& spec) {
   }
 
   const auto run_case = [&](std::size_t i) {
-    // Pool workers attach here (cold, before any guarded experiment
+    // Case threads attach here (cold, before any guarded experiment
     // code); when telemetry is off this keeps them detached.
     obs::ensure_thread_registered();
     CaseOutcome outcome;
@@ -224,32 +222,11 @@ SweepReport SweepEngine::run(const SweepSpec& spec) {
     emit_ready_locked();
   };
 
-  if (options_.shared_pool != nullptr) {
-    // Shared pool: other campaigns' tasks interleave with ours, so wait
-    // on a campaign-local latch instead of pool.wait_idle().
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    std::size_t remaining = cases.size() - first_case;
-    if (remaining > 0) {
-      for (std::size_t i = first_case; i < cases.size(); ++i) {
-        options_.shared_pool->submit([&, i] {
-          run_case(i);
-          std::lock_guard<std::mutex> lock(done_mutex);
-          if (--remaining == 0) done_cv.notify_all();
-        });
-      }
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&] { return remaining == 0; });
-    }
-  } else if (options_.jobs == 1) {
-    for (std::size_t i = first_case; i < cases.size(); ++i) run_case(i);
-  } else {
-    WorkStealingPool pool(options_.jobs);
-    for (std::size_t i = first_case; i < cases.size(); ++i) {
-      pool.submit([&run_case, i] { run_case(i); });
-    }
-    pool.wait_idle();
-  }
+  const auto body = [&](std::size_t k) { run_case(first_case + k); };
+  const std::size_t to_run = cases.size() - first_case;
+  options_.shared_pool != nullptr
+      ? options_.shared_pool->run_each(to_run, body)
+      : fan_out_each(to_run, body, options_.jobs);
 
   for (ResultSink* sink : sinks_) sink->flush();
   for (const CaseOutcome& outcome : report.outcomes) {

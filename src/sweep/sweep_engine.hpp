@@ -1,6 +1,7 @@
-// SweepEngine: executes an expanded SweepSpec on a work-stealing pool.
+// SweepEngine: executes an expanded SweepSpec on --jobs threads
+// (util/fan_out.hpp's fan_out_each), or on a shared TaskPool.
 //
-// Each case runs as one task: build an ExperimentBuilder (spec base
+// Each case runs as one item: build an ExperimentBuilder (spec base
 // mutator, then the case's axis mutators, then — in SeedMode::kDerived —
 // the case's coordinate-derived seed), run the experiment, and flatten
 // the result into one Record per app. Campaigns with a custom CaseRunner
@@ -26,7 +27,7 @@
 
 namespace hars {
 
-class WorkStealingPool;
+class TaskPool;
 
 /// Live control word a long-running campaign polls between cases; the
 /// hars_simd daemon flips it on SIGTERM (drain) or a client cancel.
@@ -37,18 +38,17 @@ enum class SweepControl : int {
 };
 
 struct SweepOptions {
-  /// Worker threads; 1 runs inline on the calling thread, 0 means
-  /// hardware_threads() (util/fan_out.hpp).
+  /// Threads that run cases, the calling thread included; 1 runs inline
+  /// on the calling thread, 0 means hardware_threads() (util/fan_out.hpp).
   int jobs = 1;
   /// Keep each case's full ExperimentResult (traces can be large; turn
   /// off for huge campaigns that only need the sink records).
   bool keep_results = true;
-  /// Run on this externally owned pool instead of creating one (the
-  /// daemon shares one pool across concurrent campaigns). The engine
-  /// then tracks its own cases with a campaign-local latch rather than
-  /// pool.wait_idle(), so campaigns never wait on each other's work.
+  /// Run the cases on this externally owned pool instead (the daemon
+  /// shares one pool across concurrent campaigns); run_each returns when
+  /// this campaign's cases finished, whatever else the pool runs.
   /// `jobs` is ignored when set.
-  WorkStealingPool* shared_pool = nullptr;
+  TaskPool* shared_pool = nullptr;
   /// Optional external control word (values of SweepControl), polled
   /// before each case starts. nullptr = run to completion. A case that
   /// observes kDrain/kCancel before starting is *not run*: its outcome

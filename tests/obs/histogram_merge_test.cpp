@@ -4,11 +4,12 @@
 // have exited (retired-accumulator merge via the ShardOwner destructor).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sweep/work_stealing_pool.hpp"
+#include "util/fan_out.hpp"
 
 namespace hars {
 namespace obs {
@@ -36,19 +37,16 @@ TEST_F(HistogramMergeTest, PoolWorkersMergeExactly) {
   constexpr int kTasks = 64;
   constexpr int kObsPerTask = 100;
   {
-    WorkStealingPool pool(4);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.submit([&] {
-        ensure_thread_registered();
-        for (int i = 0; i < kObsPerTask; ++i) {
-          // Cycle 0.5, 1.5, 3.0, 8.0 — one value per bucket incl. +Inf.
-          static constexpr double kValues[] = {0.5, 1.5, 3.0, 8.0};
-          hist_observe(hist, kValues[i % 4]);
-          counter_add(hits);
-        }
-      });
-    }
-    pool.wait_idle();
+    TaskPool pool(4);
+    pool.run_each(kTasks, [&](std::size_t) {
+      ensure_thread_registered();
+      for (int i = 0; i < kObsPerTask; ++i) {
+        // Cycle 0.5, 1.5, 3.0, 8.0 — one value per bucket incl. +Inf.
+        static constexpr double kValues[] = {0.5, 1.5, 3.0, 8.0};
+        hist_observe(hist, kValues[i % 4]);
+        counter_add(hits);
+      }
+    });
 
     // Workers still alive: live shards merge into the snapshot.
     const MetricsSnapshot live = reg.take_snapshot();
@@ -85,16 +83,13 @@ TEST_F(HistogramMergeTest, ConcurrentObserversDoNotLoseWrites) {
   constexpr int kTasks = 200;
   constexpr int kObsPerTask = 500;
   {
-    WorkStealingPool pool(8);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.submit([&, t] {
-        ensure_thread_registered();
-        for (int i = 0; i < kObsPerTask; ++i) {
-          hist_observe(hist, static_cast<double>((t + i) % 2000));
-        }
-      });
-    }
-    pool.wait_idle();
+    TaskPool pool(8);
+    pool.run_each(kTasks, [&](std::size_t t) {
+      ensure_thread_registered();
+      for (std::size_t i = 0; i < kObsPerTask; ++i) {
+        hist_observe(hist, static_cast<double>((t + i) % 2000));
+      }
+    });
   }
   const MetricsSnapshot snap = reg.take_snapshot();
   const MetricValue* v = snap.find("test.merge.hammer");

@@ -62,7 +62,7 @@ TEST(GtsSpill, PullRespectsAffinity) {
   config.idle_pull = true;
   GtsScheduler gts(config);
   auto threads = hot_threads(machine, 8);
-  // All threads pinned to the big cluster: idle littles must not steal.
+  // All threads pinned to the big cluster: idle littles must not pull.
   for (SimThread& t : threads) t.affinity = machine.fastest_mask();
   gts.assign(machine, threads);
   for (const SimThread& t : threads) {

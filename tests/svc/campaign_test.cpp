@@ -4,6 +4,7 @@
 #include "svc/campaign_scheduler.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <iterator>
 #include <string>
@@ -233,6 +234,21 @@ TEST(CampaignSchedulerTest, DrainAllCoversCurrentAndFutureCampaigns) {
   scheduler.drain_all();
   EXPECT_EQ(cancelled->control.load(),
             static_cast<int>(SweepControl::kCancel));
+}
+
+TEST(CampaignSchedulerTest, ZeroJobsFollowTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int jobs = CampaignScheduler(0).jobs();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(jobs, 1);
 }
 
 }  // namespace

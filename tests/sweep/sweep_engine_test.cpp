@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sweep/aggregator.hpp"
+#include "util/fan_out.hpp"
 
 namespace hars {
 namespace {
@@ -136,6 +139,33 @@ TEST(SweepEngine, CustomRunnerRowsGetCoordinatePrefix) {
   EXPECT_DOUBLE_EQ(sink.rows()[0].number("x"), 2.0);
   EXPECT_DOUBLE_EQ(sink.rows()[0].number("square"), 4.0);
   EXPECT_DOUBLE_EQ(sink.rows()[1].number("square"), 9.0);
+}
+
+TEST(SweepEngine, SetUpFanOutsInCasesRunInlineBesideJobs) {
+  // Each case fans out as a scenario's set-up does. With --jobs 2 the
+  // engine starts its one helper, and no case's fan-out starts another.
+  // The cases last long enough that the caller runs some of them too.
+  SweepSpec spec;
+  spec.values("x", {1.0, 2.0, 3.0, 4.0}, nullptr)
+      .case_runner([](const SweepCase& c) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::vector<double> parts(4);
+        fan_out_each(4, [&](std::size_t i) {
+          parts[i] = c.number("x") * static_cast<double>(i + 1);
+        });
+        Record r;
+        r.set("sum", parts[0] + parts[1] + parts[2] + parts[3]);
+        return std::vector<Record>{r};
+      });
+  SweepEngine serial(SweepOptions{.jobs = 1});
+  const SweepReport a = serial.run(spec);
+
+  const std::size_t started = fan_out_threads_started();
+  SweepEngine parallel(SweepOptions{.jobs = 2});
+  const SweepReport b = parallel.run(spec);
+  EXPECT_EQ(fan_out_threads_started() - started, 1u);
+  EXPECT_EQ(b.failed, 0u);
+  EXPECT_EQ(csv_of(b), csv_of(a));
 }
 
 TEST(SweepEngine, CaseFailureIsCapturedNotFatal) {

@@ -1,6 +1,6 @@
 // fan_out: every index runs once with its result at its index, errors
-// surface lowest index first only after every item finished, and small
-// batches or pool workers start no thread. Runs under ThreadSanitizer in
+// surface lowest index first only after every item finished, the width
+// bounds the helpers, and small batches or pool workers start no thread. Runs under ThreadSanitizer in
 // the CI sanitizer matrix.
 #include "util/fan_out.hpp"
 
@@ -16,8 +16,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "sweep/work_stealing_pool.hpp"
 
 namespace hars {
 namespace {
@@ -81,8 +79,8 @@ TEST(FanOut, RunsInlineOnPoolWorker) {
   std::thread::id worker;
   bool marked = false;
   {
-    WorkStealingPool pool(1);
-    pool.submit([&] {
+    TaskPool pool(1);
+    pool.run_each(1, [&](std::size_t) {
       worker = std::this_thread::get_id();
       marked = on_pool_worker();
       fan_out_each(16, [&](std::size_t) {
@@ -90,12 +88,34 @@ TEST(FanOut, RunsInlineOnPoolWorker) {
         item_threads.insert(std::this_thread::get_id());
       });
     });
-    pool.wait_idle();
   }
   EXPECT_TRUE(marked);
   EXPECT_FALSE(on_pool_worker());  // The test thread is no pool worker.
   EXPECT_EQ(item_threads, std::set<std::thread::id>{worker});
   EXPECT_EQ(fan_out_threads_started(), started);
+}
+
+TEST(FanOut, WidthBoundsTheHelpers) {
+  const std::size_t started = fan_out_threads_started();
+  fan_out_each(8, [](std::size_t) {}, 1);
+  EXPECT_EQ(fan_out_threads_started(), started);
+  fan_out_each(8, [](std::size_t) {}, 3);
+  EXPECT_EQ(fan_out_threads_started() - started, 2u);
+}
+
+TEST(FanOut, CallerBesideHelpersRunsNestedFanOutsInline) {
+  const std::size_t started = fan_out_threads_started();
+  std::atomic<int> marked_items{0};
+  fan_out_each(4, [&](std::size_t) {
+    if (on_pool_worker()) marked_items.fetch_add(1);
+    fan_out_each(4, [](std::size_t) {});
+    // Long enough that the caller runs some items, not only the helper.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }, 2);
+  // One helper, and no nested fan-out started another thread.
+  EXPECT_EQ(fan_out_threads_started() - started, 1u);
+  EXPECT_EQ(marked_items.load(), 4);
+  EXPECT_FALSE(on_pool_worker());  // The caller's mark is restored.
 }
 
 TEST(FanOut, HelperThreadsRunNestedFanOutsInline) {

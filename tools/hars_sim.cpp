@@ -14,8 +14,8 @@
 // frequencies) is written as CSV.
 //
 // In `sweep` mode, repeated --bench/--version/--fraction/--distance flags
-// become axes of a cartesian campaign executed on the work-stealing pool
-// (--jobs N; 0 = the hardware threads it may use); results stream to stdout as a
+// become axes of a cartesian campaign whose cases run on --jobs N threads
+// (0 = the hardware threads it may use); results stream to stdout as a
 // table and optionally to --csv / --jsonl sinks. --derive-seeds gives
 // every case a coordinate-derived RNG seed.
 //

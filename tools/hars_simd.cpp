@@ -7,7 +7,7 @@
 // docs/FILE_FORMATS.md, "Wire protocol"): clients submit experiment /
 // sweep campaigns, stream result records, scrape Prometheus metrics,
 // and query or cancel live campaigns. All campaigns share one
-// work-stealing pool and the process-wide calibration / static-optimal
+// FIFO task pool and the process-wide calibration / static-optimal
 // / baseline-probe caches, so repeated submissions hit a warm tier.
 //
 // SIGTERM/SIGINT trigger a graceful drain: in-flight cases finish, new
