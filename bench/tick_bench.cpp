@@ -2,19 +2,21 @@
 //
 // Measures ticks/sec for every registered platform x runtime version x
 // valid app count and writes BENCH_tick.json. Each case runs --duration
-// simulated seconds once, after an untimed one-second warm-up run that
-// fills the calibration and static-optimal caches, so the timed run
-// measures the engine and the manager only. The default duration gives
-// every case at least 1 s of wall time, long enough to resolve: the
-// fastest case (one app under SO or a HARS version) takes 1.6-2.1 s on
-// a 4-thread x86-64 host, and the whole grid about 7 minutes.
+// simulated seconds three times, after an untimed one-second warm-up run
+// that fills the calibration and static-optimal caches, so the timed runs
+// measure the engine and the manager only; the record keeps their
+// median, min and max, so a reader sees each case's spread. The default
+// duration gives every timed run at least 1 s of wall time; CI runs a
+// shorter one that keeps the grid near a minute and a half.
 //
 // Records identity (across --jobs, telemetry on/off and the reference
 // paths) is asserted by ctest, not here.
 //
 //   tick_bench [--duration SEC] [--out FILE]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -36,11 +38,15 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
+/// Timed runs per case.
+constexpr int kRuns = 3;
+
 struct GridCase {
   std::string platform;
   std::string variant;
   int apps = 1;
-  double wall_ms = 0.0;
+  double wall_ms[kRuns] = {};  ///< Sorted after the runs.
+  double median_ms() const { return wall_ms[kRuns / 2]; }
 };
 
 const std::vector<ParsecBenchmark>& grid_benchmarks() {
@@ -95,18 +101,23 @@ int main(int argc, char** argv) {
   for (GridCase& c : grid) {
     (void)build_case(c, 1.0).run();
     const Experiment experiment = build_case(c, duration_sec);
-    const auto start = Clock::now();
-    (void)experiment.run();
-    c.wall_ms = ms_since(start);
-    std::printf("grid %-11s %-10s apps=%d  %8.1f ms  %8.1f kticks/s\n",
-                c.platform.c_str(), c.variant.c_str(), c.apps, c.wall_ms,
-                ticks / c.wall_ms);
+    for (double& wall_ms : c.wall_ms) {
+      const auto start = Clock::now();
+      (void)experiment.run();
+      wall_ms = ms_since(start);
+    }
+    std::sort(std::begin(c.wall_ms), std::end(c.wall_ms));
+    std::printf(
+        "grid %-11s %-10s apps=%d  %8.1f ms [%.1f, %.1f]  %8.1f kticks/s\n",
+        c.platform.c_str(), c.variant.c_str(), c.apps, c.median_ms(),
+        c.wall_ms[0], c.wall_ms[kRuns - 1], ticks / c.median_ms());
   }
   const double grid_wall_ms = ms_since(grid_start);
 
   std::ofstream out(out_path);
   out << "{\n  \"campaign\": \"tick_bench\",\n"
       << "  \"duration_sec\": " << format_number(duration_sec)
+      << ",\n  \"runs\": " << kRuns
       << ",\n  \"cases\": " << grid.size()
       << ",\n  \"wall_ms\": " << format_number(grid_wall_ms)
       << ",\n  \"grid\": [\n";
@@ -115,9 +126,11 @@ int main(int argc, char** argv) {
     out << "    {\"platform\": \"" << json::escape(c.platform)
         << "\", \"variant\": \"" << json::escape(c.variant)
         << "\", \"apps\": " << c.apps
-        << ", \"wall_ms\": " << format_number(c.wall_ms)
+        << ", \"wall_ms\": " << format_number(c.median_ms())
+        << ", \"wall_ms_min\": " << format_number(c.wall_ms[0])
+        << ", \"wall_ms_max\": " << format_number(c.wall_ms[kRuns - 1])
         << ", \"ticks_per_sec\": "
-        << format_number(ticks / (c.wall_ms / 1000.0)) << "}"
+        << format_number(ticks / (c.median_ms() / 1000.0)) << "}"
         << (i + 1 < grid.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

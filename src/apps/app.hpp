@@ -55,10 +55,17 @@ struct QuietGrant {
 /// must stay above once the work is subtracted (the tick is quiet only
 /// then). work == 0 means no change; such a lane's floor is -inf, which
 /// any remaining work x passes, since x - 0.0 == x.
+///
+/// A lane with a `speed` may also retire inside a span: on the tick its
+/// remaining work `rem` would reach the floor, execute() retires all of
+/// it, returns static_cast<TimeUs>(rem / speed * kUsPerSec) and leaves
+/// the thread with no work, not runnable from the next tick on. speed ==
+/// 0 (the default) ends the span instead.
 struct QuietLane {
   WorkUnits work = 0.0;
   WorkUnits floor = -std::numeric_limits<double>::infinity();
   TimeUs used_us = 0;
+  double speed = 0.0;
 };
 
 class App {
@@ -108,11 +115,12 @@ class App {
 
   // --- Quiet spans (SimEngine::run_until) ---
   // A quiet tick changes only arithmetic: every granted thread keeps
-  // work beyond its share, so no runnable flag flips and end_tick is a
-  // no-op. For the length of a span the engine holds each thread's
-  // remaining work in its own array (export_quiet ... import_quiet); each
-  // tick it subtracts every lane's work and takes the tick only when
-  // every result stays above the lane's floor.
+  // work beyond its share, or finishes it on a lane that may retire, so
+  // end_tick is a no-op. For the length of a span the engine holds each
+  // thread's remaining work in its own array (export_quiet ...
+  // import_quiet); each tick it subtracts every lane's work and takes the
+  // tick when every result stays above the lane's floor, or when the
+  // lanes that reach it may retire (QuietLane::speed, quiet_retires()).
 
   /// Fills `lanes[i]` for each of the app's threads from `grants[i]`
   /// with exactly the values execute() computes for a share the thread
@@ -134,9 +142,14 @@ class App {
     return false;
   }
 
+  /// How many of the app's threads may retire inside a span, on lanes
+  /// with a speed, before end_tick would act on the app (a barrier
+  /// closing). Asked at span entry, after export_quiet; the default: none.
+  virtual int quiet_retires() const { return 0; }
+
   /// Takes back the remaining work after the span subtracted its ticks'
-  /// lanes: bit-identical to execute() on every granted thread followed
-  /// by end_tick(), once per tick.
+  /// lanes and retired its threads: bit-identical to execute() on every
+  /// granted thread followed by end_tick(), once per tick.
   virtual void import_quiet(const double* rem) { (void)rem; }
 
   /// True once the application has retired all its input (simulations

@@ -117,16 +117,28 @@ void DataParallelApp::end_tick(TimeUs now) {
 
 bool DataParallelApp::plan_quiet(const QuietGrant* grants,
                                  QuietLane* lanes) const {
+  // Threads on equal cores get equal grants, so the last lane's values
+  // serve the next equal grant: the same expressions on the same operands.
+  QuietGrant last{};
+  QuietLane last_lane{};
   for (int i = 0; i < thread_count(); ++i) {
     const QuietGrant& grant = grants[i];
     QuietLane& lane = lanes[i];
     lane = QuietLane{};
     if (grant.share_us <= 0) continue;
+    if (grant.share_us == last.share_us && grant.type == last.type &&
+        grant.freq_ghz == last.freq_ghz) {
+      lane = last_lane;
+      continue;
+    }
     const double speed = thread_speed(grant.type, grant.freq_ghz);
     if (speed <= 0.0) continue;  // execute() returns 0 and changes nothing.
     lane.work = speed * us_to_sec(grant.share_us);
     lane.floor = 0.0;
     lane.used_us = static_cast<TimeUs>(lane.work / speed * kUsPerSec);
+    lane.speed = speed;
+    last = grant;
+    last_lane = lane;
   }
   return true;
 }
@@ -146,12 +158,21 @@ bool DataParallelApp::export_quiet(double* rem) const {
   return open_threads_ > 0;
 }
 
+int DataParallelApp::quiet_retires() const {
+  // The thread that closes the barrier makes end_tick emit a heartbeat.
+  if (warmup_remaining_ > 0.0 || !iteration_open_) return 0;
+  return open_threads_ - 1;
+}
+
 void DataParallelApp::import_quiet(const double* rem) {
   if (warmup_remaining_ > 0.0) {
     warmup_remaining_ = rem[0];
     return;
   }
   std::copy(rem, rem + remaining_.size(), remaining_.begin());
+  open_threads_ = static_cast<int>(
+      std::count_if(remaining_.begin(), remaining_.end(),
+                    [](WorkUnits r) { return r > 0.0; }));
 }
 
 bool DataParallelApp::finished() const {

@@ -44,10 +44,16 @@ class DataParallelApp final : public App {
   /// speed * us_to_sec(share) and used = can_do / speed * kUsPerSec. A
   /// lane's floor is 0: rem > can_do (the full-share branch) holds
   /// exactly when rem - can_do > 0, since doubles underflow gradually.
-  /// During the serial warm-up, thread 0's remaining work is the
-  /// warm-up's.
+  /// Every lane carries its speed: a thread that reaches the floor runs
+  /// execute()'s partial branch (done = rem), and all but the last open
+  /// thread of an iteration may do so inside a span. During the serial
+  /// warm-up, thread 0's remaining work is the warm-up's, and its end
+  /// ends the span.
   bool plan_quiet(const QuietGrant* grants, QuietLane* lanes) const override;
   bool export_quiet(double* rem) const override;
+  int quiet_retires() const override;
+  /// Also recounts the open threads: the barrier countdown drops by each
+  /// thread the span retired.
   void import_quiet(const double* rem) override;
 
   std::int64_t iterations_completed() const { return iteration_; }

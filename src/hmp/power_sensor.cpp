@@ -46,35 +46,25 @@ HARS_HOT void PowerSensor::tick_presummed(TimeUs now, TimeUs tick_us,
 HARS_HOT void PowerSensor::cluster_watts(const std::vector<double>& cluster_busy,
                                          const std::vector<double>& cluster_freq,
                                          const std::vector<char>& cluster_online,
+                                         TimeUs tick_us,
                                          std::vector<double>& watts,
-                                         double& total) const {
+                                         std::vector<double>& joules,
+                                         double& total) {
+  const double dt_sec = tick_sec(tick_us);
   double sum = 0.0;  // A local: `total` may alias `watts`.
   for (int c = 0; c < machine_->num_clusters(); ++c) {
     const auto i = static_cast<std::size_t>(c);
     const double w = model_->cluster_power_given(
         c, cluster_freq[i], cluster_online[i] != 0, cluster_busy[i]);
     watts[i] = w;
+    joules[i] = w * dt_sec;
     sum += w;
   }
   total = sum + model_->base_watts();
 }
 
-HARS_HOT void PowerSensor::tick_watts(TimeUs now, TimeUs tick_us,
-                                      const std::vector<double>& watts,
-                                      double total) {
-  const double dt_sec = tick_sec(tick_us);
-  for (std::size_t i = 0; i < cluster_energy_j_.size(); ++i) {
-    cluster_energy_j_[i] += watts[i] * dt_sec;
-  }
-  base_energy_j_ += model_->base_watts() * dt_sec;
-  last_instant_power_ = total;
-
-  maybe_sample(now, watts);
-}
-
-void PowerSensor::maybe_sample(TimeUs now,
-                               const std::vector<double>& cluster_watts) {
-  if (now < next_sample_at_) return;
+void PowerSensor::take_sample(TimeUs now,
+                              const std::vector<double>& cluster_watts) {
   // Sample capture happens once per sampling period (~every 264 default
   // ticks) and retains history by design: a declared amortized allocator.
   allocg::AllowScope allow("power-sensor sample capture");

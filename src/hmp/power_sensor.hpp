@@ -54,19 +54,29 @@ class PowerSensor {
                       const std::vector<char>& cluster_online);
 
   /// The power half of tick_presummed: each cluster's watts for the given
-  /// busy sums and snapshot into `watts` (sized to the cluster count), and
-  /// their sum plus the base draw into `total`. A quiet span computes it
-  /// once per planned variant.
+  /// busy sums and snapshot into `watts` (sized to the cluster count), the
+  /// energy each delivers over one tick of `tick_us` (tick_presummed's
+  /// product watts * dt) into `joules`, and their sum plus the base draw
+  /// into `total`. A quiet span computes it once per planned variant.
   void cluster_watts(const std::vector<double>& cluster_busy,
                      const std::vector<double>& cluster_freq,
-                     const std::vector<char>& cluster_online,
-                     std::vector<double>& watts, double& total) const;
+                     const std::vector<char>& cluster_online, TimeUs tick_us,
+                     std::vector<double>& watts, std::vector<double>& joules,
+                     double& total);
 
-  /// The integration half of tick_presummed: one tick of `watts` and
-  /// `total` as cluster_watts() computed them; takes a sample when the
-  /// period elapsed.
+  /// The integration half of tick_presummed: one tick of `watts`,
+  /// `joules` and `total` as cluster_watts() computed them; takes a sample
+  /// when the period elapsed.
   void tick_watts(TimeUs now, TimeUs tick_us, const std::vector<double>& watts,
-                  double total);
+                  const std::vector<double>& joules, double total) {
+    const double dt_sec = tick_sec(tick_us);
+    for (std::size_t i = 0; i < cluster_energy_j_.size(); ++i) {
+      cluster_energy_j_[i] += joules[i];
+    }
+    base_energy_j_ += model_->base_watts() * dt_sec;
+    last_instant_power_ = total;
+    maybe_sample(now, watts);
+  }
 
   /// Exact accumulated energy in joules (per cluster / total).
   double cluster_energy_j(ClusterId cluster) const;
@@ -91,7 +101,10 @@ class PowerSensor {
   Rng rng_;
 
   /// Takes a noisy sample of `cluster_watts` when the period elapsed.
-  void maybe_sample(TimeUs now, const std::vector<double>& cluster_watts);
+  void maybe_sample(TimeUs now, const std::vector<double>& cluster_watts) {
+    if (now >= next_sample_at_) take_sample(now, cluster_watts);
+  }
+  void take_sample(TimeUs now, const std::vector<double>& cluster_watts);
 
   /// us_to_sec(tick_us). The tick length never changes in an engine's
   /// life, so the division runs once; the cached quotient is its result.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -136,12 +138,13 @@ void SimEngine::run_until(TimeUs t) {
     obs::ensure_thread_registered();
     if (!obs::thread_attached()) {
       step();
-      if (now_ < t) run_quiet_span(t);
+      if (now_ < t && run_quiet_span(t)) finish_span_tick();
       continue;
     }
     // Armed: every tick passes through this step/span pair, so three
     // clock reads time all of them — one step() observation, and the
-    // span's wall time spread over the ticks it ran.
+    // span's wall time spread over the ticks it ran — and two more a tick
+    // the span hands to step()'s tail.
     const std::int64_t step_start = obs::now_ns();
     step();
     const std::int64_t step_end = obs::now_ns();
@@ -150,7 +153,7 @@ void SimEngine::run_until(TimeUs t) {
     push_tick_span("step", step_start, step_end, 0);
     if (now_ >= t) break;
     const std::int64_t quiet_before = quiet_ticks_;
-    run_quiet_span(t);
+    const bool finish = run_quiet_span(t);
     const std::int64_t ticks = quiet_ticks_ - quiet_before;
     if (ticks == 0) continue;
     const std::int64_t span_end = obs::now_ns();
@@ -158,7 +161,19 @@ void SimEngine::run_until(TimeUs t) {
                       static_cast<double>(span_end - step_end) /
                           static_cast<double>(ticks));
     push_tick_span("quiet_span", step_end, span_end, ticks);
+    if (!finish) continue;
+    finish_span_tick();
+    const std::int64_t finish_end = obs::now_ns();
+    obs::hist_observe(cat.step_ns,
+                      static_cast<double>(finish_end - span_end));
+    push_tick_span("step", span_end, finish_end, 0);
   }
+}
+
+void SimEngine::finish_span_tick() {
+  now_ += config_.tick_us;
+  AllocGuard alloc_guard("SimEngine::step");
+  finish_step(alloc_guard);
 }
 
 HARS_HOT void SimEngine::prepare_scratch() {
@@ -217,10 +232,6 @@ HARS_HOT void SimEngine::refresh_machine_snapshot() {
 }
 
 HARS_HOT void SimEngine::step() {
-  // run_until attached (or detached) this thread before the call, so the
-  // tick's instrumentation is a branch + a relaxed add per write.
-  const obs::Catalog& cat = obs::catalog();
-
   if (tick_hook_) tick_hook_(now_);
 
   // From here to the end of the tick the engine is on the allocation-free
@@ -274,7 +285,15 @@ HARS_HOT void SimEngine::step() {
     allocg::AllowScope allow("audit diagnostics");
     audit_placement();
   }
+  finish_step(alloc_guard);
+}
 
+HARS_HOT void SimEngine::finish_step(const AllocGuard& alloc_guard) {
+  // run_until attached (or detached) this thread before the call, so the
+  // tick's instrumentation is a branch + a relaxed add per write.
+  const obs::Catalog& cat = obs::catalog();
+  const TimeUs tick = config_.tick_us;
+  TickScratch& s = scratch_;
   {
     // tick_busy_ was re-zeroed by the integration pass of the previous
     // tick (and starts zeroed), so no refill is needed here. The capacity
@@ -329,6 +348,23 @@ HARS_HOT void SimEngine::step() {
     refresh_machine_snapshot();
   }
 
+  integrate_tick("SimEngine::step");
+  if (config_.audit) {
+    allocg::AllowScope allow("audit diagnostics");
+    audit_tick();
+  }
+
+  obs::counter_add(cat.ticks);
+  // Per-tick allocation telemetry (satellite of the AllocGuard contract):
+  // total allocations this tick (the declared AllowScopes) and undeclared
+  // violations, which must stay at zero.
+  obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
+  obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
+}
+
+HARS_HOT void SimEngine::integrate_tick(const char* where) {
+  TickScratch& s = scratch_;
+  const TimeUs tick = config_.tick_us;
   // The busy-sum audit needs the busy fractions the integration pass
   // below consumes and re-zeroes.
   std::array<double, 64> audit_busy;  // CpuMask caps cores at 64.
@@ -349,21 +385,10 @@ HARS_HOT void SimEngine::step() {
     s.cluster_busy[static_cast<std::size_t>(s.core_cluster[i])] += b;
   }
   if (config_.audit) {
-    audit_cluster_busy(audit_busy.data(), s.cluster_busy, "SimEngine::step");
+    audit_cluster_busy(audit_busy.data(), s.cluster_busy, where);
   }
   sensor_.tick_presummed(now_, tick, s.cluster_busy, s.cluster_freq,
                          s.cluster_online);
-  if (config_.audit) {
-    allocg::AllowScope allow("audit diagnostics");
-    audit_tick();
-  }
-
-  obs::counter_add(cat.ticks);
-  // Per-tick allocation telemetry (satellite of the AllocGuard contract):
-  // total allocations this tick (the declared AllowScopes) and undeclared
-  // violations, which must stay at zero.
-  obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
-  obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
 }
 
 HARS_HOT void SimEngine::compute_core_shares(const std::vector<TimeUs>& capacity,
@@ -384,12 +409,25 @@ HARS_HOT void SimEngine::compute_core_shares(const std::vector<TimeUs>& capacity
     }
     counts = &s.threads_on_core;
   }
+  // sharers == 1 (one thread per core — the common case once a manager
+  // has spread the threads) skips the integer division; cap / 1 == cap.
+  // Equal capacities shared equally repeat across cores, so the last
+  // quotient serves the next equal operands.
+  TimeUs memo_capacity = -1;
+  int memo_sharers = 0;
+  TimeUs memo_share = 0;
   for (std::size_t c = 0; c < share.size(); ++c) {
     const int sharers = (*counts)[c];
-    // sharers == 1 (one thread per core — the common case once a manager
-    // has spread the threads) skips the integer division; cap / 1 == cap.
-    share[c] = sharers <= 1 ? (sharers == 1 ? capacity[c] : 0)
-                            : capacity[c] / sharers;
+    if (sharers <= 1) {
+      share[c] = sharers == 1 ? capacity[c] : 0;
+      continue;
+    }
+    if (capacity[c] != memo_capacity || sharers != memo_sharers) {
+      memo_capacity = capacity[c];
+      memo_sharers = sharers;
+      memo_share = capacity[c] / sharers;
+    }
+    share[c] = memo_share;
   }
 }
 
@@ -420,6 +458,15 @@ void SimEngine::size_quiet_scratch() {
   const std::size_t threads = threads_.size();
   const auto cores = static_cast<std::size_t>(machine_.num_cores());
   const auto clusters = static_cast<std::size_t>(machine_.num_clusters());
+  for (QuietVariant& v : quiet_.variants) {
+    v.mgr_use = -1;  // Placement and frequencies may differ from last span.
+    v.unbilled_ticks = 0;
+  }
+  // The core and cluster counts never change.
+  if (quiet_.grants.size() == threads && quiet_.retires.size() == live_.size() &&
+      quiet_.variants[0].core_capacity.size() == cores) {
+    return;
+  }
   // resize() is a no-op at the current size, so this allocates only when
   // the thread table grew past every earlier span.
   allocg::AllowScope allow("quiet-span scratch growth");
@@ -429,8 +476,10 @@ void SimEngine::size_quiet_scratch() {
   quiet_.load_add.resize(threads);
   quiet_.load_lo.resize(threads);
   quiet_.load_hi.resize(threads);
+  quiet_.retires.resize(live_.size());
+  quiet_.retired.resize(threads);
+  quiet_.cores.resize(threads);
   for (QuietVariant& v : quiet_.variants) {
-    v.mgr_use = -1;  // Placement and frequencies may differ from last span.
     v.core_capacity.resize(cores);
     v.core_share.resize(cores);
     v.lanes.resize(threads);
@@ -439,7 +488,7 @@ void SimEngine::size_quiet_scratch() {
     v.core_busy_us.resize(cores);
     v.cluster_busy.resize(clusters);
     v.cluster_watts.resize(clusters);
-    v.unbilled_ticks = 0;
+    v.cluster_joules.resize(clusters);
   }
 }
 
@@ -483,10 +532,16 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
     busy[kManagerCore] +=
         static_cast<double>(mgr_use) / static_cast<double>(tick);
   }
+  TimeUs memo_used = -1;  // step()'s memoized quotient.
+  double memo_busy = 0.0;
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     if (quiet_.grants[i].share_us <= 0) continue;
-    busy[static_cast<std::size_t>(threads_[i].core)] +=
-        static_cast<double>(v.lanes[i].used_us) / static_cast<double>(tick);
+    const TimeUs used = v.lanes[i].used_us;
+    if (used != memo_used) {
+      memo_used = used;
+      memo_busy = static_cast<double>(used) / static_cast<double>(tick);
+    }
+    busy[static_cast<std::size_t>(threads_[i].core)] += memo_busy;
   }
   std::fill(v.cluster_busy.begin(), v.cluster_busy.end(), 0.0);
   for (std::size_t c = 0; c < busy.size(); ++c) {
@@ -501,59 +556,233 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
   // increment, the product step() adds.
   for (double& b : busy) b = std::min(b, 1.0) * static_cast<double>(tick);
   sensor_.cluster_watts(v.cluster_busy, s.cluster_freq, s.cluster_online,
-                        v.cluster_watts, v.total_watts);
+                        tick, v.cluster_watts, v.cluster_joules,
+                        v.total_watts);
   v.mgr_use = mgr_use;
   return true;
 }
 
-HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
-  // Span entry: nothing may act on the tick but arithmetic. Cheapest
-  // checks first — a tick hook that is due (or cannot say when it is),
-  // an app whose begin_tick would admit work or a scheduler that never
-  // elides assign() ends it here.
+namespace {
+
+using Lanes = double __attribute__((vector_size(16)));
+
+Lanes load_lanes(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_lanes(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+/// dst[i] += src[i] for i < n, two doubles per step.
+void add_lanes(std::size_t n, const double* src, double* dst) {
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    store_lanes(dst + i, load_lanes(dst + i) + load_lanes(src + i));
+  }
+  for (; i < n; ++i) dst[i] += src[i];
+}
+
+/// One quiet tick's lane pass over n threads: each next load
+/// load * decay + add (LoadTracker::advance) and next remaining work
+/// rem - work. True when every next load lies in [lo, hi] and every next
+/// remaining work stays above its floor. Two threads per step on
+/// two-double vectors, with a scalar tail; the vector operations are the
+/// scalar IEEE ones lane by lane, so the values are bit-identical.
+///
+/// The vector part tests the bounds through margins, which stay in
+/// registers: x >= lo exactly when x - lo >= 0, x <= hi when hi - x >= 0
+/// and r > floor when r - floor > 0. Doubles underflow gradually, so the
+/// difference of two finite doubles has the sign of the exact one, and an
+/// infinite bound or floor gives an infinite margin of the right sign
+/// (loads and remaining work are finite). The margins decide only
+/// whether the tick is quiet; no state takes them.
+HARS_HOT bool advance_lanes(std::size_t n, double decay, const double* load,
+                            const double* add, const double* lo,
+                            const double* hi, const double* rem,
+                            const double* work, const double* floor,
+                            double* load_next, double* rem_next) {
+  const auto min = [](Lanes a, Lanes b) { return a < b ? a : b; };
+  const Lanes d = {decay, decay};
+  Lanes above_lo = {1.0, 1.0};
+  Lanes below_hi = above_lo;
+  Lanes above_floor = above_lo;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const Lanes x = load_lanes(load + i) * d + load_lanes(add + i);
+    const Lanes r = load_lanes(rem + i) - load_lanes(work + i);
+    store_lanes(load_next + i, x);
+    store_lanes(rem_next + i, r);
+    above_lo = min(above_lo, x - load_lanes(lo + i));
+    below_hi = min(below_hi, load_lanes(hi + i) - x);
+    above_floor = min(above_floor, r - load_lanes(floor + i));
+  }
+  bool quiet = above_lo[0] >= 0.0 && above_lo[1] >= 0.0 &&
+               below_hi[0] >= 0.0 && below_hi[1] >= 0.0 &&
+               above_floor[0] > 0.0 && above_floor[1] > 0.0;
+  for (; i < n; ++i) {
+    const double x = LoadTracker::advance(load[i], decay, add[i]);
+    load_next[i] = x;
+    const double r = rem[i] - work[i];
+    rem_next[i] = r;
+    quiet &= (x >= lo[i]) & (x <= hi[i]) & (r > floor[i]);
+  }
+  return quiet;
+}
+
+/// True when every load lies in its closed interval [lo, hi].
+bool loads_in_bounds(std::size_t n, const double* load, const double* lo,
+                     const double* hi) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!(load[i] >= lo[i] && load[i] <= hi[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+HARS_HOT bool SimEngine::retire_lanes(QuietVariant& v, TimeUs mgr_use,
+                                      const double* rem, double* rem_next,
+                                      std::size_t& retired) {
+  // Each lane at or below its floor must retire, within its app's budget.
+  const QuietLane* const lanes = v.lanes.data();
+  std::size_t count = 0;
+  for (std::size_t a = 0; a < live_.size(); ++a) {
+    const auto base = static_cast<std::size_t>(live_[a].thread_base);
+    const auto end = base + static_cast<std::size_t>(live_[a].app->thread_count());
+    for (std::size_t i = base; i < end; ++i) {
+      if (rem_next[i] > v.floor[i]) continue;
+      if (lanes[i].speed <= 0.0 || quiet_.retires[a] == 0) return false;
+      --quiet_.retires[a];
+      quiet_.retired[count++] = i;
+    }
+  }
+  if (count == 0) return false;  // The pass failed on a load bound.
+  // execute()'s partial branch for those lanes (done = rem), and the
+  // tick's busy fractions in step()'s addition order: the manager charge
+  // first, then each executed thread in thread-table order. A lane
+  // without work adds 0.0, which changes no sum.
+  const TimeUs tick = config_.tick_us;
+  if (mgr_use > 0) {
+    tick_busy_[kManagerCore] +=
+        static_cast<double>(mgr_use) / static_cast<double>(tick);
+  }
+  std::size_t next = 0;
+  TimeUs memo_used = 0;
+  double memo_busy = 0.0;
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    TimeUs used = lanes[i].used_us;
+    if (next < count && quiet_.retired[next] == i) {
+      ++next;
+      used = static_cast<TimeUs>(rem[i] / lanes[i].speed * kUsPerSec);
+      rem_next[i] = 0.0;
+      // The variant bills its full-share time for this tick too.
+      threads_[i].cpu_time_us += used - lanes[i].used_us;
+    }
+    if (used == 0) continue;
+    if (used != memo_used) {
+      memo_used = used;
+      memo_busy = static_cast<double>(used) / static_cast<double>(tick);
+    }
+    tick_busy_[static_cast<std::size_t>(threads_[i].core)] += memo_busy;
+  }
+  retired = count;
+  return true;
+}
+
+HARS_HOT bool SimEngine::run_span_head(const double* load, double* load_next,
+                                       bool flags_flipped) {
+  const std::size_t n = threads_.size();
+  const double decay = load_decay_;
+  double* const add = quiet_.load_add.data();
+  CoreId* const cores = quiet_.cores.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    SimThread& t = threads_[i];
+    add[i] = LoadTracker::add_for(t.runnable, decay);
+    load_next[i] = LoadTracker::advance(load[i], decay, add[i]);
+    t.load.prime(load_next[i]);
+    cores[i] = t.core;
+  }
+  scheduler_->assign(machine_, threads_);
+  if (config_.audit) {
+    allocg::AllowScope allow("audit diagnostics");
+    audit_placement();
+  }
+  // New flags or cores change the grants: re-plan both variants.
+  bool moved = flags_flipped;
+  for (std::size_t i = 0; i < n && !moved; ++i) moved = threads_[i].core != cores[i];
+  if (moved) {
+    for (QuietVariant& v : quiet_.variants) v.mgr_use = -1;
+  }
+  double* const lo = quiet_.load_lo.data();
+  double* const hi = quiet_.load_hi.data();
+  if (scheduler_->placement_fixed_point(machine_, threads_) &&
+      scheduler_->load_bounds(threads_, lo, hi)) {
+    return true;
+  }
+  // The next tick's head runs assign() again; this tick's loads are placed.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::fill(lo, lo + n, -kInf);
+  std::fill(hi, hi + n, kInf);
+  return false;
+}
+
+HARS_HOT bool SimEngine::run_quiet_span(TimeUs until) {
+  // Span entry: nothing may act on the tick but arithmetic and the
+  // scheduler. Cheapest checks first — a tick hook that is due (or cannot
+  // say when it is), an app whose begin_tick would admit work or a
+  // scheduler without load bounds ends it here.
   if (tick_hook_) {
-    if (!tick_hook_due_) return;
+    if (!tick_hook_due_) return false;
     until = std::min(until, tick_hook_due_());
-    if (now_ >= until) return;
+    if (now_ >= until) return false;
   }
   TickScratch& s = scratch_;
   if (s.dvfs_epoch != machine_.dvfs_epoch() ||
       s.online_bits != machine_.online_mask().bits()) {
-    return;
+    return false;
   }
-  if (!scheduler_->placement_fixed_point(machine_, threads_)) return;
-  // The previous tick's end_tick may have opened an iteration: the flags
-  // the next step() would read must equal the table's. Quiet ticks move
-  // no item and retire no work, so a begin_tick that is a no-op now stays
-  // one for the whole span.
   for (const LiveApp& live : live_) {
-    const App* a = live.app;
-    if (!a->begin_tick_idle()) return;
-    a->refresh_runnable(s.runnable.get());
-    const SimThread* block =
-        &threads_[static_cast<std::size_t>(live.thread_base)];
-    for (int i = 0; i < a->thread_count(); ++i) {
-      if (block[i].runnable != s.runnable[static_cast<std::size_t>(i)]) return;
-    }
+    if (!live.app->begin_tick_idle()) return false;
   }
-
   size_quiet_scratch();
   const std::size_t n = threads_.size();
   double* const lo = quiet_.load_lo.data();
   double* const hi = quiet_.load_hi.data();
-  if (!scheduler_->load_bounds(threads_, lo, hi)) return;
-  // Span-local remaining work: the apps hand it over once.
+  if (!scheduler_->load_bounds(threads_, lo, hi)) return false;
+  // Span-local remaining work: the apps hand it over once, with how many
+  // of their threads may retire in the span. Quiet ticks move no item and
+  // close no barrier, so a begin_tick that is a no-op now stays one for
+  // the whole span.
   double* rem = quiet_.rem[0].data();
   double* rem_next = quiet_.rem[1].data();
-  for (const LiveApp& live : live_) {
-    if (!live.app->export_quiet(&rem[live.thread_base])) return;
+  for (std::size_t a = 0; a < live_.size(); ++a) {
+    App* app = live_[a].app;
+    if (!app->export_quiet(&rem[live_[a].thread_base])) return false;
+    quiet_.retires[a] = app->quiet_retires();
   }
+  // The first tick runs step()'s head when the last end_tick changed a
+  // runnable flag (an iteration opened) or assign() would not elide: from
+  // here on the tick runs in the span or, when it cannot, in step()'s
+  // tail.
+  bool flags_flipped = false;
+  for (const LiveApp& live : live_) {
+    live.app->refresh_runnable(s.runnable.get());
+    SimThread* block = &threads_[static_cast<std::size_t>(live.thread_base)];
+    for (int i = 0; i < live.app->thread_count(); ++i) {
+      const bool runnable = s.runnable[static_cast<std::size_t>(i)];
+      flags_flipped |= block[i].runnable != runnable;
+      block[i].runnable = runnable;
+    }
+  }
+  bool head_due =
+      flags_flipped || !scheduler_->placement_fixed_point(machine_, threads_);
   // One allocation-free contract for the whole span, as step() has per
   // tick; manager bookkeeping and sensor samples open their own scopes.
   AllocGuard alloc_guard("SimEngine::run_quiet_span");
   const TimeUs tick = config_.tick_us;
-  // Span-local loads: runnable flags are fixed for the span, so each
-  // thread's EWMA term is too.
+  // Span-local loads: runnable flags change only at a head, so each
+  // thread's EWMA term is fixed until then.
   const double decay = load_decay_;
   double* load = quiet_.load[0].data();
   double* load_next = quiet_.load[1].data();
@@ -575,27 +804,51 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
   bool polled = false;
   bool skipped_polls = false;
   const QuietVariant* last = nullptr;
+  bool last_retired = false;  ///< The last tick retired threads.
   std::int64_t ticks = 0;
+  std::int64_t assigned = 0;  ///< Span ticks that called assign().
+  std::size_t retired = 0;    ///< Threads the last tick retired.
   bool machine_moved = false;
+  // Set when a tick whose head the span ran cannot finish in the span:
+  // step()'s tail runs it after the span's end.
+  bool finish_in_step = false;
   while (now_ < until && !machine_moved) {
     const TimeUs mgr_use = std::min(pending_manager_us_, tick);
-    QuietVariant& v = quiet_.variants[mgr_use > 0 ? 1 : 0];
-    if (v.mgr_use != mgr_use && !plan_quiet_variant(v, mgr_use)) break;
-    // Loads advance first, as in step(), and every thread's remaining
-    // work drops by its lane's, into the other arrays. A load outside its
-    // scheduler bound, or work at or below its lane's floor, ends the
-    // span before this tick, and step() runs it from the current values.
-    const double* const work = v.work.data();
-    const double* const floor = v.floor.data();
-    bool quiet = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = LoadTracker::advance(load[i], decay, add[i]);
-      load_next[i] = x;
-      const double r = rem[i] - work[i];
-      rem_next[i] = r;
-      quiet &= (x >= lo[i]) & (x <= hi[i]) & (r > floor[i]);
+    // step()'s head, when the tick needs assign(): the threads the last
+    // tick retired are not runnable any more, or the last head's
+    // placement was no fixed point.
+    bool head = head_due || retired > 0;
+    if (head) {
+      for (std::size_t k = 0; k < retired; ++k) {
+        threads_[quiet_.retired[k]].runnable = false;
+      }
+      head_due = !run_span_head(load, load_next, flags_flipped || retired > 0);
+      flags_flipped = false;
+      retired = 0;
     }
-    if (!quiet) break;
+    QuietVariant* v = &quiet_.variants[mgr_use > 0 ? 1 : 0];
+    if (v->mgr_use != mgr_use && !plan_quiet_variant(*v, mgr_use)) {
+      finish_in_step = head;
+      break;
+    }
+    // Loads advance first, as in step(), and every thread's remaining
+    // work drops by its lane's, into the other arrays (after a head the
+    // pass recomputes the same loads, inside the new bounds). A load
+    // outside its scheduler bound makes the tick start over with step()'s
+    // head; work at or below a floor that no retire covers ends the span
+    // before this tick, and step() runs it from the current values.
+    const bool quiet = advance_lanes(n, decay, load, add, lo, hi, rem,
+                                     v->work.data(), v->floor.data(),
+                                     load_next, rem_next);
+    if (!quiet && !head && !loads_in_bounds(n, load_next, lo, hi)) {
+      head_due = true;  // The tick again, with its head.
+      continue;
+    }
+    if (!quiet && !retire_lanes(*v, mgr_use, rem, rem_next, retired)) {
+      // retire_lanes leaves tick_busy_ untouched when it refuses.
+      finish_in_step = head;
+      break;
+    }
     std::swap(load, load_next);
     std::swap(rem, rem_next);
 
@@ -604,7 +857,8 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     // table is next read.
     pending_manager_us_ -= mgr_use;
     now_ += tick;
-    ++v.unbilled_ticks;
+    ++v->unbilled_ticks;
+    if (head) ++assigned;
     if (now_ >= manager_due) {
       if (polled && idle_polls) {
         pending_manager_us_ += poll_cost;
@@ -633,22 +887,30 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
         }
       }
     }
-    for (std::size_t c = 0; c < core_busy_us_.size(); ++c) {
-      core_busy_us_[c] += v.core_busy_us[c];
-    }
-    // The variant's watts hold for the snapshot it was planned on.
-    if (machine_moved) {
-      sensor_.tick_presummed(now_, tick, v.cluster_busy, s.cluster_freq,
-                             s.cluster_online);
+    last_retired = retired > 0;
+    if (last_retired) {
+      // retire_lanes filled tick_busy_: step()'s integration.
+      integrate_tick("SimEngine::run_quiet_span");
     } else {
-      sensor_.tick_watts(now_, tick, v.cluster_watts, v.total_watts);
+      add_lanes(core_busy_us_.size(), v->core_busy_us.data(),
+                core_busy_us_.data());
+      // The variant's watts hold for the snapshot it was planned on.
+      if (machine_moved) {
+        sensor_.tick_presummed(now_, tick, v->cluster_busy, s.cluster_freq,
+                               s.cluster_online);
+      } else {
+        sensor_.tick_watts(now_, tick, v->cluster_watts, v->cluster_joules,
+                           v->total_watts);
+      }
     }
-    last = &v;
+    last = v;
     ++ticks;
   }
-  if (ticks == 0) return;
+  if (ticks == 0 && !finish_in_step) return false;
   if (skipped_polls) manager_->skip_idle_polls(manager_due);
-  write_back_quiet_state(load, rem);
+  // A head left the advanced loads in the table and in load_next.
+  write_back_quiet_state(finish_in_step ? load_next : load, rem);
+  if (ticks == 0) return true;
 
   // Leave the tick scratch as the span's last tick would have: audits
   // and the next step() read it.
@@ -656,10 +918,12 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
             s.core_capacity.begin());
   std::copy(last->core_share.begin(), last->core_share.end(),
             s.core_share.begin());
-  std::copy(last->cluster_busy.begin(), last->cluster_busy.end(),
-            s.cluster_busy.begin());
+  if (!last_retired) {
+    std::copy(last->cluster_busy.begin(), last->cluster_busy.end(),
+              s.cluster_busy.begin());
+  }
   capacity_dirty_ = true;
-  scheduler_->note_elided_assigns(ticks);
+  scheduler_->note_elided_assigns(ticks - assigned);
   const obs::Catalog& cat = obs::catalog();
   quiet_ticks_ += ticks;
   obs::counter_add(cat.ticks, static_cast<std::uint64_t>(ticks));
@@ -670,6 +934,7 @@ HARS_HOT void SimEngine::run_quiet_span(TimeUs until) {
     allocg::AllowScope allow("audit diagnostics");
     audit_tick();
   }
+  return finish_in_step;
 }
 
 HARS_HOT void SimEngine::bill_quiet_cpu_time(QuietVariant& v) {

@@ -15,12 +15,14 @@
 //   6. integrates power and advances the sensor.
 //
 // After each step(), run_until() runs the *quiet* ticks that follow in one
-// loop (run_quiet_span): ticks on which no thread finishes its share, no
-// app admits work, the tick hook is not due and the scheduler's placement
-// is a fixed point, so only arithmetic changes.
+// loop (run_quiet_span): ticks on which no app admits work, no barrier
+// closes, no item is handed off and the tick hook is not due. A
+// data-parallel thread that finishes its share retires inside the loop,
+// and a tick that needs the scheduler (a flag flipped, a load left its
+// bound, the placement is no fixed point yet) runs step()'s head there.
 // The loop repeats step()'s accumulations in step()'s order from values
-// planned once per span, so the simulation is bit-identical either way;
-// see docs/ARCHITECTURE.md, "Quiet spans".
+// planned per capacity variant, so the simulation is bit-identical either
+// way; see docs/ARCHITECTURE.md, "Quiet spans".
 //
 // The engine exposes the "syscall surface" the paper's user-level runtime
 // uses on Linux: sched_setaffinity (set_thread_affinity), cpufreq
@@ -89,6 +91,7 @@ struct QuietVariant {
   std::vector<double> core_busy_us;    ///< Clamped busy fraction * tick.
   std::vector<double> cluster_busy;    ///< Per-cluster clamped busy sums.
   std::vector<double> cluster_watts;   ///< PowerSensor::cluster_watts.
+  std::vector<double> cluster_joules;  ///< Their energy over one tick.
   double total_watts = 0.0;            ///< Their sum plus the base draw.
   /// Ticks run with these lanes whose cpu time is not yet added to the
   /// thread table.
@@ -98,7 +101,8 @@ struct QuietVariant {
 /// Scratch of the quiet-span loop, sized at span entry. The span keeps
 /// each thread's load and remaining work in `load[k]` and `rem[k]`
 /// (current and advanced, by turns) and writes them back to the thread
-/// table and the apps before a manager call and at span end.
+/// table and the apps before a manager call, before a tick's assign()
+/// and at span end.
 struct QuietScratch {
   std::vector<QuietGrant> grants;      ///< Per thread, for plan_quiet.
   std::vector<double> load[2];         ///< Span-local loads.
@@ -106,10 +110,14 @@ struct QuietScratch {
   std::vector<double> load_add;        ///< LoadTracker::add_for per thread.
   std::vector<double> load_lo;         ///< Scheduler::load_bounds.
   std::vector<double> load_hi;
+  std::vector<int> retires;            ///< Per live app: retires left.
+  std::vector<std::size_t> retired;    ///< Threads the last tick retired.
+  std::vector<CoreId> cores;           ///< Placement before a head's assign.
   QuietVariant variants[2];            ///< [0] full tick, [1] charged.
 };
 
 struct PlatformSpec;  // hmp/platform_spec.hpp
+class AllocGuard;    // util/alloc_guard.hpp
 
 class SimEngine {
  public:
@@ -260,6 +268,16 @@ class SimEngine {
   friend void run_reference_until(SimEngine& engine, TimeUs t);
 
   void step();
+  /// step() after the scheduler's assign(): execute, end_tick, the
+  /// manager, integration and the sensor, counted against `alloc_guard`.
+  void finish_step(const AllocGuard& alloc_guard);
+  /// Runs the tick a quiet span ran the head of (see run_quiet_span)
+  /// through finish_step.
+  void finish_span_tick();
+  /// step()'s integration: clamps tick_busy_ per core into lifetime busy
+  /// time and the per-cluster sums (audited under `where`), re-zeroes it
+  /// and advances the sensor.
+  void integrate_tick(const char* where);
   /// The retained pre-TickScratch tick (per-tick vector allocations,
   /// per-thread machine queries), bit-identical to step() and never
   /// followed by a quiet span; reached only through run_reference_until.
@@ -267,8 +285,26 @@ class SimEngine {
   void step_reference();
   /// Runs the quiet ticks that follow a step(), up to `until` and the
   /// tick hook's due time; returns at once when the span-entry checks
-  /// fail.
-  void run_quiet_span(TimeUs until);
+  /// fail. True when the span ran the head of one more tick (see
+  /// run_span_head) that cannot finish in the span: finish_span_tick()
+  /// must run it.
+  bool run_quiet_span(TimeUs until);
+  /// step()'s head on a span tick: every load advances from `load` with
+  /// the EWMA term of the thread's current flag into `load_next`, the
+  /// thread table takes the loads, and the scheduler places it. Both
+  /// variants are re-planned when `flags_flipped` or a thread moved.
+  /// True when the placement is a fixed point; its load bounds are then
+  /// in QuietScratch. False: the next tick needs a head too, and this
+  /// tick's loads are unbounded.
+  bool run_span_head(const double* load, double* load_next,
+                     bool flags_flipped);
+  /// A span tick whose lane pass failed: true when it failed only on
+  /// floors and each lane at or below its floor may retire (a lane speed,
+  /// its app's retires left). Then runs execute()'s partial branch for those lanes
+  /// (listing them in QuietScratch::retired, `retired` of them) and fills
+  /// tick_busy_ in step()'s addition order.
+  bool retire_lanes(QuietVariant& variant, TimeUs mgr_use, const double* rem,
+                    double* rem_next, std::size_t& retired);
   /// Sizes QuietScratch for the current thread table (outside the span's
   /// AllocGuard).
   void size_quiet_scratch();

@@ -97,14 +97,16 @@ HARS_HOT bool GtsScheduler::placement_fixed_point(
 
 bool GtsScheduler::load_bounds(const std::vector<SimThread>& threads,
                                double* lo, double* hi) const {
-  if (!sig_valid_ || threads.size() != prev_sig_.size()) return false;
+  if (config_.idle_pull || !sig_valid_ || threads.size() != prev_sig_.size()) {
+    return false;
+  }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double up = kGtsUpThreshold;
   const double down = kGtsDownThreshold;
   // tier_of tests `up` first, so tiers 1 and 2 also need load < up; tier
   // 2 is empty unless down < up.
-  const double below_up = std::nextafter(up, -kInf);
-  const double above_down = std::nextafter(down, kInf);
+  static const double below_up = std::nextafter(up, -kInf);
+  static const double above_down = std::nextafter(down, kInf);
   for (std::size_t i = 0; i < threads.size(); ++i) {
     const std::uint8_t tiers = prev_sig_[i].tiers;
     const bool low = (tiers & (1u << 1)) != 0;
@@ -138,11 +140,13 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
   // across calls (pre-sized once) and rebuilt as we (re)place threads.
   // Capacity is retained, so these only allocate when the machine or the
   // thread table grows.
-  {
+  const auto num_cores = static_cast<std::size_t>(machine.num_cores());
+  if (core_load_.size() != num_cores || prev_sig_.size() != threads.size()) {
     allocg::AllowScope allow("GTS scratch growth");
-    core_load_.assign(static_cast<std::size_t>(machine.num_cores()), 0);
-    prev_sig_.resize(threads.size());  // hars-lint: allow(no-alloc): retained capacity
+    core_load_.resize(num_cores);  // hars-lint: allow(no-alloc): guarded growth
+    prev_sig_.resize(threads.size());  // hars-lint: allow(no-alloc): guarded growth
   }
+  std::fill(core_load_.begin(), core_load_.end(), 0);
   prev_online_bits_ = online.bits();
   sig_valid_ = true;
   bool moved_any = false;

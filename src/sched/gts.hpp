@@ -53,7 +53,8 @@ class GtsScheduler final : public Scheduler {
   /// Each thread's interval of loads that keeps the preferred cores the
   /// last full run chose for it, as a closed interval of doubles: the
   /// union of the recorded tier and the adjacent tiers whose preferred
-  /// cores are the same. A sleeping thread is unbounded.
+  /// cores are the same. A sleeping thread is unbounded. False in
+  /// idle-pull mode, whose placement is never a fixed point.
   bool load_bounds(const std::vector<SimThread>& threads, double* lo,
                    double* hi) const override;
 

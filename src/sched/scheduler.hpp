@@ -52,8 +52,8 @@ class Scheduler {
   /// Quiet-span query (SimEngine::run_until): true when assign() on
   /// `threads` as they stand would provably leave every placement and
   /// runnable_per_core() unchanged — the last placement is a fixed point
-  /// for the current inputs. The engine then elides the call. The default
-  /// answers false, so such a scheduler sees assign() on every tick.
+  /// for the current inputs. The engine then elides the call; otherwise
+  /// a span calls assign() itself. The default answers false.
   virtual bool placement_fixed_point(const Machine& machine,
                                      const std::vector<SimThread>& threads) const {
     (void)machine;
@@ -61,12 +61,14 @@ class Scheduler {
     return false;
   }
 
-  /// Quiet-span query, asked once per span after placement_fixed_point()
-  /// held: fills lo[i] and hi[i] with the closed interval of load values
-  /// (`SimThread::load`) within which thread i keeps the last placement a
-  /// fixed point while nothing but loads changes. The engine checks each
-  /// tick's advanced loads against these bounds instead of asking again.
-  /// The default answers false, so no span runs.
+  /// Quiet-span query, asked at span entry and again after a span's
+  /// assign() call left a fixed point: fills lo[i] and hi[i] with the
+  /// closed interval of load values (`SimThread::load`) within which
+  /// thread i keeps the last placement a fixed point while nothing but
+  /// loads changes. The engine checks each tick's advanced loads against
+  /// these bounds instead of asking again. False at entry means the
+  /// scheduler takes no spans: the default answers false, so such a
+  /// scheduler sees step(), and assign(), on every tick.
   virtual bool load_bounds(const std::vector<SimThread>& threads, double* lo,
                            double* hi) const {
     (void)threads;
@@ -76,7 +78,8 @@ class Scheduler {
   }
 
   /// Accounts (telemetry only) for `ticks` assign() calls the engine
-  /// elided because placement_fixed_point() held before each of them.
+  /// elided because placement_fixed_point() held before each of them; a
+  /// span tick that called assign() is not among them.
   virtual void note_elided_assigns(std::int64_t ticks) { (void)ticks; }
 
   virtual const char* name() const = 0;

@@ -32,6 +32,7 @@
 #include "apps/parsec.hpp"
 #include "apps/pipeline_app.hpp"
 #include "backend/sim_backend.hpp"
+#include "exp/calibration.hpp"
 #include "exp/experiment.hpp"
 #include "exp/variant_registry.hpp"
 #include "hmp/platform_registry.hpp"
@@ -191,6 +192,10 @@ struct EngineRun {
   std::uint64_t trail = 0;              ///< Hash of states at on_tick.
   std::int64_t calls = 0;
   std::int64_t quiet_ticks = 0;
+  std::int64_t ticks = 0;
+  std::int64_t migrations = 0;
+  /// Ticks step() ran: each retire a span does not take costs two.
+  std::int64_t stepped() const { return ticks - quiet_ticks; }
 };
 
 EngineRun run_engine(const EngineCase& c, bool reference) {
@@ -233,10 +238,14 @@ EngineRun run_engine(const EngineCase& c, bool reference) {
   run.trail = manager.trail();
   run.calls = manager.calls();
   run.quiet_ticks = engine.quiet_ticks();
+  run.ticks = engine.now() / engine.tick_us();
+  run.migrations = engine.total_migrations();
   return run;
 }
 
-void expect_identical(const EngineCase& c) {
+/// Runs `c` on both paths; they must agree bit for bit. Returns the
+/// default path's run.
+EngineRun expect_identical(const EngineCase& c) {
   const EngineRun ref = run_engine(c, /*reference=*/true);
   const EngineRun fast = run_engine(c, /*reference=*/false);
   EXPECT_EQ(ref.quiet_ticks, 0) << "the reference path took a span";
@@ -244,11 +253,21 @@ void expect_identical(const EngineCase& c) {
   EXPECT_EQ(ref.calls, fast.calls);
   EXPECT_EQ(ref.trail, fast.trail) << "state differs at some manager call";
   EXPECT_EQ(ref.heartbeats, fast.heartbeats);
-  ASSERT_EQ(ref.slice_states.size(), fast.slice_states.size());
-  for (std::size_t i = 0; i < ref.slice_states.size(); ++i) {
+  EXPECT_EQ(ref.slice_states.size(), fast.slice_states.size());
+  for (std::size_t i = 0;
+       i < std::min(ref.slice_states.size(), fast.slice_states.size()); ++i) {
     EXPECT_EQ(ref.slice_states[i], fast.slice_states[i]) << "after slice " << i;
   }
   EXPECT_EQ(ref.state, fast.state);
+  EXPECT_EQ(ref.migrations, fast.migrations);
+  return fast;
+}
+
+/// Total heartbeats of a run's apps.
+std::int64_t total_beats(const EngineRun& run) {
+  std::int64_t beats = 0;
+  for (std::int64_t b : run.heartbeats) beats += b;
+  return beats;
 }
 
 TEST(QuietSpan, SingleAppMatchesReference) {
@@ -445,6 +464,104 @@ TEST(QuietSpan, WorkFloorOfZeroIsTheExactComparison) {
     }
   }
   EXPECT_GT(pairs, 400);
+}
+
+// The vector lane pass tests its bounds through margins: x - lo >= 0 for
+// x >= lo, hi - x >= 0 for x <= hi and r - floor > 0 for r > floor. They
+// agree for every finite value against every finite or infinite bound,
+// because subtraction underflows gradually and an infinite bound gives
+// an infinite margin of the right sign.
+TEST(QuietSpan, LaneMarginsAreTheExactComparisons) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> finite = {0.0,  -0.0, tiny, -tiny, 1e-300, 1e-12,
+                                0.3,  0.5,  0.8,  1.0,   3.0,    1e300};
+  const std::size_t base = finite.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    finite.push_back(std::nextafter(finite[i], kInf));
+    finite.push_back(std::nextafter(finite[i], -kInf));
+  }
+  std::vector<double> bounds = finite;
+  bounds.push_back(kInf);
+  bounds.push_back(-kInf);
+  int pairs = 0;
+  for (double x : finite) {
+    for (double b : bounds) {
+      EXPECT_EQ(x >= b, x - b >= 0.0) << std::hexfloat << x << " vs " << b;
+      EXPECT_EQ(x <= b, b - x >= 0.0) << std::hexfloat << x << " vs " << b;
+      EXPECT_EQ(x > b, x - b > 0.0) << std::hexfloat << x << " vs " << b;
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 1000);
+}
+
+// --- Retires inside a span -----------------------------------------------
+// A data-parallel thread that finishes its share retires inside the span,
+// and the next tick runs step()'s head there (its flag flips, GTS places
+// the table). Only the retire that closes the barrier, an item hand-off or
+// a plan the apps refuse leave the span to step().
+
+TEST(QuietSpan, TwoLanesRetireOnTheSameTick) {
+  // Equal work on two big and two little cores, one thread per core: the
+  // two big-core threads finish on the same tick, then the two little-core
+  // threads close the barrier together, which ends the span.
+  EngineCase c;
+  c.apps = {app_config(4, 3.0, 21, 0.0)};
+  c.script = [](SimEngine& engine, TimeUs now) -> TimeUs {
+    if (now == engine.tick_us()) {
+      const Machine& m = engine.machine();
+      const CpuMask big = m.cluster_mask(m.fastest_cluster());
+      const CpuMask little = m.cluster_mask(m.slowest_cluster());
+      const CoreId b0 = big.first();
+      const CoreId l1 = little.next(little.first());
+      engine.set_thread_affinity(0, 0, CpuMask::single(b0));
+      engine.set_thread_affinity(0, 1, CpuMask::single(big.next(b0)));
+      engine.set_thread_affinity(0, 2, CpuMask::single(l1));
+      engine.set_thread_affinity(0, 3, CpuMask::single(little.next(l1)));
+    }
+    return 0;
+  };
+  c.slices = {10 * kUsPerSec};
+  const EngineRun fast = expect_identical(c);
+  // One step per iteration, the tick that closes the barrier.
+  EXPECT_GT(total_beats(fast), 20);
+  EXPECT_LE(fast.stepped(), total_beats(fast) + 4);
+}
+
+TEST(QuietSpan, LastLaneClosesTheBarrier) {
+  // Two threads of unequal work: the first retires in the span, the
+  // second's retire closes the barrier and runs in step().
+  EngineCase c;
+  c.apps = {app_config(2, 1.0, 22, 0.3)};
+  c.slices = {10 * kUsPerSec};
+  const EngineRun fast = expect_identical(c);
+  EXPECT_GT(total_beats(fast), 20);
+  EXPECT_LE(fast.stepped(), total_beats(fast) + 4);
+}
+
+TEST(QuietSpan, RetiresOnManagerChargedTicks) {
+  // A charge on every tick: every span tick, retires included, runs the
+  // charged capacity variant.
+  EngineCase c;
+  c.apps = {app_config(8, 4.0, 23, 0.2)};
+  c.script = [](SimEngine&, TimeUs) -> TimeUs { return 30; };
+  c.slices = {10 * kUsPerSec};
+  const EngineRun fast = expect_identical(c);
+  EXPECT_LE(fast.stepped(), 3 * total_beats(fast));
+}
+
+TEST(QuietSpan, RetireFreesACoreThatACoreMateMovesTo) {
+  // sd855: eight unpinned threads share its four big cores two by two.
+  // A retire leaves a core with one thread, and GTS moves another there;
+  // the span runs the move and GTS's confirming pass in its heads.
+  EngineCase c;
+  c.platform = "sd855";
+  c.apps = {app_config(8, 4.0, 24, 0.2)};
+  c.slices = {10 * kUsPerSec};
+  const EngineRun fast = expect_identical(c);
+  EXPECT_GT(fast.migrations, 20);
+  EXPECT_LE(fast.stepped(), 3 * total_beats(fast));
 }
 
 // --- Apps joining and leaving ------------------------------------------
@@ -1028,9 +1145,90 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("HARS-E", "MP-HARS-E", "CONS-I"),
     [](const auto& info) { return test_name(info.param); });
 
+// --- Calibration-shaped runs ---------------------------------------------
+
+/// What a run shaped like a calibration left behind.
+struct CalibrationRun {
+  std::string state;           ///< engine_state() at the end.
+  std::vector<TimeUs> beats;   ///< Heartbeat times: the run's records.
+  std::int64_t ticks = 0;
+  std::int64_t quiet_ticks = 0;
+  std::int64_t migrations = 0;
+  std::int64_t stepped() const { return ticks - quiet_ticks; }
+};
+
+/// A manager-less GTS run shaped like a calibration (calibrate_benchmark):
+/// one PARSEC app alone with all cores online at top frequency, run in
+/// 100 ms slices until its first heartbeat, then for kCalibrationUs.
+CalibrationRun run_calibration_shaped(const std::string& platform,
+                                      ParsecBenchmark bench, bool reference) {
+  std::unique_ptr<Scheduler> scheduler;
+  if (reference) {
+    scheduler = std::make_unique<ReferenceGtsScheduler>();
+  } else {
+    scheduler = std::make_unique<GtsScheduler>();
+  }
+  SimEngine engine(*PlatformRegistry::instance().find(platform),
+                   std::move(scheduler));
+  const std::unique_ptr<App> app = make_parsec_app(bench, 8, 1);
+  engine.add_app(app.get());
+  const auto run_for = [&](TimeUs dt) {
+    if (reference) {
+      run_reference_until(engine, engine.now() + dt);
+    } else {
+      engine.run_for(dt);
+    }
+  };
+  while (app->heartbeats().count() == 0 && engine.now() < 60 * kUsPerSec) {
+    run_for(100 * kUsPerMs);
+  }
+  run_for(kCalibrationUs);
+  CalibrationRun run;
+  run.state = engine_state(engine);
+  for (const HeartbeatRecord& beat : app->heartbeats().history()) {
+    run.beats.push_back(beat.time);
+  }
+  run.ticks = engine.now() / engine.tick_us();
+  run.quiet_ticks = engine.quiet_ticks();
+  run.migrations = engine.total_migrations();
+  return run;
+}
+
+// Every PARSEC app's calibration on every registered platform, against
+// the reference tick: heartbeat times, energy, busy fractions, per-thread
+// cpu time, loads, cores and migrations, bit for bit.
+class QuietSpanCalibrations
+    : public ::testing::TestWithParam<std::tuple<std::string, ParsecBenchmark>> {};
+
+TEST_P(QuietSpanCalibrations, MatchReference) {
+  const std::string platform = std::get<0>(GetParam());
+  const ParsecBenchmark bench = std::get<1>(GetParam());
+  const CalibrationRun ref = run_calibration_shaped(platform, bench, true);
+  const CalibrationRun fast = run_calibration_shaped(platform, bench, false);
+  EXPECT_EQ(ref.quiet_ticks, 0);
+  EXPECT_GT(fast.quiet_ticks, 0) << "the default path took no span";
+  EXPECT_GT(ref.beats.size(), 20u);
+  EXPECT_EQ(ref.beats, fast.beats);
+  EXPECT_EQ(ref.ticks, fast.ticks);
+  EXPECT_EQ(ref.migrations, fast.migrations);
+  EXPECT_EQ(first_difference(ref.state, fast.state), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPlatforms, QuietSpanCalibrations,
+    ::testing::Combine(::testing::ValuesIn(PlatformRegistry::instance().names()),
+                       ::testing::ValuesIn(all_parsec_benchmarks())),
+    [](const auto& info) {
+      return test_name(std::get<0>(info.param) + "_" +
+                       parsec_code(std::get<1>(info.param)));
+    });
+
 // Span shares, pinned as floors at the counts the runs take today: a
 // change that silently turns spans off (for pipeline apps, or under a
 // scenario hook) fails here. Counts, not timings, so noise cannot fail it.
+// The calibration ceilings pin the step() ticks a calibration pays now
+// that its threads retire inside spans (before: 3,686 on sd855 and 1,077
+// on exynos5422 for swaptions).
 TEST(QuietSpanShares, FerretHarsE120s) {
   const ExperimentRun run = run_probed("HARS-E", false, [](ExperimentBuilder& b) {
     b.app(ParsecBenchmark::kFerret).duration_sec(120);
@@ -1048,6 +1246,18 @@ TEST(QuietSpanShares, GeneratedChurnMpHarsE60sOnSd855) {
       });
   ASSERT_EQ(run.log.calls, 60000);
   EXPECT_GE(run.log.quiet_ticks, 58527);
+}
+
+TEST(QuietSpanShares, SwaptionsCalibrationOnSd855) {
+  const CalibrationRun run =
+      run_calibration_shaped("sd855", ParsecBenchmark::kSwaptions, false);
+  EXPECT_LE(run.stepped(), 312);
+}
+
+TEST(QuietSpanShares, SwaptionsCalibrationOnExynos5422) {
+  const CalibrationRun run =
+      run_calibration_shaped("exynos5422", ParsecBenchmark::kSwaptions, false);
+  EXPECT_LE(run.stepped(), 230);
 }
 
 }  // namespace

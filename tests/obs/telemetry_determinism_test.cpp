@@ -76,12 +76,50 @@ TEST(TelemetryDeterminism, StaggeredScenarioIsBitIdentical) {
   EXPECT_EQ(off, on) << "telemetry changed the staggered scenario run";
 }
 
+/// GTS behind a decorator that counts the assign() calls reaching it,
+/// the ones among them GTS skips (its fixed-point predicate holds on
+/// entry) and the calls the engine elides.
+class CountingGts final : public Scheduler {
+ public:
+  void assign(const Machine& machine, std::vector<SimThread>& threads) override {
+    ++calls;
+    if (gts_.placement_fixed_point(machine, threads)) ++skips;
+    gts_.assign(machine, threads);
+  }
+  const std::vector<int>* runnable_per_core() const override {
+    return gts_.runnable_per_core();
+  }
+  bool placement_fixed_point(const Machine& machine,
+                             const std::vector<SimThread>& threads) const override {
+    return gts_.placement_fixed_point(machine, threads);
+  }
+  bool load_bounds(const std::vector<SimThread>& threads, double* lo,
+                   double* hi) const override {
+    return gts_.load_bounds(threads, lo, hi);
+  }
+  void note_elided_assigns(std::int64_t ticks) override {
+    elided += ticks;
+    gts_.note_elided_assigns(ticks);
+  }
+  const char* name() const override { return gts_.name(); }
+
+  std::int64_t calls = 0;
+  std::int64_t skips = 0;
+  std::int64_t elided = 0;
+
+ private:
+  GtsScheduler gts_;
+};
+
 TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
-  // Quiet spans run many ticks per loop and elide GTS assign(); the tick
-  // and assign counters must still advance once per simulated tick, and
-  // run_until's timers must cover every tick: one engine.step_ns per
-  // step() and one traced quiet_span per span, with the span ticks adding
-  // up to engine.quiet_ticks.
+  // Quiet spans run many ticks per loop and elide GTS assign() on most of
+  // them; a span tick whose thread retired, or whose load left its bound,
+  // calls assign() itself. On a run shaped like a calibration the tick
+  // and assign counters must still advance once per simulated tick, the
+  // skip counter must count exactly the elided calls and the calls GTS
+  // skipped, and run_until's timers must cover every tick: one
+  // engine.step_ns per tick step() finished and one traced quiet_span per
+  // span, with the span ticks adding up to engine.quiet_ticks.
   const std::string trace_path =
       (std::filesystem::temp_directory_path() /
        ("hars_quiet_span_trace_" + std::to_string(::getpid()) + ".json"))
@@ -89,8 +127,10 @@ TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
   obs::TelemetryConfig cfg = armed();
   cfg.trace_json = trace_path;
   obs::TelemetrySession session(cfg);
+  auto counting = std::make_unique<CountingGts>();
+  const CountingGts& gts = *counting;
   SimEngine engine(*PlatformRegistry::instance().find("exynos5422"),
-                   std::make_unique<GtsScheduler>());
+                   std::move(counting));
   const std::unique_ptr<App> app =
       make_parsec_app(ParsecBenchmark::kSwaptions, 8, 1);
   engine.add_app(app.get());
@@ -105,9 +145,14 @@ TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
   EXPECT_EQ(snap.find("engine.quiet_ticks")->counter,
             static_cast<std::uint64_t>(engine.quiet_ticks()));
   EXPECT_EQ(snap.find("sched.gts.assign_calls")->counter, ticks);
-  EXPECT_LE(snap.find("sched.gts.assign_skips")->counter, ticks);
-  EXPECT_GE(snap.find("sched.gts.assign_skips")->counter,
-            static_cast<std::uint64_t>(engine.quiet_ticks()));
+  EXPECT_EQ(static_cast<std::uint64_t>(gts.calls + gts.elided), ticks);
+  EXPECT_EQ(snap.find("sched.gts.assign_skips")->counter,
+            static_cast<std::uint64_t>(gts.skips + gts.elided));
+  // Spans called assign() themselves, and elided it on most span ticks.
+  EXPECT_GT(static_cast<std::uint64_t>(gts.calls),
+            ticks - static_cast<std::uint64_t>(engine.quiet_ticks()));
+  EXPECT_LT(gts.elided, engine.quiet_ticks());
+  EXPECT_GT(gts.elided, engine.quiet_ticks() * 9 / 10);
   EXPECT_EQ(snap.find("engine.tick_alloc_violations")->counter, 0u);
 
   const obs::MetricValue* step_ns = snap.find("engine.step_ns");
