@@ -409,25 +409,12 @@ HARS_HOT void SimEngine::compute_core_shares(const std::vector<TimeUs>& capacity
     }
     counts = &s.threads_on_core;
   }
-  // sharers == 1 (one thread per core — the common case once a manager
-  // has spread the threads) skips the integer division; cap / 1 == cap.
-  // Equal capacities shared equally repeat across cores, so the last
-  // quotient serves the next equal operands.
-  TimeUs memo_capacity = -1;
-  int memo_sharers = 0;
-  TimeUs memo_share = 0;
   for (std::size_t c = 0; c < share.size(); ++c) {
     const int sharers = (*counts)[c];
-    if (sharers <= 1) {
-      share[c] = sharers == 1 ? capacity[c] : 0;
-      continue;
-    }
-    if (capacity[c] != memo_capacity || sharers != memo_sharers) {
-      memo_capacity = capacity[c];
-      memo_sharers = sharers;
-      memo_share = capacity[c] / sharers;
-    }
-    share[c] = memo_share;
+    // sharers == 1 (one thread per core — the common case once a manager
+    // has spread the threads) skips the integer division; cap / 1 == cap.
+    share[c] = sharers <= 1 ? (sharers == 1 ? capacity[c] : 0)
+                            : capacity[c] / sharers;
   }
 }
 
