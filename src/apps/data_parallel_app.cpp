@@ -117,28 +117,17 @@ void DataParallelApp::end_tick(TimeUs now) {
 
 bool DataParallelApp::plan_quiet(const QuietGrant* grants,
                                  QuietLane* lanes) const {
-  // Threads on equal cores get equal grants, so the last lane's values
-  // serve the next equal grant: the same expressions on the same operands.
-  QuietGrant last{};
-  QuietLane last_lane{};
   for (int i = 0; i < thread_count(); ++i) {
     const QuietGrant& grant = grants[i];
     QuietLane& lane = lanes[i];
     lane = QuietLane{};
     if (grant.share_us <= 0) continue;
-    if (grant.share_us == last.share_us && grant.type == last.type &&
-        grant.freq_ghz == last.freq_ghz) {
-      lane = last_lane;
-      continue;
-    }
     const double speed = thread_speed(grant.type, grant.freq_ghz);
     if (speed <= 0.0) continue;  // execute() returns 0 and changes nothing.
     lane.work = speed * us_to_sec(grant.share_us);
     lane.floor = 0.0;
     lane.used_us = static_cast<TimeUs>(lane.work / speed * kUsPerSec);
     lane.speed = speed;
-    last = grant;
-    last_lane = lane;
   }
   return true;
 }

@@ -66,7 +66,8 @@ class PowerSensor {
 
   /// The integration half of tick_presummed: one tick of `watts`,
   /// `joules` and `total` as cluster_watts() computed them; takes a sample
-  /// when the period elapsed.
+  /// when the period elapsed. Inline, with the sample check: a quiet span
+  /// calls it every tick.
   void tick_watts(TimeUs now, TimeUs tick_us, const std::vector<double>& watts,
                   const std::vector<double>& joules, double total) {
     const double dt_sec = tick_sec(tick_us);

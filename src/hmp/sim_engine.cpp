@@ -143,8 +143,10 @@ void SimEngine::run_until(TimeUs t) {
     }
     // Armed: every tick passes through this step/span pair, so three
     // clock reads time all of them — one step() observation, and the
-    // span's wall time spread over the ticks it ran — and two more a tick
-    // the span hands to step()'s tail.
+    // span's wall time spread over the ticks it ran — and one more a tick
+    // the span hands to step()'s tail. That tick may be the span's only
+    // one (its head ran, then the tick could not finish in the span); it
+    // is a step() observation, not a span.
     const std::int64_t step_start = obs::now_ns();
     step();
     const std::int64_t step_end = obs::now_ns();
@@ -155,12 +157,14 @@ void SimEngine::run_until(TimeUs t) {
     const std::int64_t quiet_before = quiet_ticks_;
     const bool finish = run_quiet_span(t);
     const std::int64_t ticks = quiet_ticks_ - quiet_before;
-    if (ticks == 0) continue;
-    const std::int64_t span_end = obs::now_ns();
-    obs::hist_observe(cat.quiet_tick_ns,
-                      static_cast<double>(span_end - step_end) /
-                          static_cast<double>(ticks));
-    push_tick_span("quiet_span", step_end, span_end, ticks);
+    std::int64_t span_end = step_end;
+    if (ticks > 0) {
+      span_end = obs::now_ns();
+      obs::hist_observe(cat.quiet_tick_ns,
+                        static_cast<double>(span_end - step_end) /
+                            static_cast<double>(ticks));
+      push_tick_span("quiet_span", step_end, span_end, ticks);
+    }
     if (!finish) continue;
     finish_span_tick();
     const std::int64_t finish_end = obs::now_ns();
@@ -249,13 +253,10 @@ HARS_HOT void SimEngine::step() {
   prepare_scratch();
   TickScratch& s = scratch_;
 
-  // Refresh runnability and load averages, one app block at a time: the
-  // app answers for all of its (contiguous) threads with one virtual
-  // dispatch (App::refresh_runnable). The EWMA decay is the engine-wide
-  // constant load_decay_ (every tracker has the default half-life,
-  // asserted below).
+  // Refresh runnability one app block at a time: the app answers for all
+  // of its (contiguous) threads with one virtual dispatch
+  // (App::refresh_runnable).
   if (!threads_.empty()) {
-    const double decay = load_decay_;
     for (const LiveApp& live : live_) {
       App* a = live.app;
       const auto n = static_cast<std::size_t>(a->thread_count());
@@ -267,15 +268,21 @@ HARS_HOT void SimEngine::step() {
       }
       a->refresh_runnable(s.runnable.get());
       SimThread* block = &threads_[static_cast<std::size_t>(live.thread_base)];
-      for (std::size_t i = 0; i < n; ++i) {
-        SimThread& t = block[i];
-        assert(t.load.half_life_us() == LoadTracker().half_life_us());
-        t.runnable = s.runnable[i];
-        t.load.update_with_decay(t.runnable, decay);
-      }
+      for (std::size_t i = 0; i < n; ++i) block[i].runnable = s.runnable[i];
     }
   }
+  advance_loads_and_assign();
+  finish_step(alloc_guard);
+}
 
+HARS_HOT void SimEngine::advance_loads_and_assign() {
+  // The EWMA decay is the engine-wide constant load_decay_ (every tracker
+  // has the default half-life, asserted below).
+  const double decay = load_decay_;
+  for (SimThread& t : threads_) {
+    assert(t.load.half_life_us() == LoadTracker().half_life_us());
+    t.load.update_with_decay(t.runnable, decay);
+  }
   scheduler_->assign(machine_, threads_);
   if (config_.audit) {
     // Placement is audited here — between assign and the manager hook —
@@ -285,7 +292,6 @@ HARS_HOT void SimEngine::step() {
     allocg::AllowScope allow("audit diagnostics");
     audit_placement();
   }
-  finish_step(alloc_guard);
 }
 
 HARS_HOT void SimEngine::finish_step(const AllocGuard& alloc_guard) {
@@ -445,15 +451,6 @@ void SimEngine::size_quiet_scratch() {
   const std::size_t threads = threads_.size();
   const auto cores = static_cast<std::size_t>(machine_.num_cores());
   const auto clusters = static_cast<std::size_t>(machine_.num_clusters());
-  for (QuietVariant& v : quiet_.variants) {
-    v.mgr_use = -1;  // Placement and frequencies may differ from last span.
-    v.unbilled_ticks = 0;
-  }
-  // The core and cluster counts never change.
-  if (quiet_.grants.size() == threads && quiet_.retires.size() == live_.size() &&
-      quiet_.variants[0].core_capacity.size() == cores) {
-    return;
-  }
   // resize() is a no-op at the current size, so this allocates only when
   // the thread table grew past every earlier span.
   allocg::AllowScope allow("quiet-span scratch growth");
@@ -467,6 +464,7 @@ void SimEngine::size_quiet_scratch() {
   quiet_.retired.resize(threads);
   quiet_.cores.resize(threads);
   for (QuietVariant& v : quiet_.variants) {
+    v.mgr_use = -1;  // Placement and frequencies may differ from last span.
     v.core_capacity.resize(cores);
     v.core_share.resize(cores);
     v.lanes.resize(threads);
@@ -476,6 +474,7 @@ void SimEngine::size_quiet_scratch() {
     v.cluster_busy.resize(clusters);
     v.cluster_watts.resize(clusters);
     v.cluster_joules.resize(clusters);
+    v.unbilled_ticks = 0;
   }
 }
 
@@ -519,16 +518,10 @@ HARS_HOT bool SimEngine::plan_quiet_variant(QuietVariant& v, TimeUs mgr_use) {
     busy[kManagerCore] +=
         static_cast<double>(mgr_use) / static_cast<double>(tick);
   }
-  TimeUs memo_used = -1;  // step()'s memoized quotient.
-  double memo_busy = 0.0;
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     if (quiet_.grants[i].share_us <= 0) continue;
-    const TimeUs used = v.lanes[i].used_us;
-    if (used != memo_used) {
-      memo_used = used;
-      memo_busy = static_cast<double>(used) / static_cast<double>(tick);
-    }
-    busy[static_cast<std::size_t>(threads_[i].core)] += memo_busy;
+    busy[static_cast<std::size_t>(threads_[i].core)] +=
+        static_cast<double>(v.lanes[i].used_us) / static_cast<double>(tick);
   }
   std::fill(v.cluster_busy.begin(), v.cluster_busy.end(), 0.0);
   for (std::size_t c = 0; c < busy.size(); ++c) {
@@ -655,8 +648,6 @@ HARS_HOT bool SimEngine::retire_lanes(QuietVariant& v, TimeUs mgr_use,
         static_cast<double>(mgr_use) / static_cast<double>(tick);
   }
   std::size_t next = 0;
-  TimeUs memo_used = 0;
-  double memo_busy = 0.0;
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     TimeUs used = lanes[i].used_us;
     if (next < count && quiet_.retired[next] == i) {
@@ -666,12 +657,9 @@ HARS_HOT bool SimEngine::retire_lanes(QuietVariant& v, TimeUs mgr_use,
       // The variant bills its full-share time for this tick too.
       threads_[i].cpu_time_us += used - lanes[i].used_us;
     }
-    if (used == 0) continue;
-    if (used != memo_used) {
-      memo_used = used;
-      memo_busy = static_cast<double>(used) / static_cast<double>(tick);
-    }
-    tick_busy_[static_cast<std::size_t>(threads_[i].core)] += memo_busy;
+    if (used == 0) continue;  // No grant: the thread may sit on no core.
+    tick_busy_[static_cast<std::size_t>(threads_[i].core)] +=
+        static_cast<double>(used) / static_cast<double>(tick);
   }
   retired = count;
   return true;
@@ -679,21 +667,20 @@ HARS_HOT bool SimEngine::retire_lanes(QuietVariant& v, TimeUs mgr_use,
 
 HARS_HOT bool SimEngine::run_span_head(const double* load, double* load_next,
                                        bool flags_flipped) {
+  // step()'s head from the flags on; the loads come from the span's
+  // arrays, and what follows assign() is the span's own bookkeeping.
   const std::size_t n = threads_.size();
-  const double decay = load_decay_;
-  double* const add = quiet_.load_add.data();
   CoreId* const cores = quiet_.cores.data();
   for (std::size_t i = 0; i < n; ++i) {
-    SimThread& t = threads_[i];
-    add[i] = LoadTracker::add_for(t.runnable, decay);
-    load_next[i] = LoadTracker::advance(load[i], decay, add[i]);
-    t.load.prime(load_next[i]);
-    cores[i] = t.core;
+    threads_[i].load.prime(load[i]);
+    cores[i] = threads_[i].core;
   }
-  scheduler_->assign(machine_, threads_);
-  if (config_.audit) {
-    allocg::AllowScope allow("audit diagnostics");
-    audit_placement();
+  advance_loads_and_assign();
+  const double decay = load_decay_;
+  double* const add = quiet_.load_add.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    load_next[i] = threads_[i].load.value();
+    add[i] = LoadTracker::add_for(threads_[i].runnable, decay);
   }
   // New flags or cores change the grants: re-plan both variants.
   bool moved = flags_flipped;
@@ -897,6 +884,9 @@ HARS_HOT bool SimEngine::run_quiet_span(TimeUs until) {
   if (skipped_polls) manager_->skip_idle_polls(manager_due);
   // A head left the advanced loads in the table and in load_next.
   write_back_quiet_state(finish_in_step ? load_next : load, rem);
+  const obs::Catalog& cat = obs::catalog();
+  obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
+  obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
   if (ticks == 0) return true;
 
   // Leave the tick scratch as the span's last tick would have: audits
@@ -911,12 +901,9 @@ HARS_HOT bool SimEngine::run_quiet_span(TimeUs until) {
   }
   capacity_dirty_ = true;
   scheduler_->note_elided_assigns(ticks - assigned);
-  const obs::Catalog& cat = obs::catalog();
   quiet_ticks_ += ticks;
   obs::counter_add(cat.ticks, static_cast<std::uint64_t>(ticks));
   obs::counter_add(cat.quiet_ticks, static_cast<std::uint64_t>(ticks));
-  obs::counter_add(cat.tick_allocs, alloc_guard.allocations());
-  obs::counter_add(cat.tick_alloc_violations, alloc_guard.violations());
   if (config_.audit) {
     allocg::AllowScope allow("audit diagnostics");
     audit_tick();

@@ -268,6 +268,13 @@ class SimEngine {
   friend void run_reference_until(SimEngine& engine, TimeUs t);
 
   void step();
+  /// step()'s head once the runnable flags are set: every thread's load
+  /// takes one EWMA step on its flag, then the scheduler places the table
+  /// and the placement is audited. step() reads the flags from the apps
+  /// and the loads from the trackers; a quiet span's head (run_span_head)
+  /// sets both from its own arrays first. The production tick's one
+  /// assign() call site.
+  void advance_loads_and_assign();
   /// step() after the scheduler's assign(): execute, end_tick, the
   /// manager, integration and the sensor, counted against `alloc_guard`.
   void finish_step(const AllocGuard& alloc_guard);
@@ -289,10 +296,11 @@ class SimEngine {
   /// run_span_head) that cannot finish in the span: finish_span_tick()
   /// must run it.
   bool run_quiet_span(TimeUs until);
-  /// step()'s head on a span tick: every load advances from `load` with
-  /// the EWMA term of the thread's current flag into `load_next`, the
-  /// thread table takes the loads, and the scheduler places it. Both
-  /// variants are re-planned when `flags_flipped` or a thread moved.
+  /// step()'s head on a span tick: the thread table takes the loads in
+  /// `load`, advance_loads_and_assign() advances and places it, and the
+  /// advanced loads (and each thread's EWMA term) come back into
+  /// `load_next`. Both variants are re-planned when `flags_flipped` or a
+  /// thread moved.
   /// True when the placement is a fixed point; its load bounds are then
   /// in QuietScratch. False: the next tick needs a head too, and this
   /// tick's loads are unbounded.

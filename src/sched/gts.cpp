@@ -105,8 +105,8 @@ bool GtsScheduler::load_bounds(const std::vector<SimThread>& threads,
   const double down = kGtsDownThreshold;
   // tier_of tests `up` first, so tiers 1 and 2 also need load < up; tier
   // 2 is empty unless down < up.
-  static const double below_up = std::nextafter(up, -kInf);
-  static const double above_down = std::nextafter(down, kInf);
+  const double below_up = std::nextafter(up, -kInf);
+  const double above_down = std::nextafter(down, kInf);
   for (std::size_t i = 0; i < threads.size(); ++i) {
     const std::uint8_t tiers = prev_sig_[i].tiers;
     const bool low = (tiers & (1u << 1)) != 0;
@@ -139,7 +139,9 @@ HARS_HOT void GtsScheduler::assign(const Machine& machine,
   // Number of runnable threads currently packed on each core; reused
   // across calls (pre-sized once) and rebuilt as we (re)place threads.
   // Capacity is retained, so these only allocate when the machine or the
-  // thread table grows.
+  // thread table grows, and the AllowScope opens only then: opening one
+  // looks up its reason's counter slot, a measurable cost when a quiet
+  // span's heads call assign() thousands of times per calibration.
   const auto num_cores = static_cast<std::size_t>(machine.num_cores());
   if (core_load_.size() != num_cores || prev_sig_.size() != threads.size()) {
     allocg::AllowScope allow("GTS scratch growth");

@@ -8,7 +8,9 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -184,6 +186,81 @@ TEST(TelemetryDeterminism, QuietSpanTicksAreCounted) {
   EXPECT_EQ(span_ticks, engine.quiet_ticks());
   EXPECT_EQ(quiet_spans, quiet_tick_ns->count);
   EXPECT_EQ(steps, step_ns->count);
+}
+
+/// A manager-less GTS run shaped like a calibration (calibrate_benchmark):
+/// one PARSEC app alone, run in 100 ms slices until its first heartbeat,
+/// then for 40 s. Returns everything the run left, exactly (doubles as
+/// hex floats). With telemetry armed it also checks the tick, assign and
+/// step-timer counters against the ticks the run took.
+std::string run_calibration_shaped(ParsecBenchmark bench, bool telemetry) {
+  std::unique_ptr<obs::TelemetrySession> session;
+  if (telemetry) session = std::make_unique<obs::TelemetrySession>(armed());
+  auto counting = std::make_unique<CountingGts>();
+  const CountingGts& gts = *counting;
+  SimEngine engine(*PlatformRegistry::instance().find("sd855"),
+                   std::move(counting));
+  const std::unique_ptr<App> app = make_parsec_app(bench, 8, 1);
+  engine.add_app(app.get());
+  while (app->heartbeats().count() == 0 && engine.now() < 60 * kUsPerSec) {
+    engine.run_for(100 * kUsPerMs);
+  }
+  engine.run_for(40 * kUsPerSec);
+
+  const auto ticks = static_cast<std::uint64_t>(engine.now() / engine.tick_us());
+  EXPECT_GT(engine.quiet_ticks(), 0) << "the run took no quiet span";
+  EXPECT_EQ(static_cast<std::uint64_t>(gts.calls + gts.elided), ticks);
+  if (session != nullptr) {
+    session->finish();
+    const obs::MetricsSnapshot& snap = session->snapshot();
+    EXPECT_EQ(snap.find("engine.ticks")->counter, ticks);
+    EXPECT_EQ(snap.find("sched.gts.assign_calls")->counter, ticks);
+    EXPECT_EQ(snap.find("sched.gts.assign_skips")->counter,
+              static_cast<std::uint64_t>(gts.skips + gts.elided));
+    EXPECT_EQ(snap.find("engine.step_ns")->count,
+              ticks - static_cast<std::uint64_t>(engine.quiet_ticks()));
+    EXPECT_EQ(snap.find("engine.tick_alloc_violations")->counter, 0u);
+  }
+
+  std::string out;
+  char buf[128];
+  for (const HeartbeatRecord& beat : app->heartbeats().history()) {
+    std::snprintf(buf, sizeof buf, "beat %lld\n",
+                  static_cast<long long>(beat.time));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof buf, "now=%lld energy=%a\n",
+                static_cast<long long>(engine.now()),
+                engine.sensor().total_energy_j());
+  out += buf;
+  for (CoreId c = 0; c < engine.machine().num_cores(); ++c) {
+    std::snprintf(buf, sizeof buf, "core%d busy=%a\n", c,
+                  engine.core_busy_fraction(c));
+    out += buf;
+  }
+  for (const SimThread& t : engine.threads()) {
+    std::snprintf(buf, sizeof buf,
+                  "thread%lld cpu=%lld load=%a core=%d migrations=%lld\n",
+                  static_cast<long long>(t.id),
+                  static_cast<long long>(t.cpu_time_us), t.load.value(),
+                  t.core, static_cast<long long>(t.migrations));
+    out += buf;
+  }
+  return out;
+}
+
+TEST(TelemetryDeterminism, CalibrationShapedRunsAreBitIdentical) {
+  // Calibrations run most ticks in quiet spans whose threads retire and
+  // whose heads call assign(); ferret's item hand-offs and blackscholes'
+  // serial warm-up end spans on a tick whose head already ran, which
+  // run_until must finish once, telemetry or not.
+  for (const ParsecBenchmark bench :
+       {ParsecBenchmark::kFerret, ParsecBenchmark::kBlackscholes}) {
+    SCOPED_TRACE(parsec_code(bench));
+    const std::string off = run_calibration_shaped(bench, false);
+    const std::string on = run_calibration_shaped(bench, true);
+    EXPECT_EQ(off, on) << "telemetry changed the calibration-shaped run";
+  }
 }
 
 }  // namespace
